@@ -21,7 +21,6 @@ from .dynamics import (
     NoAsymptoticStateError,
     RISModel,
     check_H1,
-    conditional_expectation,
     dyson_term,
     dyson_term_quadrature,
     dyson_truncation_bound,
@@ -29,7 +28,6 @@ from .dynamics import (
     gibbs_state,
     interaction_dynamics,
     reduced_map_T,
-    restrict_to_system,
     restricted_dynamics,
     system_free_evolution,
 )

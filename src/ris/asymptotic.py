@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    NoAsymptoticStateError,
-    RISModel,
-    interaction_dynamics,
-    reduced_map_T,
-    restrict_to_system,
-)
+from .dynamics import NoAsymptoticStateError, RISModel, _reduced_map, reduced_map_T
 from .linops import Superoperator, matrix_exp, superop_norm
 from .vanhove import (
     EffectiveGenerator,
@@ -166,7 +160,7 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
     for t in t_samples:
         if not 0 <= t < tau:
             raise ValueError(f"sample time {t} outside [0, tau)")
-        partial = restrict_to_system(model, interaction_dynamics(model, lam, t))
+        partial = _reduced_map(model, lam, t)
         rho_t = _apply_dual(partial, rho0)
         # one extra full period must reproduce the same sample
         rho_t_shifted = _apply_dual(partial, _apply_dual(t_map, rho0))
@@ -204,10 +198,7 @@ def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator,
     if not rank_one:
         if n_zero > 1:
             # distinguish a semisimple multiple zero from a defective one
-            try:
-                _eigenprojection_near(g.matrix, 0.0 + 0.0j, tol)
-            except JordanDefectError:
-                raise
+            _eigenprojection_near(g.matrix, 0.0 + 0.0j, tol)
         return EffectiveStateResult(None, False, gap)
     rho = _density_from_dual_fixed_point(Superoperator(g.matrix + np.eye(g.matrix.shape[0])))
     defect = None

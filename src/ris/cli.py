@@ -32,6 +32,7 @@ from .asymptotic import (
     trace_distance,
 )
 from .dynamics import (
+    NoAsymptoticStateError,
     RISModel,
     commutator_superop,
     dyson_term,
@@ -294,16 +295,13 @@ def _rows_converge_tau(payload) -> list:
 
 
 def _rows_asymptotic(payload) -> list:
-    cfg_echo, lam = payload
+    cfg_echo, lam, eff_density = payload
     config = parse_config(json.dumps(cfg_echo))
-    tau = cfg_echo["tau"]
-    eff = effective_asymptotic_state(effective_generator_weak_coupling(
-        config.model, tau, config.branch_cut_angle))
-    report = asymptotic_periodic_state(config.model, lam, tau,
+    report = asymptotic_periodic_state(config.model, lam, cfg_echo["tau"],
                                        t_samples=config.t_samples)
+    dist = trace_distance(report.asymptotic_density, eff_density)
     rows = []
     for t, rho in report.period_samples:
-        dist = trace_distance(report.asymptotic_density, eff.density)
         entries = []
         for i in range(config.model.n_s):
             for j in range(config.model.n_s):
@@ -343,7 +341,11 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
         return ["parameter", "s", "error"], rows, extras, 0
 
     if config.experiment == "asymptotic":
-        payloads = [(config.echo, lam) for lam in config.lambdas]
+        eff = effective_asymptotic_state(effective_generator_weak_coupling(
+            model, tau, config.branch_cut_angle))
+        if not eff.rank_one:
+            raise NoAsymptoticStateError("effective dynamics has no rank-one limit")
+        payloads = [(config.echo, lam, eff.density) for lam in config.lambdas]
         chunks = _parallel_map(_rows_asymptotic, payloads, jobs)
         rows = sorted(r for chunk in chunks for r in chunk)
         header = ["lambda", "t"]

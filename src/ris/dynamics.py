@@ -2,10 +2,12 @@
 
 The model is the tuple (h_S, h_E, v, beta): a small system, one chain
 element, a Hermitian interaction on the tensor product, and the inverse
-temperature of the chain.  The full interacting evolution is computed by
-exact matrix exponential of the generator i[h_S + h_E + lambda*v, .];
-Dyson terms exist only to verify the perturbation series and its error
-bound, never to compute the dynamics.
+temperature of the chain.  Reduced maps are computed in Hilbert space:
+with U = e^{it(H_0 + lambda*v)} and rho_E = sum_a p_a |a><a|, E_S ∘ phi_SE^t
+is the Kraus map x -> sum_{a,b} p_a K_ab x K_ab^†, K_ab = <a|U|b>_E, made
+unital to rounding.  The superoperator constructions (full generator,
+Dyson terms) exist only to verify the perturbation series and its error
+bound in the dyson-check experiment, never to compute the dynamics.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from .linops import (
     kron,
     matrix_exp,
     require_hermitian,
-    vec,
 )
 
 
@@ -53,10 +54,16 @@ def gibbs_state(h: np.ndarray, beta: float) -> ChainState:
     h = require_hermitian(h, name="h")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
+    weights, u = _gibbs_weights(h, beta)
+    rho = (u * weights) @ u.conj().T
+    return ChainState(0.5 * (rho + rho.conj().T))
+
+
+def _gibbs_weights(h: np.ndarray, beta: float):
+    """(p, u): Gibbs weights, normalised to sum 1, in the eigenbasis u of h."""
     w, u = np.linalg.eigh(h)
     weights = np.exp(-beta * (w - w.min()))
-    rho = (u * (weights / weights.sum())) @ u.conj().T
-    return ChainState(0.5 * (rho + rho.conj().T))
+    return weights / weights.sum(), u
 
 
 @dataclass(frozen=True)
@@ -116,31 +123,10 @@ class RISModel:
         return gibbs_state(self.h_e, self.beta)
 
     @cached_property
-    def _embed(self) -> np.ndarray:
-        """Matrix of x_S -> x_S (x) I_E on vectorized matrices."""
-        ns, ne, n = self.n_s, self.n_e, self.dim
-        e = np.zeros((n * n, ns * ns), dtype=complex)
-        eye = np.eye(ne)
-        for k in range(ns):
-            for l in range(ns):
-                x = np.zeros((ns, ns), dtype=complex)
-                x[k, l] = 1.0
-                e[:, k * ns + l] = vec(kron(x, eye))
-        return e
-
-    @cached_property
-    def _restrict(self) -> np.ndarray:
-        """Matrix of x -> Tr_E[(I (x) rho_E) x] on vectorized matrices."""
-        ns, ne, n = self.n_s, self.n_e, self.dim
-        rho = self.chain_state.rho
-        r = np.zeros((ns * ns, n * n), dtype=complex)
-        for k in range(n):
-            for l in range(n):
-                x = np.zeros((n, n), dtype=complex)
-                x[k, l] = 1.0
-                red = np.einsum("ac,icja->ij", rho, x.reshape(ns, ne, ns, ne))
-                r[:, k * n + l] = vec(red)
-        return r
+    def _chain_frame(self):
+        """(sqrt(p_a), I_S (x) W): Gibbs weights of the chain state in the eigenbasis W of h_E."""
+        weights, w = _gibbs_weights(self.h_e, self.beta)
+        return np.sqrt(weights), kron(np.eye(self.n_s), w)
 
 
 def system_free_evolution(model: RISModel, t: float) -> Superoperator:
@@ -148,39 +134,35 @@ def system_free_evolution(model: RISModel, t: float) -> Superoperator:
     return matrix_exp(t * derivation_superop(model.h_s))
 
 
-def conditional_expectation(model: RISModel, state: ChainState | None = None) -> Superoperator:
-    """E_S on the full algebra: x -> Tr_E[(I (x) rho_E) x] (x) I_E.
+def _pair_reduction(model: RISModel, lefts, rights) -> np.ndarray:
+    """Matrix of x -> sum_j Tr_E[(I (x) rho_E) A_j (x (x) I) B_j^†] on M_S.
 
-    Sends x_S (x) x_E to Tr(rho_E x_E) * x_S (x) I_E; idempotent, unital,
-    completely positive.  Defaults to the model's Gibbs chain state.
+    With rho_E = sum_a p_a |a><a| and the blocks A_ab = <a|A|b>_E this is
+    sum_j sum_{a,b} p_a kron(A_j,ab, conj(B_j,ab)), contracted as one GEMM
+    X_A^T conj(X_B) of the stacks X[(j,a,b),(i,k)] = sqrt(p_a) <i a|A_j|k b>.
     """
-    if state is None:
-        return Superoperator(model._embed @ model._restrict)
-    if state.rho.shape[0] != model.n_e:
-        raise ValueError(f"chain state has dimension {state.rho.shape[0]}, "
-                         f"expected {model.n_e}")
-    restrict = _restrict_matrix(model, state.rho)
-    return Superoperator(model._embed @ restrict)
+    ns, ne = model.n_s, model.n_e
+    sqrt_p, frame = model._chain_frame
+
+    def stack(ops):
+        x = np.stack([frame.conj().T @ a @ frame for a in ops])
+        x = x.reshape(-1, ns, ne, ns, ne).transpose(0, 2, 4, 1, 3)
+        return (x * sqrt_p[:, None, None, None]).reshape(-1, ns * ns)
+
+    m = stack(lefts).T @ stack(rights).conj()
+    return m.reshape(ns, ns, ns, ns).transpose(0, 2, 1, 3).reshape(ns * ns, ns * ns)
 
 
-def _restrict_matrix(model: RISModel, rho: np.ndarray) -> np.ndarray:
-    ns, n = model.n_s, model.dim
-    r = np.zeros((ns * ns, n * n), dtype=complex)
-    ne = model.n_e
-    for k in range(n):
-        for l in range(n):
-            x = np.zeros((n, n), dtype=complex)
-            x[k, l] = 1.0
-            red = np.einsum("ac,icja->ij", rho, x.reshape(ns, ne, ns, ne))
-            r[:, k * n + l] = vec(red)
-    return r
-
-
-def restrict_to_system(model: RISModel, s: Superoperator) -> Superoperator:
-    """Compress a full-space map to M_S: E_S ∘ s ∘ (embed)."""
-    if s.dim != model.dim:
-        raise ValueError(f"map acts on dimension {s.dim}, model has {model.dim}")
-    return Superoperator(model._restrict @ s.matrix @ model._embed)
+def _reduced_map(model: RISModel, lam: float, t: float) -> Superoperator:
+    """E_S ∘ phi_SE^t on M_S for any t >= 0 (see :func:`reduced_map_T`)."""
+    w, q = np.linalg.eigh(model.free_hamiltonian + lam * model.v)
+    u = (q * np.exp(1j * t * w)) @ q.conj().T
+    m = _pair_reduction(model, [u], [u])
+    # the Kraus sum is unital only to a few 1e-15 and limit_projection squares
+    # T up to 2^30 times: add vec(I - T(I)) vec(I)^T / n_S so T(I) = I to rounding
+    eye = np.eye(model.n_s).reshape(-1)
+    m += np.outer(eye - m @ eye, eye) / model.n_s
+    return Superoperator(m)
 
 
 def full_generator(model: RISModel, lam: float) -> Superoperator:
@@ -197,12 +179,15 @@ def interaction_dynamics(model: RISModel, lam: float, t: float) -> Superoperator
 def reduced_map_T(model: RISModel, lam: float, tau: float) -> Superoperator:
     """One interaction period seen by the small system: E_S ∘ phi_SE^tau on M_S.
 
-    Unital and completely positive; even in lambda when the model passes
-    :func:`check_H1`.
+    T(x) = sum_{a,b} p_a K_ab x K_ab^† with U = e^{i tau (H_0 + lambda v)},
+    K_ab = <a|U|b>_E and p_a the Gibbs weights in the eigenbasis of h_E,
+    plus the rank-one term vec(I - T(I)) vec(I)^T / n_S that makes it
+    unital to rounding.  Completely positive; even in lambda when the
+    model passes :func:`check_H1`.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return restrict_to_system(model, interaction_dynamics(model, lam, tau))
+    return _reduced_map(model, lam, tau)
 
 
 def restricted_dynamics(model: RISModel, lam: float, tau: float, t: float) -> Superoperator:
@@ -224,7 +209,7 @@ def restricted_dynamics(model: RISModel, lam: float, tau: float, t: float) -> Su
         t1 = 0.0
     t_map = reduced_map_T(model, lam, tau).power(n)
     if t1 > 0.0:
-        t_map = t_map @ restrict_to_system(model, interaction_dynamics(model, lam, t1))
+        t_map = t_map @ _reduced_map(model, lam, t1)
     return t_map
 
 

@@ -23,10 +23,8 @@ import numpy as np
 
 from .dynamics import (
     RISModel,
-    commutator_superop,
-    dyson_term,
+    _pair_reduction,
     reduced_map_T,
-    restrict_to_system,
     restricted_dynamics,
     system_free_evolution,
 )
@@ -137,6 +135,13 @@ def cesaro_average(b: Superoperator, a0: Superoperator,
     return Superoperator(acc)
 
 
+def _branch_log(alpha: Superoperator, branch_cut_angle: float | None):
+    """(A0, cut): the branch logarithm of alpha and the cut it was taken at."""
+    if branch_cut_angle is None:
+        branch_cut_angle = largest_gap_bisector(np.angle(np.linalg.eigvals(alpha.matrix)))
+    return matrix_log_unitary(alpha, branch_cut_angle), branch_cut_angle
+
+
 def log_generator_A0(model: RISModel, tau: float,
                      branch_cut_angle: float | None = None) -> Superoperator:
     """Branch logarithm A0 of alpha_S^tau (as a superoperator): exp(A0) = alpha_S^tau.
@@ -145,35 +150,49 @@ def log_generator_A0(model: RISModel, tau: float,
     spectrum.  In finite dimension the spectrum is finite, so a valid cut
     always exists; a collision raises with the suggested cut attached.
     """
-    u = system_free_evolution(model, tau)
-    if branch_cut_angle is None:
-        branch_cut_angle = largest_gap_bisector(np.angle(np.linalg.eigvals(u.matrix)))
-    return matrix_log_unitary(u, branch_cut_angle)
+    return _branch_log(system_free_evolution(model, tau), branch_cut_angle)[0]
 
 
 def second_order_term(model: RISModel, tau: float) -> Superoperator:
-    """E_S phi_{SE,2}^tau restricted to M_S, via the exact block exponential."""
+    """E_S phi_{SE,2}^tau restricted to M_S, from an n-sized Van Loan block exponential.
+
+    The first block row (U0, U1, U2) of exp(i tau [[H0, v, 0], [0, H0, v],
+    [0, 0, H0]]) holds the Taylor coefficients of
+    e^{i tau (H0 + lambda v)} = U0 + lambda U1 + lambda^2 U2 + O(lambda^3)
+    (Van Loan, IEEE TAC 1978).  Since phi_SE^tau = sum_k (i lambda)^k
+    phi_{SE,k}^tau alpha_SE^tau, the term is -R ∘ alpha_S^{-tau} with
+    R(x) = Tr_E[(I (x) rho_E)(U2 (x (x) I) U0^† + U1 (x (x) I) U1^† + U0 (x (x) I) U2^†)].
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return restrict_to_system(model, dyson_term(model, 2, tau))
+    n, h0, v = model.dim, model.free_hamiltonian, model.v
+    z = np.zeros_like(h0)
+    block = np.block([[h0, v, z], [z, h0, v], [z, z, h0]])
+    u0, u1, u2 = np.split(matrix_exp(1j * tau * block)[:n], 3, axis=1)
+    r = _pair_reduction(model, [u2, u1, u0], [u0, u1, u2])
+    return Superoperator(-r) @ system_free_evolution(model, -tau)
 
 
 def effective_generator_weak_coupling(model: RISModel, tau: float,
                                       branch_cut_angle: float | None = None) -> EffectiveGenerator:
     """Weak-coupling generator: minus the A0-spectral-average of the second-order term."""
-    a0 = log_generator_A0(model, tau, branch_cut_angle)
-    if branch_cut_angle is None:
-        u = system_free_evolution(model, tau)
-        branch_cut_angle = largest_gap_bisector(np.angle(np.linalg.eigvals(u.matrix)))
+    a0, branch_cut_angle = _branch_log(system_free_evolution(model, tau), branch_cut_angle)
     basis = spectral_decompose(a0)
     gen = -1.0 * spectral_average(second_order_term(model, tau), basis)
     return EffectiveGenerator(WEAK_COUPLING, gen, basis, branch_cut_angle)
 
 
 def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
-    """Fast-repetition generator: -(1/2) * Bohr-average of E_S [v,.]^2 on M_S."""
-    cv = commutator_superop(model.v)
-    double_comm = restrict_to_system(model, cv @ cv)
+    """Fast-repetition generator: -(1/2) * Bohr-average of E_S [v,[v,.]] on M_S.
+
+    E_S [v,[v, x (x) I]] = R(v^2, I) - 2 R(v, v) + R(I, v^2), with
+    R(A, B)(x) = Tr_E[(I (x) rho_E) A (x (x) I) B^†] contracted in the same
+    Hilbert-space form as the reduced map.
+    """
+    v = model.v
+    v2, eye = v @ v, np.eye(model.dim)
+    double_comm = Superoperator(_pair_reduction(
+        model, [v2, -2.0 * v, eye], [eye, v.conj().T, v2.conj().T]))
     basis = spectral_decompose(derivation_superop(model.h_s))
     gen = -0.5 * spectral_average(double_comm, basis)
     return EffectiveGenerator(FAST_REPETITION, gen, basis, None)

@@ -50,3 +50,13 @@ def random_two_level_model(rng, safe_gap=True):
     h_e = random_hermitian(rng, 2)
     v = random_hermitian(rng, 4, scale=rng.uniform(0.3, 1.0))
     return RISModel(h_s=h_s, h_e=h_e, v=v, beta=float(rng.uniform(0.0, 2.0)))
+
+
+def random_model(rng, n_s, n_e, beta=1.0):
+    """Random model: h_S = diag of distinct levels spanning [0, 2], h_E and v of spectral norm 1."""
+    gaps = rng.uniform(0.5, 1.5, n_s - 1)
+    levels = 2.0 * np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum()
+    h_e = random_hermitian(rng, n_e)
+    v = random_hermitian(rng, n_s * n_e)
+    return RISModel(h_s=np.diag(levels).astype(complex), h_e=h_e / np.linalg.norm(h_e, 2),
+                    v=v / np.linalg.norm(v, 2), beta=beta)

@@ -20,7 +20,7 @@ from ris.vanhove import (
     effective_generator_weak_coupling,
 )
 
-from conftest import random_density, random_unitary, spin_base
+from conftest import random_density, random_model, random_unitary, spin_base
 
 
 def projection_onto_identity(rho):
@@ -85,6 +85,19 @@ class TestLimitProjection:
 
 
 class TestAsymptoticPeriodicState:
+    @pytest.mark.parametrize("seed, n_s, n_e", [(3, 2, 2), (0, 2, 4), (2, 4, 2), (0, 4, 4)])
+    def test_slow_relaxation_keeps_its_unique_state(self, seed, n_s, n_e):
+        # at lambda = 0.025 the subdominant modulus of T is within ~1e-4 of 1,
+        # and a unitality defect of a few 1e-16 in T doubles with every
+        # squaring in limit_projection: it crossed the 1e-10 floor before the
+        # powers converged and the unique state was reported missing
+        model = random_model(np.random.default_rng(seed), n_s, n_e)
+        report = asymptotic_periodic_state(model, 0.025, 1.0)
+        rho = report.asymptotic_density
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        assert report.is_rank_one
+
     def test_free_dynamics_raises(self):
         model = build_spin_model(spin_base())
         with pytest.raises(NoAsymptoticStateError):

@@ -5,7 +5,6 @@ from ris.dynamics import (
     ChainState,
     RISModel,
     check_H1,
-    conditional_expectation,
     dyson_term,
     dyson_term_quadrature,
     dyson_truncation_bound,
@@ -13,7 +12,6 @@ from ris.dynamics import (
     gibbs_state,
     interaction_dynamics,
     reduced_map_T,
-    restrict_to_system,
     restricted_dynamics,
     system_free_evolution,
 )
@@ -29,6 +27,7 @@ from ris.linops import (
 from ris.spin import build_spin_model
 
 from conftest import random_hermitian, random_two_level_model, spin_base, u
+from oracles import conditional_expectation, restrict_to_system
 
 # frozen from direct evaluation of e^{-beta E} expressions, beta=1, E=2
 GROUND_WEIGHT = 0.8807970779778823

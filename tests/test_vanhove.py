@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ris.dynamics import RISModel, reduced_map_T, system_free_evolution
+from ris.dynamics import RISModel, commutator_superop, reduced_map_T, system_free_evolution
 from ris.linops import (
     Superoperator,
     matrix_exp,
@@ -22,6 +22,7 @@ from ris.vanhove import (
 )
 
 from conftest import random_hermitian, random_two_level_model, spin_base
+from oracles import restrict_to_system
 
 # frozen oracle values: direct evaluation of the closed forms at
 # (S, E, beta, tau) = (1, 2, 1, 1), b = c = 1, computed before the build
@@ -113,7 +114,6 @@ class TestSecondOrderTerm:
     def test_small_tau_reduces_to_double_commutator(self):
         # phi_2^tau = (tau^2/2) [v,.]^2 + O(tau^3), compressed to the system
         model = build_spin_model(spin_base())
-        from ris.dynamics import commutator_superop, restrict_to_system
         cv = commutator_superop(model.v)
         target = restrict_to_system(model, cv @ cv)
         gaps = []
