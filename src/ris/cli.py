@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import copy
 import json
 import math
 import os
@@ -54,22 +55,41 @@ from .vanhove import (
 EXPERIMENTS = ("effective", "converge-lambda", "converge-tau", "asymptotic",
                "kato", "dyson-check", "spin-oracle")
 
-_DEFAULTS = {
-    "lambdas": [0.2, 0.1, 0.05],
-    "taus": [0.2, 0.1, 0.05],
-    "eps": [0.04, 0.02, 0.01, 0.005],
-    "s_max": 5.0,
-    "s_steps": 50,
-    "interpolated": False,
-    "branch_cut_angle": None,   # largest-gap bisector
-    "quadrature_order": 32,
-    "dyson_orders": [2, 3, 4],
-    "dyson_times": [0.5, 1.0],
-    "t_samples": [0.0],
-    "regime": "weak-coupling",
-    "parametrization_order": 1,
-    "jobs": 1,
-    "tolerances": {"oracle": 1e-9, "cluster": 1e-8, "peripheral": 1e-9},
+
+def _number(x) -> bool:
+    """A finite JSON number; true and false are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _positive(x) -> bool:
+    return _number(x) and x > 0
+
+
+def _integer(low: int):
+    return lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
+#: field -> (default, check, what the check expects).  A list default makes
+#: the field a non-empty array and a dict default an object with only those
+#: keys; the check then applies to each element or entry.
+_FIELDS = {
+    "lambdas": ([0.2, 0.1, 0.05], _positive, "a positive number"),
+    "taus": ([0.2, 0.1, 0.05], _positive, "a positive number"),
+    "eps": ([0.04, 0.02, 0.01, 0.005], _positive, "a positive number"),
+    "s_max": (5.0, _positive, "a positive number"),
+    "s_steps": (50, _integer(2), "an integer >= 2"),
+    "interpolated": (False, lambda x: isinstance(x, bool), "true or false"),
+    # null: the largest-gap bisector
+    "branch_cut_angle": (None, lambda x: x is None or _number(x), "a number or null"),
+    "quadrature_order": (32, _integer(1), "an integer >= 1"),
+    "dyson_orders": ([2, 3, 4], _integer(1), "an integer >= 1"),
+    "dyson_times": ([0.5, 1.0], _number, "a number"),
+    "t_samples": ([0.0], _number, "a number"),
+    "regime": ("weak-coupling", lambda x: x in ("weak-coupling", "fast-repetition"),
+               '"weak-coupling" or "fast-repetition"'),
+    "jobs": (1, _integer(1), "an integer >= 1"),
+    "tolerances": ({"oracle": 1e-9}, _positive, "a positive number"),
+    "output": (None, lambda x: x is None or isinstance(x, str), "a path or null"),
 }
 
 
@@ -98,7 +118,6 @@ class ExperimentConfig:
     dyson_times: list
     t_samples: list
     regime: str
-    parametrization_order: int
     jobs: int
     tolerances: dict
     output: str | None
@@ -133,15 +152,28 @@ def _hermitian_matrix(value, path: str) -> np.ndarray:
     return m
 
 
-def _positive_reals(value, path: str, strict: bool = True) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(path, "expected a non-empty array of numbers")
-    out = []
-    for i, x in enumerate(value):
-        if not isinstance(x, (int, float)) or (strict and x <= 0):
-            raise ConfigError(f"{path}[{i}]", "expected a positive number")
-        out.append(float(x))
-    return out
+def _checked(key: str, value):
+    """``value`` of the config field ``key``, validated against :data:`_FIELDS`."""
+    default, ok, expected = _FIELDS[key]
+    path = f"$.{key}"
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "expected a non-empty array")
+        entries = [(f"{path}[{i}]", x) for i, x in enumerate(value)]
+    elif isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(path, "expected an object")
+        for name in value:
+            if name not in default:
+                raise ConfigError(f"{path}.{name}", "unknown field")
+        entries = [(f"{path}.{name}", x) for name, x in value.items()]
+        value = {**default, **value}
+    else:
+        entries = [(path, value)]
+    for where, x in entries:
+        if not ok(x):
+            raise ConfigError(where, f"expected {expected}")
+    return value
 
 
 def _build_model(doc: dict, path: str) -> tuple[RISModel, SpinParams | None]:
@@ -216,55 +248,25 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("$.model", f"full dimension {model.dim} exceeds the cap {cap} "
                           "(override with RIS_MAX_DIM)")
 
-    merged = dict(_DEFAULTS)
-    merged["tolerances"] = dict(_DEFAULTS["tolerances"])
+    merged = copy.deepcopy({key: default for key, (default, _, _) in _FIELDS.items()})
     for key, value in doc.items():
-        if key in ("experiment", "model", "output", "tau"):
+        if key in ("experiment", "model", "tau"):
             continue
-        if key not in merged:
+        if key not in _FIELDS:
             raise ConfigError(f"$.{key}", "unknown field")
-        if key == "tolerances":
-            if not isinstance(value, dict):
-                raise ConfigError("$.tolerances", "expected an object")
-            merged["tolerances"].update(value)
-        else:
-            merged[key] = value
+        merged[key] = _checked(key, value)
 
-    lambdas = _positive_reals(merged["lambdas"], "$.lambdas")
-    taus = _positive_reals(merged["taus"], "$.taus")
-    eps = _positive_reals(merged["eps"], "$.eps")
-    if not isinstance(merged["s_steps"], int) or merged["s_steps"] < 2:
-        raise ConfigError("$.s_steps", "expected an integer >= 2")
-    if not isinstance(merged["s_max"], (int, float)) or merged["s_max"] <= 0:
-        raise ConfigError("$.s_max", "expected a positive number")
-    if merged["regime"] not in ("weak-coupling", "fast-repetition"):
-        raise ConfigError("$.regime", 'expected "weak-coupling" or "fast-repetition"')
-    if not isinstance(merged["jobs"], int) or merged["jobs"] < 1:
-        raise ConfigError("$.jobs", "expected an integer >= 1")
-    for key in ("spin-oracle",):
-        if experiment == key and spin_params is None:
-            raise ConfigError("$.model", f"experiment {key!r} requires a spin model")
-    if experiment in ("converge-lambda", "asymptotic", "kato", "spin-oracle", "effective"):
-        if "tau" not in doc and spin_params is None:
-            raise ConfigError("$.tau", "missing required field (no spin tau to fall back on)")
-    tau = float(doc.get("tau", spin_params.tau if spin_params else 0.0))
-    if tau <= 0 and experiment != "converge-tau":
-        raise ConfigError("$.tau", "tau must be positive")
+    if experiment == "spin-oracle" and spin_params is None:
+        raise ConfigError("$.model", "experiment 'spin-oracle' requires a spin model")
+    if "tau" not in doc and spin_params is None and experiment != "converge-tau":
+        raise ConfigError("$.tau", "missing required field (no spin tau to fall back on)")
+    tau = doc.get("tau", spin_params.tau if spin_params else 0.0)
+    if not _number(tau) or (tau <= 0 and experiment != "converge-tau"):
+        raise ConfigError("$.tau", "expected a positive number")
 
-    echo = {"experiment": experiment, "model": doc["model"], "tau": tau,
-            "output": doc.get("output"), **merged}
-    return ExperimentConfig(
-        experiment=experiment, model=model, spin_params=spin_params,
-        lambdas=lambdas, taus=taus, eps=eps,
-        s_max=float(merged["s_max"]), s_steps=merged["s_steps"],
-        interpolated=bool(merged["interpolated"]),
-        branch_cut_angle=merged["branch_cut_angle"],
-        quadrature_order=int(merged["quadrature_order"]),
-        dyson_orders=list(merged["dyson_orders"]), dyson_times=list(merged["dyson_times"]),
-        t_samples=list(merged["t_samples"]), regime=merged["regime"],
-        parametrization_order=int(merged["parametrization_order"]),
-        jobs=merged["jobs"], tolerances=merged["tolerances"],
-        output=doc.get("output"), echo=echo)
+    echo = {"experiment": experiment, "model": doc["model"], "tau": float(tau), **merged}
+    return ExperimentConfig(experiment=experiment, model=model, spin_params=spin_params,
+                            echo=echo, **merged)
 
 
 def _fmt(x: float) -> str:
@@ -278,34 +280,19 @@ def _fmt(x: float) -> str:
 # be dispatched to worker processes, taking only picklable payloads
 # ---------------------------------------------------------------------------
 
-def _rows_converge_lambda(payload) -> list:
-    cfg_echo, lam = payload
-    config = parse_config(json.dumps(cfg_echo))
-    fn = converge_lambda_interpolated if config.interpolated else converge_lambda
-    report = fn(config.model, cfg_echo["tau"], [lam], config.s_max, config.s_steps,
-                config.branch_cut_angle)
-    return [(p, s, e) for p, s, e in report.rows]
-
-
-def _rows_converge_tau(payload) -> list:
-    cfg_echo, pair = payload
-    config = parse_config(json.dumps(cfg_echo))
-    report = converge_tau(config.model, [pair], config.s_max, config.s_steps)
-    return [(p, s, e) for p, s, e in report.rows]
+def _rows_converge(payload) -> list:
+    converge, args = payload
+    return list(converge(*args).rows)
 
 
 def _rows_asymptotic(payload) -> list:
-    cfg_echo, lam, eff_density = payload
-    config = parse_config(json.dumps(cfg_echo))
-    report = asymptotic_periodic_state(config.model, lam, cfg_echo["tau"],
-                                       t_samples=config.t_samples)
+    model, lam, tau, t_samples, eff_density = payload
+    report = asymptotic_periodic_state(model, lam, tau, t_samples=t_samples)
     dist = trace_distance(report.asymptotic_density, eff_density)
     rows = []
     for t, rho in report.period_samples:
-        entries = []
-        for i in range(config.model.n_s):
-            for j in range(config.model.n_s):
-                entries.extend([rho[i, j].real, rho[i, j].imag])
+        # row-major entries, each as (re, im): the column order of the header
+        entries = np.stack([rho.real, rho.imag], axis=-1).reshape(-1)
         rows.append((lam, t, *entries, dist))
     return rows
 
@@ -322,21 +309,21 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
     model, tau = config.model, config.echo["tau"]
     extras = {}
 
-    if config.experiment == "converge-lambda":
-        payloads = [(config.echo, lam) for lam in config.lambdas]
-        chunks = _parallel_map(_rows_converge_lambda, payloads, jobs)
-        rows = sorted(r for chunk in chunks for r in chunk)
-        return ["parameter", "s", "error"], rows, extras, 0
-
-    if config.experiment == "converge-tau":
-        if len(config.lambdas) == 1:
-            pairs = [(config.lambdas[0], t) for t in config.taus]
-        elif len(config.lambdas) == len(config.taus):
-            pairs = list(zip(config.lambdas, config.taus))
+    if config.experiment in ("converge-lambda", "converge-tau"):
+        grid = (config.s_max, config.s_steps)
+        if config.experiment == "converge-lambda":
+            converge = converge_lambda_interpolated if config.interpolated else converge_lambda
+            payloads = [(converge, (model, tau, [lam], *grid, config.branch_cut_angle))
+                        for lam in config.lambdas]
         else:
-            raise ConfigError("$.lambdas", "need one lambda or one per tau")
-        payloads = [(config.echo, pair) for pair in pairs]
-        chunks = _parallel_map(_rows_converge_tau, payloads, jobs)
+            if len(config.lambdas) == 1:
+                pairs = [(config.lambdas[0], t) for t in config.taus]
+            elif len(config.lambdas) == len(config.taus):
+                pairs = list(zip(config.lambdas, config.taus))
+            else:
+                raise ConfigError("$.lambdas", "need one lambda or one per tau")
+            payloads = [(converge_tau, (model, [pair], *grid)) for pair in pairs]
+        chunks = _parallel_map(_rows_converge, payloads, jobs)
         rows = sorted(r for chunk in chunks for r in chunk)
         return ["parameter", "s", "error"], rows, extras, 0
 
@@ -345,7 +332,7 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
             model, tau, config.branch_cut_angle))
         if not eff.rank_one:
             raise NoAsymptoticStateError("effective dynamics has no rank-one limit")
-        payloads = [(config.echo, lam, eff.density) for lam in config.lambdas]
+        payloads = [(model, lam, tau, config.t_samples, eff.density) for lam in config.lambdas]
         chunks = _parallel_map(_rows_asymptotic, payloads, jobs)
         rows = sorted(r for chunk in chunks for r in chunk)
         header = ["lambda", "t"]

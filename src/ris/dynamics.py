@@ -123,6 +123,12 @@ class RISModel:
         return gibbs_state(self.h_e, self.beta)
 
     @cached_property
+    def _system_bohr(self):
+        """(w_k - w_l in row-major (k, l) order, kron(q, conj q)) for eigh(h_S) = (w, q)."""
+        w, q = np.linalg.eigh(self.h_s)
+        return (w[:, None] - w[None, :]).reshape(-1), kron(q, q.conj())
+
+    @cached_property
     def _chain_frame(self):
         """(sqrt(p_a), I_S (x) W): Gibbs weights of the chain state in the eigenbasis W of h_E."""
         weights, w = _gibbs_weights(self.h_e, self.beta)
@@ -130,8 +136,13 @@ class RISModel:
 
 
 def system_free_evolution(model: RISModel, t: float) -> Superoperator:
-    """alpha_S^t on the small system, as a superoperator."""
-    return matrix_exp(t * derivation_superop(model.h_s))
+    """alpha_S^t on the small system: x -> U x U^† with U = e^{i t h_S}, from eigenphases.
+
+    With the cached eigh(h_S) = (w, q) and F = kron(q, conj q), the matrix
+    kron(U, conj U) is F diag(e^{i t (w_k - w_l)}) F^†: no expm.
+    """
+    bohr, frame = model._system_bohr
+    return Superoperator((frame * np.exp(1j * t * bohr)) @ frame.conj().T)
 
 
 def _pair_reduction(model: RISModel, lefts, rights) -> np.ndarray:
@@ -200,14 +211,22 @@ def restricted_dynamics(model: RISModel, lam: float, tau: float, t: float) -> Su
         raise ValueError("tau must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    return _repeated(model, lam, tau, reduced_map_T(model, lam, tau), t)
+
+
+def _repeated(model: RISModel, lam: float, tau: float, t_map: Superoperator,
+              t: float) -> Superoperator:
+    """T^n ∘ E_S phi_SE^{t1} for t = n*tau + t1, given T = ``t_map``."""
     n = int(math.floor(t / tau))
+    if n > 10 ** 12:
+        raise ValueError(f"{n} interaction steps exceed the cost guard (1e+12)")
     t1 = t - n * tau
     # snap floating-point boundaries so t = n*tau lands on an exact power
     if abs(t1 - tau) <= 1e-12 * max(1.0, tau):
         n, t1 = n + 1, 0.0
     elif abs(t1) <= 1e-12 * max(1.0, tau):
         t1 = 0.0
-    t_map = reduced_map_T(model, lam, tau).power(n)
+    t_map = t_map.power(n)
     if t1 > 0.0:
         t_map = t_map @ _reduced_map(model, lam, t1)
     return t_map

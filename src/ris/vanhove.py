@@ -24,8 +24,8 @@ import numpy as np
 from .dynamics import (
     RISModel,
     _pair_reduction,
+    _repeated,
     reduced_map_T,
-    restricted_dynamics,
     system_free_evolution,
 )
 from .linops import (
@@ -41,9 +41,6 @@ from .linops import (
 
 WEAK_COUPLING = "weak-coupling"
 FAST_REPETITION = "fast-repetition"
-
-#: floor(s/(lambda^2 tau)) beyond this is not exactly representable
-_MAX_STEPS = 10 ** 12
 
 
 @dataclass(frozen=True)
@@ -198,44 +195,41 @@ def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
     return EffectiveGenerator(FAST_REPETITION, gen, basis, None)
 
 
-def _pow_cached(base: np.ndarray, cache: dict, k: int) -> np.ndarray:
-    """base**k with memoized binary powers."""
-    if k == 0:
-        return np.eye(base.shape[0], dtype=complex)
-    result = None
-    bit = 0
-    while k:
-        if k & 1:
-            if bit not in cache:
-                _fill_pow_cache(base, cache, bit)
-            result = cache[bit] if result is None else result @ cache[bit]
-        k >>= 1
-        bit += 1
-    return result
+def _grid_report(model: RISModel, eff: EffectiveGenerator, cases, time_of, s_max: float,
+                 s_steps: int) -> ConvergenceReport:
+    """Rows (parameter, s, ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||), gen = eff.generator.
 
+    ``cases`` lists (parameter, lambda, tau); s runs over linspace(0, s_max,
+    s_steps).  T(lambda, tau) is built once per case and e^{s gen} once per s.
+    phi_res^t = T^n ∘ E_S phi_SE^{t1} with t = n*tau + t1, as in
+    :func:`restricted_dynamics`; the regimes differ only in the generator and in
+    t = time_of(s, lambda, tau):
 
-def _fill_pow_cache(base: np.ndarray, cache: dict, bit: int):
-    if 0 not in cache:
-        cache[0] = base
-    top = max(cache)
-    while top < bit:
-        cache[top + 1] = cache[top] @ cache[top]
-        top += 1
-
-
-def _steps(s: float, step: float) -> int:
-    n = math.floor(s / step)
-    if n > _MAX_STEPS:
-        raise ValueError(f"{n} interaction steps exceed the cost guard ({_MAX_STEPS:.0e})")
-    return n
-
-
-def _report(regime, params, rows):
-    sups = tuple((p, max(e for q, s, e in rows if q == p)) for p in params)
+    * weak coupling on the lattice: t = tau * floor(s / (lambda^2 tau));
+    * weak coupling interpolated: t = s / lambda^2;
+    * fast repetition: t = s / (lambda^2 tau).
+    """
+    s_grid = np.linspace(0.0, s_max, s_steps)
+    flows = [matrix_exp(s * eff.generator.matrix) for s in s_grid]
+    rows = []
+    for param, lam, tau in cases:
+        t_map = reduced_map_T(model, lam, tau)
+        for s, flow in zip(s_grid, flows):
+            t = time_of(s, lam, tau)
+            res = _repeated(model, lam, tau, t_map, t) @ system_free_evolution(model, -t)
+            rows.append((param, float(s), superop_norm(res.matrix - flow)))
+    sups = tuple((p, max(e for q, _, e in rows if q == p)) for p, _, _ in cases)
     ratios = tuple(((p1, p2), (e1 / e2 if e2 > 0 else math.inf))
                    for (p1, e1), (p2, e2) in zip(sups, sups[1:]))
     ordered = tuple(sorted(rows, key=lambda r: (r[0], r[1])))
-    return ConvergenceReport(regime, ordered, sups, ratios)
+    return ConvergenceReport(eff.regime, ordered, sups, ratios)
+
+
+def _decreasing(lambdas) -> list:
+    lambdas = list(lambdas)
+    if any(l <= 0 for l in lambdas) or any(a <= b for a, b in zip(lambdas, lambdas[1:])):
+        raise ValueError("lambdas must be positive and strictly decreasing")
+    return lambdas
 
 
 def converge_lambda(model: RISModel, tau: float, lambdas, s_max: float,
@@ -245,22 +239,11 @@ def converge_lambda(model: RISModel, tau: float, lambdas, s_max: float,
     For each lambda and each s on the grid, measures
     ||T(lambda,tau)^n alpha_S^{-tau n} - e^{s gen}|| with n = floor(s/(lambda^2 tau)).
     """
-    lambdas = list(lambdas)
-    if any(l <= 0 for l in lambdas) or any(a <= b for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("lambdas must be positive and strictly decreasing")
+    lambdas = _decreasing(lambdas)
     eff = effective_generator_weak_coupling(model, tau, branch_cut_angle)
-    gen = eff.generator.matrix
-    s_grid = np.linspace(0.0, s_max, s_steps)
-    free_inv = matrix_exp(-tau * derivation_superop(model.h_s).matrix)
-    rows = []
-    for lam in lambdas:
-        t_mat = reduced_map_T(model, lam, tau).matrix
-        t_cache, a_cache = {}, {}
-        for s in s_grid:
-            n = _steps(s, lam * lam * tau)
-            lattice = _pow_cached(t_mat, t_cache, n) @ _pow_cached(free_inv, a_cache, n)
-            rows.append((lam, float(s), superop_norm(lattice - matrix_exp(s * gen))))
-    return _report(WEAK_COUPLING, lambdas, rows)
+    return _grid_report(model, eff, [(lam, lam, tau) for lam in lambdas],
+                        lambda s, lam, tau: tau * math.floor(s / (lam * lam * tau)),
+                        s_max, s_steps)
 
 
 def converge_lambda_interpolated(model: RISModel, tau: float, lambdas, s_max: float,
@@ -271,22 +254,10 @@ def converge_lambda_interpolated(model: RISModel, tau: float, lambdas, s_max: fl
     Uses the repeated-interaction dynamics (with its partial last
     interval) instead of pure powers of T.
     """
-    lambdas = list(lambdas)
-    if any(l <= 0 for l in lambdas) or any(a <= b for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("lambdas must be positive and strictly decreasing")
+    lambdas = _decreasing(lambdas)
     eff = effective_generator_weak_coupling(model, tau, branch_cut_angle)
-    gen = eff.generator.matrix
-    s_grid = np.linspace(0.0, s_max, s_steps)
-    delta_s = derivation_superop(model.h_s)
-    rows = []
-    for lam in lambdas:
-        for s in s_grid:
-            t = s / (lam * lam)
-            _steps(t, tau)  # cost guard
-            res = restricted_dynamics(model, lam, tau, t).matrix
-            err = superop_norm(res @ matrix_exp(-t * delta_s.matrix) - matrix_exp(s * gen))
-            rows.append((lam, float(s), err))
-    return _report(WEAK_COUPLING, lambdas, rows)
+    return _grid_report(model, eff, [(lam, lam, tau) for lam in lambdas],
+                        lambda s, lam, tau: s / (lam * lam), s_max, s_steps)
 
 
 def converge_tau(model: RISModel, pairs, s_max: float, s_steps: int) -> ConvergenceReport:
@@ -299,17 +270,7 @@ def converge_tau(model: RISModel, pairs, s_max: float, s_steps: int) -> Converge
     pairs = [(float(l), float(t)) for l, t in pairs]
     if any(t <= 0 or l < 0 for l, t in pairs):
         raise ValueError("pairs must have tau > 0 and lambda >= 0")
-    gen = effective_generator_fast_repetition(model).generator.matrix
-    s_grid = np.linspace(0.0, s_max, s_steps)
-    delta_s = derivation_superop(model.h_s)
-    rows = []
-    taus = []
-    for lam, tau in pairs:
-        taus.append(tau)
-        for s in s_grid:
-            t = s / (lam * lam * tau) if lam > 0 else 0.0
-            _steps(t, tau)
-            res = restricted_dynamics(model, lam, tau, t).matrix
-            err = superop_norm(res @ matrix_exp(-t * delta_s.matrix) - matrix_exp(s * gen))
-            rows.append((tau, float(s), err))
-    return _report(FAST_REPETITION, taus, rows)
+    return _grid_report(model, effective_generator_fast_repetition(model),
+                        [(tau, lam, tau) for lam, tau in pairs],
+                        lambda s, lam, tau: s / (lam * lam * tau) if lam > 0 else 0.0,
+                        s_max, s_steps)

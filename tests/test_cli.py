@@ -77,6 +77,39 @@ class TestParseConfig:
                                      "lambda": [0.1]}))
 
 
+BAD_VALUES = [  # (field, value, JSON path of the error)
+    ("interpolated", "false", "$.interpolated"),
+    ("quadrature_order", 3.7, "$.quadrature_order"),
+    ("quadrature_order", 0, "$.quadrature_order"),
+    ("branch_cut_angle", "pi", "$.branch_cut_angle"),
+    ("dyson_orders", ["2"], "$.dyson_orders[0]"),
+    ("dyson_orders", [2, 0], "$.dyson_orders[1]"),
+    ("dyson_times", [0.5, True], "$.dyson_times[1]"),
+    ("t_samples", "0", "$.t_samples"),
+    ("tolerances", {"orcale": 1.0}, "$.tolerances.orcale"),
+    ("tolerances", {"cluster": 1e-8}, "$.tolerances.cluster"),
+    ("tolerances", {"peripheral": 1e-9}, "$.tolerances.peripheral"),
+    ("tolerances", {"oracle": "1e-9"}, "$.tolerances.oracle"),
+    ("parametrization_order", 1, "$.parametrization_order"),
+    ("output", 5, "$.output"),
+    ("tau", "1", "$.tau"),
+]
+
+
+@pytest.mark.parametrize("key, value, path", BAD_VALUES,
+                         ids=[f"{key}={value!r}" for key, value, _ in BAD_VALUES])
+def test_bad_value_is_a_config_error(tmp_path, capsys, key, value, path):
+    doc = {"model": SPIN_MODEL, "experiment": "dyson-check", key: value}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == path
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "dyson.csv"
+    assert main(["dyson-check", "--config", str(config), "--out", str(out)]) == 1
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestRun:
     def test_spin_oracle_passes(self, tmp_path):
         config = parse_config(json.dumps({"model": SPIN_MODEL,
@@ -113,6 +146,20 @@ class TestRun:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run(config, out_path=str(out1), jobs=1)
         run(config, out_path=str(out2), jobs=3)
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("doc", [
+        {"experiment": "converge-lambda", "interpolated": True, "lambdas": [0.3, 0.2, 0.1],
+         "s_max": 1.0, "s_steps": 5},
+        {"experiment": "converge-tau", "lambdas": [1.0], "taus": [0.2, 0.1], "s_max": 1.0,
+         "s_steps": 5},
+        {"experiment": "asymptotic", "lambdas": [0.2, 0.1], "t_samples": [0.0, 0.5]},
+    ], ids=["converge-lambda-interpolated", "converge-tau", "asymptotic"])
+    def test_parallel_determinism_per_experiment(self, tmp_path, doc):
+        config = parse_config(json.dumps({"model": SPIN_MODEL, **doc}))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(config, out_path=str(out1), jobs=1) == 0
+        assert run(config, out_path=str(out2), jobs=2) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_dyson_check(self, tmp_path):

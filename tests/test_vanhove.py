@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from ris.dynamics import RISModel, commutator_superop, reduced_map_T, system_free_evolution
+from ris.dynamics import (
+    RISModel,
+    commutator_superop,
+    reduced_map_T,
+    restricted_dynamics,
+    system_free_evolution,
+)
 from ris.linops import (
     Superoperator,
+    derivation_superop,
     matrix_exp,
     spectral_decompose,
     superop_norm,
@@ -21,7 +28,7 @@ from ris.vanhove import (
     spectral_average,
 )
 
-from conftest import random_hermitian, random_two_level_model, spin_base
+from conftest import random_hermitian, random_model, random_two_level_model, spin_base
 from oracles import restrict_to_system
 
 # frozen oracle values: direct evaluation of the closed forms at
@@ -260,3 +267,47 @@ class TestConvergenceExperiments:
         report = converge_tau(model, pairs, 2.0, 15)
         sups = [e for _, e in report.sup_errors]
         assert sups[1] < sups[0]
+
+
+class TestGridEvaluator:
+    """Each row of the three reports against restricted_dynamics and the expm form of alpha_S."""
+
+    MODELS = {
+        "spin": lambda: build_spin_model(spin_base()),
+        "random-diagonal-hs": lambda: random_model(np.random.default_rng(7), 2, 3),
+        "random-rotated-hs": lambda: random_two_level_model(np.random.default_rng(8)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rows_match_independent_form(self, name):
+        model = self.MODELS[name]()
+        tau, lambdas, pairs = 1.0, [0.4, 0.25], [(1.0, 0.3), (2.0, 0.1)]
+        lam_of_tau = {t: l for l, t in pairs}
+        weak = effective_generator_weak_coupling(model, tau).generator.matrix
+        fast = effective_generator_fast_repetition(model).generator.matrix
+        cases = [  # (report, generator, parameter -> (lambda, tau), (s, lambda, tau) -> t)
+            (converge_lambda(model, tau, lambdas, 2.0, 7), weak, lambda p: (p, tau),
+             lambda s, lam, tau: tau * np.floor(s / (lam * lam * tau))),
+            (converge_lambda_interpolated(model, tau, lambdas, 2.0, 7), weak, lambda p: (p, tau),
+             lambda s, lam, tau: s / (lam * lam)),
+            (converge_tau(model, pairs, 2.0, 7), fast, lambda p: (lam_of_tau[p], p),
+             lambda s, lam, tau: s / (lam * lam * tau)),
+        ]
+        off_lattice = 0
+        for report, gen, params, time_of in cases:
+            assert len(report.rows) == 14
+            for p, s, err in report.rows:
+                lam, tau_p = params(p)
+                t = time_of(s, lam, tau_p)
+                off_lattice += abs(t / tau_p - round(t / tau_p)) > 1e-6
+                expected = superop_norm(
+                    restricted_dynamics(model, lam, tau_p, t).matrix
+                    @ matrix_exp(-t * derivation_superop(model.h_s).matrix)
+                    - matrix_exp(s * gen))
+                assert abs(err - expected) <= 1e-12
+        assert off_lattice >= 10
+
+    def test_step_cost_guard(self):
+        model = build_spin_model(spin_base())
+        with pytest.raises(ValueError, match="cost guard"):
+            converge_lambda_interpolated(model, 1.0, [1e-7], 1.0, 2)
