@@ -2,10 +2,13 @@
 
 "Unique asymptotic state" is operationalized as: eigenvalue 1 of the
 reduced map is simple and no other eigenvalue is peripheral within
-tolerance; the corresponding eigenprojection then has range C*I and
-encodes the state through the trace pairing.  Non-normal eigenprojections
-are built from right/left eigenvector pairs; the conditioning of the
-pairing is reported.
+tolerance.  Its eigenprojection P(x) = Tr(rho x) I then has the matrix
+vec(I) vec(rho^T)^T, and rho is read off as vec(rho^T) = vec(I)^T P / n;
+the limit of exp(s*gen) is the same kind of projection, at eigenvalue 0
+of the generator.  Each map is decomposed by one ``numpy.linalg.eig``,
+which gives its peripheral spectrum, subdominant modulus, projection and
+density.  The maps are not normal: projections pair right eigenvectors
+with the rows of their inverse, and the pairing's condition is reported.
 """
 from __future__ import annotations
 
@@ -29,24 +32,28 @@ class JordanDefectError(ValueError):
     """The relevant eigenvalue is not semisimple within tolerance."""
 
 
-def peripheral_spectrum(t_map: Superoperator, tol: float = 1e-9) -> list[complex]:
-    """Eigenvalues of modulus >= 1 - tol, sorted by decreasing modulus."""
-    eigs = np.linalg.eigvals(t_map.matrix)
+def _peripheral(eigs: np.ndarray, tol: float) -> list[complex]:
     periph = [complex(e) for e in eigs if abs(e) >= 1.0 - tol]
     periph.sort(key=lambda e: (-abs(e), np.angle(e)))
     return periph
 
 
-def _eigenprojection_near(m: np.ndarray, point: complex, radius: float):
+def peripheral_spectrum(t_map: Superoperator, tol: float = 1e-9) -> list[complex]:
+    """Eigenvalues of modulus >= 1 - tol, sorted by decreasing modulus."""
+    return _peripheral(np.linalg.eigvals(t_map.matrix), tol)
+
+
+def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None):
     """Spectral projection of the eigenvalue cluster within ``radius`` of ``point``.
 
-    Right/left eigenvector pairing (non-normal mode); raises
+    Right eigenvectors paired with the rows of their inverse; ``eig`` is the
+    ``numpy.linalg.eig(m)`` pair when the caller holds it already.  Raises
     JordanDefectError when the cluster eigenvalue is not semisimple: the
     projection fails idempotency, or the restriction of m to the range of
     the projection carries a nilpotent part.  Returns (projection,
     pairing condition number).
     """
-    eigs, vr = np.linalg.eig(m)
+    eigs, vr = np.linalg.eig(m) if eig is None else eig
     idx = np.nonzero(np.abs(eigs - point) <= radius)[0]
     if idx.size == 0:
         raise ValueError(f"no eigenvalue within {radius:.1e} of {point}")
@@ -62,6 +69,21 @@ def _eigenprojection_near(m: np.ndarray, point: complex, radius: float):
     return p, float(np.linalg.cond(vr))
 
 
+def _density(p: np.ndarray, n: int) -> np.ndarray:
+    """The rho of a projection P(x) = Tr(rho x) I, from vec(rho^T) ~ vec(I)^T P.
+
+    Trace one and Hermitian; raises NoAsymptoticStateError unless PSD.
+    """
+    rho = (np.eye(n).reshape(-1) @ p).reshape(n, n).T
+    rho = rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+    low = float(np.linalg.eigvalsh(rho).min())
+    if low < -1e-10:
+        raise NoAsymptoticStateError(
+            f"limit projection encodes no PSD state (min eigenvalue {low:.3e})")
+    return rho
+
+
 @dataclass(frozen=True)
 class LimitProjection:
     projection: Superoperator
@@ -69,6 +91,7 @@ class LimitProjection:
     subdominant_modulus: float
     pairing_condition: float
     power_errors: tuple
+    eigenvalues: np.ndarray
 
 
 def limit_projection(t_map: Superoperator, tol: float = 1e-7,
@@ -78,34 +101,38 @@ def limit_projection(t_map: Superoperator, tol: float = 1e-7,
 
     The flag is true iff every other eigenvalue has modulus < 1 - tol and
     ||T^(2^j) - P|| decreases monotonically (once below one) up to
-    j = log2(max_power).  On failure the projection is still returned
-    with the flag false.
+    j = log2(max_power), or until it reaches the rounding floor of the
+    squarings.  On failure the projection is still returned with the flag
+    false.  ``eigenvalues`` are those of the decomposition that gave P.
     """
     m = t_map.matrix
-    p, cond = _eigenprojection_near(m, 1.0 + 0.0j, cluster_radius)
-    eigs = np.linalg.eigvals(m)
-    others = eigs[np.abs(eigs - 1.0) > cluster_radius]
+    eig = np.linalg.eig(m)
+    p, cond = _eigenprojection_near(m, 1.0 + 0.0j, cluster_radius, eig)
+    others = eig[0][np.abs(eig[0] - 1.0) > cluster_radius]
     sub = float(np.abs(others).max()) if others.size else 0.0
     spectral_ok = sub < 1.0 - tol
 
+    # each squaring rounds at about eps * side * ||T|| and every later
+    # squaring doubles what came before: below the floor of squaring j
+    # the error is rounding, not convergence
+    drift = np.finfo(float).eps * m.shape[0] * max(1.0, float(np.linalg.norm(m, 2)))
+    floors = [max(1e-10, 2.0 ** j * drift) for j in range(max(1, int(math.log2(max_power))))]
     errors = []
     power = m.copy()
-    j_max = max(1, int(math.log2(max_power)))
-    for _ in range(j_max):
+    for floor in floors:
         errors.append(float(np.linalg.norm(power - p, 2)))
-        # below ~1e-10 repeated squaring only accumulates roundoff
-        if errors[-1] < 1e-10:
+        if errors[-1] < floor:
             break
         power = power @ power
     started = False
     monotone = True
-    for prev, cur in zip(errors, errors[1:]):
+    for prev, cur, floor in zip(errors, errors[1:], floors[1:]):
         if not started and prev < 1.0:
             started = True
-        if started and cur > prev + 1e-12 and cur > 1e-10:
+        if started and cur > prev + 1e-12 and cur > floor:
             monotone = False
     return LimitProjection(Superoperator(p), spectral_ok and monotone,
-                           sub, cond, tuple(errors))
+                           sub, cond, tuple(errors), eig[0])
 
 
 @dataclass(frozen=True)
@@ -117,20 +144,6 @@ class AsymptoticReport:
     period_samples: tuple
 
 
-def _density_from_dual_fixed_point(t_map: Superoperator) -> np.ndarray:
-    """Trace-one PSD fixed point of the Schroedinger-picture dual of t_map."""
-    dual = t_map.trace_dual().matrix
-    eigs, vecs = np.linalg.eig(dual)
-    i = int(np.argmin(np.abs(eigs - 1.0)))
-    rho = vecs[:, i].reshape(t_map.dim, t_map.dim)
-    rho = rho / np.trace(rho)
-    rho = 0.5 * (rho + rho.conj().T)
-    low = float(np.linalg.eigvalsh(rho).min())
-    if low < -1e-10:
-        raise NoAsymptoticStateError(f"dual fixed point is not PSD (min eigenvalue {low:.3e})")
-    return rho
-
-
 def _apply_dual(map_on_system: Superoperator, rho: np.ndarray) -> np.ndarray:
     out = map_on_system.trace_dual().apply(rho)
     return 0.5 * (out + out.conj().T)
@@ -140,19 +153,19 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
                               t_samples=()) -> AsymptoticReport:
     """The periodic family of states the repeated interactions relax to.
 
-    The density at the period start is the unique trace-one PSD fixed
-    point of the dual of T(lambda, tau); the sample at t in [0, tau) is
+    The density at the period start is read off the eigenprojection of
+    eigenvalue 1 of T(lambda, tau); the sample at t in [0, tau) is
     it propagated through the partial-interval map.  Raises
     NoAsymptoticStateError when eigenvalue 1 is not simple-and-dominant.
     """
     t_map = reduced_map_T(model, lam, tau)
-    periph = peripheral_spectrum(t_map, tol=1e-9)
     lp = limit_projection(t_map)
+    periph = _peripheral(lp.eigenvalues, 1e-9)
     if len(periph) != 1 or not lp.converged:
         raise NoAsymptoticStateError(
             f"no unique asymptotic state: peripheral spectrum {periph}, "
             f"power convergence {lp.converged}")
-    rho0 = _density_from_dual_fixed_point(t_map)
+    rho0 = _density(lp.projection.matrix, model.n_s)
     trace_of_p = float(np.trace(lp.projection.matrix).real)
     is_rank_one = abs(trace_of_p - 1.0) < 1e-8
 
@@ -185,28 +198,25 @@ def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator,
     """Limit of exp(s*gen) as s -> infinity, via eigenanalysis.
 
     Rank-one flag: 0 is a simple eigenvalue and every other eigenvalue
-    has real part < -tol.  When true, the density is the normalized fixed
-    functional; ``horizon`` optionally reports ||exp(horizon*gen) - P||.
+    has real part < -tol.  When true, the density is read off the
+    eigenprojection P of 0; ``horizon`` optionally reports
+    ||exp(horizon*gen) - P||.
     """
     g = gen.generator if isinstance(gen, EffectiveGenerator) else gen
-    eigs = np.linalg.eigvals(g.matrix)
-    near_zero = np.abs(eigs) <= tol
-    n_zero = int(near_zero.sum())
-    others = eigs[~near_zero]
+    eig = np.linalg.eig(g.matrix)
+    near_zero = np.abs(eig[0]) <= tol
+    others = eig[0][~near_zero]
     gap = float(-others.real.max()) if others.size else 0.0
-    rank_one = n_zero == 1 and (others.size == 0 or others.real.max() < -tol)
-    if not rank_one:
-        if n_zero > 1:
-            # distinguish a semisimple multiple zero from a defective one
-            _eigenprojection_near(g.matrix, 0.0 + 0.0j, tol)
+    if not near_zero.any():
         return EffectiveStateResult(None, False, gap)
-    rho = _density_from_dual_fixed_point(Superoperator(g.matrix + np.eye(g.matrix.shape[0])))
+    # a multiple zero raises JordanDefectError when it is defective
+    p_inf, _ = _eigenprojection_near(g.matrix, 0.0 + 0.0j, tol, eig)
+    if near_zero.sum() > 1 or (others.size and gap <= tol):
+        return EffectiveStateResult(None, False, gap)
     defect = None
     if horizon is not None:
-        n = g.dim
-        p_inf = np.outer(np.eye(n, dtype=complex).reshape(-1), rho.T.reshape(-1))
         defect = superop_norm(matrix_exp(horizon * g.matrix) - p_inf)
-    return EffectiveStateResult(rho, True, gap, defect)
+    return EffectiveStateResult(_density(p_inf, g.dim), True, gap, defect)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -279,8 +289,9 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     p0, _ = _eigenprojection_near(alpha.matrix, 1.0 + 0.0j, 1e-8)
     t_prime = -(second_order_term(model, tau) @ alpha).matrix
     g = p0 @ t_prime @ p0
-    scale = max(float(np.abs(np.linalg.eigvals(g)).max()), 1e-30)
-    q, _ = _eigenprojection_near(g, 0.0 + 0.0j, 1e-9 * scale)
+    eig = np.linalg.eig(g)
+    scale = max(float(np.abs(eig[0]).max()), 1e-30)
+    q, _ = _eigenprojection_near(g, 0.0 + 0.0j, 1e-9 * scale, eig)
 
     p_eps = {}
     for eps in eps_desc:

@@ -125,12 +125,11 @@ class ExperimentConfig:
 
 
 def _complex_scalar(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _number(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(_number, value)):
         return complex(value[0], value[1])
-    raise ConfigError(path, "expected a real number or a two-element [re, im] array")
+    raise ConfigError(path, "expected a finite number or a two-element [re, im] array")
 
 
 def _complex_matrix(value, path: str) -> np.ndarray:
@@ -176,45 +175,47 @@ def _checked(key: str, value):
     return value
 
 
+#: model kind -> (required fields, optional fields)
+_MODELS = {"spin": (("S", "E", "beta", "tau"), ("b", "c", "a", "d")),
+           "inline": (("h_s", "h_e", "v", "beta"), ("p0",))}
+
+
 def _build_model(doc: dict, path: str) -> tuple[RISModel, SpinParams | None]:
-    if "spin" in doc:
-        spec = doc["spin"]
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{path}.spin", "expected an object")
-        required = ("S", "E", "beta", "tau")
-        for key in required:
-            if key not in spec:
-                raise ConfigError(f"{path}.spin.{key}", "missing required field")
+    for kind in doc:
+        if kind not in _MODELS:
+            raise ConfigError(f"{path}.{kind}", "unknown field")
+    if len(doc) != 1:
+        raise ConfigError(path, 'expected one "spin" or "inline" model description')
+    (kind, spec), = doc.items()
+    path = f"{path}.{kind}"
+    if not isinstance(spec, dict):
+        raise ConfigError(path, "expected an object")
+    required, optional = _MODELS[kind]
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+    for key in spec:
+        if key not in required + optional:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+    for key in ("S", "E", "beta", "tau"):
+        if key in spec and not _number(spec[key]):
+            raise ConfigError(f"{path}.{key}", "expected a finite number")
+    if kind == "spin":
+        couplings = {key: _complex_scalar(spec.get(key, 0.0), f"{path}.{key}") for key in optional}
         try:
-            params = SpinParams(
-                S=float(spec["S"]), E=float(spec["E"]), beta=float(spec["beta"]),
-                tau=float(spec["tau"]),
-                b=_complex_scalar(spec.get("b", 0.0), f"{path}.spin.b"),
-                c=_complex_scalar(spec.get("c", 0.0), f"{path}.spin.c"),
-                a=_complex_scalar(spec.get("a", 0.0), f"{path}.spin.a"),
-                d=_complex_scalar(spec.get("d", 0.0), f"{path}.spin.d"))
+            params = SpinParams(**{key: float(spec[key]) for key in required}, **couplings)
         except ValueError as exc:
-            raise ConfigError(f"{path}.spin", str(exc)) from exc
+            raise ConfigError(path, str(exc)) from exc
         return build_spin_model(params), params
-    if "inline" in doc:
-        spec = doc["inline"]
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{path}.inline", "expected an object")
-        for key in ("h_s", "h_e", "v", "beta"):
-            if key not in spec:
-                raise ConfigError(f"{path}.inline.{key}", "missing required field")
-        h_s = _hermitian_matrix(spec["h_s"], f"{path}.inline.h_s")
-        h_e = _hermitian_matrix(spec["h_e"], f"{path}.inline.h_e")
-        v = _hermitian_matrix(spec["v"], f"{path}.inline.v")
-        p0 = None
-        if spec.get("p0") is not None:
-            p0 = _hermitian_matrix(spec["p0"], f"{path}.inline.p0")
-        try:
-            model = RISModel(h_s=h_s, h_e=h_e, v=v, beta=float(spec["beta"]), p0=p0)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.inline", str(exc)) from exc
-        return model, None
-    raise ConfigError(path, 'expected a "spin" or "inline" model description')
+    h_s, h_e, v = (_hermitian_matrix(spec[key], f"{path}.{key}") for key in ("h_s", "h_e", "v"))
+    p0 = None
+    if spec.get("p0") is not None:
+        p0 = _hermitian_matrix(spec["p0"], f"{path}.p0")
+    try:
+        model = RISModel(h_s=h_s, h_e=h_e, v=v, beta=float(spec["beta"]), p0=p0)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    return model, None
 
 
 def _max_dim() -> int:
@@ -258,10 +259,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if experiment == "spin-oracle" and spin_params is None:
         raise ConfigError("$.model", "experiment 'spin-oracle' requires a spin model")
-    if "tau" not in doc and spin_params is None and experiment != "converge-tau":
+    # converge-tau and dyson-check take their times from taus and dyson_times
+    needs_tau = experiment not in ("converge-tau", "dyson-check")
+    if "tau" not in doc and spin_params is None and needs_tau:
         raise ConfigError("$.tau", "missing required field (no spin tau to fall back on)")
     tau = doc.get("tau", spin_params.tau if spin_params else 0.0)
-    if not _number(tau) or (tau <= 0 and experiment != "converge-tau"):
+    if not _number(tau) or (tau <= 0 and needs_tau):
         raise ConfigError("$.tau", "expected a positive number")
 
     echo = {"experiment": experiment, "model": doc["model"], "tau": float(tau), **merged}

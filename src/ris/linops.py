@@ -213,14 +213,11 @@ class SpectralDecomposition:
     """Clustered eigenvalues with their spectral projections.
 
     ``degenerate`` flags a clustering ambiguity: two distinct clusters
-    closer than twice the tolerance.  ``pairing_condition`` is the
-    condition number of the eigenvector matrix in non-normal mode (None
-    for normal inputs, where projections are Hermitian).
+    closer than twice the tolerance.
     """
     clusters: tuple
     cluster_tolerance: float
     degenerate: bool = False
-    pairing_condition: float | None = None
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -267,51 +264,34 @@ def normality_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a @ a.conj().T - a.conj().T @ a, "fro"))
 
 
-def spectral_decompose(a: Superoperator | np.ndarray, tol: float = 1e-8,
-                       non_normal: bool = False) -> SpectralDecomposition:
-    """Eigenvalue clusters and spectral projections of a matrix or superoperator.
+def spectral_decompose(a: Superoperator | np.ndarray,
+                       tol: float = 1e-8) -> SpectralDecomposition:
+    """Eigenvalue clusters and orthogonal projections of a normal matrix or superoperator.
 
-    Normal inputs (AA† = A†A to 1e-10 relative) get orthogonal Hermitian
-    projections via a complex Schur decomposition.  ``non_normal=True``
-    opts into right/left-eigenvector pairing; the conditioning of the
-    pairing is reported on the result.  Eigenvalues within ``tol`` of each
-    other merge into one cluster.
+    The input must be normal (AA† = A†A to 1e-10 relative); the projections
+    are Hermitian, from a complex Schur decomposition, and eigenvalues
+    within ``tol`` of each other merge into one cluster.  Non-normal maps
+    (reduced maps, generators) are rejected: their eigenprojections pair
+    right and left eigenvectors, in :mod:`ris.asymptotic`.
     """
     wrap = isinstance(a, Superoperator)
     m = a.matrix if wrap else np.asarray(a, dtype=complex)
-
-    if not non_normal:
-        scale = max(1.0, float(np.linalg.norm(m, "fro")) ** 2)
-        if normality_defect(m) > 1e-10 * scale:
-            raise ValueError("input is not normal within 1e-10; "
-                             "pass non_normal=True for eigenvector/dual-eigenvector pairing")
-        t, z = scipy.linalg.schur(m, output="complex")
-        eigs = np.diag(t)
-        groups, degenerate = _cluster_indices(eigs, tol)
-        cond = None
-
-        def proj(idx):
-            zk = z[:, idx]
-            return zk @ zk.conj().T
-    else:
-        eigs, vr = np.linalg.eig(m)
-        vl = np.linalg.inv(vr)
-        cond = float(np.linalg.cond(vr))
-        groups, degenerate = _cluster_indices(eigs, tol)
-
-        def proj(idx):
-            return vr[:, idx] @ vl[idx, :]
-
+    scale = max(1.0, float(np.linalg.norm(m, "fro")) ** 2)
+    if normality_defect(m) > 1e-10 * scale:
+        raise ValueError("input is not normal within 1e-10")
+    t, z = scipy.linalg.schur(m, output="complex")
+    eigs = np.diag(t)
+    groups, degenerate = _cluster_indices(eigs, tol)
     clusters = []
     for idx in groups:
-        p = proj(idx)
+        p = z[:, idx] @ z[:, idx].conj().T
         clusters.append(SpectralCluster(
             eigenvalue=complex(eigs[idx].mean()),
             projection=Superoperator(p) if wrap else p,
             multiplicity=len(idx),
         ))
     clusters.sort(key=lambda c: (round(c.eigenvalue.real, 12), round(c.eigenvalue.imag, 12)))
-    return SpectralDecomposition(tuple(clusters), tol, degenerate, cond)
+    return SpectralDecomposition(tuple(clusters), tol, degenerate)
 
 
 def largest_gap_bisector(angles: np.ndarray) -> float:

@@ -3,7 +3,9 @@
 E_S and the compression of a full-space map to M_S, built entry by entry
 on the n^2-dimensional space of vectorized matrices.  Slow, but
 independent of the Kraus and Van Loan contractions the package uses, so
-the tests compare the production maps against these.
+the tests compare the production maps against these.  The fixed state of
+a map or generator, as an eigenvector of its trace dual, is the oracle
+for the densities ``ris.asymptotic`` reads off eigenprojections.
 """
 import numpy as np
 
@@ -62,3 +64,16 @@ def restrict_to_system(model: RISModel, s: Superoperator) -> Superoperator:
     if s.dim != model.dim:
         raise ValueError(f"map acts on dimension {s.dim}, model has {model.dim}")
     return Superoperator(restrict_matrix(model) @ s.matrix @ embed_matrix(model))
+
+
+def density_from_dual_fixed_point(s: Superoperator, point: complex = 1.0) -> np.ndarray:
+    """Trace-one Hermitian eigenvector of the trace dual of s at the eigenvalue nearest ``point``.
+
+    ``point`` is 1 for a reduced map and 0 for a generator: the state the
+    Schroedinger-picture dynamics leaves fixed.
+    """
+    eigs, vecs = np.linalg.eig(s.trace_dual().matrix)
+    i = int(np.argmin(np.abs(eigs - point)))
+    rho = vecs[:, i].reshape(s.dim, s.dim)
+    rho = rho / np.trace(rho)
+    return 0.5 * (rho + rho.conj().T)

@@ -3,6 +3,7 @@ import pytest
 
 from ris.asymptotic import (
     JordanDefectError,
+    _eigenprojection_near,
     asymptotic_periodic_state,
     compare_orders,
     effective_asymptotic_state,
@@ -52,6 +53,21 @@ class TestPeripheralSpectrum:
         assert periph[0] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestEigenprojectionNear:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_pairing_reconstructs_a_non_normal_matrix(self, rng, n):
+        a = np.array([[1.0, 1.0], [0.0, 0.5]]) if n == 2 else rng.standard_normal((n, n))
+        eigs = np.linalg.eigvals(a)
+        projections = []
+        for e in eigs:
+            p, cond = _eigenprojection_near(a, e, 1e-9)
+            assert 1.0 <= cond < 1e6
+            projections.append(p)
+        assert np.abs(sum(projections) - np.eye(n)).max() <= 1e-10
+        assert np.abs(sum(e * p for e, p in zip(eigs, projections)) - a).max() <= 1e-9
+        assert np.abs(projections[0] @ projections[1]).max() <= 1e-10
+
+
 class TestLimitProjection:
     def test_projection_is_its_own_limit(self, rng):
         p = projection_onto_identity(random_density(rng, 2))
@@ -85,12 +101,16 @@ class TestLimitProjection:
 
 
 class TestAsymptoticPeriodicState:
-    @pytest.mark.parametrize("seed, n_s, n_e", [(3, 2, 2), (0, 2, 4), (2, 4, 2), (0, 4, 4)])
+    @pytest.mark.parametrize("seed, n_s, n_e",
+                             [(3, 2, 2), (0, 2, 4), (2, 4, 2), (0, 4, 4), (19, 4, 2)])
     def test_slow_relaxation_keeps_its_unique_state(self, seed, n_s, n_e):
         # at lambda = 0.025 the subdominant modulus of T is within ~1e-4 of 1,
         # and a unitality defect of a few 1e-16 in T doubles with every
         # squaring in limit_projection: it crossed the 1e-10 floor before the
-        # powers converged and the unique state was reported missing
+        # powers converged and the unique state was reported missing.  Seed 19
+        # at (4, 2), member 19 of the benchmark generation rule, still did so
+        # with a unital T: ||T^(2^j) - P|| reached 1.01e-10 at j = 20 and then
+        # doubled from the rounding of each squaring
         model = random_model(np.random.default_rng(seed), n_s, n_e)
         report = asymptotic_periodic_state(model, 0.025, 1.0)
         rho = report.asymptotic_density
@@ -252,3 +272,38 @@ class TestParametrizedTauExperiment:
         direct = asymptotic_periodic_state(model, eps ** -1.0, eps ** 3)
         dist = trace_distance(direct.asymptotic_density, eff.density)
         assert abs(row.trace_distance - dist) <= 1e-9
+
+
+class TestOneDecompositionPerMap:
+    """Each map the asymptotic module analyses goes through one eig call."""
+
+    @staticmethod
+    def decomposed(monkeypatch) -> list:
+        inputs = []
+        for name in ("eig", "eigvals"):
+            def counted(m, _original=getattr(np.linalg, name)):
+                inputs.append(np.array(m))
+                return _original(m)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return inputs
+
+    def test_asymptotic_periodic_state(self, monkeypatch):
+        model = build_spin_model(spin_base())
+        inputs = self.decomposed(monkeypatch)
+        asymptotic_periodic_state(model, 0.2, 1.0, t_samples=(0.0, 0.5))
+        assert len(inputs) == 1
+
+    def test_effective_asymptotic_state(self, monkeypatch):
+        eff = effective_generator_weak_coupling(build_spin_model(spin_base()), 1.0)
+        inputs = self.decomposed(monkeypatch)
+        effective_asymptotic_state(eff, horizon=10.0)
+        assert len(inputs) == 1
+
+    def test_kato_structure_check(self, monkeypatch):
+        model = build_spin_model(spin_base())
+        inputs = self.decomposed(monkeypatch)
+        eps = [0.04, 0.02, 0.01]
+        kato_structure_check(model, 1.0, eps)
+        # alpha_S^tau, P0 T' P0 and one T(eps) per eps, each once
+        assert len(inputs) == 2 + len(eps)
+        assert not any(np.array_equal(a, b) for i, a in enumerate(inputs) for b in inputs[:i])

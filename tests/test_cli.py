@@ -110,6 +110,52 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, key, value, path):
     assert not out.exists()
 
 
+NAN = float("nan")
+INLINE = {"h_s": [[0, 0], [0, 1]], "h_e": [[0, 0], [0, 2]],
+          "v": [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], "beta": 1.0}
+
+
+def spin(**fields):
+    return {"spin": {**SPIN_MODEL["spin"], **fields}}
+
+
+def inline(**fields):
+    return {"inline": {**INLINE, **fields}}
+
+
+BAD_MODELS = [  # (model object, JSON path of the error, test id)
+    (spin(S="1"), "$.model.spin.S", "spin-S-string"),
+    (spin(beta=True), "$.model.spin.beta", "spin-beta-true"),
+    (spin(E=NAN), "$.model.spin.E", "spin-E-nan"),
+    (spin(tau=NAN), "$.model.spin.tau", "spin-tau-nan"),
+    (spin(b=True), "$.model.spin.b", "spin-b-true"),
+    (spin(c=[1, True]), "$.model.spin.c", "spin-c-pair-true"),
+    (spin(a=[NAN, 0]), "$.model.spin.a", "spin-a-pair-nan"),
+    (spin(gamma=1), "$.model.spin.gamma", "spin-unknown-key"),
+    (inline(h_s=[[True, 0], [0, 1]]), "$.model.inline.h_s[0][0]", "inline-entry-true"),
+    (inline(v=[[0, [0, True], 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
+     "$.model.inline.v[0][1]", "inline-pair-true"),
+    (inline(h_e=[[0, 0], [0, NAN]]), "$.model.inline.h_e[1][1]", "inline-entry-nan"),
+    (inline(beta=True), "$.model.inline.beta", "inline-beta-true"),
+    (inline(beta=NAN), "$.model.inline.beta", "inline-beta-nan"),
+    (inline(rho_e=[[1, 0], [0, 0]]), "$.model.inline.rho_e", "inline-unknown-key"),
+    ({**SPIN_MODEL, "inline": INLINE}, "$.model", "spin-and-inline"),
+    ({**SPIN_MODEL, "comment": "x"}, "$.model.comment", "model-unknown-key"),
+]
+
+
+@pytest.mark.parametrize("model, path", [case[:2] for case in BAD_MODELS],
+                         ids=[case[2] for case in BAD_MODELS])
+def test_bad_model_is_a_config_error(tmp_path, capsys, model, path):
+    doc = {"model": model, "experiment": "effective", "tau": 1.0}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == path
+    config = write_config(tmp_path, doc)
+    assert main(["effective", "--config", str(config)]) == 1
+    assert path in capsys.readouterr().err
+
+
 class TestRun:
     def test_spin_oracle_passes(self, tmp_path):
         config = parse_config(json.dumps({"model": SPIN_MODEL,
@@ -172,6 +218,15 @@ class TestRun:
         for line in rows:
             cells = line.split(",")
             assert float(cells[3]) <= float(cells[4])
+
+    def test_dyson_check_needs_no_tau(self, tmp_path):
+        # dyson-check reads its times from dyson_times, never tau
+        doc = {"model": {"inline": INLINE}, "experiment": "dyson-check",
+               "dyson_times": [0.5], "dyson_orders": [2], "quadrature_order": 8}
+        config = parse_config(json.dumps(doc))
+        out = tmp_path / "dyson.csv"
+        assert run(config, out_path=str(out)) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     def test_asymptotic_columns(self, tmp_path):
         doc = {"model": SPIN_MODEL, "experiment": "asymptotic",

@@ -3,6 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ris.asymptotic import asymptotic_periodic_state, effective_asymptotic_state
 from ris.dynamics import (
     RISModel,
     dyson_term,
@@ -18,10 +19,15 @@ from ris.linops import (
     spectral_decompose,
     superop_norm,
 )
-from ris.vanhove import effective_generator_fast_repetition, second_order_term, spectral_average
+from ris.vanhove import (
+    effective_generator_fast_repetition,
+    effective_generator_weak_coupling,
+    second_order_term,
+    spectral_average,
+)
 
 from conftest import random_model, random_unitary
-from oracles import restrict_to_system
+from oracles import density_from_dual_fixed_point, restrict_to_system
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -81,3 +87,22 @@ def test_free_evolution_from_eigenphases_matches_expm(seed, levels, t):
     oracle = matrix_exp(t * derivation_superop(model.h_s))
     err = superop_norm(system_free_evolution(model, t) - oracle)
     assert err <= 1e-14 * max(1.0, abs(t) * np.linalg.norm(model.h_s, 2))
+
+
+@PROPERTY
+@given(models, st.sampled_from([0.2, 0.1, 0.05, 0.025]))
+def test_density_from_limit_projection_matches_dual_fixed_point(model, lam):
+    rho = asymptotic_periodic_state(model, lam, 1.0).asymptotic_density
+    oracle = density_from_dual_fixed_point(reduced_map_T(model, lam, 1.0))
+    assert max_abs(rho - oracle) <= 1e-10
+
+
+@PROPERTY
+@given(models, st.sampled_from([effective_generator_weak_coupling,
+                                lambda model, tau: effective_generator_fast_repetition(model)]))
+def test_density_from_zero_projection_matches_dual_null_vector(model, generator):
+    gen = generator(model, 1.0)
+    result = effective_asymptotic_state(gen)
+    assert result.rank_one
+    oracle = density_from_dual_fixed_point(gen.generator, point=0.0)
+    assert max_abs(result.density - oracle) <= 1e-10

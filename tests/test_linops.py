@@ -171,12 +171,11 @@ class TestSpectralDecompose:
                         assert np.abs(p @ q).max() <= 1e-10
 
     def test_non_normal_mode(self, rng):
+        # the eigenvector pairing of non-normal maps is tested on
+        # asymptotic._eigenprojection_near, its one implementation
         a = np.array([[1.0, 1.0], [0.0, 0.5]])
         with pytest.raises(ValueError, match="normal"):
             spectral_decompose(a)
-        dec = spectral_decompose(a, non_normal=True)
-        assert dec.pairing_condition is not None
-        assert np.abs(dec.reconstruction() - a).max() <= 1e-9
 
     def test_degeneracy_warning(self):
         tol = 1e-8
