@@ -281,8 +281,8 @@ class KatoReport:
 def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     """Verify the analytic-perturbation structure of the reduced map at small coupling."""
     eps_list = sorted(float(e) for e in eps_list)
-    if not eps_list or eps_list[0] <= 0:
-        raise ValueError("eps_list must be positive")
+    if len(set(eps_list)) < max(2, len(eps_list)) or eps_list[0] <= 0:
+        raise ValueError(f"eps_list needs at least two distinct positive values, got {eps_list}")
     eps_desc = eps_list[::-1]
 
     alpha = system_free_evolution(model, tau)

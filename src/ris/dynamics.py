@@ -2,12 +2,12 @@
 
 The model is the tuple (h_S, h_E, v, beta): a small system, one chain
 element, a Hermitian interaction on the tensor product, and the inverse
-temperature of the chain.  Reduced maps are computed in Hilbert space:
-with U = e^{it(H_0 + lambda*v)} and rho_E = sum_a p_a |a><a|, E_S ∘ phi_SE^t
-is the Kraus map x -> sum_{a,b} p_a K_ab x K_ab^†, K_ab = <a|U|b>_E, made
-unital to rounding.  The superoperator constructions (full generator,
-Dyson terms) exist only to verify the perturbation series and its error
-bound in the dyson-check experiment, never to compute the dynamics.
+temperature of the chain.  Everything is computed from n-sized unitaries:
+the flow phi_SE^t is x -> U x U^† with U = e^{it(H_0 + lambda*v)} from one
+eigh, E_S ∘ phi_SE^t the Kraus map x -> sum_{a,b} p_a K_ab x K_ab^† with
+K_ab = <a|U|b>_E and rho_E = sum_a p_a |a><a|, and the Dyson terms come
+from the Taylor stack of U in lambda.  Only the full generator and the
+Dyson quadrature, the oracles of dyson-check, work with n^2-sided matrices.
 """
 from __future__ import annotations
 
@@ -164,10 +164,25 @@ def _pair_reduction(model: RISModel, lefts, rights) -> np.ndarray:
     return m.reshape(ns, ns, ns, ns).transpose(0, 2, 1, 3).reshape(ns * ns, ns * ns)
 
 
+def _unitary(model: RISModel, lam: float, t: float) -> np.ndarray:
+    """U = e^{it(H_0 + lambda v)}, from the eigenphases of one eigh."""
+    w, q = np.linalg.eigh(model.free_hamiltonian + lam * model.v)
+    return (q * np.exp(1j * t * w)) @ q.conj().T
+
+
+def _taylor_stack(model: RISModel, order: int, t: float) -> list:
+    """[U_0, ..., U_order]: e^{it(H_0 + lambda v)} = sum_k lambda^k U_k + O(lambda^{order+1}).
+
+    The first block row of exp(it B), B the (order+1)-block upper-bidiagonal matrix
+    with H_0 on the diagonal and v above it (Van Loan, IEEE TAC 1978)."""
+    m = order + 1
+    block = kron(np.eye(m), model.free_hamiltonian) + kron(np.eye(m, k=1), model.v)
+    return np.split(matrix_exp(1j * t * block)[:model.dim], m, axis=1)
+
+
 def _reduced_map(model: RISModel, lam: float, t: float) -> Superoperator:
     """E_S ∘ phi_SE^t on M_S for any t >= 0 (see :func:`reduced_map_T`)."""
-    w, q = np.linalg.eigh(model.free_hamiltonian + lam * model.v)
-    u = (q * np.exp(1j * t * w)) @ q.conj().T
+    u = _unitary(model, lam, t)
     m = _pair_reduction(model, [u], [u])
     # the Kraus sum is unital only to a few 1e-15 and limit_projection squares
     # T up to 2^30 times: add vec(I - T(I)) vec(I)^T / n_S so T(I) = I to rounding
@@ -183,8 +198,9 @@ def full_generator(model: RISModel, lam: float) -> Superoperator:
 
 
 def interaction_dynamics(model: RISModel, lam: float, t: float) -> Superoperator:
-    """The *-automorphism exp(t * full_generator) of the full matrix algebra."""
-    return matrix_exp(t * full_generator(model, lam))
+    """phi_SE^t = exp(t * full_generator): x -> U x U^†, the matrix kron(U, conj U)."""
+    u = _unitary(model, lam, t)
+    return Superoperator(kron(u, u.conj()))
 
 
 def reduced_map_T(model: RISModel, lam: float, tau: float) -> Superoperator:
@@ -235,26 +251,18 @@ def _repeated(model: RISModel, lam: float, tau: float, t_map: Superoperator,
 def dyson_term(model: RISModel, k: int, t: float) -> Superoperator:
     """k-th time-ordered term of the perturbation series around the free flow.
 
-    Equals the iterated integral over 0 <= t_1 <= ... <= t_k <= t of
-    alpha^{t_1}[v,.]alpha^{-t_1} ... alpha^{t_k}[v,.]alpha^{-t_k}, computed
-    exactly as the top-right block of the exponential of the (k+1)-block
-    upper-bidiagonal matrix with the free generator on the diagonal and
-    [v,.] on the superdiagonal, post-multiplied by alpha^{-t}.
+    The iterated integral over 0 <= t_1 <= ... <= t_k <= t of alpha^{t_1}[v,.]alpha^{-t_1}
+    ... alpha^{t_k}[v,.]alpha^{-t_k}, so phi_SE^t = sum_k (i lambda)^k dyson_term(k) ∘ alpha_SE^t.
+    From the Taylor stack (:func:`_taylor_stack`) it is i^{-k} sum_{j<=k} kron(U_j, conj U_{k-j})
+    ∘ kron(U_0^†, U_0^T) (alpha_SE^{-t}) = i^{-k} sum_j kron(W_j, conj W_{k-j}), W_j = U_j U_0^†.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > 8:
         raise ValueError("k > 8 refused (cost guard)")
-    n2 = model.dim ** 2
-    l0 = full_generator(model, 0.0).matrix
-    cv = commutator_superop(model.v).matrix
-    block = np.zeros(((k + 1) * n2, (k + 1) * n2), dtype=complex)
-    for j in range(k + 1):
-        block[j * n2:(j + 1) * n2, j * n2:(j + 1) * n2] = l0
-        if j < k:
-            block[j * n2:(j + 1) * n2, (j + 1) * n2:(j + 2) * n2] = cv
-    top_right = matrix_exp(t * block)[:n2, k * n2:]
-    return Superoperator(top_right @ matrix_exp(-t * l0))
+    us = _taylor_stack(model, k, t)
+    ws = [u @ us[0].conj().T for u in us]
+    return Superoperator((-1j) ** k * sum(kron(ws[j], ws[k - j].conj()) for j in range(k + 1)))
 
 
 def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) -> Superoperator:

@@ -25,6 +25,7 @@ from .dynamics import (
     RISModel,
     _pair_reduction,
     _repeated,
+    _taylor_stack,
     reduced_map_T,
     system_free_evolution,
 )
@@ -151,21 +152,16 @@ def log_generator_A0(model: RISModel, tau: float,
 
 
 def second_order_term(model: RISModel, tau: float) -> Superoperator:
-    """E_S phi_{SE,2}^tau restricted to M_S, from an n-sized Van Loan block exponential.
+    """E_S phi_{SE,2}^tau restricted to M_S, from the n-sized Taylor stack.
 
-    The first block row (U0, U1, U2) of exp(i tau [[H0, v, 0], [0, H0, v],
-    [0, 0, H0]]) holds the Taylor coefficients of
-    e^{i tau (H0 + lambda v)} = U0 + lambda U1 + lambda^2 U2 + O(lambda^3)
-    (Van Loan, IEEE TAC 1978).  Since phi_SE^tau = sum_k (i lambda)^k
+    e^{i tau (H0 + lambda v)} = U0 + lambda U1 + lambda^2 U2 + O(lambda^3), the U_k read off
+    one 3n-sided exponential (:func:`_taylor_stack`).  Since phi_SE^tau = sum_k (i lambda)^k
     phi_{SE,k}^tau alpha_SE^tau, the term is -R ∘ alpha_S^{-tau} with
     R(x) = Tr_E[(I (x) rho_E)(U2 (x (x) I) U0^† + U1 (x (x) I) U1^† + U0 (x (x) I) U2^†)].
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    n, h0, v = model.dim, model.free_hamiltonian, model.v
-    z = np.zeros_like(h0)
-    block = np.block([[h0, v, z], [z, h0, v], [z, z, h0]])
-    u0, u1, u2 = np.split(matrix_exp(1j * tau * block)[:n], 3, axis=1)
+    u0, u1, u2 = _taylor_stack(model, 2, tau)
     r = _pair_reduction(model, [u2, u1, u0], [u0, u1, u2])
     return Superoperator(-r) @ system_free_evolution(model, -tau)
 

@@ -5,12 +5,14 @@ on the n^2-dimensional space of vectorized matrices.  Slow, but
 independent of the Kraus and Van Loan contractions the package uses, so
 the tests compare the production maps against these.  The fixed state of
 a map or generator, as an eigenvector of its trace dual, is the oracle
-for the densities ``ris.asymptotic`` reads off eigenprojections.
+for the densities ``ris.asymptotic`` reads off eigenprojections.  The
+Dyson terms as one superoperator block exponential are the oracle for the
+Taylor-stack terms of ``ris.dynamics``.
 """
 import numpy as np
 
-from ris.dynamics import ChainState, RISModel
-from ris.linops import Superoperator, kron, vec
+from ris.dynamics import ChainState, RISModel, full_generator
+from ris.linops import Superoperator, commutator_superop, kron, matrix_exp, vec
 
 
 def embed_matrix(model: RISModel) -> np.ndarray:
@@ -77,3 +79,22 @@ def density_from_dual_fixed_point(s: Superoperator, point: complex = 1.0) -> np.
     rho = vecs[:, i].reshape(s.dim, s.dim)
     rho = rho / np.trace(rho)
     return 0.5 * (rho + rho.conj().T)
+
+
+def dyson_term_block(model: RISModel, k: int, t: float) -> Superoperator:
+    """k-th Dyson term from one (k+1)n^2-sided block exponential.
+
+    The top-right block of exp(t B), B the (k+1)-block upper-bidiagonal
+    matrix with the free generator on the diagonal and [v,.] above it,
+    post-multiplied by alpha_SE^{-t}.
+    """
+    n2 = model.dim ** 2
+    l0 = full_generator(model, 0.0).matrix
+    cv = commutator_superop(model.v).matrix
+    block = np.zeros(((k + 1) * n2, (k + 1) * n2), dtype=complex)
+    for j in range(k + 1):
+        block[j * n2:(j + 1) * n2, j * n2:(j + 1) * n2] = l0
+        if j < k:
+            block[j * n2:(j + 1) * n2, (j + 1) * n2:(j + 2) * n2] = cv
+    top_right = matrix_exp(t * block)[:n2, k * n2:]
+    return Superoperator(top_right @ matrix_exp(-t * l0))

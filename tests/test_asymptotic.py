@@ -234,6 +234,13 @@ class TestKatoStructure:
         with pytest.raises(ValueError, match="positive"):
             kato_structure_check(model, 1.0, [0.0, 0.01])
 
+    # the Richardson step needs the two smallest eps, and they must differ
+    @pytest.mark.parametrize("eps", [[0.01], [0.02, 0.01, 0.01], [0.04, 0.02, 0.02, 0.01]])
+    def test_requires_two_distinct_eps(self, eps):
+        model = build_spin_model(spin_base())
+        with pytest.raises(ValueError, match="two distinct"):
+            kato_structure_check(model, 1.0, eps)
+
 
 class TestParametrizedTauExperiment:
     def test_parametrization_arithmetic(self):

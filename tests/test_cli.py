@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import ris.cli
+import ris.linops
 from ris.cli import ConfigError, main, parse_config, run
+
+from conftest import random_model
 
 SPIN_MODEL = {"spin": {"S": 1, "E": 2, "beta": 1, "b": [1, 0], "c": [1, 0], "tau": 1}}
 
@@ -287,5 +292,46 @@ class TestMain:
                                        "experiment": "spin-oracle"})
         assert main(["kato", "--config", str(path)]) == 1
 
+    def test_cli_kato_single_eps_is_an_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": SPIN_MODEL, "experiment": "kato",
+                                       "eps": [0.01]})
+        assert main(["kato", "--config", str(path), "--out", str(tmp_path / "k.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_cli_missing_file(self, capsys):
         assert main(["spin-oracle", "--config", "/nonexistent.json"]) == 1
+
+
+def _encode(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+class TestDysonCheckCost:
+    """dyson-check exponentiates only (k+1)n-sided Taylor stacks and runs each quadrature once."""
+
+    @pytest.mark.parametrize("which", ["spin", "random-dim8"])
+    def test_expm_sides_and_quadrature_calls(self, tmp_path, monkeypatch, which):
+        model = SPIN_MODEL
+        if which == "random-dim8":
+            m = random_model(np.random.default_rng(8), 2, 4)
+            model = {"inline": {"h_s": _encode(m.h_s), "h_e": _encode(m.h_e),
+                                "v": _encode(m.v), "beta": m.beta}}
+        # the quadrature order sets only its accuracy, not which calls are made
+        config = parse_config(json.dumps({"model": model, "experiment": "dyson-check",
+                                          "quadrature_order": 6}))
+        sides, quadratures = [], []
+        expm, quadrature = scipy.linalg.expm, ris.cli.dyson_term_quadrature
+
+        def counting_expm(a):
+            sides.append(a.shape[0])
+            return expm(a)
+
+        def counting_quadrature(model, k, t, *args, **kwargs):
+            quadratures.append((k, t))
+            return quadrature(model, k, t, *args, **kwargs)
+
+        monkeypatch.setattr(ris.linops.scipy.linalg, "expm", counting_expm)
+        monkeypatch.setattr(ris.cli, "dyson_term_quadrature", counting_quadrature)
+        assert run(config, out_path=str(tmp_path / "dyson.csv")) == 0
+        assert 0 < max(sides) <= max(config.dyson_orders) * config.model.dim
+        assert sorted(quadratures) == [(k, t) for k in (1, 2, 3) for t in config.dyson_times]

@@ -7,6 +7,7 @@ from ris.asymptotic import asymptotic_periodic_state, effective_asymptotic_state
 from ris.dynamics import (
     RISModel,
     dyson_term,
+    full_generator,
     interaction_dynamics,
     reduced_map_T,
     system_free_evolution,
@@ -27,7 +28,7 @@ from ris.vanhove import (
 )
 
 from conftest import random_model, random_unitary
-from oracles import density_from_dual_fixed_point, restrict_to_system
+from oracles import density_from_dual_fixed_point, dyson_term_block, restrict_to_system
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -46,7 +47,7 @@ def max_abs(a):
 @given(models, st.sampled_from([0.0, 0.3, -0.3]), st.sampled_from([0.0, 0.7]))
 def test_kraus_map_matches_oracle_and_is_unital_cp(model, lam, t):
     t_map = reduced_map_T(model, lam, t)
-    oracle = restrict_to_system(model, interaction_dynamics(model, lam, t))
+    oracle = restrict_to_system(model, matrix_exp(t * full_generator(model, lam)))
     assert max_abs(t_map.matrix - oracle.matrix) <= 1e-13
     assert max_abs(t_map.apply(np.eye(model.n_s)) - np.eye(model.n_s)) <= 1e-15
     assert np.linalg.eigvalsh(choi_matrix(t_map)).min() >= -1e-12
@@ -57,8 +58,26 @@ def test_kraus_map_matches_oracle_and_is_unital_cp(model, lam, t):
 @given(models)
 def test_second_order_term_matches_block_exponential_oracle(model):
     tau = 0.7
-    oracle = restrict_to_system(model, dyson_term(model, 2, tau))
+    oracle = restrict_to_system(model, dyson_term_block(model, 2, tau))
     assert max_abs(second_order_term(model, tau).matrix - oracle.matrix) <= 1e-12
+
+
+# the oracle exponentiates a (k+1)n^2-sided block matrix (1280 at n = 16, k = 4)
+@settings(PROPERTY, max_examples=10)
+@given(models)
+def test_dyson_terms_match_block_exponential_oracle(model):
+    t = 0.7
+    for k in range(1, 5):
+        oracle = dyson_term_block(model, k, t)
+        err = max_abs(dyson_term(model, k, t).matrix - oracle.matrix)
+        assert err <= 1e-12 * max(1.0, superop_norm(oracle))
+
+
+@PROPERTY
+@given(models, st.sampled_from([0.0, 0.3, -1.0]), st.sampled_from([0.0, 0.5, 1.0]))
+def test_interaction_dynamics_matches_superoperator_exponential(model, lam, t):
+    oracle = matrix_exp(t * full_generator(model, lam))
+    assert max_abs(interaction_dynamics(model, lam, t).matrix - oracle.matrix) <= 1e-12
 
 
 @PROPERTY

@@ -1,9 +1,8 @@
 """CLI outputs against the benchmark references under perfbench/reference/.
 
-Runs the spin-sweep configs of the experiments the convergence grid, the
-free evolution and the CLI payloads feed, and pool model 0 of grid-dim8,
-through ``parse_config`` + ``run``, and compares each CSV and sidecar with
-the benchmark's own checker (|diff| <= 1e-9 + 1e-9*|ref|).  Only reads
+Runs all 7 spin-sweep configs and pool model 0 of grid-dim8 through
+``parse_config`` + ``run``, and compares each CSV and sidecar with the
+benchmark's own checker (|diff| <= 1e-9 + 1e-9*|ref|).  Only reads
 perfbench/.
 """
 import json
@@ -18,9 +17,8 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 from csvcheck import compare_csv, compare_meta  # noqa: E402
 from workloads import WORKLOADS, configs, reference_dir  # noqa: E402
 
-CASES = [("spin-sweep", name) for name in
-         ("converge-lambda", "converge-tau", "asymptotic", "effective")]
-CASES += [("grid-dim8", name) for name, _ in configs(WORKLOADS["grid-dim8"], 0)]
+CASES = [(workload, name) for workload in ("spin-sweep", "grid-dim8")
+         for name, _ in configs(WORKLOADS[workload], 0)]
 
 
 @pytest.mark.parametrize("workload, name", CASES, ids=[f"{w}-{n}" for w, n in CASES])
