@@ -24,7 +24,6 @@ from .dynamics import (
     dyson_term,
     dyson_term_quadrature,
     dyson_truncation_bound,
-    full_generator,
     gibbs_state,
     interaction_dynamics,
     reduced_map_T,

@@ -6,8 +6,8 @@ temperature of the chain.  Everything is computed from n-sized unitaries:
 the flow phi_SE^t is x -> U x U^† with U = e^{it(H_0 + lambda*v)} from one
 eigh, E_S ∘ phi_SE^t the Kraus map x -> sum_{a,b} p_a K_ab x K_ab^† with
 K_ab = <a|U|b>_E and rho_E = sum_a p_a |a><a|, and the Dyson terms come
-from the Taylor stack of U in lambda.  Only the full generator and the
-Dyson quadrature, the oracles of dyson-check, work with n^2-sided matrices.
+from the Taylor stack of U in lambda.  Only the frame contraction of the
+Dyson quadrature, the oracle of dyson-check, works with n^2-sided matrices.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import numpy as np
 from .linops import (
     Superoperator,
     commutator_superop,
-    derivation_superop,
     kron,
     matrix_exp,
     require_hermitian,
@@ -124,15 +123,25 @@ class RISModel:
 
     @cached_property
     def _system_bohr(self):
-        """(w_k - w_l in row-major (k, l) order, kron(q, conj q)) for eigh(h_S) = (w, q)."""
-        w, q = np.linalg.eigh(self.h_s)
-        return (w[:, None] - w[None, :]).reshape(-1), kron(q, q.conj())
+        """:func:`_bohr_frame` of h_S, for alpha_S^t."""
+        return _bohr_frame(self.h_s)
+
+    @cached_property
+    def _free_bohr(self):
+        """:func:`_bohr_frame` of H_0: the eigenframe of the free Liouvillian."""
+        return _bohr_frame(self.free_hamiltonian)
 
     @cached_property
     def _chain_frame(self):
         """(sqrt(p_a), I_S (x) W): Gibbs weights of the chain state in the eigenbasis W of h_E."""
         weights, w = _gibbs_weights(self.h_e, self.beta)
         return np.sqrt(weights), kron(np.eye(self.n_s), w)
+
+
+def _bohr_frame(h: np.ndarray):
+    """(w_k - w_l in row-major (k, l) order, kron(q, conj q)) for eigh(h) = (w, q)."""
+    w, q = np.linalg.eigh(h)
+    return (w[:, None] - w[None, :]).reshape(-1), kron(q, q.conj())
 
 
 def system_free_evolution(model: RISModel, t: float) -> Superoperator:
@@ -191,14 +200,8 @@ def _reduced_map(model: RISModel, lam: float, t: float) -> Superoperator:
     return Superoperator(m)
 
 
-def full_generator(model: RISModel, lam: float) -> Superoperator:
-    """Generator of the interacting evolution: i[h_S + h_E, .] + i*lambda*[v, .]."""
-    free = derivation_superop(model.free_hamiltonian)
-    return free + (1j * lam) * commutator_superop(model.v)
-
-
 def interaction_dynamics(model: RISModel, lam: float, t: float) -> Superoperator:
-    """phi_SE^t = exp(t * full_generator): x -> U x U^†, the matrix kron(U, conj U)."""
+    """phi_SE^t = exp(t i[H_0 + lambda v, .]): x -> U x U^†, the matrix kron(U, conj U)."""
     u = _unitary(model, lam, t)
     return Superoperator(kron(u, u.conj()))
 
@@ -268,37 +271,33 @@ def dyson_term(model: RISModel, k: int, t: float) -> Superoperator:
 def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) -> Superoperator:
     """Independent evaluation of :func:`dyson_term` by nested Gauss-Legendre.
 
-    Cost grows like nodes**k; intended as a cross-check for small k.
+    Works in the eigenframe Z = kron(q, conj q) of the free Liouvillian, with
+    eigh(H_0) = (w, q) and the Bohr frequencies w_(ab) = w_a - w_b: there
+    alpha^u [v,.] alpha^{-u} is C ∘ (e e^H), with C = Z^† [v,.] Z and
+    e_(ab) = e^{iu w_(ab)}, an entrywise scaling.  The innermost integral is
+    C ∘ (E diag(c) E^H), one GEMM over its nodes u_i with weights c_i and
+    E[(ab), i] = e^{i u_i w_(ab)}; each outer level costs one n^2-sided GEMM
+    per node: about 2 nodes**(k-1) GEMMs in all for nodes**k integrand values.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if nodes ** k > 2_000_000:
         raise ValueError(f"nested quadrature with {nodes}^{k} evaluations refused (cost guard)")
-    n2 = model.dim ** 2
-    l0 = full_generator(model, 0.0).matrix
-    cv = commutator_superop(model.v).matrix
-    # free generator is anti-Hermitian: unitary diagonalization for fast exp
-    w, z = np.linalg.eigh(l0 / 1j)
-    zh = z.conj().T
-
-    def interaction_picture(u):
-        phases = np.exp(1j * u * w)
-        e = (z * phases) @ zh
-        einv = (z * phases.conj()) @ zh
-        return e @ cv @ einv
-
+    bohr, frame = model._free_bohr
+    cv = frame.conj().T @ commutator_superop(model.v).matrix @ frame
     x, wq = np.polynomial.legendre.leggauss(nodes)
 
     def nested(j, upper):
-        if j == 0:
-            return np.eye(n2, dtype=complex)
-        acc = np.zeros((n2, n2), dtype=complex)
-        for xi, wi in zip(x, wq):
-            u = 0.5 * upper * (xi + 1.0)
-            acc += (0.5 * upper * wi) * (nested(j - 1, u) @ interaction_picture(u))
+        u, c = 0.5 * upper * (x + 1.0), 0.5 * upper * wq
+        e = np.exp(1j * np.outer(u, bohr))
+        if j == 1:
+            return cv * ((e.T * c) @ e.conj())
+        acc = np.zeros_like(cv)
+        for ui, left, right in zip(u, c[:, None] * e, e.conj()):
+            acc += ((nested(j - 1, ui) * left) @ cv) * right
         return acc
 
-    return Superoperator(nested(k, t))
+    return Superoperator(frame @ nested(k, t) @ frame.conj().T)
 
 
 def dyson_truncation_bound(n: int, eps: float, t: float, a1_norm: float,

@@ -7,12 +7,27 @@ the tests compare the production maps against these.  The fixed state of
 a map or generator, as an eigenvector of its trace dual, is the oracle
 for the densities ``ris.asymptotic`` reads off eigenprojections.  The
 Dyson terms as one superoperator block exponential are the oracle for the
-Taylor-stack terms of ``ris.dynamics``.
+Taylor-stack terms of ``ris.dynamics``; the nested quadrature with the
+interaction picture as a product of superoperators pins the eigenframe
+contraction of ``dyson_term_quadrature``.
 """
 import numpy as np
 
-from ris.dynamics import ChainState, RISModel, full_generator
-from ris.linops import Superoperator, commutator_superop, kron, matrix_exp, vec
+from ris.dynamics import ChainState, RISModel
+from ris.linops import (
+    Superoperator,
+    commutator_superop,
+    derivation_superop,
+    kron,
+    matrix_exp,
+    vec,
+)
+
+
+def full_generator(model: RISModel, lam: float) -> Superoperator:
+    """Generator of the interacting evolution: i[h_S + h_E, .] + i*lambda*[v, .]."""
+    free = derivation_superop(model.free_hamiltonian)
+    return free + (1j * lam) * commutator_superop(model.v)
 
 
 def embed_matrix(model: RISModel) -> np.ndarray:
@@ -98,3 +113,24 @@ def dyson_term_block(model: RISModel, k: int, t: float) -> Superoperator:
             block[j * n2:(j + 1) * n2, (j + 1) * n2:(j + 2) * n2] = cv
     top_right = matrix_exp(t * block)[:n2, k * n2:]
     return Superoperator(top_right @ matrix_exp(-t * l0))
+
+
+def dyson_term_product_quadrature(model: RISModel, k: int, t: float, nodes: int) -> Superoperator:
+    """k-th Dyson term by nested Gauss-Legendre, alpha^u [v,.] alpha^{-u} as a matrix product.
+
+    alpha^u = exp(u * full_generator(model, 0)) from one n^2-sided expm per node.
+    """
+    l0, cv = full_generator(model, 0.0).matrix, commutator_superop(model.v).matrix
+    x, wq = np.polynomial.legendre.leggauss(nodes)
+
+    def nested(j, upper):
+        if j == 0:
+            return np.eye(len(cv), dtype=complex)
+        acc = np.zeros_like(cv)
+        for xi, wi in zip(x, wq):
+            u = 0.5 * upper * (xi + 1.0)
+            picture = matrix_exp(u * l0) @ cv @ matrix_exp(-u * l0)
+            acc += (0.5 * upper * wi) * (nested(j - 1, u) @ picture)
+        return acc
+
+    return Superoperator(nested(k, t))

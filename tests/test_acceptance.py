@@ -22,7 +22,6 @@ from ris.dynamics import (
     dyson_term,
     dyson_term_quadrature,
     dyson_truncation_bound,
-    full_generator,
     interaction_dynamics,
     reduced_map_T,
 )
@@ -41,6 +40,7 @@ from ris.vanhove import (
 )
 
 from conftest import random_two_level_model, spin_base
+from oracles import full_generator
 
 
 def report(number: int, description: str, passed: bool, detail: str = ""):

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ris.cli
 import ris.linops
 from ris.cli import ConfigError, main, parse_config, run
+from ris.linops import commutator_superop, superop_norm
 
 from conftest import random_model
 
@@ -90,6 +93,7 @@ BAD_VALUES = [  # (field, value, JSON path of the error)
     ("dyson_orders", ["2"], "$.dyson_orders[0]"),
     ("dyson_orders", [2, 0], "$.dyson_orders[1]"),
     ("dyson_times", [0.5, True], "$.dyson_times[1]"),
+    ("dyson_times", [-0.5], "$.dyson_times[0]"),
     ("t_samples", "0", "$.t_samples"),
     ("tolerances", {"orcale": 1.0}, "$.tolerances.orcale"),
     ("tolerances", {"cluster": 1e-8}, "$.tolerances.cluster"),
@@ -335,3 +339,28 @@ class TestDysonCheckCost:
         assert run(config, out_path=str(tmp_path / "dyson.csv")) == 0
         assert 0 < max(sides) <= max(config.dyson_orders) * config.model.dim
         assert sorted(quadratures) == [(k, t) for k in (1, 2, 3) for t in config.dyson_times]
+
+    def test_dim16_with_eight_nodes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RIS_MAX_DIM", "16")
+        m = random_model(np.random.default_rng(16), 4, 4)
+        model = {"inline": {"h_s": _encode(m.h_s), "h_e": _encode(m.h_e),
+                            "v": _encode(m.v), "beta": m.beta}}
+        config = parse_config(json.dumps({"model": model, "experiment": "dyson-check",
+                                          "quadrature_order": 8}))
+        out = tmp_path / "dyson.csv"
+        assert run(config, out_path=str(out)) == 0
+        header, *rows = out.read_text().splitlines()
+        column = header.split(",").index("blockexp_vs_quadrature")
+        gaps = [float(row.split(",")[column]) for row in rows]
+        assert len(gaps) == 6 and all(np.isfinite(gap) and gap <= 1e-6 for gap in gaps)
+
+
+# dyson-check takes the norm of [v,.] from the spread of the eigenvalues of v
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_commutator_norm_is_eigenvalue_spread(seed, n_s, n_e, scale):
+    v = scale * random_model(np.random.default_rng(seed), n_s, n_e).v
+    levels = np.linalg.eigvalsh(v)
+    gap = abs(superop_norm(commutator_superop(v)) - (levels[-1] - levels[0]))
+    assert gap <= 1e-12 * np.linalg.norm(v, 2)

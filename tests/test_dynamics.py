@@ -8,7 +8,6 @@ from ris.dynamics import (
     dyson_term,
     dyson_term_quadrature,
     dyson_truncation_bound,
-    full_generator,
     gibbs_state,
     interaction_dynamics,
     reduced_map_T,
@@ -26,8 +25,13 @@ from ris.linops import (
 )
 from ris.spin import build_spin_model
 
-from conftest import random_hermitian, random_two_level_model, spin_base, u
-from oracles import conditional_expectation, restrict_to_system
+from conftest import random_hermitian, random_model, random_two_level_model, spin_base, u
+from oracles import (
+    conditional_expectation,
+    dyson_term_product_quadrature,
+    full_generator,
+    restrict_to_system,
+)
 
 # frozen from direct evaluation of e^{-beta E} expressions, beta=1, E=2
 GROUND_WEIGHT = 0.8807970779778823
@@ -267,6 +271,17 @@ class TestDysonTerms:
             gap = superop_norm(dyson_term(model, k, t)
                                - dyson_term_quadrature(model, k, t))
             assert gap <= 1e-6
+
+    @pytest.mark.parametrize("which", ["spin", "random-dim6"])
+    def test_eigenframe_quadrature_matches_product_form(self, which):
+        # same nodes and weights; the oracle forms alpha^u [v,.] alpha^{-u} from two expm
+        model = build_spin_model(spin_base())
+        if which == "random-dim6":
+            model = random_model(np.random.default_rng(6), 2, 3)
+        for k, t in [(1, 2.0), (2, 2.0), (3, 1.0)]:
+            gap = superop_norm(dyson_term_quadrature(model, k, t, nodes=6)
+                               - dyson_term_product_quadrature(model, k, t, nodes=6))
+            assert gap <= 1e-13
 
     def test_series_reconstruction_within_bound(self):
         model = build_spin_model(spin_base())

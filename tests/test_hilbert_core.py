@@ -7,7 +7,7 @@ from ris.asymptotic import asymptotic_periodic_state, effective_asymptotic_state
 from ris.dynamics import (
     RISModel,
     dyson_term,
-    full_generator,
+    dyson_term_quadrature,
     interaction_dynamics,
     reduced_map_T,
     system_free_evolution,
@@ -28,7 +28,12 @@ from ris.vanhove import (
 )
 
 from conftest import random_model, random_unitary
-from oracles import density_from_dual_fixed_point, dyson_term_block, restrict_to_system
+from oracles import (
+    density_from_dual_fixed_point,
+    dyson_term_block,
+    full_generator,
+    restrict_to_system,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -71,6 +76,16 @@ def test_dyson_terms_match_block_exponential_oracle(model):
         oracle = dyson_term_block(model, k, t)
         err = max_abs(dyson_term(model, k, t).matrix - oracle.matrix)
         assert err <= 1e-12 * max(1.0, superop_norm(oracle))
+
+
+# the quadrature costs about 2 * 32^2 n^2-sided GEMMs at k = 3: smaller models
+@PROPERTY
+@given(st.builds(lambda seed, n_s, n_e: random_model(np.random.default_rng(seed), n_s, n_e),
+                 st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]), st.sampled_from([2, 3])),
+       st.sampled_from([1, 2, 3]), st.floats(0.0, 1.5))
+def test_eigenframe_quadrature_matches_dyson_term(model, k, t):
+    err = superop_norm(dyson_term_quadrature(model, k, t, nodes=32) - dyson_term(model, k, t))
+    assert err <= 1e-10
 
 
 @PROPERTY
