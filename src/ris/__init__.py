@@ -2,8 +2,6 @@
 
 from .linops import (
     BranchCutCollisionError,
-    SpectralCluster,
-    SpectralDecomposition,
     Superoperator,
     choi_matrix,
     commutator_superop,
@@ -11,8 +9,6 @@ from .linops import (
     kron,
     largest_gap_bisector,
     matrix_exp,
-    matrix_log_unitary,
-    spectral_decompose,
     superop_norm,
 )
 from .dynamics import (
@@ -33,15 +29,12 @@ from .dynamics import (
 from .vanhove import (
     ConvergenceReport,
     EffectiveGenerator,
-    cesaro_average,
     converge_lambda,
     converge_lambda_interpolated,
     converge_tau,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
-    log_generator_A0,
     second_order_term,
-    spectral_average,
 )
 from .asymptotic import (
     AsymptoticReport,

@@ -278,6 +278,16 @@ class KatoReport:
     raw_differences: tuple
 
 
+def _free_fixed_projection(model: RISModel, tau: float) -> np.ndarray:
+    """P(0), the eigenprojection of 1 of alpha_S^tau: F diag(|e^{i theta} - 1| <= 1e-8) F^†.
+
+    theta = tau (w_k - w_l) in the Bohr frame F = kron(q, conj q) of eigh(h_S).
+    """
+    bohr, frame = model._system_bohr
+    fixed = np.abs(np.exp(1j * tau * bohr) - 1.0) <= 1e-8
+    return (frame * fixed) @ frame.conj().T
+
+
 def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     """Verify the analytic-perturbation structure of the reduced map at small coupling."""
     eps_list = sorted(float(e) for e in eps_list)
@@ -286,7 +296,7 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     eps_desc = eps_list[::-1]
 
     alpha = system_free_evolution(model, tau)
-    p0, _ = _eigenprojection_near(alpha.matrix, 1.0 + 0.0j, 1e-8)
+    p0 = _free_fixed_projection(model, tau)
     t_prime = -(second_order_term(model, tau) @ alpha).matrix
     g = p0 @ t_prime @ p0
     eig = np.linalg.eig(g)

@@ -83,6 +83,7 @@ _FIELDS = {
     "dyson_orders": ([2, 3, 4], _integer(1), "an integer >= 1"),
     "dyson_times": ([0.5, 1.0], lambda x: _number(x) and x >= 0, "a nonnegative number"),
     "t_samples": ([0.0], _number, "a number"),
+    # read by "effective" only; any other experiment rejects it
     "regime": ("weak-coupling", lambda x: x in ("weak-coupling", "fast-repetition"),
                '"weak-coupling" or "fast-repetition"'),
     "jobs": (1, _integer(1), "an integer >= 1"),
@@ -255,6 +256,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"$.{key}", "unknown field")
         merged[key] = _checked(key, value)
 
+    if "regime" in doc and experiment != "effective":
+        raise ConfigError("$.regime", f"experiment {experiment!r} takes no regime; "
+                          "only 'effective' does")
     if experiment == "spin-oracle" and spin_params is None:
         raise ConfigError("$.model", "experiment 'spin-oracle' requires a spin model")
     # converge-tau and dyson-check take their times from taus and dyson_times

@@ -127,15 +127,12 @@ class Superoperator:
 
     __rmul__ = __mul__
 
-    def adjoint(self) -> "Superoperator":
-        """Adjoint with respect to the Hilbert-Schmidt inner product Tr(A† B)."""
-        return Superoperator(self.matrix.conj().T)
-
     def trace_dual(self) -> "Superoperator":
         """The map S* with Tr(rho * S(x)) = Tr(S*(rho) * x) for all rho, x.
 
         This is the Schroedinger-picture adjoint (bilinear trace pairing);
-        it coincides with :meth:`adjoint` for Hermiticity-preserving maps.
+        for a Hermiticity-preserving map it equals the Hilbert-Schmidt
+        adjoint, the conjugate transpose of ``matrix``.
         """
         n = self.dim
         sw = _swap_permutation(n)
@@ -273,6 +270,10 @@ def spectral_decompose(a: Superoperator | np.ndarray,
     within ``tol`` of each other merge into one cluster.  Non-normal maps
     (reduced maps, generators) are rejected: their eigenprojections pair
     right and left eigenvectors, in :mod:`ris.asymptotic`.
+
+    A test reference: the package averages over Bohr sectors as a mask in
+    the eigenframe of h_S.  It stays here only because perfbench/tracer.py
+    binds it by name.
     """
     wrap = isinstance(a, Superoperator)
     m = a.matrix if wrap else np.asarray(a, dtype=complex)
@@ -295,15 +296,37 @@ def spectral_decompose(a: Superoperator | np.ndarray,
 
 
 def largest_gap_bisector(angles: np.ndarray) -> float:
-    """Bisector of the largest angular gap of a set of angles, in (-pi, pi]."""
+    """Bisector of the largest angular gap of a set of angles, in (-pi, pi].
+
+    Gaps within 1e-9 of the largest count as tied, and the largest of their
+    bisectors wins: a Bohr spectrum is symmetric under theta -> -theta, so
+    its largest gap often comes as a pair that rounding alone would split.
+    """
     a = np.sort(np.mod(np.asarray(angles, dtype=float), 2 * np.pi))
     if a.size == 0:
         return np.pi
     gaps = np.diff(np.concatenate([a, [a[0] + 2 * np.pi]]))
-    k = int(np.argmax(gaps))
-    mid = a[k] + gaps[k] / 2.0
-    mid = np.mod(mid + np.pi, 2 * np.pi) - np.pi
-    return float(np.pi if mid == -np.pi else mid)
+    tied = np.nonzero(gaps >= gaps.max() - 1e-9)[0]
+    mids = np.mod(a[tied] + gaps[tied] / 2.0 + np.pi, 2 * np.pi) - np.pi
+    return float(np.where(mids == -np.pi, np.pi, mids).max())
+
+
+def wrap_to_cut(angles: np.ndarray, branch_cut_angle: float) -> np.ndarray:
+    """Angles moved into the 2*pi window (cut - 2*pi, cut) of a branch cut.
+
+    An angle within angular distance 1e-8 of the cut raises
+    BranchCutCollisionError carrying the largest-gap bisector as the
+    suggested cut.
+    """
+    angles = np.asarray(angles, dtype=float)
+    rel = np.mod(angles - branch_cut_angle, 2 * np.pi)
+    dist_to_cut = np.minimum(rel, 2 * np.pi - rel)
+    if dist_to_cut.min() < 1e-8:
+        raise BranchCutCollisionError(
+            f"eigenvalue at angle {angles[int(np.argmin(dist_to_cut))]:.12f} collides "
+            f"with the branch cut at {branch_cut_angle:.12f}",
+            suggested_cut=largest_gap_bisector(angles))
+    return branch_cut_angle - 2 * np.pi + rel
 
 
 def matrix_log_unitary(u: Superoperator | np.ndarray,
@@ -311,10 +334,12 @@ def matrix_log_unitary(u: Superoperator | np.ndarray,
     """Logarithm of a unitary, with an explicit branch cut.
 
     Eigenvalue arguments are placed in the 2*pi window (cut - 2*pi, cut);
-    the result is anti-Hermitian and satisfies exp(result) = u.  An
-    eigenvalue within angular distance 1e-8 of the cut raises
-    BranchCutCollisionError carrying the largest-gap bisector as the
-    suggested cut.
+    the result is anti-Hermitian and satisfies exp(result) = u.  The
+    window and the collision rule are :func:`wrap_to_cut`.
+
+    A test reference: the package takes the branch logarithm of
+    alpha_S^tau as wrapped Bohr angles in the eigenframe of h_S.  It stays
+    here only because perfbench/tracer.py binds it by name.
     """
     wrap = isinstance(u, Superoperator)
     m = u.matrix if wrap else np.asarray(u, dtype=complex)
@@ -324,18 +349,7 @@ def matrix_log_unitary(u: Superoperator | np.ndarray,
         raise ValueError(f"input is not unitary: ||u†u - I|| = {defect:.3e}")
 
     t, z = scipy.linalg.schur(m, output="complex")
-    eigs = np.diag(t)
-    angles = np.angle(eigs)
-    # angular distance of each eigenvalue to the cut ray
-    rel = np.mod(angles - branch_cut_angle, 2 * np.pi)
-    dist_to_cut = np.minimum(rel, 2 * np.pi - rel)
-    if dist_to_cut.min() < 1e-8:
-        raise BranchCutCollisionError(
-            f"eigenvalue at angle {angles[int(np.argmin(dist_to_cut))]:.12f} collides "
-            f"with the branch cut at {branch_cut_angle:.12f}",
-            suggested_cut=largest_gap_bisector(angles))
-    # map arguments into (cut - 2*pi, cut)
-    shifted = branch_cut_angle - 2 * np.pi + rel
+    shifted = wrap_to_cut(np.angle(np.diag(t)), branch_cut_angle)
     log_m = z @ (1j * shifted[:, None] * z.conj().T)
     log_m = 0.5 * (log_m - log_m.conj().T)  # exactly anti-Hermitian
     return Superoperator(log_m) if wrap else log_m

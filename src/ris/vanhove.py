@@ -10,9 +10,14 @@ lambda^2*tau per interaction:
 * fast repetition (tau -> 0, lambda^2 tau -> 0): minus one half of the
   spectral average of E_S [v,.]^2, averaged over the Bohr sectors of h_S.
 
-The spectral average "B-natural" of B is sum_k P_k B P_k; its defining
-time-average limit is exposed separately (:func:`cesaro_average`) as an
-independent oracle.
+The spectral average "B-natural" of B is sum_k P_k B P_k.  Both families
+of projections P_k are diagonal in the Bohr frame F = kron(q, conj q) of
+the cached eigh(h_S) = (w, q): the spectral projections of A0 group the
+wrapped angles tau (w_k - w_l), the Bohr sectors group the frequencies
+w_k - w_l.  The average is therefore an entrywise mask in that frame, the
+secular approximation of Davies, "Markovian master equations" (CMP 1974).
+Its defining time-average (Cesaro) limit is an independent oracle in the
+tests.
 """
 from __future__ import annotations
 
@@ -30,14 +35,11 @@ from .dynamics import (
     system_free_evolution,
 )
 from .linops import (
-    SpectralDecomposition,
     Superoperator,
-    derivation_superop,
     largest_gap_bisector,
     matrix_exp,
-    matrix_log_unitary,
-    spectral_decompose,
     superop_norm,
+    wrap_to_cut,
 )
 
 WEAK_COUPLING = "weak-coupling"
@@ -46,9 +48,11 @@ FAST_REPETITION = "fast-repetition"
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
+    """``sectors`` labels each index (k, l) of the Bohr frame of h_S by the
+    spectral sector the generator was averaged over."""
     regime: str
     generator: Superoperator
-    averaging_basis: SpectralDecomposition
+    sectors: np.ndarray
     branch_cut_angle: float | None = None
 
 
@@ -72,83 +76,21 @@ class ConvergenceReport:
         raise KeyError(parameter)
 
 
-def spectral_average(b: Superoperator, basis: SpectralDecomposition) -> Superoperator:
-    """sum_k P_k b P_k over the projections of ``basis``.
+def _sector_average(model: RISModel, b: Superoperator, freqs: np.ndarray):
+    """(labels, F (M ∘ F^† b F) F^†): b averaged over the sectors of ``freqs``.
 
-    Idempotent as an averaging, and the result commutes with every basis
-    projection (hence with sum_k lambda_k P_k).
+    ``freqs`` holds one real frequency per index (k, l) of the Bohr frame
+    F = kron(q, conj q) of eigh(h_S) = (w, q).  Sorted frequencies split into
+    sectors wherever a gap exceeds 1e-8, and M_ij = [label_i = label_j]: the
+    sum of P b P over the sector projections P, which are diagonal in F.
     """
-    projections = basis.projection_matrices()
-    if projections and projections[0].shape != b.matrix.shape:
-        raise ValueError(f"basis projections act on {projections[0].shape}, "
-                         f"map on {b.matrix.shape}")
-    acc = np.zeros_like(b.matrix)
-    for p in projections:
-        acc += p @ b.matrix @ p
-    return Superoperator(acc)
-
-
-def cesaro_average(b: Superoperator, a0: Superoperator,
-                   total_time: float | None = None,
-                   nodes_per_panel: int = 8) -> Superoperator:
-    """Time average of e^{tA0} b e^{-tA0}: the defining limit of the spectral average.
-
-    Computed by Gauss-Legendre quadrature of the triangular-weighted
-    symmetric mean (1/T) int_{-T}^{T} (1 - |t|/T) e^{tA0} b e^{-tA0} dt,
-    a summability kernel with the same limit as the one-sided mean but
-    residual O(1/(gap*T)^2).  T defaults to 200/gap, gap the smallest
-    nonzero difference of A0 eigenfrequencies.  Pure time quadrature of
-    matrix exponentials: independent of the spectral-projection route.
-    """
-    m = a0.matrix
-    freqs = np.linalg.eigvals(m).imag
-    diffs = np.abs(freqs[:, None] - freqs[None, :]).reshape(-1)
-    nonzero = diffs[diffs > 1e-12]
-    if nonzero.size == 0:
-        return Superoperator(b.matrix.copy())  # a0 scalar: average is b itself
-    gap = float(nonzero.min())
-    x_max = float(nonzero.max())
-    t_total = 200.0 / gap if total_time is None else total_time
-
-    # panels short enough that each sees at most ~half an oscillation
-    panels = max(8, int(math.ceil(2 * t_total * x_max / math.pi)))
-    h = 2 * t_total / panels
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    offsets = 0.5 * h * (x + 1.0)
-
-    e_offsets = [matrix_exp(u * m) for u in offsets]
-    e_panel = matrix_exp(h * m)
-    e_start = matrix_exp(-t_total * m)
-
-    acc = np.zeros_like(b.matrix)
-    bm = b.matrix
-    for p in range(panels):
-        t0 = -t_total + p * h
-        for i, e_off in enumerate(e_offsets):
-            t = t0 + offsets[i]
-            e_t = e_start @ e_off
-            weight = (0.5 * h * w[i]) * (1.0 - abs(t) / t_total) / t_total
-            acc += weight * (e_t @ bm @ e_t.conj().T)
-        e_start = e_start @ e_panel
-    return Superoperator(acc)
-
-
-def _branch_log(alpha: Superoperator, branch_cut_angle: float | None):
-    """(A0, cut): the branch logarithm of alpha and the cut it was taken at."""
-    if branch_cut_angle is None:
-        branch_cut_angle = largest_gap_bisector(np.angle(np.linalg.eigvals(alpha.matrix)))
-    return matrix_log_unitary(alpha, branch_cut_angle), branch_cut_angle
-
-
-def log_generator_A0(model: RISModel, tau: float,
-                     branch_cut_angle: float | None = None) -> Superoperator:
-    """Branch logarithm A0 of alpha_S^tau (as a superoperator): exp(A0) = alpha_S^tau.
-
-    The default cut is the bisector of the largest angular gap of the
-    spectrum.  In finite dimension the spectrum is finite, so a valid cut
-    always exists; a collision raises with the suggested cut attached.
-    """
-    return _branch_log(system_free_evolution(model, tau), branch_cut_angle)[0]
+    order = np.argsort(freqs)
+    labels = np.empty(freqs.size, dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum(np.diff(freqs[order]) > 1e-8)])
+    frame = model._system_bohr[1]
+    inner = frame.conj().T @ b.matrix @ frame
+    masked = np.where(labels[:, None] == labels[None, :], inner, 0.0)
+    return labels, Superoperator(frame @ masked @ frame.conj().T)
 
 
 def second_order_term(model: RISModel, tau: float) -> Superoperator:
@@ -168,11 +110,20 @@ def second_order_term(model: RISModel, tau: float) -> Superoperator:
 
 def effective_generator_weak_coupling(model: RISModel, tau: float,
                                       branch_cut_angle: float | None = None) -> EffectiveGenerator:
-    """Weak-coupling generator: minus the A0-spectral-average of the second-order term."""
-    a0, branch_cut_angle = _branch_log(system_free_evolution(model, tau), branch_cut_angle)
-    basis = spectral_decompose(a0)
-    gen = -1.0 * spectral_average(second_order_term(model, tau), basis)
-    return EffectiveGenerator(WEAK_COUPLING, gen, basis, branch_cut_angle)
+    """Weak-coupling generator: minus the A0-spectral-average of the second-order term.
+
+    A0, the branch logarithm of alpha_S^tau, is i times the Bohr angles
+    tau (w_k - w_l) wrapped into (cut - 2 pi, cut) in the Bohr frame.  The
+    default cut is the bisector of the largest angular gap; an angle on the
+    cut raises BranchCutCollisionError with the suggested cut attached.
+    """
+    # in (-pi, pi], as the eigenvalue phases of alpha_S^tau
+    angles = np.angle(np.exp(1j * tau * model._system_bohr[0]))
+    if branch_cut_angle is None:
+        branch_cut_angle = largest_gap_bisector(angles)
+    sectors, avg = _sector_average(model, second_order_term(model, tau),
+                                   wrap_to_cut(angles, branch_cut_angle))
+    return EffectiveGenerator(WEAK_COUPLING, -1.0 * avg, sectors, branch_cut_angle)
 
 
 def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
@@ -186,9 +137,8 @@ def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
     v2, eye = v @ v, np.eye(model.dim)
     double_comm = Superoperator(_pair_reduction(
         model, [v2, -2.0 * v, eye], [eye, v.conj().T, v2.conj().T]))
-    basis = spectral_decompose(derivation_superop(model.h_s))
-    gen = -0.5 * spectral_average(double_comm, basis)
-    return EffectiveGenerator(FAST_REPETITION, gen, basis, None)
+    sectors, avg = _sector_average(model, double_comm, model._system_bohr[0])
+    return EffectiveGenerator(FAST_REPETITION, -0.5 * avg, sectors, None)
 
 
 def _grid_report(model: RISModel, eff: EffectiveGenerator, cases, time_of, s_max: float,

@@ -9,17 +9,25 @@ for the densities ``ris.asymptotic`` reads off eigenprojections.  The
 Dyson terms as one superoperator block exponential are the oracle for the
 Taylor-stack terms of ``ris.dynamics``; the nested quadrature with the
 interaction picture as a product of superoperators pins the eigenframe
-contraction of ``dyson_term_quadrature``.
+contraction of ``dyson_term_quadrature``.  The Schur route to the van Hove
+averages (the branch logarithm A0 of alpha_S^tau, its clustered spectral
+projections and the sum of P B P over them) and their defining Cesaro
+time average are the oracles for the Bohr-frame masks of ``ris.vanhove``.
 """
+import math
+
 import numpy as np
 
-from ris.dynamics import ChainState, RISModel
+from ris.dynamics import ChainState, RISModel, system_free_evolution
 from ris.linops import (
+    SpectralDecomposition,
     Superoperator,
     commutator_superop,
     derivation_superop,
     kron,
+    largest_gap_bisector,
     matrix_exp,
+    matrix_log_unitary,
     vec,
 )
 
@@ -96,12 +104,14 @@ def density_from_dual_fixed_point(s: Superoperator, point: complex = 1.0) -> np.
     return 0.5 * (rho + rho.conj().T)
 
 
-def dyson_term_block(model: RISModel, k: int, t: float) -> Superoperator:
-    """k-th Dyson term from one (k+1)n^2-sided block exponential.
+def dyson_term_block(model: RISModel, k: int, t: float) -> tuple:
+    """Dyson terms 1..k from one (k+1)n^2-sided block exponential; term j at index j - 1.
 
-    The top-right block of exp(t B), B the (k+1)-block upper-bidiagonal
-    matrix with the free generator on the diagonal and [v,.] above it,
-    post-multiplied by alpha_SE^{-t}.
+    Block (0, j) of exp(t B), B the (k+1)-block upper-bidiagonal matrix with
+    the free generator on the diagonal and [v,.] above it, post-multiplied by
+    alpha_SE^{-t}.  A leading block of the exponential of a block
+    upper-triangular matrix is the exponential of the leading block, so
+    block (0, j) is the top-right block of the j-term construction.
     """
     n2 = model.dim ** 2
     l0 = full_generator(model, 0.0).matrix
@@ -111,8 +121,9 @@ def dyson_term_block(model: RISModel, k: int, t: float) -> Superoperator:
         block[j * n2:(j + 1) * n2, j * n2:(j + 1) * n2] = l0
         if j < k:
             block[j * n2:(j + 1) * n2, (j + 1) * n2:(j + 2) * n2] = cv
-    top_right = matrix_exp(t * block)[:n2, k * n2:]
-    return Superoperator(top_right @ matrix_exp(-t * l0))
+    top = matrix_exp(t * block)[:n2]
+    back = matrix_exp(-t * l0)
+    return tuple(Superoperator(top[:, j * n2:(j + 1) * n2] @ back) for j in range(1, k + 1))
 
 
 def dyson_term_product_quadrature(model: RISModel, k: int, t: float, nodes: int) -> Superoperator:
@@ -134,3 +145,82 @@ def dyson_term_product_quadrature(model: RISModel, k: int, t: float, nodes: int)
         return acc
 
     return Superoperator(nested(k, t))
+
+
+def spectral_average(b: Superoperator, basis: SpectralDecomposition) -> Superoperator:
+    """sum_k P_k b P_k over the projections of ``basis``.
+
+    Idempotent as an averaging, and the result commutes with every basis
+    projection (hence with sum_k lambda_k P_k).
+    """
+    projections = basis.projection_matrices()
+    if projections and projections[0].shape != b.matrix.shape:
+        raise ValueError(f"basis projections act on {projections[0].shape}, "
+                         f"map on {b.matrix.shape}")
+    acc = np.zeros_like(b.matrix)
+    for p in projections:
+        acc += p @ b.matrix @ p
+    return Superoperator(acc)
+
+
+def cesaro_average(b: Superoperator, a0: Superoperator,
+                   total_time: float | None = None,
+                   nodes_per_panel: int = 8) -> Superoperator:
+    """Time average of e^{tA0} b e^{-tA0}: the defining limit of the spectral average.
+
+    Computed by Gauss-Legendre quadrature of the triangular-weighted
+    symmetric mean (1/T) int_{-T}^{T} (1 - |t|/T) e^{tA0} b e^{-tA0} dt,
+    a summability kernel with the same limit as the one-sided mean but
+    residual O(1/(gap*T)^2).  T defaults to 200/gap, gap the smallest
+    nonzero difference of A0 eigenfrequencies.  Pure time quadrature of
+    matrix exponentials: independent of the spectral-projection route.
+    """
+    m = a0.matrix
+    freqs = np.linalg.eigvals(m).imag
+    diffs = np.abs(freqs[:, None] - freqs[None, :]).reshape(-1)
+    nonzero = diffs[diffs > 1e-12]
+    if nonzero.size == 0:
+        return Superoperator(b.matrix.copy())  # a0 scalar: average is b itself
+    gap = float(nonzero.min())
+    x_max = float(nonzero.max())
+    t_total = 200.0 / gap if total_time is None else total_time
+
+    # panels short enough that each sees at most ~half an oscillation
+    panels = max(8, int(math.ceil(2 * t_total * x_max / math.pi)))
+    h = 2 * t_total / panels
+    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    offsets = 0.5 * h * (x + 1.0)
+
+    e_offsets = [matrix_exp(u * m) for u in offsets]
+    e_panel = matrix_exp(h * m)
+    e_start = matrix_exp(-t_total * m)
+
+    acc = np.zeros_like(b.matrix)
+    bm = b.matrix
+    for p in range(panels):
+        t0 = -t_total + p * h
+        for i, e_off in enumerate(e_offsets):
+            t = t0 + offsets[i]
+            e_t = e_start @ e_off
+            weight = (0.5 * h * w[i]) * (1.0 - abs(t) / t_total) / t_total
+            acc += weight * (e_t @ bm @ e_t.conj().T)
+        e_start = e_start @ e_panel
+    return Superoperator(acc)
+
+
+def _branch_log(alpha: Superoperator, branch_cut_angle: float | None):
+    """(A0, cut): the branch logarithm of alpha and the cut it was taken at."""
+    if branch_cut_angle is None:
+        branch_cut_angle = largest_gap_bisector(np.angle(np.linalg.eigvals(alpha.matrix)))
+    return matrix_log_unitary(alpha, branch_cut_angle), branch_cut_angle
+
+
+def log_generator_A0(model: RISModel, tau: float,
+                     branch_cut_angle: float | None = None) -> Superoperator:
+    """Branch logarithm A0 of alpha_S^tau (as a superoperator): exp(A0) = alpha_S^tau.
+
+    A Schur logarithm of the n_S^2-sided alpha_S^tau.  The default cut is
+    the bisector of the largest angular gap of its spectrum; a collision
+    raises with the suggested cut attached.
+    """
+    return _branch_log(system_free_evolution(model, tau), branch_cut_angle)[0]

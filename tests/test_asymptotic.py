@@ -311,6 +311,7 @@ class TestOneDecompositionPerMap:
         inputs = self.decomposed(monkeypatch)
         eps = [0.04, 0.02, 0.01]
         kato_structure_check(model, 1.0, eps)
-        # alpha_S^tau, P0 T' P0 and one T(eps) per eps, each once
-        assert len(inputs) == 2 + len(eps)
+        # P0 T' P0 and one T(eps) per eps, each once; P(0) of alpha_S^tau
+        # is read off the Bohr frame of h_S
+        assert len(inputs) == 1 + len(eps)
         assert not any(np.array_equal(a, b) for i, a in enumerate(inputs) for b in inputs[:i])

@@ -119,6 +119,30 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, key, value, path):
     assert not out.exists()
 
 
+# only "effective" reads the regime: anywhere else it would be silently ignored
+IGNORED_REGIMES = [  # (experiment, regime)
+    ("asymptotic", "fast-repetition"),
+    ("spin-oracle", "fast-repetition"),
+    ("converge-lambda", "fast-repetition"),
+    ("converge-tau", "weak-coupling"),
+    ("kato", "weak-coupling"),
+]
+
+
+@pytest.mark.parametrize("experiment, regime", IGNORED_REGIMES,
+                         ids=[f"{e}-{r}" for e, r in IGNORED_REGIMES])
+def test_regime_outside_effective_is_a_config_error(tmp_path, capsys, experiment, regime):
+    doc = {"model": SPIN_MODEL, "experiment": experiment, "regime": regime}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == "$.regime"
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    assert "$.regime" in capsys.readouterr().err
+    assert not out.exists()
+
+
 NAN = float("nan")
 INLINE = {"h_s": [[0, 0], [0, 1]], "h_e": [[0, 0], [0, 2]],
           "v": [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], "beta": 1.0}

@@ -189,6 +189,14 @@ class TestSpectralDecompose:
         assert isinstance(dec.clusters[0].projection, Superoperator)
 
 
+class TestLargestGapBisector:
+    def test_tied_gaps_take_the_largest_bisector(self):
+        # gaps 0.1 -> 3.0 and -3.0 -> -0.1 tie; rounding must not pick
+        angles = np.array([0.0, 0.1, -0.1, 3.0, -3.0])
+        for order in (angles, angles[::-1], -angles):
+            assert largest_gap_bisector(order) == pytest.approx(1.55, abs=1e-12)
+
+
 class TestMatrixLogUnitary:
     def test_identity(self):
         assert np.abs(matrix_log_unitary(np.eye(4))).max() == 0.0

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ris.linops
+import ris.vanhove
+from ris.asymptotic import _free_fixed_projection
 from ris.dynamics import (
     RISModel,
     commutator_superop,
@@ -9,6 +15,7 @@ from ris.dynamics import (
     system_free_evolution,
 )
 from ris.linops import (
+    BranchCutCollisionError,
     Superoperator,
     derivation_superop,
     matrix_exp,
@@ -17,19 +24,28 @@ from ris.linops import (
 )
 from ris.spin import build_spin_model, fast_repetition_deltas
 from ris.vanhove import (
-    cesaro_average,
     converge_lambda,
     converge_lambda_interpolated,
     converge_tau,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
-    log_generator_A0,
     second_order_term,
-    spectral_average,
 )
 
-from conftest import random_hermitian, random_model, random_two_level_model, spin_base
-from oracles import restrict_to_system
+from conftest import (
+    random_hermitian,
+    random_model,
+    random_two_level_model,
+    random_unitary,
+    spin_base,
+)
+from oracles import (
+    _branch_log,
+    cesaro_average,
+    log_generator_A0,
+    restrict_to_system,
+    spectral_average,
+)
 
 # frozen oracle values: direct evaluation of the closed forms at
 # (S, E, beta, tau) = (1, 2, 1, 1), b = c = 1, computed before the build
@@ -64,8 +80,7 @@ class TestSpectralAverage:
             tau = float(rng.uniform(0.6, 1.0))
             a0 = log_generator_A0(model, tau)
             basis = spectral_decompose(a0)
-            b = second_order_term(model, tau)
-            avg = spectral_average(b, basis)
+            avg = -effective_generator_weak_coupling(model, tau).generator
             assert superop_norm(spectral_average(avg, basis) - avg) <= 1e-12
             assert superop_norm(a0 @ avg - avg @ a0) <= 1e-9
             for p in basis.projection_matrices():
@@ -74,9 +89,8 @@ class TestSpectralAverage:
     def test_cesaro_oracle_on_spin_model(self):
         model = build_spin_model(spin_base())
         a0 = log_generator_A0(model, 1.0)
-        b = second_order_term(model, 1.0)
-        nat = spectral_average(b, spectral_decompose(a0))
-        ces = cesaro_average(b, a0)
+        nat = -effective_generator_weak_coupling(model, 1.0).generator
+        ces = cesaro_average(second_order_term(model, 1.0), a0)
         assert superop_norm(ces - nat) <= 1e-4
 
     def test_cesaro_trivial_generator(self, rng):
@@ -163,7 +177,9 @@ class TestWeakCouplingGenerator:
             eff = effective_generator_weak_coupling(model, 0.8)
             gen = eff.generator
             assert np.abs(gen.apply(np.eye(2))).max() <= 1e-10
-            for p in eff.averaging_basis.projection_matrices():
+            frame = model._system_bohr[1]
+            for label in np.unique(eff.sectors):
+                p = (frame * (eff.sectors == label)) @ frame.conj().T
                 assert superop_norm(Superoperator(p @ gen.matrix - gen.matrix @ p)) <= 1e-9
             for s in (0.1, 1.0, 10.0):
                 assert superop_norm(matrix_exp(s * gen)) <= np.sqrt(2) + 1e-9
@@ -311,3 +327,90 @@ class TestGridEvaluator:
         model = build_spin_model(spin_base())
         with pytest.raises(ValueError, match="cost guard"):
             converge_lambda_interpolated(model, 1.0, [1e-7], 1.0, 2)
+
+
+def rotated_model(seed: int, levels, n_e: int = 2) -> RISModel:
+    """h_S = q diag(levels) q^† for a random unitary q; random h_E and v."""
+    rng = np.random.default_rng(seed)
+    q = random_unitary(rng, len(levels))
+    h_s = q @ np.diag(levels) @ q.conj().T
+    return RISModel(h_s=0.5 * (h_s + h_s.conj().T), h_e=random_hermitian(rng, n_e),
+                    v=random_hermitian(rng, len(levels) * n_e), beta=1.0)
+
+
+# repeated levels make h_S degenerate; with tau = 2 pi the Bohr frequencies
+# 0.5 and 1.5 meet at the angle pi and 1.0 and 2.0 at the angle 0
+bohr_levels = st.lists(st.sampled_from([-1.3, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=4)
+bohr_taus = st.sampled_from([0.7, 1.0, 2 * np.pi, 4 * np.pi / 3])
+
+
+class TestBohrFrameAverage:
+    """The Bohr-frame masks against the Schur route: A0 by a Schur logarithm of
+    alpha_S^tau, clustered Schur projections, and the sum of P B P."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), bohr_levels, bohr_taus)
+    def test_matches_schur_route(self, seed, levels, tau):
+        model = rotated_model(seed, levels)
+
+        def close(got, ref):
+            return superop_norm(got - ref) <= 1e-12 * max(1.0, superop_norm(ref))
+
+        weak = effective_generator_weak_coupling(model, tau)
+        alpha = system_free_evolution(model, tau)
+        assert abs(weak.branch_cut_angle - _branch_log(alpha, None)[1]) <= 1e-9
+        a0 = _branch_log(alpha, weak.branch_cut_angle)[0]
+        ref = -1.0 * spectral_average(second_order_term(model, tau), spectral_decompose(a0))
+        assert close(weak.generator.matrix, ref.matrix)
+
+        cv = commutator_superop(model.v)
+        ref = -0.5 * spectral_average(restrict_to_system(model, cv @ cv),
+                                      spectral_decompose(derivation_superop(model.h_s)))
+        assert close(effective_generator_fast_repetition(model).generator.matrix, ref.matrix)
+
+        ref = sum(c.projection_matrix for c in spectral_decompose(alpha).clusters
+                  if abs(c.eigenvalue - 1.0) <= 1e-8)
+        assert close(_free_fixed_projection(model, tau), ref)
+
+    def test_no_schur_or_nonsymmetric_eigensolver(self, monkeypatch):
+        calls = []
+        targets = [(scipy.linalg, "schur"), (np.linalg, "eig"), (np.linalg, "eigvals")]
+        targets += [(module, name) for module in (ris.linops, ris.vanhove)
+                    for name in ("spectral_decompose", "matrix_log_unitary")
+                    if hasattr(module, name)]
+        for module, name in targets:
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        model = rotated_model(3, [0.0, 0.5, 1.0, 1.0])
+        effective_generator_weak_coupling(model, 1.0)
+        effective_generator_fast_repetition(model)
+        _free_fixed_projection(model, 1.0)
+        assert calls == []
+
+    def test_default_cut_independent_of_basis(self):
+        # the largest angular gap comes as a pair theta, -theta; rounding
+        # alone must not pick which one the cut bisects
+        levels = [0.2336, -0.3435, 2.5861, -2.7569]
+        diagonal = RISModel(h_s=np.diag(levels), h_e=np.diag([0.0, 1.0]),
+                            v=random_hermitian(np.random.default_rng(0), 8), beta=1.0)
+        cut = effective_generator_weak_coupling(diagonal, 1.0).branch_cut_angle
+        for seed in range(5):
+            rotated = rotated_model(seed, levels)
+            assert abs(effective_generator_weak_coupling(rotated, 1.0).branch_cut_angle
+                       - cut) <= 1e-9
+        assert cut > 0
+
+    def test_angle_on_the_cut_raises_with_suggested_cut(self):
+        # spin model at tau = 1: Bohr angles 0, 0, -1, 1
+        with pytest.raises(BranchCutCollisionError) as err:
+            effective_generator_weak_coupling(build_spin_model(spin_base()), 1.0,
+                                              branch_cut_angle=1.0 + 1e-9)
+        assert err.value.suggested_cut == pytest.approx(np.pi)
+
+    def test_sectors_label_bohr_frequencies(self):
+        # spin model: Bohr frequencies (0, -1, 1, 0) in the frame of diag(0, 1)
+        eff = effective_generator_fast_repetition(build_spin_model(spin_base()))
+        assert eff.sectors[0] == eff.sectors[3]
+        assert len(set(eff.sectors.tolist())) == 3
