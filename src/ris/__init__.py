@@ -41,22 +41,17 @@ from .asymptotic import (
     JordanDefectError,
     KatoReport,
     LimitProjection,
-    OrderComparison,
     asymptotic_periodic_state,
-    compare_orders,
     effective_asymptotic_state,
     kato_structure_check,
     limit_projection,
-    parametrized_tau_experiment,
     peripheral_spectrum,
     trace_distance,
 )
 from .spin import (
-    SpinGeneratorReport,
     SpinParams,
     build_spin_model,
     closed_form_deltas,
-    closed_form_generator_checks,
     fast_repetition_deltas,
     spin_asymptotic_state,
 )

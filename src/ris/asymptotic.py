@@ -9,6 +9,8 @@ of the generator.  Each map is decomposed by one ``numpy.linalg.eig``,
 which gives its peripheral spectrum, subdominant modulus, projection and
 density.  The maps are not normal: projections pair right eigenvectors
 with the rows of their inverse, and the pairing's condition is reported.
+The CLI ``asymptotic`` experiment compares the exact periodic states with
+the effective limit of either regime (:func:`trace_distance`).
 """
 from __future__ import annotations
 
@@ -18,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NoAsymptoticStateError, RISModel, _reduced_map, reduced_map_T
-from .linops import Superoperator, matrix_exp, superop_norm
-from .vanhove import (
-    EffectiveGenerator,
-    effective_generator_fast_repetition,
-    effective_generator_weak_coupling,
-    second_order_term,
-    system_free_evolution,
-)
+from .linops import Superoperator, superop_norm
+from .vanhove import EffectiveGenerator, _second_order_reduction
 
 
 class JordanDefectError(ValueError):
@@ -189,18 +185,15 @@ class EffectiveStateResult:
     density: np.ndarray | None
     rank_one: bool
     spectral_gap: float
-    horizon_defect: float | None = None
 
 
 def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator,
-                               tol: float = 1e-9,
-                               horizon: float | None = None) -> EffectiveStateResult:
+                               tol: float = 1e-9) -> EffectiveStateResult:
     """Limit of exp(s*gen) as s -> infinity, via eigenanalysis.
 
     Rank-one flag: 0 is a simple eigenvalue and every other eigenvalue
     has real part < -tol.  When true, the density is read off the
-    eigenprojection P of 0; ``horizon`` optionally reports
-    ||exp(horizon*gen) - P||.
+    eigenprojection P of 0.
     """
     g = gen.generator if isinstance(gen, EffectiveGenerator) else gen
     eig = np.linalg.eig(g.matrix)
@@ -213,44 +206,12 @@ def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator,
     p_inf, _ = _eigenprojection_near(g.matrix, 0.0 + 0.0j, tol, eig)
     if near_zero.sum() > 1 or (others.size and gap <= tol):
         return EffectiveStateResult(None, False, gap)
-    defect = None
-    if horizon is not None:
-        defect = superop_norm(matrix_exp(horizon * g.matrix) - p_inf)
-    return EffectiveStateResult(_density(p_inf, g.dim), True, gap, defect)
+    return EffectiveStateResult(_density(p_inf, g.dim), True, gap)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) * trace norm of the difference of two Hermitian matrices."""
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
-
-
-@dataclass(frozen=True)
-class OrderComparison:
-    rows: tuple            # (lambda, trace_distance)
-    ratios: tuple          # distance(lambda_i) / distance(lambda_{i+1})
-    effective_density: np.ndarray
-
-
-def compare_orders(model: RISModel, tau: float, lambdas,
-                   branch_cut_angle: float | None = None) -> OrderComparison:
-    """Trace distance between exact periodic states and the effective one.
-
-    The exact state at the period start is compared, for each lambda,
-    with the asymptotic state of the weak-coupling effective dynamics;
-    ratios across consecutive lambdas are reported (quadratic order means
-    a ratio near 4 when lambda halves).
-    """
-    eff = effective_asymptotic_state(effective_generator_weak_coupling(
-        model, tau, branch_cut_angle))
-    if not eff.rank_one:
-        raise NoAsymptoticStateError("effective dynamics has no rank-one limit")
-    rows = []
-    for lam in lambdas:
-        report = asymptotic_periodic_state(model, lam, tau)
-        rows.append((float(lam), trace_distance(report.asymptotic_density, eff.density)))
-    ratios = tuple(d1 / d2 if d2 > 0 else math.inf
-                   for (_, d1), (_, d2) in zip(rows, rows[1:]))
-    return OrderComparison(tuple(rows), ratios, eff.density)
 
 
 @dataclass(frozen=True)
@@ -295,9 +256,9 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
         raise ValueError(f"eps_list needs at least two distinct positive values, got {eps_list}")
     eps_desc = eps_list[::-1]
 
-    alpha = system_free_evolution(model, tau)
     p0 = _free_fixed_projection(model, tau)
-    t_prime = -(second_order_term(model, tau) @ alpha).matrix
+    # T(eps) = alpha_S^tau + eps R + O(eps^2) at lambda = sqrt(eps): T'(0) is R
+    t_prime = _second_order_reduction(model, tau)
     g = p0 @ t_prime @ p0
     eig = np.linalg.eig(g)
     scale = max(float(np.abs(eig[0]).max()), 1e-30)
@@ -330,39 +291,3 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
         trace_p_plus=float(np.trace(p_plus).real),
         distance_rows=rows, distance_ratios=ratios,
         extrapolation_stable=stable, raw_differences=diffs)
-
-
-@dataclass(frozen=True)
-class ParametrizedRow:
-    eps: float
-    lam: float
-    tau: float
-    trace_distance: float
-
-
-def parametrized_tau_experiment(model: RISModel, n_odd: int, eps_list) -> tuple:
-    """Fast-repetition regime along lambda = eps^((1-n)/2), tau = eps^n.
-
-    For each eps, the asymptotic state of T(lambda(eps), tau(eps)) is
-    compared (trace distance) to the asymptotic state of the
-    fast-repetition effective dynamics.  The result is a tuple of rows;
-    the distances are expected to decay quadratically in eps.
-    """
-    if n_odd < 1 or n_odd % 2 == 0:
-        raise ValueError("n_odd must be an odd integer >= 1")
-    eff = effective_asymptotic_state(effective_generator_fast_repetition(model))
-    if not eff.rank_one:
-        raise NoAsymptoticStateError("fast-repetition dynamics has no rank-one limit")
-    rows = []
-    for eps in eps_list:
-        eps = float(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        lam = eps ** ((1 - n_odd) / 2.0)
-        tau = eps ** n_odd
-        if lam > 1e3:
-            raise ValueError(f"lambda(eps) = {lam:.3e} exceeds the cost guard")
-        report = asymptotic_periodic_state(model, lam, tau)
-        rows.append(ParametrizedRow(eps, lam, tau,
-                                    trace_distance(report.asymptotic_density, eff.density)))
-    return tuple(rows)

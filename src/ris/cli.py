@@ -8,7 +8,9 @@ results CSV (fixed columns per experiment) and a metadata JSON sidecar
 (config echo with defaults filled in, package version, wall time).  CSV
 bodies are deterministic: fixed row order, 17-significant-digit floats,
 independent of the parallelism degree.  Exit codes: 0 success, 2 oracle
-tolerance failure, 1 anything else.  The environment variable RIS_MAX_DIM
+tolerance failure, 1 anything else.  ``effective`` and ``asymptotic`` read
+``regime``; fast-repetition ``asymptotic`` runs over the (lambda, tau)
+pairs of ``converge-tau``.  The environment variable RIS_MAX_DIM
 overrides the default dimension cap (n_S * n_E <= 8).
 """
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .dynamics import (
 from .linops import superop_norm
 from .spin import SpinParams, build_spin_model, closed_form_deltas, spin_asymptotic_state
 from .vanhove import (
+    FAST_REPETITION,
     converge_lambda,
     converge_lambda_interpolated,
     converge_tau,
@@ -83,7 +86,7 @@ _FIELDS = {
     "dyson_orders": ([2, 3, 4], _integer(1), "an integer >= 1"),
     "dyson_times": ([0.5, 1.0], lambda x: _number(x) and x >= 0, "a nonnegative number"),
     "t_samples": ([0.0], _number, "a number"),
-    # read by "effective" only; any other experiment rejects it
+    # read by "effective" and "asymptotic"; any other experiment rejects it
     "regime": ("weak-coupling", lambda x: x in ("weak-coupling", "fast-repetition"),
                '"weak-coupling" or "fast-repetition"'),
     "jobs": (1, _integer(1), "an integer >= 1"),
@@ -256,18 +259,26 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"$.{key}", "unknown field")
         merged[key] = _checked(key, value)
 
-    if "regime" in doc and experiment != "effective":
+    if "regime" in doc and experiment not in ("effective", "asymptotic"):
         raise ConfigError("$.regime", f"experiment {experiment!r} takes no regime; "
-                          "only 'effective' does")
+                          "only 'effective' and 'asymptotic' do")
     if experiment == "spin-oracle" and spin_params is None:
         raise ConfigError("$.model", "experiment 'spin-oracle' requires a spin model")
-    # converge-tau and dyson-check take their times from taus and dyson_times
-    needs_tau = experiment not in ("converge-tau", "dyson-check")
+    # paired experiments take their times from taus, dyson-check from dyson_times
+    paired = experiment == "converge-tau" or (
+        experiment == "asymptotic" and merged["regime"] == FAST_REPETITION)
+    needs_tau = not paired and experiment != "dyson-check"
     if "tau" not in doc and spin_params is None and needs_tau:
         raise ConfigError("$.tau", "missing required field (no spin tau to fall back on)")
     tau = doc.get("tau", spin_params.tau if spin_params else 0.0)
     if not _number(tau) or (tau <= 0 and needs_tau):
         raise ConfigError("$.tau", "expected a positive number")
+    if experiment == "asymptotic":
+        # sample times lie within one period: the shortest of the pairs
+        period = min(merged["taus"]) if paired else tau
+        for i, t in enumerate(merged["t_samples"]):
+            if not 0 <= t < period:
+                raise ConfigError(f"$.t_samples[{i}]", f"expected a time in [0, {period:g})")
 
     echo = {"experiment": experiment, "model": doc["model"], "tau": float(tau), **merged}
     return ExperimentConfig(experiment=experiment, model=model, spin_params=spin_params,
@@ -291,15 +302,25 @@ def _rows_converge(payload) -> list:
 
 
 def _rows_asymptotic(payload) -> list:
-    model, lam, tau, t_samples, eff_density = payload
+    model, lam, tau, tau_column, t_samples, eff_density = payload
     report = asymptotic_periodic_state(model, lam, tau, t_samples=t_samples)
     dist = trace_distance(report.asymptotic_density, eff_density)
+    lead = (lam, tau) if tau_column else (lam,)
     rows = []
     for t, rho in report.period_samples:
         # row-major entries, each as (re, im): the column order of the header
         entries = np.stack([rho.real, rho.imag], axis=-1).reshape(-1)
-        rows.append((lam, t, *entries, dist))
+        rows.append((*lead, t, *entries, dist))
     return rows
+
+
+def _pairs(config: ExperimentConfig) -> list:
+    """(lambda, tau) pairs of the fast-repetition regime: one lambda for all taus, or one each."""
+    if len(config.lambdas) == 1:
+        return [(config.lambdas[0], t) for t in config.taus]
+    if len(config.lambdas) == len(config.taus):
+        return list(zip(config.lambdas, config.taus))
+    raise ConfigError("$.lambdas", "need one lambda or one per tau")
 
 
 def _parallel_map(fn, payloads, jobs: int) -> list:
@@ -321,26 +342,25 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
             payloads = [(converge, (model, tau, [lam], *grid, config.branch_cut_angle))
                         for lam in config.lambdas]
         else:
-            if len(config.lambdas) == 1:
-                pairs = [(config.lambdas[0], t) for t in config.taus]
-            elif len(config.lambdas) == len(config.taus):
-                pairs = list(zip(config.lambdas, config.taus))
-            else:
-                raise ConfigError("$.lambdas", "need one lambda or one per tau")
-            payloads = [(converge_tau, (model, [pair], *grid)) for pair in pairs]
+            payloads = [(converge_tau, (model, [pair], *grid)) for pair in _pairs(config)]
         chunks = _parallel_map(_rows_converge, payloads, jobs)
         rows = sorted(r for chunk in chunks for r in chunk)
         return ["parameter", "s", "error"], rows, extras, 0
 
     if config.experiment == "asymptotic":
-        eff = effective_asymptotic_state(effective_generator_weak_coupling(
-            model, tau, config.branch_cut_angle))
+        fast = config.regime == FAST_REPETITION
+        if fast:
+            gen, pairs = effective_generator_fast_repetition(model), _pairs(config)
+        else:
+            gen = effective_generator_weak_coupling(model, tau, config.branch_cut_angle)
+            pairs = [(lam, tau) for lam in config.lambdas]
+        eff = effective_asymptotic_state(gen)
         if not eff.rank_one:
             raise NoAsymptoticStateError("effective dynamics has no rank-one limit")
-        payloads = [(model, lam, tau, config.t_samples, eff.density) for lam in config.lambdas]
+        payloads = [(model, lam, t, fast, config.t_samples, eff.density) for lam, t in pairs]
         chunks = _parallel_map(_rows_asymptotic, payloads, jobs)
         rows = sorted(r for chunk in chunks for r in chunk)
-        header = ["lambda", "t"]
+        header = ["lambda", "tau", "t"] if fast else ["lambda", "t"]
         for i in range(model.n_s):
             for j in range(model.n_s):
                 header.extend([f"rho_{i}{j}_re", f"rho_{i}{j}_im"])

@@ -107,70 +107,3 @@ def spin_asymptotic_state(p: SpinParams) -> np.ndarray:
         raise NoAsymptoticStateError("delta_0 + delta_1 = 0 (resonant tau kills "
                                      "both kernels)")
     return np.diag([d1, d0]).astype(complex) / (d0 + d1)
-
-
-@dataclass(frozen=True)
-class SpinGeneratorReport:
-    """Pipeline generator vs closed forms, in the basis {u00, u11, u01, u10}.
-
-    ``block_offdiagonal_defect``: norm of the coupling between the
-    population sector {u00, u11} and the coherence sector {u01, u10}
-    (zero in exact arithmetic).  ``diag_deviation``: max deviation of the
-    population block from [[d0, -d0], [-d1, d1]] (a = d = 0 only).
-    ``offdiagonal_bounds``: rows (tau, re01, re10, bound, slack, ok)
-    checking Re<u01|gen|u01> <= -(tau^2/2)(|b|^2+|c|^2) up to the stated
-    cubic slack, and likewise for u10.
-    """
-    unitality_defect: float
-    block_offdiagonal_defect: float
-    diag_deviation: float | None
-    delta0_closed: float
-    delta1_closed: float
-    delta0_pipeline: float
-    delta1_pipeline: float
-    offdiagonal_bounds: tuple
-
-
-# reorder vec indices (u00,u01,u10,u11) -> (u00,u11,u01,u10)
-_SECTOR_ORDER = (0, 3, 1, 2)
-
-
-def closed_form_generator_checks(p: SpinParams, bound_taus=(0.1, 0.05)) -> SpinGeneratorReport:
-    """Compare the numerically built weak-coupling generator with the closed forms."""
-    from .vanhove import effective_generator_weak_coupling
-
-    model = build_spin_model(p)
-    gen = effective_generator_weak_coupling(model, p.tau).generator.matrix
-    g = gen[np.ix_(_SECTOR_ORDER, _SECTOR_ORDER)]
-    d0, d1 = closed_form_deltas(p)
-
-    unitality = float(np.abs(gen @ np.eye(2).reshape(-1)).max())
-    off_block = float(np.linalg.norm(g[:2, 2:], 2) + np.linalg.norm(g[2:, :2], 2))
-    if p.a == 0 and p.d == 0:
-        expected = np.array([[d0, -d0], [-d1, d1]])
-        diag_dev = float(np.abs(g[:2, :2] - expected).max())
-    else:
-        diag_dev = None
-
-    bounds = []
-    for tau in bound_taus:
-        pt = SpinParams(S=p.S, E=p.E, beta=p.beta, b=p.b, c=p.c, tau=tau, a=p.a, d=p.d)
-        gt = effective_generator_weak_coupling(build_spin_model(pt), tau).generator.matrix
-        re01 = float(gt[1, 1].real)
-        re10 = float(gt[2, 2].real)
-        bnorm = np.linalg.norm(np.array([[pt.a, pt.b], [pt.c, pt.d]], dtype=complex), 2)
-        bound = -(tau ** 2 / 2.0) * pt.coupling_strength
-        slack = 10.0 * tau ** 3 * bnorm ** 2
-        ok = re01 <= bound + slack and re10 <= bound + slack
-        bounds.append((tau, re01, re10, bound, slack, ok))
-
-    return SpinGeneratorReport(
-        unitality_defect=unitality,
-        block_offdiagonal_defect=off_block,
-        diag_deviation=diag_dev,
-        delta0_closed=d0,
-        delta1_closed=d1,
-        delta0_pipeline=float(gen[0, 0].real),
-        delta1_pipeline=float(gen[3, 3].real),
-        offdiagonal_bounds=tuple(bounds),
-    )

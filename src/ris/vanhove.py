@@ -93,19 +93,25 @@ def _sector_average(model: RISModel, b: Superoperator, freqs: np.ndarray):
     return labels, Superoperator(frame @ masked @ frame.conj().T)
 
 
-def second_order_term(model: RISModel, tau: float) -> Superoperator:
-    """E_S phi_{SE,2}^tau restricted to M_S, from the n-sized Taylor stack.
+def _second_order_reduction(model: RISModel, tau: float) -> np.ndarray:
+    """R, the lambda^2 coefficient of the reduced map T(lambda, tau), from the n-sized Taylor stack.
 
     e^{i tau (H0 + lambda v)} = U0 + lambda U1 + lambda^2 U2 + O(lambda^3), the U_k read off
-    one 3n-sided exponential (:func:`_taylor_stack`).  Since phi_SE^tau = sum_k (i lambda)^k
-    phi_{SE,k}^tau alpha_SE^tau, the term is -R ∘ alpha_S^{-tau} with
+    one 3n-sided exponential (:func:`_taylor_stack`), and
     R(x) = Tr_E[(I (x) rho_E)(U2 (x (x) I) U0^† + U1 (x (x) I) U1^† + U0 (x (x) I) U2^†)].
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     u0, u1, u2 = _taylor_stack(model, 2, tau)
-    r = _pair_reduction(model, [u2, u1, u0], [u0, u1, u2])
-    return Superoperator(-r) @ system_free_evolution(model, -tau)
+    return _pair_reduction(model, [u2, u1, u0], [u0, u1, u2])
+
+
+def second_order_term(model: RISModel, tau: float) -> Superoperator:
+    """E_S phi_{SE,2}^tau restricted to M_S: -R ∘ alpha_S^{-tau}.
+
+    Since phi_SE^tau = sum_k (i lambda)^k phi_{SE,k}^tau alpha_SE^tau, with R the lambda^2
+    coefficient of T(lambda, tau) (:func:`_second_order_reduction`)."""
+    return Superoperator(-_second_order_reduction(model, tau)) @ system_free_evolution(model, -tau)
 
 
 def effective_generator_weak_coupling(model: RISModel, tau: float,

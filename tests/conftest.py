@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from ris import RISModel, SpinParams
+from ris.cli import parse_config, run
 
 
 @pytest.fixture
@@ -37,6 +41,27 @@ def spin_base(**overrides):
     kw = dict(S=1.0, E=2.0, beta=1.0, b=1.0, c=1.0, tau=1.0)
     kw.update(overrides)
     return SpinParams(**kw)
+
+
+def cli_trace_distances(out_dir, params: SpinParams, **fields) -> dict:
+    """{(lambda, tau): trace_distance} of the CLI ``asymptotic`` experiment on a spin model.
+
+    One ``parse_config`` + ``run`` with the default ``t_samples`` [0], so one
+    row per (lambda, tau); ``fields`` are config fields such as ``lambdas``,
+    ``taus`` and ``regime``.  Weak-coupling rows carry the model's tau.
+    """
+    spin = {key: [value.real, value.imag] if isinstance(value, complex) else value
+            for key, value in dataclasses.asdict(params).items()}
+    doc = {"experiment": "asymptotic", "model": {"spin": spin}, **fields}
+    out = out_dir / "asymptotic.csv"
+    assert run(parse_config(json.dumps(doc)), out_path=str(out)) == 0
+    header, *lines = out.read_text().splitlines()
+    columns = header.split(",")
+    distances = {}
+    for line in lines:
+        row = dict(zip(columns, map(float, line.split(","))))
+        distances[row["lambda"], row.get("tau", params.tau)] = row["trace_distance"]
+    return distances
 
 
 def random_two_level_model(rng, safe_gap=True):

@@ -191,21 +191,18 @@ def cesaro_average(b: Superoperator, a0: Superoperator,
     x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
     offsets = 0.5 * h * (x + 1.0)
 
-    e_offsets = [matrix_exp(u * m) for u in offsets]
+    e_offsets = np.stack([matrix_exp(u * m) for u in offsets])
     e_panel = matrix_exp(h * m)
-    e_start = matrix_exp(-t_total * m)
+    starts = [matrix_exp(-t_total * m)]
+    for _ in range(panels - 1):
+        starts.append(starts[-1] @ e_panel)
 
-    acc = np.zeros_like(b.matrix)
-    bm = b.matrix
-    for p in range(panels):
-        t0 = -t_total + p * h
-        for i, e_off in enumerate(e_offsets):
-            t = t0 + offsets[i]
-            e_t = e_start @ e_off
-            weight = (0.5 * h * w[i]) * (1.0 - abs(t) / t_total) / t_total
-            acc += weight * (e_t @ bm @ e_t.conj().T)
-        e_start = e_start @ e_panel
-    return Superoperator(acc)
+    # e^{tA0} at every node t = t0 + offset of every panel, as one batched product
+    e_t = np.stack(starts)[:, None] @ e_offsets[None]
+    t = (-t_total + np.arange(panels) * h)[:, None] + offsets[None, :]
+    weights = (0.5 * h * w) * (1.0 - np.abs(t) / t_total) / t_total
+    conjugated = e_t @ b.matrix @ e_t.conj().swapaxes(-1, -2)
+    return Superoperator(np.einsum("pn,pnij->ij", weights, conjugated))
 
 
 def _branch_log(alpha: Superoperator, branch_cut_angle: float | None):

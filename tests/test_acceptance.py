@@ -10,10 +10,8 @@ import numpy as np
 
 from ris.asymptotic import (
     asymptotic_periodic_state,
-    compare_orders,
     effective_asymptotic_state,
     kato_structure_check,
-    parametrized_tau_experiment,
     trace_distance,
 )
 from ris.dynamics import (
@@ -36,7 +34,7 @@ from ris.vanhove import (
     second_order_term,
 )
 
-from conftest import random_two_level_model, spin_base
+from conftest import cli_trace_distances, random_two_level_model, spin_base
 from oracles import cesaro_average, full_generator, log_generator_A0, spectral_average
 
 
@@ -156,33 +154,39 @@ def test_criterion_07_dyson_bound():
            f"quad gap = {quad_gap:.2e}; " + "; ".join(details))
 
 
-def test_criterion_08_asymptotic_state_order():
-    model = build_spin_model(spin_base())
-    comparison = compare_orders(model, 1.0, [0.2, 0.1, 0.05])
-    ok = all(3.0 <= r <= 5.0 for r in comparison.ratios)
+def test_criterion_08_asymptotic_state_order(tmp_path):
+    lambdas = [0.2, 0.1, 0.05]
+    dists = cli_trace_distances(tmp_path, spin_base(), lambdas=lambdas)
+    ratios = [dists[l1, 1.0] / dists[l2, 1.0] for l1, l2 in zip(lambdas, lambdas[1:])]
+    ok = all(3.0 <= r <= 5.0 for r in ratios)
     report(8, "asymptotic-state order: trace-distance ratios across "
               "lambda-halvings in [3, 5]",
-           ok, f"ratios = {[f'{r:.2f}' for r in comparison.ratios]}")
+           ok, f"ratios = {[f'{r:.2f}' for r in ratios]}")
 
 
-def test_criterion_09_parametrized_regime():
+def _fast_repetition_distances(tmp_path, n_odd: int, eps_list) -> list:
+    """CLI fast-repetition distances at (lambda, tau) = (eps^((1-n)/2), eps^n)."""
+    pairs = [(eps ** ((1 - n_odd) / 2.0), eps ** n_odd) for eps in eps_list]
+    dists = cli_trace_distances(tmp_path, spin_base(), regime="fast-repetition",
+                                lambdas=[lam for lam, _ in pairs], taus=[t for _, t in pairs])
+    return [dists[pair] for pair in pairs]
+
+
+def test_criterion_09_parametrized_regime(tmp_path):
     model = build_spin_model(spin_base())
-    rows = parametrized_tau_experiment(model, 1, [0.2, 0.1, 0.05])
-    dists = [r.trace_distance for r in rows]
+    dists = _fast_repetition_distances(tmp_path, 1, [0.2, 0.1, 0.05])
     ratios = [dists[0] / dists[1], dists[1] / dists[2]]
     decreasing = dists[0] > dists[1] > dists[2]
     # the n=1 and n=3 parametrization curves cross at eps = 1
-    row1, = parametrized_tau_experiment(model, 1, [1.0])
-    row3, = parametrized_tau_experiment(model, 3, [1.0])
-    cross_gap = abs(row1.trace_distance - row3.trace_distance)
+    cross_gap = abs(_fast_repetition_distances(tmp_path, 1, [1.0])[0]
+                    - _fast_repetition_distances(tmp_path, 3, [1.0])[0])
     # and every n=3 point agrees with a direct computation at its (lambda, tau)
     eps = 0.6
-    row, = parametrized_tau_experiment(model, 3, [eps])
     eff = effective_asymptotic_state(effective_generator_fast_repetition(model))
     direct = trace_distance(
         asymptotic_periodic_state(model, eps ** -1.0, eps ** 3).asymptotic_density,
         eff.density)
-    direct_gap = abs(row.trace_distance - direct)
+    direct_gap = abs(_fast_repetition_distances(tmp_path, 3, [eps])[0] - direct)
     ok = decreasing and all(r >= 3.0 for r in ratios) and cross_gap <= 1e-9 \
         and direct_gap <= 1e-9
     report(9, "parametrized regime: n=1 distances decreasing with ratios "

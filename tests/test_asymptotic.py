@@ -5,23 +5,28 @@ from ris.asymptotic import (
     JordanDefectError,
     _eigenprojection_near,
     asymptotic_periodic_state,
-    compare_orders,
     effective_asymptotic_state,
     kato_structure_check,
     limit_projection,
-    parametrized_tau_experiment,
     peripheral_spectrum,
     trace_distance,
 )
-from ris.dynamics import NoAsymptoticStateError, RISModel, reduced_map_T
-from ris.linops import Superoperator, superop_norm
+from ris.dynamics import NoAsymptoticStateError, RISModel, reduced_map_T, system_free_evolution
+from ris.linops import Superoperator, matrix_exp, superop_norm
 from ris.spin import build_spin_model, spin_asymptotic_state
 from ris.vanhove import (
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
+    second_order_term,
 )
 
-from conftest import random_density, random_model, random_unitary, spin_base
+from conftest import (
+    cli_trace_distances,
+    random_density,
+    random_model,
+    random_unitary,
+    spin_base,
+)
 
 
 def projection_onto_identity(rho):
@@ -167,10 +172,12 @@ class TestEffectiveAsymptoticState:
     def test_spin_generator_recovers_closed_form(self):
         params = spin_base()
         eff = effective_generator_weak_coupling(build_spin_model(params), 1.0)
-        result = effective_asymptotic_state(eff, horizon=1e3)
+        result = effective_asymptotic_state(eff)
         assert result.rank_one
         assert np.abs(result.density - spin_asymptotic_state(params)).max() <= 1e-9
-        assert result.horizon_defect <= 1e-9
+        # the flow reaches the projection x -> Tr(rho x) I it is read off
+        limit = projection_onto_identity(result.density)
+        assert superop_norm(matrix_exp(1e3 * eff.generator.matrix) - limit.matrix) <= 1e-9
 
     def test_system_only_coupling_never_mixes(self):
         # b = c = 0 with a = d makes v a pure system operator (x) I: the
@@ -193,17 +200,18 @@ class TestEffectiveAsymptoticState:
 
 
 class TestCompareOrders:
-    def test_infinite_temperature_distances_vanish(self):
-        model = build_spin_model(spin_base(beta=0.0))
-        comparison = compare_orders(model, 1.0, [0.2, 0.1])
-        assert all(d <= 1e-10 for _, d in comparison.rows)
+    """Exact periodic states against the weak-coupling limit, through the CLI ``asymptotic``."""
 
-    def test_quadratic_decay(self):
-        model = build_spin_model(spin_base())
-        comparison = compare_orders(model, 1.0, [0.2, 0.1])
-        (l1, d1), (l2, d2) = comparison.rows
+    def test_infinite_temperature_distances_vanish(self, tmp_path):
+        dists = cli_trace_distances(tmp_path, spin_base(beta=0.0), lambdas=[0.2, 0.1])
+        assert len(dists) == 2
+        assert all(d <= 1e-10 for d in dists.values())
+
+    def test_quadratic_decay(self, tmp_path):
+        dists = cli_trace_distances(tmp_path, spin_base(), lambdas=[0.2, 0.1])
+        d1, d2 = dists[0.2, 1.0], dists[0.1, 1.0]
         assert d2 < d1
-        assert 3.0 <= comparison.ratios[0] <= 5.0
+        assert 3.0 <= d1 / d2 <= 5.0
 
 
 class TestKatoStructure:
@@ -229,6 +237,20 @@ class TestKatoStructure:
         assert all(a > b for a, b in zip(distances, distances[1:]))
         assert all(1.5 <= r <= 3.0 for r in report.distance_ratios)
 
+    def test_t_prime_is_the_first_order_coefficient(self):
+        # under H1, T(sqrt(eps)) = T(0) + eps T'(0) + O(eps^2): the difference
+        # quotient approaches T'(0) at O(eps)
+        model = build_spin_model(spin_base())
+        t_prime = kato_structure_check(model, 1.0, [0.02, 0.01]).t_prime
+        t0 = reduced_map_T(model, 0.0, 1.0)
+        errors = [superop_norm((reduced_map_T(model, np.sqrt(eps), 1.0) - t0) * (1.0 / eps)
+                               - t_prime) for eps in (1e-2, 5e-3)]
+        assert errors[1] < errors[0] <= 1e-2 * superop_norm(t_prime)
+        assert 1.8 <= errors[0] / errors[1] <= 2.2
+        # and it is -(second_order_term ∘ alpha_S^tau), the lambda^2 term of T
+        via_term = -1.0 * (second_order_term(model, 1.0) @ system_free_evolution(model, 1.0))
+        assert superop_norm(t_prime - via_term) <= 1e-15
+
     def test_requires_positive_eps(self):
         model = build_spin_model(spin_base())
         with pytest.raises(ValueError, match="positive"):
@@ -243,42 +265,32 @@ class TestKatoStructure:
 
 
 class TestParametrizedTauExperiment:
-    def test_parametrization_arithmetic(self):
-        model = build_spin_model(spin_base())
-        rows = parametrized_tau_experiment(model, 1, [0.2, 0.1])
-        assert [r.lam for r in rows] == [1.0, 1.0]
-        assert [r.tau for r in rows] == [0.2, 0.1]
-        rows3 = parametrized_tau_experiment(model, 3, [0.5])
-        assert rows3[0].lam == pytest.approx(2.0)
-        assert rows3[0].tau == pytest.approx(0.125)
+    """Fast-repetition CLI ``asymptotic`` rows along (lambda, tau) = (eps^((1-n)/2), eps^n)."""
 
-    def test_rejects_even_order(self):
-        model = build_spin_model(spin_base())
-        with pytest.raises(ValueError, match="odd"):
-            parametrized_tau_experiment(model, 2, [0.1])
+    @staticmethod
+    def distance(tmp_path, n_odd, eps):
+        pair = (eps ** ((1 - n_odd) / 2.0), eps ** n_odd)
+        dists = cli_trace_distances(tmp_path, spin_base(), regime="fast-repetition",
+                                    lambdas=[pair[0]], taus=[pair[1]])
+        return dists[pair]
 
-    def test_distances_decrease(self):
-        model = build_spin_model(spin_base())
-        rows = parametrized_tau_experiment(model, 1, [0.2, 0.1])
-        assert rows[1].trace_distance < rows[0].trace_distance
+    def test_distances_decrease(self, tmp_path):
+        d1, d2 = (self.distance(tmp_path, 1, eps) for eps in (0.2, 0.1))
+        assert d2 < d1
 
-    def test_parametrizations_agree_where_curves_cross(self):
+    def test_parametrizations_agree_where_curves_cross(self, tmp_path):
         # the n=1 and n=3 curves intersect at eps=1, i.e. (lambda, tau) = (1, 1)
-        model = build_spin_model(spin_base())
-        row1, = parametrized_tau_experiment(model, 1, [1.0])
-        row3, = parametrized_tau_experiment(model, 3, [1.0])
-        assert abs(row1.trace_distance - row3.trace_distance) <= 1e-9
+        assert abs(self.distance(tmp_path, 1, 1.0) - self.distance(tmp_path, 3, 1.0)) <= 1e-9
 
-    def test_matches_direct_computation(self):
+    def test_matches_direct_computation(self, tmp_path):
         # a state computed through the n=3 path equals the direct one at
         # the same numeric (lambda, tau): parametrization independence
         model = build_spin_model(spin_base())
         eps = 0.6
-        row, = parametrized_tau_experiment(model, 3, [eps])
         eff = effective_asymptotic_state(effective_generator_fast_repetition(model))
         direct = asymptotic_periodic_state(model, eps ** -1.0, eps ** 3)
         dist = trace_distance(direct.asymptotic_density, eff.density)
-        assert abs(row.trace_distance - dist) <= 1e-9
+        assert abs(self.distance(tmp_path, 3, eps) - dist) <= 1e-9
 
 
 class TestOneDecompositionPerMap:
@@ -303,7 +315,7 @@ class TestOneDecompositionPerMap:
     def test_effective_asymptotic_state(self, monkeypatch):
         eff = effective_generator_weak_coupling(build_spin_model(spin_base()), 1.0)
         inputs = self.decomposed(monkeypatch)
-        effective_asymptotic_state(eff, horizon=10.0)
+        effective_asymptotic_state(eff)
         assert len(inputs) == 1
 
     def test_kato_structure_check(self, monkeypatch):

@@ -119,9 +119,9 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, key, value, path):
     assert not out.exists()
 
 
-# only "effective" reads the regime: anywhere else it would be silently ignored
+# only "effective" and "asymptotic" read the regime: anywhere else it would
+# be silently ignored
 IGNORED_REGIMES = [  # (experiment, regime)
-    ("asymptotic", "fast-repetition"),
     ("spin-oracle", "fast-repetition"),
     ("converge-lambda", "fast-repetition"),
     ("converge-tau", "weak-coupling"),
@@ -140,6 +140,31 @@ def test_regime_outside_effective_is_a_config_error(tmp_path, capsys, experiment
     out = tmp_path / "out.csv"
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
     assert "$.regime" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# every sample time lies in [0, tau), tau the shortest pair's in the fast-repetition regime
+BAD_SAMPLE_TIMES = [  # (extra config fields, JSON path of the error, test id)
+    ({"t_samples": [1.5]}, "$.t_samples[0]", "beyond-tau"),
+    ({"t_samples": [0.0, -0.2]}, "$.t_samples[1]", "negative"),
+    ({"t_samples": [0.5, 1.0]}, "$.t_samples[1]", "period-end"),
+    ({"tau": 0.5, "t_samples": [0.25, 0.75]}, "$.t_samples[1]", "beyond-explicit-tau"),
+    ({"regime": "fast-repetition", "lambdas": [1.0], "taus": [0.2, 0.1],
+      "t_samples": [0.0, 0.15]}, "$.t_samples[1]", "beyond-shortest-pair"),
+]
+
+
+@pytest.mark.parametrize("fields, path", [case[:2] for case in BAD_SAMPLE_TIMES],
+                         ids=[case[2] for case in BAD_SAMPLE_TIMES])
+def test_sample_time_outside_the_period_is_a_config_error(tmp_path, capsys, fields, path):
+    doc = {"model": SPIN_MODEL, "experiment": "asymptotic", "lambdas": [0.2], **fields}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == path
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "asym.csv"
+    assert main(["asymptotic", "--config", str(config), "--out", str(out)]) == 1
+    assert path in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -233,7 +258,10 @@ class TestRun:
         {"experiment": "converge-tau", "lambdas": [1.0], "taus": [0.2, 0.1], "s_max": 1.0,
          "s_steps": 5},
         {"experiment": "asymptotic", "lambdas": [0.2, 0.1], "t_samples": [0.0, 0.5]},
-    ], ids=["converge-lambda-interpolated", "converge-tau", "asymptotic"])
+        {"experiment": "asymptotic", "regime": "fast-repetition", "lambdas": [1.0, 2.0],
+         "taus": [0.2, 0.1], "t_samples": [0.0, 0.05]},
+    ], ids=["converge-lambda-interpolated", "converge-tau", "asymptotic",
+            "asymptotic-fast-repetition"])
     def test_parallel_determinism_per_experiment(self, tmp_path, doc):
         config = parse_config(json.dumps({"model": SPIN_MODEL, **doc}))
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -270,6 +298,30 @@ class TestRun:
         assert header == ("lambda,t,rho_00_re,rho_00_im,rho_01_re,rho_01_im,"
                           "rho_10_re,rho_10_im,rho_11_re,rho_11_im,trace_distance")
         assert len(rows) == 4  # two lambdas, two sample times
+
+    def test_asymptotic_fast_repetition_pairs(self, tmp_path):
+        # one lambda per tau, and no top-level tau: the inline model has none
+        doc = {"model": {"inline": INLINE}, "experiment": "asymptotic",
+               "regime": "fast-repetition", "lambdas": [1.0, 2.0], "taus": [0.2, 0.1],
+               "t_samples": [0.0, 0.05]}
+        out = tmp_path / "asym.csv"
+        assert run(parse_config(json.dumps(doc)), out_path=str(out)) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == ("lambda,tau,t,rho_00_re,rho_00_im,rho_01_re,rho_01_im,"
+                          "rho_10_re,rho_10_im,rho_11_re,rho_11_im,trace_distance")
+        cells = [tuple(map(float, line.split(","))) for line in rows]
+        assert [row[:3] for row in cells] == [(1.0, 0.2, 0.0), (1.0, 0.2, 0.05),
+                                              (2.0, 0.1, 0.0), (2.0, 0.1, 0.05)]
+        assert all(0.0 <= row[-1] <= 1.0 for row in cells)
+        meta = json.loads((tmp_path / "asym.meta.json").read_text())
+        assert meta["config"]["regime"] == "fast-repetition"
+
+    def test_asymptotic_fast_repetition_needs_matching_pairs(self, tmp_path):
+        doc = {"model": SPIN_MODEL, "experiment": "asymptotic", "regime": "fast-repetition",
+               "lambdas": [1.0, 2.0], "taus": [0.2, 0.1, 0.05]}
+        with pytest.raises(ConfigError) as err:
+            run(parse_config(json.dumps(doc)), out_path=str(tmp_path / "asym.csv"))
+        assert err.value.path == "$.lambdas"
 
     def test_converge_tau_pairs(self, tmp_path):
         doc = {"model": SPIN_MODEL, "experiment": "converge-tau",
