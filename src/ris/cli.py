@@ -5,13 +5,16 @@ Usage: ``ris <experiment> --config <path> [--out <path>] [--jobs N]``.
 Configs are JSON; complex scalars are two-element arrays [re, im] and
 complex matrices are nested lists of such pairs.  Every run writes a
 results CSV (fixed columns per experiment) and a metadata JSON sidecar
-(config echo with defaults filled in, package version, wall time).  CSV
-bodies are deterministic: fixed row order, 17-significant-digit floats,
-independent of the parallelism degree.  Exit codes: 0 success, 2 oracle
-tolerance failure, 1 anything else.  ``effective`` and ``asymptotic`` read
-``regime``; fast-repetition ``asymptotic`` runs over the (lambda, tau)
-pairs of ``converge-tau``.  The environment variable RIS_MAX_DIM
-overrides the default dimension cap (n_S * n_E <= 8).
+(config echo with defaults filled in, itself a valid config, package
+version, wall time).  CSV bodies are deterministic: fixed row order,
+17-significant-digit floats, independent of the parallelism degree.
+Exit codes: 0 success, 2 oracle tolerance failure, 1 anything else.
+``effective``, ``asymptotic`` and ``spin-oracle`` read ``regime``;
+fast-repetition ``asymptotic`` runs over the (lambda, tau) pairs of
+``converge-tau``.  A top-level ``tau``, ``branch_cut_angle`` or
+``regime`` that the run would not read is a config error.  The
+environment variable RIS_MAX_DIM overrides the default dimension cap
+(n_S * n_E <= 8).
 """
 from __future__ import annotations
 
@@ -43,7 +46,13 @@ from .dynamics import (
     interaction_dynamics,
 )
 from .linops import superop_norm
-from .spin import SpinParams, build_spin_model, closed_form_deltas, spin_asymptotic_state
+from .spin import (
+    SpinParams,
+    build_spin_model,
+    closed_form_deltas,
+    fast_repetition_deltas,
+    spin_asymptotic_state,
+)
 from .vanhove import (
     FAST_REPETITION,
     converge_lambda,
@@ -55,6 +64,8 @@ from .vanhove import (
 
 EXPERIMENTS = ("effective", "converge-lambda", "converge-tau", "asymptotic",
                "kato", "dyson-check", "spin-oracle")
+#: the experiments that read ``regime``
+REGIME_EXPERIMENTS = ("effective", "asymptotic", "spin-oracle")
 
 
 def _number(x) -> bool:
@@ -86,7 +97,7 @@ _FIELDS = {
     "dyson_orders": ([2, 3, 4], _integer(1), "an integer >= 1"),
     "dyson_times": ([0.5, 1.0], lambda x: _number(x) and x >= 0, "a nonnegative number"),
     "t_samples": ([0.0], _number, "a number"),
-    # read by "effective" and "asymptotic"; any other experiment rejects it
+    # read by REGIME_EXPERIMENTS only
     "regime": ("weak-coupling", lambda x: x in ("weak-coupling", "fast-repetition"),
                '"weak-coupling" or "fast-repetition"'),
     "jobs": (1, _integer(1), "an integer >= 1"),
@@ -228,6 +239,15 @@ def _max_dim() -> int:
         raise ConfigError("$RIS_MAX_DIM", f"not an integer: {raw!r}")
 
 
+def _pairs(lambdas: list, taus: list) -> list:
+    """(lambda, tau) pairs of the fast-repetition regime: one lambda for all taus, or one each."""
+    if len(lambdas) == 1:
+        return [(lambdas[0], t) for t in taus]
+    if len(lambdas) == len(taus):
+        return list(zip(lambdas, taus))
+    raise ConfigError("$.lambdas", "need one lambda or one per tau")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment description; fill and echo defaults."""
     try:
@@ -259,20 +279,34 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"$.{key}", "unknown field")
         merged[key] = _checked(key, value)
 
-    if "regime" in doc and experiment not in ("effective", "asymptotic"):
-        raise ConfigError("$.regime", f"experiment {experiment!r} takes no regime; "
-                          "only 'effective' and 'asymptotic' do")
     if experiment == "spin-oracle" and spin_params is None:
         raise ConfigError("$.model", "experiment 'spin-oracle' requires a spin model")
-    # paired experiments take their times from taus, dyson-check from dyson_times
-    paired = experiment == "converge-tau" or (
-        experiment == "asymptotic" and merged["regime"] == FAST_REPETITION)
-    needs_tau = not paired and experiment != "dyson-check"
-    if "tau" not in doc and spin_params is None and needs_tau:
-        raise ConfigError("$.tau", "missing required field (no spin tau to fall back on)")
-    tau = doc.get("tau", spin_params.tau if spin_params else 0.0)
-    if not _number(tau) or (tau <= 0 and needs_tau):
-        raise ConfigError("$.tau", "expected a positive number")
+    fast = merged["regime"] == FAST_REPETITION
+    weak = experiment in REGIME_EXPERIMENTS and not fast
+    # a field the run would not read is an error, not silently ignored;
+    # spin-oracle takes tau from its model, the paired runs take taus and
+    # dyson-check dyson_times
+    reads = {"regime": experiment in REGIME_EXPERIMENTS,
+             "tau": experiment in ("converge-lambda", "kato")
+                    or (weak and experiment != "spin-oracle"),
+             "branch_cut_angle": experiment == "converge-lambda" or weak}
+    for key, read in reads.items():
+        if key in doc and not read:
+            regime = " in the fast-repetition regime" if fast and reads["regime"] else ""
+            raise ConfigError(f"$.{key}", f"experiment {experiment!r}{regime} does not read it")
+    # the echo is itself a config this run accepts: it leaves out what the run ignores
+    echo = {"experiment": experiment, "model": doc["model"],
+            **{key: value for key, value in merged.items() if reads.get(key, True)}}
+    if reads["tau"]:
+        if "tau" not in doc and spin_params is None:
+            raise ConfigError("$.tau", "missing required field (no spin tau to fall back on)")
+        tau = doc["tau"] if "tau" in doc else spin_params.tau
+        if not _positive(tau):
+            raise ConfigError("$.tau", "expected a positive number")
+        echo["tau"] = float(tau)
+    paired = experiment == "converge-tau" or (experiment == "asymptotic" and fast)
+    if paired:
+        _pairs(merged["lambdas"], merged["taus"])
     if experiment == "asymptotic":
         # sample times lie within one period: the shortest of the pairs
         period = min(merged["taus"]) if paired else tau
@@ -280,7 +314,6 @@ def parse_config(text: str) -> ExperimentConfig:
             if not 0 <= t < period:
                 raise ConfigError(f"$.t_samples[{i}]", f"expected a time in [0, {period:g})")
 
-    echo = {"experiment": experiment, "model": doc["model"], "tau": float(tau), **merged}
     return ExperimentConfig(experiment=experiment, model=model, spin_params=spin_params,
                             echo=echo, **merged)
 
@@ -314,15 +347,6 @@ def _rows_asymptotic(payload) -> list:
     return rows
 
 
-def _pairs(config: ExperimentConfig) -> list:
-    """(lambda, tau) pairs of the fast-repetition regime: one lambda for all taus, or one each."""
-    if len(config.lambdas) == 1:
-        return [(config.lambdas[0], t) for t in config.taus]
-    if len(config.lambdas) == len(config.taus):
-        return list(zip(config.lambdas, config.taus))
-    raise ConfigError("$.lambdas", "need one lambda or one per tau")
-
-
 def _parallel_map(fn, payloads, jobs: int) -> list:
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
@@ -332,7 +356,7 @@ def _parallel_map(fn, payloads, jobs: int) -> list:
 
 def _run_experiment(config: ExperimentConfig, jobs: int):
     """Returns (header, rows, metadata_extras, exit_code)."""
-    model, tau = config.model, config.echo["tau"]
+    model, tau = config.model, config.echo.get("tau")
     extras = {}
 
     if config.experiment in ("converge-lambda", "converge-tau"):
@@ -342,7 +366,8 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
             payloads = [(converge, (model, tau, [lam], *grid, config.branch_cut_angle))
                         for lam in config.lambdas]
         else:
-            payloads = [(converge_tau, (model, [pair], *grid)) for pair in _pairs(config)]
+            payloads = [(converge_tau, (model, [pair], *grid))
+                        for pair in _pairs(config.lambdas, config.taus)]
         chunks = _parallel_map(_rows_converge, payloads, jobs)
         rows = sorted(r for chunk in chunks for r in chunk)
         return ["parameter", "s", "error"], rows, extras, 0
@@ -350,7 +375,8 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
     if config.experiment == "asymptotic":
         fast = config.regime == FAST_REPETITION
         if fast:
-            gen, pairs = effective_generator_fast_repetition(model), _pairs(config)
+            gen = effective_generator_fast_repetition(model)
+            pairs = _pairs(config.lambdas, config.taus)
         else:
             gen = effective_generator_weak_coupling(model, tau, config.branch_cut_angle)
             pairs = [(lam, tau) for lam in config.lambdas]
@@ -416,13 +442,17 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
 
     if config.experiment == "spin-oracle":
         params = config.spin_params
-        d0, d1 = closed_form_deltas(params)
-        eff = effective_generator_weak_coupling(model, params.tau, config.branch_cut_angle)
+        if config.regime == FAST_REPETITION:
+            deltas, eff = fast_repetition_deltas, effective_generator_fast_repetition(model)
+        else:
+            deltas = closed_form_deltas
+            eff = effective_generator_weak_coupling(model, params.tau, config.branch_cut_angle)
+        d0, d1 = deltas(params)
         g = eff.generator.matrix
         rows = [("delta0", d0, g[0, 0].real, abs(g[0, 0].real - d0)),
                 ("delta1", d1, g[-1, -1].real, abs(g[-1, -1].real - d1))]
         if params.S != 0 and params.coupling_strength > 0:
-            rho_closed = spin_asymptotic_state(params)
+            rho_closed = spin_asymptotic_state(params, deltas)
             rho_pipe = effective_asymptotic_state(eff).density
             for i in range(2):
                 rows.append((f"rho_{i}{i}", rho_closed[i, i].real, rho_pipe[i, i].real,

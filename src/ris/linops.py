@@ -11,13 +11,18 @@ Conventions used throughout the package:
   Hilbert-Schmidt norm on matrices, i.e. the largest singular value of the
   n^2 x n^2 matrix.  It differs from the operator-norm-induced norm by a
   factor of at most sqrt(n).
+
+scipy is imported on first use, inside the functions that call it, not
+at module level: ``scipy.linalg`` took about 0.36 s of a 0.5 s cold
+``import ris`` (scipy 1.17, numpy 2.4, 2-vCPU x86-64 host), and only
+:func:`matrix_exp` needs it in production.  Once loaded it is found in
+``sys.modules``, so each later import statement costs about 0.2 us.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class BranchCutCollisionError(ValueError):
@@ -190,6 +195,7 @@ def matrix_exp(a: Superoperator | np.ndarray):
         raise ValueError("matrix_exp: input has non-finite entries")
     if not a.any():
         return np.eye(a.shape[0], dtype=complex)
+    import scipy.linalg
     return scipy.linalg.expm(a)
 
 
@@ -280,6 +286,7 @@ def spectral_decompose(a: Superoperator | np.ndarray,
     scale = max(1.0, float(np.linalg.norm(m, "fro")) ** 2)
     if normality_defect(m) > 1e-10 * scale:
         raise ValueError("input is not normal within 1e-10")
+    import scipy.linalg
     t, z = scipy.linalg.schur(m, output="complex")
     eigs = np.diag(t)
     groups, degenerate = _cluster_indices(eigs, tol)
@@ -348,6 +355,7 @@ def matrix_log_unitary(u: Superoperator | np.ndarray,
     if defect > 1e-8:
         raise ValueError(f"input is not unitary: ||u†u - I|| = {defect:.3e}")
 
+    import scipy.linalg
     t, z = scipy.linalg.schur(m, output="complex")
     shifted = wrap_to_cut(np.angle(np.diag(t)), branch_cut_angle)
     log_m = z @ (1j * shifted[:, None] * z.conj().T)

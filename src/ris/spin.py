@@ -16,7 +16,9 @@ effective generator then have the closed forms
 with w = e^{-beta E} and K(x) = (1 - cos(tau x))/x^2, extended by its
 limit tau^2/2 at the resonance x = 0.  Both are <= 0; when S != 0 and
 |b|^2 + |c|^2 != 0 the effective dynamics relaxes to the state
-diag(delta_1, delta_0)/(delta_0 + delta_1).
+diag(delta_1, delta_0)/(delta_0 + delta_1).  The fast-repetition
+generator has the small-tau limits delta_i/tau^2 on its diagonal and
+relaxes to the same form of state built from them.
 
 These formulas are evaluated directly, independently of the simulation
 pipeline, and serve as its oracle.
@@ -95,14 +97,19 @@ def fast_repetition_deltas(p: SpinParams) -> tuple[float, float]:
             float(pref * (abs(p.b) ** 2 + w * abs(p.c) ** 2)))
 
 
-def spin_asymptotic_state(p: SpinParams) -> np.ndarray:
-    """Asymptotic density matrix diag(delta_1, delta_0)/(delta_0 + delta_1)."""
+def spin_asymptotic_state(p: SpinParams, deltas=closed_form_deltas) -> np.ndarray:
+    """Asymptotic density matrix diag(delta_1, delta_0)/(delta_0 + delta_1).
+
+    ``deltas`` gives (delta_0, delta_1): :func:`closed_form_deltas` for the
+    weak-coupling state, :func:`fast_repetition_deltas` for the
+    fast-repetition one.
+    """
     if p.S == 0:
         raise NoAsymptoticStateError("S = 0: free system dynamics never mixes "
                                      "the populations")
     if p.coupling_strength == 0:
         raise NoAsymptoticStateError("|b|^2 + |c|^2 = 0: both relaxation rates vanish")
-    d0, d1 = closed_form_deltas(p)
+    d0, d1 = deltas(p)
     if d0 + d1 == 0:
         raise NoAsymptoticStateError("delta_0 + delta_1 = 0 (resonant tau kills "
                                      "both kernels)")

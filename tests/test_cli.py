@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ris.cli
-import ris.linops
 from ris.cli import ConfigError, main, parse_config, run
 from ris.linops import commutator_superop, superop_norm
+from ris.spin import fast_repetition_deltas
 
 from conftest import random_model
 
@@ -70,6 +70,14 @@ class TestParseConfig:
         reparsed = parse_config(json.dumps(config.echo))
         assert np.array_equal(reparsed.model.v, config.model.v)
 
+    @pytest.mark.parametrize("fields", [
+        {"experiment": e} for e in ris.cli.EXPERIMENTS] + [
+        {"experiment": e, "regime": "fast-repetition"} for e in ris.cli.REGIME_EXPERIMENTS],
+        ids=lambda f: "-".join(f.values()))
+    def test_echo_reparses_to_the_same_echo(self, fields):
+        config = parse_config(json.dumps({"model": SPIN_MODEL, "lambdas": [0.2], **fields}))
+        assert parse_config(json.dumps(config.echo)).echo == config.echo
+
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("RIS_MAX_DIM", "2")
         with pytest.raises(ConfigError, match="cap"):
@@ -119,10 +127,10 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, key, value, path):
     assert not out.exists()
 
 
-# only "effective" and "asymptotic" read the regime: anywhere else it would
-# be silently ignored
+# only "effective", "asymptotic" and "spin-oracle" read the regime: anywhere
+# else it would be silently ignored
 IGNORED_REGIMES = [  # (experiment, regime)
-    ("spin-oracle", "fast-repetition"),
+    ("dyson-check", "weak-coupling"),
     ("converge-lambda", "fast-repetition"),
     ("converge-tau", "weak-coupling"),
     ("kato", "weak-coupling"),
@@ -141,6 +149,52 @@ def test_regime_outside_effective_is_a_config_error(tmp_path, capsys, experiment
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
     assert "$.regime" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a top-level tau or a branch cut where the run reads neither would be silently ignored
+IGNORED_FIELDS = [  # (experiment, extra config fields, JSON path of the error)
+    ("converge-tau", {"tau": 1.0}, "$.tau"),
+    ("asymptotic", {"regime": "fast-repetition", "lambdas": [1.0], "tau": 1.0}, "$.tau"),
+    ("effective", {"regime": "fast-repetition", "tau": 1.0}, "$.tau"),
+    ("dyson-check", {"tau": 1.0}, "$.tau"),
+    ("spin-oracle", {"tau": 5.0}, "$.tau"),
+    ("converge-tau", {"branch_cut_angle": 0.5}, "$.branch_cut_angle"),
+    ("kato", {"branch_cut_angle": 0.5}, "$.branch_cut_angle"),
+    ("dyson-check", {"branch_cut_angle": None}, "$.branch_cut_angle"),
+    ("effective", {"regime": "fast-repetition", "branch_cut_angle": 0.5},
+     "$.branch_cut_angle"),
+    ("asymptotic", {"regime": "fast-repetition", "lambdas": [1.0], "branch_cut_angle": 0.5},
+     "$.branch_cut_angle"),
+    ("spin-oracle", {"regime": "fast-repetition", "branch_cut_angle": 0.5},
+     "$.branch_cut_angle"),
+]
+
+
+@pytest.mark.parametrize("experiment, fields, path", IGNORED_FIELDS,
+                         ids=[f"{e}-{'-'.join(f)}" for e, f, _ in IGNORED_FIELDS])
+def test_ignored_tau_or_branch_cut_is_a_config_error(tmp_path, capsys, experiment, fields,
+                                                     path):
+    doc = {"model": SPIN_MODEL, "experiment": experiment, **fields}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == path
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the fast-repetition regime pairs one lambda with every tau, or one with each
+@pytest.mark.parametrize("fields", [
+    {"experiment": "converge-tau"},
+    {"experiment": "asymptotic", "regime": "fast-repetition"},
+], ids=["converge-tau", "asymptotic-fast-repetition"])
+def test_unpaired_lambdas_are_a_parse_error(fields):
+    doc = {"model": SPIN_MODEL, "lambdas": [1.0, 2.0], "taus": [0.2, 0.1, 0.05], **fields}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == "$.lambdas"
 
 
 # every sample time lies in [0, tau), tau the shortest pair's in the fast-repetition regime
@@ -270,7 +324,7 @@ class TestRun:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_dyson_check(self, tmp_path):
-        doc = {"model": SPIN_MODEL, "experiment": "dyson-check", "tau": 1.0,
+        doc = {"model": SPIN_MODEL, "experiment": "dyson-check",
                "dyson_times": [0.5], "dyson_orders": [2, 3]}
         out = tmp_path / "dyson.csv"
         assert run(parse_config(json.dumps(doc)), out_path=str(out)) == 0
@@ -335,7 +389,7 @@ class TestRun:
 
     def test_effective_fast_repetition(self, tmp_path):
         doc = {"model": SPIN_MODEL, "experiment": "effective",
-               "regime": "fast-repetition", "tau": 1.0}
+               "regime": "fast-repetition"}
         out = tmp_path / "eff.csv"
         assert run(parse_config(json.dumps(doc)), out_path=str(out)) == 0
         meta = json.loads((tmp_path / "eff.meta.json").read_text())
@@ -343,6 +397,41 @@ class TestRun:
         header, *rows = out.read_text().splitlines()
         assert header == "row,col,entry_re,entry_im"
         assert len(rows) == 16
+
+    def test_effective_fast_repetition_needs_no_tau(self, tmp_path):
+        # the fast-repetition generator does not depend on tau: the inline model has none
+        doc = {"model": {"inline": INLINE}, "experiment": "effective",
+               "regime": "fast-repetition"}
+        config = parse_config(json.dumps(doc))
+        assert "tau" not in config.echo
+        out = tmp_path / "eff.csv"
+        assert run(config, out_path=str(out)) == 0
+        assert len(out.read_text().splitlines()) == 17
+
+    @pytest.mark.parametrize("spin_fields", [{}, {"S": 0.5, "E": 1.5, "beta": 0.3},
+                                             {"b": [0.5, 0.5], "c": 0, "beta": 2.0}],
+                             ids=["paper", "detuned", "exchange-only"])
+    def test_spin_oracle_fast_repetition(self, tmp_path, spin_fields):
+        doc = {"model": spin(**spin_fields), "experiment": "spin-oracle",
+               "regime": "fast-repetition"}
+        config = parse_config(json.dumps(doc))
+        out = tmp_path / "oracle.csv"
+        assert run(config, out_path=str(out)) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "quantity,closed_form,pipeline,abs_diff"
+        cells = [line.split(",") for line in rows]
+        assert [c[0] for c in cells] == ["delta0", "delta1", "rho_00", "rho_11"]
+        assert all(float(c[3]) <= 1e-12 for c in cells)
+        deltas = fast_repetition_deltas(config.spin_params)
+        assert [float(c[1]) for c in cells[:2]] == list(deltas)
+
+    def test_spin_oracle_fast_repetition_out_of_tolerance_exits_2(self, tmp_path, monkeypatch):
+        def shifted(params):
+            d0, d1 = fast_repetition_deltas(params)
+            return d0 + 1e-6, d1
+        monkeypatch.setattr(ris.cli, "fast_repetition_deltas", shifted)
+        doc = {"model": SPIN_MODEL, "experiment": "spin-oracle", "regime": "fast-repetition"}
+        assert run(parse_config(json.dumps(doc)), out_path=str(tmp_path / "oracle.csv")) == 2
 
     def test_kato_metadata(self, tmp_path):
         doc = {"model": SPIN_MODEL, "experiment": "kato",
@@ -410,7 +499,7 @@ class TestDysonCheckCost:
             quadratures.append((k, t))
             return quadrature(model, k, t, *args, **kwargs)
 
-        monkeypatch.setattr(ris.linops.scipy.linalg, "expm", counting_expm)
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
         monkeypatch.setattr(ris.cli, "dyson_term_quadrature", counting_quadrature)
         assert run(config, out_path=str(tmp_path / "dyson.csv")) == 0
         assert 0 < max(sides) <= max(config.dyson_orders) * config.model.dim
