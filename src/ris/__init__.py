@@ -29,11 +29,13 @@ from .dynamics import (
 from .vanhove import (
     ConvergenceReport,
     EffectiveGenerator,
+    GridFlows,
     converge_lambda,
     converge_lambda_interpolated,
     converge_tau,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
+    grid_flows,
     second_order_term,
 )
 from .asymptotic import (

@@ -169,7 +169,7 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
     for t in t_samples:
         if not 0 <= t < tau:
             raise ValueError(f"sample time {t} outside [0, tau)")
-        partial = _reduced_map(model, lam, t)
+        partial = Superoperator(_reduced_map(model, lam, t))
         rho_t = _apply_dual(partial, rho0)
         # one extra full period must reproduce the same sample
         rho_t_shifted = _apply_dual(partial, _apply_dual(t_map, rho0))

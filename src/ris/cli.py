@@ -11,8 +11,9 @@ version, wall time).  CSV bodies are deterministic: fixed row order,
 Exit codes: 0 success, 2 oracle tolerance failure, 1 anything else.
 ``effective``, ``asymptotic`` and ``spin-oracle`` read ``regime``;
 fast-repetition ``asymptotic`` runs over the (lambda, tau) pairs of
-``converge-tau``.  A top-level ``tau``, ``branch_cut_angle`` or
-``regime`` that the run would not read is a config error.  The
+``converge-tau``.  Every field is read by some experiments only; one that
+the run would not read is a config error, and so is a repeated grid
+parameter (lambda in ``converge-lambda``, tau in ``converge-tau``).  The
 environment variable RIS_MAX_DIM overrides the default dimension cap
 (n_S * n_E <= 8).
 """
@@ -60,6 +61,7 @@ from .vanhove import (
     converge_tau,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
+    grid_flows,
 )
 
 EXPERIMENTS = ("effective", "converge-lambda", "converge-tau", "asymptotic",
@@ -283,20 +285,35 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("$.model", "experiment 'spin-oracle' requires a spin model")
     fast = merged["regime"] == FAST_REPETITION
     weak = experiment in REGIME_EXPERIMENTS and not fast
-    # a field the run would not read is an error, not silently ignored;
-    # spin-oracle takes tau from its model, the paired runs take taus and
-    # dyson-check dyson_times
+    converge = experiment in ("converge-lambda", "converge-tau")
+    paired = experiment == "converge-tau" or (experiment == "asymptotic" and fast)
+    # which runs read each field: one the run would not read is an error, not
+    # silently ignored; spin-oracle takes tau from its model, the paired runs
+    # take taus and dyson-check dyson_times
     reads = {"regime": experiment in REGIME_EXPERIMENTS,
              "tau": experiment in ("converge-lambda", "kato")
                     or (weak and experiment != "spin-oracle"),
-             "branch_cut_angle": experiment == "converge-lambda" or weak}
+             "branch_cut_angle": experiment == "converge-lambda" or weak,
+             "lambdas": converge or experiment == "asymptotic",
+             "taus": paired,
+             "eps": experiment == "kato",
+             "s_max": converge,
+             "s_steps": converge,
+             "interpolated": experiment == "converge-lambda",
+             "quadrature_order": experiment == "dyson-check",
+             "dyson_orders": experiment == "dyson-check",
+             "dyson_times": experiment == "dyson-check",
+             "t_samples": experiment == "asymptotic",
+             "tolerances": experiment == "spin-oracle",
+             "jobs": True,
+             "output": True}
     for key, read in reads.items():
         if key in doc and not read:
-            regime = " in the fast-repetition regime" if fast and reads["regime"] else ""
+            regime = f" in the {merged['regime']} regime" if reads["regime"] else ""
             raise ConfigError(f"$.{key}", f"experiment {experiment!r}{regime} does not read it")
     # the echo is itself a config this run accepts: it leaves out what the run ignores
     echo = {"experiment": experiment, "model": doc["model"],
-            **{key: value for key, value in merged.items() if reads.get(key, True)}}
+            **{key: value for key, value in merged.items() if reads[key]}}
     if reads["tau"]:
         if "tau" not in doc and spin_params is None:
             raise ConfigError("$.tau", "missing required field (no spin tau to fall back on)")
@@ -304,9 +321,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if not _positive(tau):
             raise ConfigError("$.tau", "expected a positive number")
         echo["tau"] = float(tau)
-    paired = experiment == "converge-tau" or (experiment == "asymptotic" and fast)
     if paired:
         _pairs(merged["lambdas"], merged["taus"])
+    if converge:
+        # the grid parameter keys the CSV rows: a repeat would write two row
+        # sets under one (parameter, s)
+        key = "lambdas" if experiment == "converge-lambda" else "taus"
+        for i, x in enumerate(merged[key]):
+            if x in merged[key][:i]:
+                raise ConfigError(f"$.{key}[{i}]", f"repeats the grid parameter {x!r}")
     if experiment == "asymptotic":
         # sample times lie within one period: the shortest of the pairs
         period = min(merged["taus"]) if paired else tau
@@ -360,13 +383,19 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
     extras = {}
 
     if config.experiment in ("converge-lambda", "converge-tau"):
+        # one payload per grid parameter, each through the public converge_*
+        # function; the generator and its flows e^{s gen} on the s grid are
+        # built once here and travel in every payload
         grid = (config.s_max, config.s_steps)
         if config.experiment == "converge-lambda":
             converge = converge_lambda_interpolated if config.interpolated else converge_lambda
-            payloads = [(converge, (model, tau, [lam], *grid, config.branch_cut_angle))
+            eff = effective_generator_weak_coupling(model, tau, config.branch_cut_angle)
+            flows = grid_flows(eff, *grid)
+            payloads = [(converge, (model, tau, [lam], *grid, config.branch_cut_angle, flows))
                         for lam in config.lambdas]
         else:
-            payloads = [(converge_tau, (model, [pair], *grid))
+            flows = grid_flows(effective_generator_fast_repetition(model), *grid)
+            payloads = [(converge_tau, (model, [pair], *grid, flows))
                         for pair in _pairs(config.lambdas, config.taus)]
         chunks = _parallel_map(_rows_converge, payloads, jobs)
         rows = sorted(r for chunk in chunks for r in chunk)

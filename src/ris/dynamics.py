@@ -150,8 +150,14 @@ def system_free_evolution(model: RISModel, t: float) -> Superoperator:
     With the cached eigh(h_S) = (w, q) and F = kron(q, conj q), the matrix
     kron(U, conj U) is F diag(e^{i t (w_k - w_l)}) F^†: no expm.
     """
+    return Superoperator(_free_evolution(model, t))
+
+
+def _free_evolution(model: RISModel, t) -> np.ndarray:
+    """Matrices F diag(e^{i t (w_k - w_l)}) F^† of alpha_S^t, one per entry of ``t`` (leading axes)."""
     bohr, frame = model._system_bohr
-    return Superoperator((frame * np.exp(1j * t * bohr)) @ frame.conj().T)
+    phases = np.exp(1j * np.asarray(t)[..., None] * bohr)
+    return (frame * phases[..., None, :]) @ frame.conj().T
 
 
 def _pair_reduction(model: RISModel, lefts, rights) -> np.ndarray:
@@ -160,23 +166,29 @@ def _pair_reduction(model: RISModel, lefts, rights) -> np.ndarray:
     With rho_E = sum_a p_a |a><a| and the blocks A_ab = <a|A|b>_E this is
     sum_j sum_{a,b} p_a kron(A_j,ab, conj(B_j,ab)), contracted as one GEMM
     X_A^T conj(X_B) of the stacks X[(j,a,b),(i,k)] = sqrt(p_a) <i a|A_j|k b>.
+    The A_j and B_j may carry common leading axes; the result then carries
+    them too, one GEMM per leading index.
     """
     ns, ne = model.n_s, model.n_e
     sqrt_p, frame = model._chain_frame
 
     def stack(ops):
-        x = np.stack([frame.conj().T @ a @ frame for a in ops])
-        x = x.reshape(-1, ns, ne, ns, ne).transpose(0, 2, 4, 1, 3)
-        return (x * sqrt_p[:, None, None, None]).reshape(-1, ns * ns)
+        x = frame.conj().T @ np.stack(ops, axis=-3) @ frame
+        lead = x.shape[:-3]
+        x = x.reshape(*lead, -1, ns, ne, ns, ne)
+        x = x.transpose(*range(len(lead) + 1), -3, -1, -4, -2)
+        return (x * sqrt_p[:, None, None, None]).reshape(*lead, -1, ns * ns)
 
-    m = stack(lefts).T @ stack(rights).conj()
-    return m.reshape(ns, ns, ns, ns).transpose(0, 2, 1, 3).reshape(ns * ns, ns * ns)
+    m = np.swapaxes(stack(lefts), -1, -2) @ stack(rights).conj()
+    lead = m.shape[:-2]
+    m = m.reshape(*lead, ns, ns, ns, ns).swapaxes(-3, -2)
+    return m.reshape(*lead, ns * ns, ns * ns)
 
 
-def _unitary(model: RISModel, lam: float, t: float) -> np.ndarray:
-    """U = e^{it(H_0 + lambda v)}, from the eigenphases of one eigh."""
+def _unitary(model: RISModel, lam: float, t) -> np.ndarray:
+    """U = e^{it(H_0 + lambda v)} for each entry of ``t`` (leading axes), from one eigh."""
     w, q = np.linalg.eigh(model.free_hamiltonian + lam * model.v)
-    return (q * np.exp(1j * t * w)) @ q.conj().T
+    return (q * np.exp(1j * np.asarray(t)[..., None] * w)[..., None, :]) @ q.conj().T
 
 
 def _taylor_stack(model: RISModel, order: int, t: float) -> list:
@@ -189,15 +201,18 @@ def _taylor_stack(model: RISModel, order: int, t: float) -> list:
     return np.split(matrix_exp(1j * t * block)[:model.dim], m, axis=1)
 
 
-def _reduced_map(model: RISModel, lam: float, t: float) -> Superoperator:
-    """E_S ∘ phi_SE^t on M_S for any t >= 0 (see :func:`reduced_map_T`)."""
+def _reduced_map(model: RISModel, lam: float, t) -> np.ndarray:
+    """Matrices of E_S ∘ phi_SE^t on M_S, one per entry t >= 0 of ``t`` (leading axes).
+
+    See :func:`reduced_map_T`; a stack of times shares one eigh of H_0 + lambda v.
+    """
     u = _unitary(model, lam, t)
     m = _pair_reduction(model, [u], [u])
     # the Kraus sum is unital only to a few 1e-15 and limit_projection squares
     # T up to 2^30 times: add vec(I - T(I)) vec(I)^T / n_S so T(I) = I to rounding
     eye = np.eye(model.n_s).reshape(-1)
-    m += np.outer(eye - m @ eye, eye) / model.n_s
-    return Superoperator(m)
+    m += (eye - m @ eye)[..., :, None] * eye / model.n_s
+    return m
 
 
 def interaction_dynamics(model: RISModel, lam: float, t: float) -> Superoperator:
@@ -217,7 +232,7 @@ def reduced_map_T(model: RISModel, lam: float, tau: float) -> Superoperator:
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return _reduced_map(model, lam, tau)
+    return Superoperator(_reduced_map(model, lam, tau))
 
 
 def restricted_dynamics(model: RISModel, lam: float, tau: float, t: float) -> Superoperator:
@@ -230,25 +245,71 @@ def restricted_dynamics(model: RISModel, lam: float, tau: float, t: float) -> Su
         raise ValueError("tau must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return _repeated(model, lam, tau, reduced_map_T(model, lam, tau), t)
+    t_map = reduced_map_T(model, lam, tau).matrix
+    return Superoperator(_repeated(model, lam, tau, t_map, [t])[0])
 
 
-def _repeated(model: RISModel, lam: float, tau: float, t_map: Superoperator,
-              t: float) -> Superoperator:
-    """T^n ∘ E_S phi_SE^{t1} for t = n*tau + t1, given T = ``t_map``."""
+def _steps(t: float, tau: float) -> tuple[int, float]:
+    """(n, t1) with t = n*tau + t1 and 0 <= t1 < tau.
+
+    t1 within 1e-12 of 0 or of tau snaps to 0, so that t = n*tau lands on an
+    exact power despite rounding; more than 1e12 steps is refused.
+    """
     n = int(math.floor(t / tau))
     if n > 10 ** 12:
         raise ValueError(f"{n} interaction steps exceed the cost guard (1e+12)")
     t1 = t - n * tau
-    # snap floating-point boundaries so t = n*tau lands on an exact power
     if abs(t1 - tau) <= 1e-12 * max(1.0, tau):
         n, t1 = n + 1, 0.0
     elif abs(t1) <= 1e-12 * max(1.0, tau):
         t1 = 0.0
-    t_map = t_map.power(n)
-    if t1 > 0.0:
-        t_map = t_map @ _reduced_map(model, lam, t1)
-    return t_map
+    return n, t1
+
+
+def _powers(m: np.ndarray, exponents) -> np.ndarray:
+    """m^n for each n of ``exponents``, stacked, each as np.linalg.matrix_power(m, n) forms it.
+
+    The squarings m^(2^j) are formed once and shared.  Each power multiplies
+    in the squarings of its set bits, lowest bit first, into a product that
+    starts at the lowest one; n = 0 is the identity and n = 3 is (m m) m, the
+    special cases of matrix_power.  The products, and so the rounding, are
+    those of matrix_power.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64)
+    out = np.empty((exponents.size, *m.shape), dtype=m.dtype)
+    out[...] = np.eye(m.shape[0])
+    started = np.zeros(exponents.size, dtype=bool)
+    square, rest = m, exponents.copy()
+    while True:
+        bit = (rest & 1).astype(bool)
+        later, first = bit & started, bit & ~started
+        out[later] = out[later] @ square
+        out[first] = square
+        started |= bit
+        rest >>= 1
+        if not rest.any():
+            break
+        square = square @ square
+    cubes = exponents == 3
+    if cubes.any():
+        out[cubes] = (m @ m) @ m
+    return out
+
+
+def _repeated(model: RISModel, lam: float, tau: float, t_map: np.ndarray,
+              times) -> np.ndarray:
+    """T^n ∘ E_S phi_SE^{t1} for each t = n*tau + t1 of ``times`` (:func:`_steps`), stacked.
+
+    ``t_map`` is the matrix of T; the powers share their squarings
+    (:func:`_powers`) and the partial-interval maps one eigh (:func:`_reduced_map`).
+    """
+    steps = [_steps(t, tau) for t in times]
+    maps = _powers(t_map, [n for n, _ in steps])
+    t1 = np.array([t1 for _, t1 in steps])
+    partial = t1 > 0.0
+    if partial.any():
+        maps[partial] = maps[partial] @ _reduced_map(model, lam, t1[partial])
+    return maps
 
 
 def dyson_term(model: RISModel, k: int, t: float) -> Superoperator:

@@ -178,12 +178,17 @@ def derivation_superop(h: np.ndarray) -> Superoperator:
     return 1j * commutator_superop(h)
 
 
-def superop_norm(s: Superoperator | np.ndarray) -> float:
-    """Largest singular value (norm induced by the Hilbert-Schmidt norm)."""
+def superop_norm(s: Superoperator | np.ndarray):
+    """Largest singular value (norm induced by the Hilbert-Schmidt norm).
+
+    A float for one matrix; an array of norms, one per matrix, for a stack
+    of matrices along leading axes.
+    """
     m = s.matrix if isinstance(s, Superoperator) else np.asarray(s)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    return float(norms) if m.ndim == 2 else norms
 
 
 def matrix_exp(a: Superoperator | np.ndarray):

@@ -75,7 +75,10 @@ class TestParseConfig:
         {"experiment": e, "regime": "fast-repetition"} for e in ris.cli.REGIME_EXPERIMENTS],
         ids=lambda f: "-".join(f.values()))
     def test_echo_reparses_to_the_same_echo(self, fields):
-        config = parse_config(json.dumps({"model": SPIN_MODEL, "lambdas": [0.2], **fields}))
+        # lambdas only where the run reads them
+        reads_lambdas = fields["experiment"] in ("converge-lambda", "converge-tau", "asymptotic")
+        lambdas = {"lambdas": [0.2]} if reads_lambdas else {}
+        config = parse_config(json.dumps({"model": SPIN_MODEL, **lambdas, **fields}))
         assert parse_config(json.dumps(config.echo)).echo == config.echo
 
     def test_dimension_cap(self, monkeypatch):
@@ -183,6 +186,82 @@ def test_ignored_tau_or_branch_cut_is_a_config_error(tmp_path, capsys, experimen
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+# every field is read by some runs only; anywhere else it would be silently ignored
+UNREAD_FIELDS = [  # (experiment, extra config fields, JSON path of the error)
+    ("kato", {"lambdas": [9.0], "dyson_times": [3.0], "s_steps": 7}, "$.lambdas"),
+    ("kato", {"dyson_times": [3.0]}, "$.dyson_times"),
+    ("kato", {"s_steps": 7}, "$.s_steps"),
+    ("effective", {"lambdas": [0.1]}, "$.lambdas"),
+    ("effective", {"eps": [0.02, 0.01]}, "$.eps"),
+    ("converge-lambda", {"eps": [0.02, 0.01]}, "$.eps"),
+    ("asymptotic", {"s_max": 2.0}, "$.s_max"),
+    ("spin-oracle", {"s_steps": 7}, "$.s_steps"),
+    ("converge-tau", {"interpolated": True}, "$.interpolated"),
+    ("kato", {"interpolated": False}, "$.interpolated"),
+    ("converge-lambda", {"quadrature_order": 8}, "$.quadrature_order"),
+    ("spin-oracle", {"dyson_orders": [2]}, "$.dyson_orders"),
+    ("asymptotic", {"dyson_times": [0.5]}, "$.dyson_times"),
+    ("converge-lambda", {"t_samples": [0.0]}, "$.t_samples"),
+    ("converge-lambda", {"taus": [0.1]}, "$.taus"),
+    ("asymptotic", {"taus": [0.1]}, "$.taus"),
+    ("dyson-check", {"tolerances": {"oracle": 1e-6}}, "$.tolerances"),
+]
+
+
+@pytest.mark.parametrize("experiment, fields, path", UNREAD_FIELDS,
+                         ids=[f"{e}-{'-'.join(f)}" for e, f, _ in UNREAD_FIELDS])
+def test_unread_field_is_a_config_error(tmp_path, capsys, experiment, fields, path):
+    doc = {"model": SPIN_MODEL, "experiment": experiment, **fields}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == path
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ris.cli.EXPERIMENTS)
+def test_jobs_and_output_are_read_by_every_experiment(tmp_path, experiment):
+    doc = {"model": SPIN_MODEL, "experiment": experiment, "jobs": 1,
+           "output": str(tmp_path / "out.csv")}
+    config = parse_config(json.dumps(doc))
+    assert (config.jobs, config.output) == (1, doc["output"])
+    assert (config.echo["jobs"], config.echo["output"]) == (1, doc["output"])
+
+
+# the grid parameter keys the converge rows (parameter, s): a repeat writes two
+# row sets under one key, which for converge-tau hold different errors
+REPEATED_PARAMETERS = [  # (experiment, extra config fields, JSON path of the error)
+    ("converge-lambda", {"lambdas": [0.2, 0.1, 0.2]}, "$.lambdas[2]"),
+    ("converge-lambda", {"lambdas": [0.1, 0.1], "interpolated": True}, "$.lambdas[1]"),
+    ("converge-tau", {"lambdas": [1, 2], "taus": [0.1, 0.1]}, "$.taus[1]"),
+    ("converge-tau", {"lambdas": [1.0], "taus": [0.2, 0.1, 0.2]}, "$.taus[2]"),
+]
+
+
+@pytest.mark.parametrize("experiment, fields, path", REPEATED_PARAMETERS,
+                         ids=[f"{e}-{path}" for e, _, path in REPEATED_PARAMETERS])
+def test_repeated_grid_parameter_is_a_parse_error(tmp_path, capsys, experiment, fields, path):
+    doc = {"model": SPIN_MODEL, "experiment": experiment, "s_steps": 3, **fields}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == path
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_lambda_across_pairs_is_accepted():
+    # converge-tau keys its rows by tau: one lambda shared by two taus is fine
+    config = parse_config(json.dumps({"model": SPIN_MODEL, "experiment": "converge-tau",
+                                      "lambdas": [1.0, 1.0], "taus": [0.2, 0.1]}))
+    assert config.lambdas == [1.0, 1.0]
 
 
 # the fast-repetition regime pairs one lambda with every tau, or one with each

@@ -4,6 +4,11 @@ import pytest
 from ris.dynamics import (
     ChainState,
     RISModel,
+    _free_evolution,
+    _powers,
+    _reduced_map,
+    _repeated,
+    _steps,
     check_H1,
     dyson_term,
     dyson_term_quadrature,
@@ -245,6 +250,90 @@ class TestRestrictedDynamics:
         direct = t_map @ t_map @ partial
         assert superop_norm(restricted_dynamics(model, lam, tau, 2 * tau + t1)
                             - direct) <= 1e-12
+
+
+class TestStackedPieces:
+    """The stacks of the grid evaluator against the one-matrix forms they replace."""
+
+    def test_powers_equal_matrix_power(self, rng):
+        t_map = reduced_map_T(random_model(rng, 2, 3), 0.7, 1.3).matrix
+        exponents = [0, 1, 2, 3, 7, 8, 15, 16, 255, 256, 1000,
+                     *rng.integers(0, 5000, size=8)]
+        stacked = _powers(t_map, exponents)
+        # shuffled and repeated exponents share squarings in one call
+        order = rng.permutation(len(exponents))
+        shuffled = _powers(t_map, [exponents[i] for i in order] * 2)
+        for i, n in enumerate(exponents):
+            expected = np.linalg.matrix_power(t_map, int(n))
+            assert np.array_equal(stacked[i], expected), n
+        for k, i in enumerate([*order, *order]):
+            assert np.array_equal(shuffled[k], stacked[i])
+
+    def test_powers_of_a_single_exponent(self, rng):
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for n in (0, 1, 2, 3, 4, 5, 31, 32, 33):
+            assert np.array_equal(_powers(m, [n])[0], np.linalg.matrix_power(m, n)), n
+
+    def test_stacked_partial_maps_equal_one_at_a_time(self, rng):
+        model = random_model(rng, 2, 3)
+        times = np.array([0.0, 1e-3, 0.25, 0.5, 0.999, 1.7])
+        stacked = _reduced_map(model, 0.6, times)
+        assert stacked.shape == (times.size, 4, 4)
+        for t, m in zip(times, stacked):
+            assert np.array_equal(m, _reduced_map(model, 0.6, t))
+        assert np.array_equal(_reduced_map(model, 0.6, 1.3),
+                              reduced_map_T(model, 0.6, 1.3).matrix)
+
+    def test_stacked_free_evolution_equals_one_at_a_time(self, rng):
+        model = random_model(rng, 3, 2)
+        times = np.array([-2.5, -0.1, 0.0, 0.4, 3.0])
+        stacked = _free_evolution(model, times)
+        for t, m in zip(times, stacked):
+            assert np.array_equal(m, system_free_evolution(model, t).matrix)
+
+    def test_stacked_norm_equals_one_at_a_time(self, rng):
+        stack = rng.standard_normal((5, 9, 9)) + 1j * rng.standard_normal((5, 9, 9))
+        norms = superop_norm(stack)
+        assert norms.shape == (5,)
+        assert [float(x) for x in norms] == [superop_norm(m) for m in stack]
+        assert isinstance(superop_norm(stack[0]), float)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [0, 1, 5, 1000])
+    def test_boundary_times_snap_to_a_power(self, n, tau):
+        for offset in (-1e-13, 0.0, 1e-13):
+            t = max(n * tau + offset, 0.0)
+            assert _steps(t, tau) == (n, 0.0), (t, tau)
+        n_got, t1 = _steps(n * tau + 0.5 * tau, tau)
+        assert n_got == n and abs(t1 - 0.5 * tau) <= 1e-12 * max(1.0, n * tau)
+
+    def test_snapped_times_are_exact_powers(self):
+        model = build_spin_model(spin_base())
+        lam, tau = 0.4, 0.7
+        t_map = reduced_map_T(model, lam, tau).matrix
+        times = [3 * tau - 1e-13, 3 * tau, 3 * tau + 1e-13]
+        for m in _repeated(model, lam, tau, t_map, times):
+            assert np.array_equal(m, np.linalg.matrix_power(t_map, 3))
+        for t in times:
+            assert np.array_equal(restricted_dynamics(model, lam, tau, t).matrix,
+                                  np.linalg.matrix_power(t_map, 3))
+
+    def test_repeated_equals_power_then_partial_map(self, rng):
+        # the per-time form: matrix_power of T, then the partial-interval map
+        model = random_model(rng, 2, 2)
+        lam, tau = 0.5, 0.8
+        t_map = reduced_map_T(model, lam, tau).matrix
+        times = [0.0, 0.3, 0.8, 2.5, 2.4, 17.05]
+        for t, m in zip(times, _repeated(model, lam, tau, t_map, times)):
+            n, t1 = _steps(t, tau)
+            expected = np.linalg.matrix_power(t_map, n)
+            if t1 > 0.0:
+                expected = expected @ _reduced_map(model, lam, t1)
+            assert np.array_equal(m, expected), t
+
+    def test_step_cost_guard(self):
+        with pytest.raises(ValueError, match="cost guard"):
+            _steps(2e12, 1.0)
 
 
 class TestDysonTerms:

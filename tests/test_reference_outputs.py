@@ -1,9 +1,9 @@
 """CLI outputs against the benchmark references under perfbench/reference/.
 
-Runs all 7 spin-sweep configs and pool model 0 of grid-dim8 through
-``parse_config`` + ``run``, and compares each CSV and sidecar with the
-benchmark's own checker (|diff| <= 1e-9 + 1e-9*|ref|).  Only reads
-perfbench/.
+Runs all 7 spin-sweep configs and both converge experiments of every
+grid-dim8 pool model through ``parse_config`` + ``run``, and compares each
+CSV and sidecar with the benchmark's own checker (|diff| <= 1e-9 +
+1e-9*|ref|).  Only reads perfbench/.
 """
 import json
 import sys
@@ -15,19 +15,36 @@ from ris.cli import parse_config, run
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 from csvcheck import compare_csv, compare_meta  # noqa: E402
-from workloads import WORKLOADS, configs, reference_dir  # noqa: E402
+from workloads import POOL, WORKLOADS, configs, reference_dir  # noqa: E402
 
-CASES = [(workload, name) for workload in ("spin-sweep", "grid-dim8")
-         for name, _ in configs(WORKLOADS[workload], 0)]
+# (workload, seed, experiment); seed k runs pool model k of a seeded workload
+CASES = [("spin-sweep", 0, name) for name, _ in configs(WORKLOADS["spin-sweep"], 0)] + [
+    ("grid-dim8", seed, name) for seed in range(POOL)
+    for name, _ in configs(WORKLOADS["grid-dim8"], seed)]
 
 
-@pytest.mark.parametrize("workload, name", CASES, ids=[f"{w}-{n}" for w, n in CASES])
-def test_output_matches_reference(tmp_path, monkeypatch, workload, name):
+def case_id(workload, seed, name):
+    model = f"model{seed}-" if seed else ""
+    return f"{workload}-{model}{name}"
+
+
+@pytest.mark.parametrize("workload, seed, name", CASES, ids=[case_id(*c) for c in CASES])
+def test_output_matches_reference(tmp_path, monkeypatch, workload, seed, name):
     monkeypatch.delenv("RIS_MAX_DIM", raising=False)
-    text = dict(configs(WORKLOADS[workload], 0))[name]
+    text = dict(configs(WORKLOADS[workload], seed))[name]
     out = tmp_path / f"{name}.csv"
     assert run(parse_config(text), out_path=str(out)) == 0
-    ref = reference_dir(WORKLOADS[workload], 0)
+    ref = reference_dir(WORKLOADS[workload], seed)
     assert compare_csv(out.read_text(), (ref / f"{name}.csv").read_text()) is None
     meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
     assert compare_meta(meta, json.loads((ref / f"{name}.meta.json").read_text())) is None
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_workload_config_parses(monkeypatch, workload):
+    spec = WORKLOADS[workload]
+    if spec.max_dim is not None:
+        monkeypatch.setenv("RIS_MAX_DIM", str(spec.max_dim))
+    for seed in range(POOL if spec.seeded else 1):
+        for name, text in configs(spec, seed):
+            assert parse_config(text).experiment == name

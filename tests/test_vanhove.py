@@ -29,6 +29,7 @@ from ris.vanhove import (
     converge_tau,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
+    grid_flows,
     second_order_term,
 )
 
@@ -327,6 +328,51 @@ class TestGridEvaluator:
         model = build_spin_model(spin_base())
         with pytest.raises(ValueError, match="cost guard"):
             converge_lambda_interpolated(model, 1.0, [1e-7], 1.0, 2)
+
+    def test_zero_coupling_is_the_free_flow(self):
+        # lambda = 0: every time is 0, T^0 = I, and the error is ||I - e^{s gen}||
+        model = self.MODELS["random-diagonal-hs"]()
+        gen = effective_generator_fast_repetition(model).generator.matrix
+        report = converge_tau(model, [(0.0, 0.3)], 2.0, 5)
+        assert len(report.rows) == 5
+        for p, s, err in report.rows:
+            assert p == 0.3
+            expected = superop_norm(np.eye(gen.shape[0]) - matrix_exp(s * gen))
+            assert abs(err - expected) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_shared_flows_give_the_same_rows(self, name):
+        model = self.MODELS[name]()
+        weak = grid_flows(effective_generator_weak_coupling(model, 1.0), 2.0, 7)
+        fast = grid_flows(effective_generator_fast_repetition(model), 2.0, 7)
+        assert weak.flows.shape == (7, 4, 4) and weak.s_grid[-1] == 2.0
+        for converge in (converge_lambda, converge_lambda_interpolated):
+            for lam in (0.4, 0.25):
+                assert (converge(model, 1.0, [lam], 2.0, 7, None, weak).rows
+                        == converge(model, 1.0, [lam], 2.0, 7).rows)
+        for pair in [(1.0, 0.3), (2.0, 0.1)]:
+            assert (converge_tau(model, [pair], 2.0, 7, fast).rows
+                    == converge_tau(model, [pair], 2.0, 7).rows)
+
+    def test_flows_of_another_grid_regime_tau_or_cut_are_refused(self):
+        model = self.MODELS["spin"]()
+        weak = grid_flows(effective_generator_weak_coupling(model, 1.0), 2.0, 7)
+        fast = grid_flows(effective_generator_fast_repetition(model), 2.0, 7)
+        with pytest.raises(ValueError, match="do not fit"):
+            converge_lambda(model, 1.0, [0.4], 2.0, 7, None, fast)
+        with pytest.raises(ValueError, match="do not fit"):
+            converge_tau(model, [(1.0, 0.3)], 2.0, 7, weak)
+        with pytest.raises(ValueError, match="do not fit"):
+            converge_lambda_interpolated(model, 1.0, [0.4], 2.0, 8, None, weak)
+        with pytest.raises(ValueError, match="do not fit"):
+            converge_lambda_interpolated(model, 1.0, [0.4], 3.0, 7, None, weak)
+        with pytest.raises(ValueError, match="do not fit"):
+            converge_lambda(model, 1.0, [0.4], 2.0, 7, weak.effective.branch_cut_angle + 0.1,
+                            weak)
+        with pytest.raises(ValueError, match="do not fit"):
+            converge_lambda(model, 0.5, [0.4], 2.0, 7, None, weak)
+        assert converge_lambda(model, 1.0, [0.4], 2.0, 7, weak.effective.branch_cut_angle,
+                               weak).rows == converge_lambda(model, 1.0, [0.4], 2.0, 7).rows
 
 
 def rotated_model(seed: int, levels, n_e: int = 2) -> RISModel:
