@@ -19,6 +19,7 @@ from .dynamics import (
     check_H1,
     dyson_term,
     dyson_term_quadrature,
+    dyson_terms,
     dyson_truncation_bound,
     gibbs_state,
     interaction_dynamics,

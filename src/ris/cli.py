@@ -41,8 +41,8 @@ from .asymptotic import (
 from .dynamics import (
     NoAsymptoticStateError,
     RISModel,
-    dyson_term,
     dyson_term_quadrature,
+    dyson_terms,
     dyson_truncation_bound,
     interaction_dynamics,
 )
@@ -321,21 +321,24 @@ def parse_config(text: str) -> ExperimentConfig:
         if not _positive(tau):
             raise ConfigError("$.tau", "expected a positive number")
         echo["tau"] = float(tau)
-    if paired:
-        _pairs(merged["lambdas"], merged["taus"])
-    if converge:
-        # the grid parameter keys the CSV rows: a repeat would write two row
-        # sets under one (parameter, s)
-        key = "lambdas" if experiment == "converge-lambda" else "taus"
-        for i, x in enumerate(merged[key]):
-            if x in merged[key][:i]:
-                raise ConfigError(f"$.{key}[{i}]", f"repeats the grid parameter {x!r}")
+    pairs = _pairs(merged["lambdas"], merged["taus"]) if paired else None
     if experiment == "asymptotic":
         # sample times lie within one period: the shortest of the pairs
         period = min(merged["taus"]) if paired else tau
         for i, t in enumerate(merged["t_samples"]):
             if not 0 <= t < period:
                 raise ConfigError(f"$.t_samples[{i}]", f"expected a time in [0, {period:g})")
+    # the grid parameters key the CSV rows: a repeat would write two row sets
+    # under one key; converge-tau keys by tau, fast-repetition asymptotic by
+    # the (lambda, tau) pair, its pair i reported at $.taus[i]
+    grids = {"converge-lambda": [("lambdas", merged["lambdas"])],
+             "converge-tau": [("taus", merged["taus"])],
+             "asymptotic": [("taus", pairs) if paired else ("lambdas", merged["lambdas"]),
+                            ("t_samples", merged["t_samples"])]}
+    for key, values in grids.get(experiment, []):
+        for i, x in enumerate(values):
+            if x in values[:i]:
+                raise ConfigError(f"$.{key}[{i}]", f"repeats the grid parameter {x!r}")
 
     return ExperimentConfig(experiment=experiment, model=model, spin_params=spin_params,
                             echo=echo, **merged)
@@ -455,7 +458,9 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
         for t in config.dyson_times:
             # lambda = 1 in every row: lambda*t is carried by dyson_times via t
             free, exact = interaction_dynamics(model, 0.0, t), interaction_dynamics(model, 1.0, t)
-            terms = [dyson_term(model, k, t) for k in range(1, max(config.dyson_orders))]
+            # every term of one t from one Taylor stack: one expm per t
+            top = max(config.dyson_orders) - 1
+            terms = dyson_terms(model, top, t) if top else []
             gaps = [superop_norm(d - dyson_term_quadrature(model, k, t, config.quadrature_order))
                     for k, d in enumerate(terms[:3], start=1)]
             for order in config.dyson_orders:

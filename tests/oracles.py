@@ -8,11 +8,13 @@ a map or generator, as an eigenvector of its trace dual, is the oracle
 for the densities ``ris.asymptotic`` reads off eigenprojections.  The
 Dyson terms as one superoperator block exponential are the oracle for the
 Taylor-stack terms of ``ris.dynamics``; the nested quadrature with the
-interaction picture as a product of superoperators pins the eigenframe
-contraction of ``dyson_term_quadrature``.  The Schur route to the van Hove
-averages (the branch logarithm A0 of alpha_S^tau, its clustered spectral
-projections and the sum of P B P over them) and their defining Cesaro
-time average are the oracles for the Bohr-frame masks of ``ris.vanhove``.
+interaction picture as a product of n^2-sided superoperators, on the same
+nodes, pins ``dyson_term_quadrature``, whose two innermost levels are
+n-sized commutators and Kronecker sums in the eigenframe of H_0.  The
+Schur route to the van Hove averages (the branch logarithm A0 of
+alpha_S^tau, its clustered spectral projections and the sum of P B P over
+them) and their defining Cesaro time average are the oracles for the
+Bohr-frame masks of ``ris.vanhove``.
 """
 import math
 

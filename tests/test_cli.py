@@ -233,20 +233,30 @@ def test_jobs_and_output_are_read_by_every_experiment(tmp_path, experiment):
     assert (config.echo["jobs"], config.echo["output"]) == (1, doc["output"])
 
 
-# the grid parameter keys the converge rows (parameter, s): a repeat writes two
-# row sets under one key, which for converge-tau hold different errors
+# the grid parameters key the CSV rows: (parameter, s) for converge, (lambda, t)
+# or (lambda, tau, t) for asymptotic; a repeat writes two row sets under one
+# key, which for converge-tau hold different errors
+FAST = {"regime": "fast-repetition"}
 REPEATED_PARAMETERS = [  # (experiment, extra config fields, JSON path of the error)
-    ("converge-lambda", {"lambdas": [0.2, 0.1, 0.2]}, "$.lambdas[2]"),
-    ("converge-lambda", {"lambdas": [0.1, 0.1], "interpolated": True}, "$.lambdas[1]"),
-    ("converge-tau", {"lambdas": [1, 2], "taus": [0.1, 0.1]}, "$.taus[1]"),
-    ("converge-tau", {"lambdas": [1.0], "taus": [0.2, 0.1, 0.2]}, "$.taus[2]"),
+    ("converge-lambda", {"lambdas": [0.2, 0.1, 0.2], "s_steps": 3}, "$.lambdas[2]"),
+    ("converge-lambda", {"lambdas": [0.1, 0.1], "interpolated": True, "s_steps": 3},
+     "$.lambdas[1]"),
+    ("converge-tau", {"lambdas": [1, 2], "taus": [0.1, 0.1], "s_steps": 3}, "$.taus[1]"),
+    ("converge-tau", {"lambdas": [1.0], "taus": [0.2, 0.1, 0.2], "s_steps": 3}, "$.taus[2]"),
+    ("asymptotic", {"lambdas": [0.2, 0.1, 0.2]}, "$.lambdas[2]"),
+    ("asymptotic", {**FAST, "lambdas": [1.0], "taus": [0.2, 0.1, 0.2]}, "$.taus[2]"),
+    ("asymptotic", {**FAST, "lambdas": [1.0, 1.0], "taus": [0.2, 0.2]}, "$.taus[1]"),
+    ("asymptotic", {"lambdas": [0.2], "t_samples": [0.0, 0.5, 0.0]}, "$.t_samples[2]"),
+    ("asymptotic", {**FAST, "lambdas": [1.0], "taus": [0.2], "t_samples": [0.1, 0.1]},
+     "$.t_samples[1]"),
 ]
 
 
 @pytest.mark.parametrize("experiment, fields, path", REPEATED_PARAMETERS,
-                         ids=[f"{e}-{path}" for e, _, path in REPEATED_PARAMETERS])
+                         ids=[f"{e}-{fields['regime']}-{path}" if "regime" in fields
+                              else f"{e}-{path}" for e, fields, path in REPEATED_PARAMETERS])
 def test_repeated_grid_parameter_is_a_parse_error(tmp_path, capsys, experiment, fields, path):
-    doc = {"model": SPIN_MODEL, "experiment": experiment, "s_steps": 3, **fields}
+    doc = {"model": SPIN_MODEL, "experiment": experiment, **fields}
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert err.value.path == path
@@ -262,6 +272,13 @@ def test_repeated_lambda_across_pairs_is_accepted():
     config = parse_config(json.dumps({"model": SPIN_MODEL, "experiment": "converge-tau",
                                       "lambdas": [1.0, 1.0], "taus": [0.2, 0.1]}))
     assert config.lambdas == [1.0, 1.0]
+
+
+def test_repeated_lambda_across_asymptotic_pairs_is_accepted():
+    # fast-repetition asymptotic keys its rows by (lambda, tau): distinct pairs are fine
+    config = parse_config(json.dumps({"model": SPIN_MODEL, "experiment": "asymptotic", **FAST,
+                                      "lambdas": [1.0, 1.0, 2.0], "taus": [0.2, 0.1, 0.2]}))
+    assert config.lambdas == [1.0, 1.0, 2.0] and config.taus == [0.2, 0.1, 0.2]
 
 
 # the fast-repetition regime pairs one lambda with every tau, or one with each
@@ -583,20 +600,31 @@ class TestDysonCheckCost:
         assert run(config, out_path=str(tmp_path / "dyson.csv")) == 0
         assert 0 < max(sides) <= max(config.dyson_orders) * config.model.dim
         assert sorted(quadratures) == [(k, t) for k in (1, 2, 3) for t in config.dyson_times]
+        # every term of one t comes from one Taylor stack
+        assert len(sides) == len(config.dyson_times)
 
-    def test_dim16_with_eight_nodes(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _dim16_gaps(tmp_path, monkeypatch, **fields):
+        """blockexp_vs_quadrature column of dyson-check on a seeded random 4 x 4 model."""
         monkeypatch.setenv("RIS_MAX_DIM", "16")
         m = random_model(np.random.default_rng(16), 4, 4)
         model = {"inline": {"h_s": _encode(m.h_s), "h_e": _encode(m.h_e),
                             "v": _encode(m.v), "beta": m.beta}}
-        config = parse_config(json.dumps({"model": model, "experiment": "dyson-check",
-                                          "quadrature_order": 8}))
+        config = parse_config(json.dumps({"model": model, "experiment": "dyson-check", **fields}))
         out = tmp_path / "dyson.csv"
         assert run(config, out_path=str(out)) == 0
         header, *rows = out.read_text().splitlines()
         column = header.split(",").index("blockexp_vs_quadrature")
-        gaps = [float(row.split(",")[column]) for row in rows]
+        return [float(row.split(",")[column]) for row in rows]
+
+    def test_dim16_with_eight_nodes(self, tmp_path, monkeypatch):
+        gaps = self._dim16_gaps(tmp_path, monkeypatch, quadrature_order=8)
         assert len(gaps) == 6 and all(np.isfinite(gap) and gap <= 1e-6 for gap in gaps)
+
+    def test_dim16_default_nodes(self, tmp_path, monkeypatch):
+        # at the default 32 nodes the quadrature matches the Taylor-stack terms to rounding
+        gaps = self._dim16_gaps(tmp_path, monkeypatch)
+        assert len(gaps) == 6 and all(np.isfinite(gap) and gap <= 1e-12 for gap in gaps)
 
 
 # dyson-check takes the norm of [v,.] from the spread of the eigenvalues of v

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -361,16 +363,36 @@ class TestDysonTerms:
                                - dyson_term_quadrature(model, k, t))
             assert gap <= 1e-6
 
-    @pytest.mark.parametrize("which", ["spin", "random-dim6"])
+    @pytest.mark.parametrize("which", ["spin", "random-dim6", "spin-degenerate", "random-3x2"])
     def test_eigenframe_quadrature_matches_product_form(self, which):
-        # same nodes and weights; the oracle forms alpha^u [v,.] alpha^{-u} from two expm
-        model = build_spin_model(spin_base())
-        if which == "random-dim6":
-            model = random_model(np.random.default_rng(6), 2, 3)
-        for k, t in [(1, 2.0), (2, 2.0), (3, 1.0)]:
-            gap = superop_norm(dyson_term_quadrature(model, k, t, nodes=6)
-                               - dyson_term_product_quadrature(model, k, t, nodes=6))
+        # same nodes and weights; the oracle forms alpha^u [v,.] alpha^{-u} from two expm.
+        # k = 4 runs a dense third level on top of the two Hilbert-space ones; S = E
+        # gives H_0 the degenerate levels S and E
+        model = {"spin": lambda: build_spin_model(spin_base()),
+                 "random-dim6": lambda: random_model(np.random.default_rng(6), 2, 3),
+                 "spin-degenerate": lambda: build_spin_model(spin_base(E=1.0)),
+                 "random-3x2": lambda: random_model(np.random.default_rng(32), 3, 2)}[which]()
+        for k, t, nodes in [(1, 2.0, 6), (2, 2.0, 6), (3, 1.0, 6), (4, 1.0, 4)]:
+            gap = superop_norm(dyson_term_quadrature(model, k, t, nodes=nodes)
+                               - dyson_term_product_quadrature(model, k, t, nodes=nodes))
             assert gap <= 1e-13
+
+    @pytest.mark.parametrize("which, nodes, mib", [
+        ("spin", 32, 0.5), ("random-2x4", 32, 1.0), ("random-4x4", 8, 8.0)])
+    def test_quadrature_peak_memory(self, which, nodes, mib):
+        # the third level loops over its nodes, so no stack of n^2-sided matrices is
+        # ever formed; a warm-up call caches the eigenframe of H_0 and the nodes
+        model = {"spin": lambda: build_spin_model(spin_base()),
+                 "random-2x4": lambda: random_model(np.random.default_rng(8), 2, 4),
+                 "random-4x4": lambda: random_model(np.random.default_rng(16), 4, 4)}[which]()
+        dyson_term_quadrature(model, 3, 1.0, nodes=nodes)
+        tracemalloc.start()
+        try:
+            dyson_term_quadrature(model, 3, 1.0, nodes=nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20
 
     def test_series_reconstruction_within_bound(self):
         model = build_spin_model(spin_base())
