@@ -3,9 +3,7 @@
 from .linops import (
     BranchCutCollisionError,
     Superoperator,
-    choi_matrix,
     commutator_superop,
-    derivation_superop,
     kron,
     largest_gap_bisector,
     matrix_exp,
@@ -30,13 +28,11 @@ from .dynamics import (
 from .vanhove import (
     ConvergenceReport,
     EffectiveGenerator,
-    GridFlows,
     converge_lambda,
     converge_lambda_interpolated,
     converge_tau,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
-    grid_flows,
     second_order_term,
 )
 from .asymptotic import (
@@ -48,7 +44,6 @@ from .asymptotic import (
     effective_asymptotic_state,
     kato_structure_check,
     limit_projection,
-    peripheral_spectrum,
     trace_distance,
 )
 from .spin import (

@@ -29,14 +29,10 @@ class JordanDefectError(ValueError):
 
 
 def _peripheral(eigs: np.ndarray, tol: float) -> list[complex]:
+    """The eigenvalues of modulus >= 1 - tol, sorted by decreasing modulus."""
     periph = [complex(e) for e in eigs if abs(e) >= 1.0 - tol]
     periph.sort(key=lambda e: (-abs(e), np.angle(e)))
     return periph
-
-
-def peripheral_spectrum(t_map: Superoperator, tol: float = 1e-9) -> list[complex]:
-    """Eigenvalues of modulus >= 1 - tol, sorted by decreasing modulus."""
-    return _peripheral(np.linalg.eigvals(t_map.matrix), tol)
 
 
 def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None):

@@ -12,8 +12,11 @@ Exit codes: 0 success, 2 oracle tolerance failure, 1 anything else.
 ``effective``, ``asymptotic`` and ``spin-oracle`` read ``regime``;
 fast-repetition ``asymptotic`` runs over the (lambda, tau) pairs of
 ``converge-tau``.  Every field is read by some experiments only; one that
-the run would not read is a config error, and so is a repeated grid
-parameter (lambda in ``converge-lambda``, tau in ``converge-tau``).  The
+the run would not read is a config error, and so is a repeated entry that
+keys the CSV rows: lambda in ``converge-lambda`` and weak-coupling
+``asymptotic``, tau in ``converge-tau``, the (lambda, tau) pair in
+fast-repetition ``asymptotic``, ``t_samples``, ``dyson_times``,
+``dyson_orders`` and ``eps`` (``kato`` needs two at least).  The
 environment variable RIS_MAX_DIM overrides the default dimension cap
 (n_S * n_E <= 8).
 """
@@ -61,7 +64,6 @@ from .vanhove import (
     converge_tau,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
-    grid_flows,
 )
 
 EXPERIMENTS = ("effective", "converge-lambda", "converge-tau", "asymptotic",
@@ -83,28 +85,43 @@ def _integer(low: int):
     return lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= low
 
 
-#: field -> (default, check, what the check expects).  A list default makes
-#: the field a non-empty array and a dict default an object with only those
-#: keys; the check then applies to each element or entry.
+_CONVERGE = ("converge-lambda", "converge-tau")
+_WEAK = ("effective/weak", "asymptotic/weak")
+
+#: field -> (default, check, what the check expects, the runs that read it,
+#: the runs whose CSV rows its entries key, so that a repeat is an error).
+#: A run is named by its experiment and, in one regime of a
+#: REGIME_EXPERIMENTS entry, also by "<experiment>/weak" or "/fast".  A list
+#: default makes the field a non-empty array and a dict default an object
+#: with only those keys; the check then applies to each element or entry.
 _FIELDS = {
-    "lambdas": ([0.2, 0.1, 0.05], _positive, "a positive number"),
-    "taus": ([0.2, 0.1, 0.05], _positive, "a positive number"),
-    "eps": ([0.04, 0.02, 0.01, 0.005], _positive, "a positive number"),
-    "s_max": (5.0, _positive, "a positive number"),
-    "s_steps": (50, _integer(2), "an integer >= 2"),
-    "interpolated": (False, lambda x: isinstance(x, bool), "true or false"),
-    # null: the largest-gap bisector
-    "branch_cut_angle": (None, lambda x: x is None or _number(x), "a number or null"),
-    "quadrature_order": (32, _integer(1), "an integer >= 1"),
-    "dyson_orders": ([2, 3, 4], _integer(1), "an integer >= 1"),
-    "dyson_times": ([0.5, 1.0], lambda x: _number(x) and x >= 0, "a nonnegative number"),
-    "t_samples": ([0.0], _number, "a number"),
-    # read by REGIME_EXPERIMENTS only
     "regime": ("weak-coupling", lambda x: x in ("weak-coupling", "fast-repetition"),
-               '"weak-coupling" or "fast-repetition"'),
-    "jobs": (1, _integer(1), "an integer >= 1"),
-    "tolerances": ({"oracle": 1e-9}, _positive, "a positive number"),
-    "output": (None, lambda x: x is None or isinstance(x, str), "a path or null"),
+               '"weak-coupling" or "fast-repetition"', REGIME_EXPERIMENTS, ()),
+    # null: the tau of the spin model; spin-oracle always takes that one
+    "tau": (None, _positive, "a positive number", ("converge-lambda", "kato", *_WEAK), ()),
+    # null: the largest-gap bisector
+    "branch_cut_angle": (None, lambda x: x is None or _number(x), "a number or null",
+                         ("converge-lambda", *_WEAK, "spin-oracle/weak"), ()),
+    "lambdas": ([0.2, 0.1, 0.05], _positive, "a positive number",
+                (*_CONVERGE, "asymptotic"), ("converge-lambda", "asymptotic/weak")),
+    # the paired runs; fast-repetition asymptotic keys its rows by the
+    # (lambda, tau) pair, reported at $.taus[i]
+    "taus": ([0.2, 0.1, 0.05], _positive, "a positive number",
+             ("converge-tau", "asymptotic/fast"), ("converge-tau", "asymptotic/fast")),
+    "eps": ([0.04, 0.02, 0.01, 0.005], _positive, "a positive number", ("kato",), ("kato",)),
+    "s_max": (5.0, _positive, "a positive number", _CONVERGE, ()),
+    "s_steps": (50, _integer(2), "an integer >= 2", _CONVERGE, ()),
+    "interpolated": (False, lambda x: isinstance(x, bool), "true or false",
+                     ("converge-lambda",), ()),
+    "quadrature_order": (32, _integer(1), "an integer >= 1", ("dyson-check",), ()),
+    "dyson_orders": ([2, 3, 4], _integer(1), "an integer >= 1",
+                     ("dyson-check",), ("dyson-check",)),
+    "dyson_times": ([0.5, 1.0], lambda x: _number(x) and x >= 0, "a nonnegative number",
+                    ("dyson-check",), ("dyson-check",)),
+    "t_samples": ([0.0], _number, "a number", ("asymptotic",), ("asymptotic",)),
+    "tolerances": ({"oracle": 1e-9}, _positive, "a positive number", ("spin-oracle",), ()),
+    "jobs": (1, _integer(1), "an integer >= 1", EXPERIMENTS, ()),
+    "output": (None, lambda x: x is None or isinstance(x, str), "a path or null", EXPERIMENTS, ()),
 }
 
 
@@ -168,7 +185,7 @@ def _hermitian_matrix(value, path: str) -> np.ndarray:
 
 def _checked(key: str, value):
     """``value`` of the config field ``key``, validated against :data:`_FIELDS`."""
-    default, ok, expected = _FIELDS[key]
+    default, ok, expected, _, _ = _FIELDS[key]
     path = f"$.{key}"
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
@@ -273,9 +290,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("$.model", f"full dimension {model.dim} exceeds the cap {cap} "
                           "(override with RIS_MAX_DIM)")
 
-    merged = copy.deepcopy({key: default for key, (default, _, _) in _FIELDS.items()})
+    merged = copy.deepcopy({key: row[0] for key, row in _FIELDS.items()})
     for key, value in doc.items():
-        if key in ("experiment", "model", "tau"):
+        if key in ("experiment", "model"):
             continue
         if key not in _FIELDS:
             raise ConfigError(f"$.{key}", "unknown field")
@@ -283,63 +300,37 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if experiment == "spin-oracle" and spin_params is None:
         raise ConfigError("$.model", "experiment 'spin-oracle' requires a spin model")
-    fast = merged["regime"] == FAST_REPETITION
-    weak = experiment in REGIME_EXPERIMENTS and not fast
-    converge = experiment in ("converge-lambda", "converge-tau")
-    paired = experiment == "converge-tau" or (experiment == "asymptotic" and fast)
-    # which runs read each field: one the run would not read is an error, not
-    # silently ignored; spin-oracle takes tau from its model, the paired runs
-    # take taus and dyson-check dyson_times
-    reads = {"regime": experiment in REGIME_EXPERIMENTS,
-             "tau": experiment in ("converge-lambda", "kato")
-                    or (weak and experiment != "spin-oracle"),
-             "branch_cut_angle": experiment == "converge-lambda" or weak,
-             "lambdas": converge or experiment == "asymptotic",
-             "taus": paired,
-             "eps": experiment == "kato",
-             "s_max": converge,
-             "s_steps": converge,
-             "interpolated": experiment == "converge-lambda",
-             "quadrature_order": experiment == "dyson-check",
-             "dyson_orders": experiment == "dyson-check",
-             "dyson_times": experiment == "dyson-check",
-             "t_samples": experiment == "asymptotic",
-             "tolerances": experiment == "spin-oracle",
-             "jobs": True,
-             "output": True}
+    # the run's names in _FIELDS; a field the run would not read is an error,
+    # not silently ignored
+    run = {experiment, experiment + ("/fast" if merged["regime"] == FAST_REPETITION else "/weak")}
+    reads = {key: not run.isdisjoint(row[3]) for key, row in _FIELDS.items()}
     for key, read in reads.items():
         if key in doc and not read:
             regime = f" in the {merged['regime']} regime" if reads["regime"] else ""
             raise ConfigError(f"$.{key}", f"experiment {experiment!r}{regime} does not read it")
+    if reads["tau"]:
+        if merged["tau"] is None and spin_params is None:
+            raise ConfigError("$.tau", "missing required field (no spin tau to fall back on)")
+        merged["tau"] = float(spin_params.tau if merged["tau"] is None else merged["tau"])
     # the echo is itself a config this run accepts: it leaves out what the run ignores
     echo = {"experiment": experiment, "model": doc["model"],
             **{key: value for key, value in merged.items() if reads[key]}}
-    if reads["tau"]:
-        if "tau" not in doc and spin_params is None:
-            raise ConfigError("$.tau", "missing required field (no spin tau to fall back on)")
-        tau = doc["tau"] if "tau" in doc else spin_params.tau
-        if not _positive(tau):
-            raise ConfigError("$.tau", "expected a positive number")
-        echo["tau"] = float(tau)
-    pairs = _pairs(merged["lambdas"], merged["taus"]) if paired else None
+    pairs = _pairs(merged["lambdas"], merged["taus"]) if reads["taus"] else None
     if experiment == "asymptotic":
         # sample times lie within one period: the shortest of the pairs
-        period = min(merged["taus"]) if paired else tau
+        period = min(merged["taus"]) if pairs else merged["tau"]
         for i, t in enumerate(merged["t_samples"]):
             if not 0 <= t < period:
                 raise ConfigError(f"$.t_samples[{i}]", f"expected a time in [0, {period:g})")
-    # the grid parameters key the CSV rows: a repeat would write two row sets
-    # under one key; converge-tau keys by tau, fast-repetition asymptotic by
-    # the (lambda, tau) pair, its pair i reported at $.taus[i]
-    grids = {"converge-lambda": [("lambdas", merged["lambdas"])],
-             "converge-tau": [("taus", merged["taus"])],
-             "asymptotic": [("taus", pairs) if paired else ("lambdas", merged["lambdas"]),
-                            ("t_samples", merged["t_samples"])]}
-    for key, values in grids.get(experiment, []):
-        for i, x in enumerate(values):
-            if x in values[:i]:
-                raise ConfigError(f"$.{key}[{i}]", f"repeats the grid parameter {x!r}")
-
+    if experiment == "kato" and len(merged["eps"]) < 2:  # two extrapolate to eps = 0+
+        raise ConfigError("$.eps", "expected two entries at least")
+    for key, row in _FIELDS.items():
+        if not run.isdisjoint(row[4]):
+            values = pairs if key == "taus" and experiment == "asymptotic" else merged[key]
+            for i, x in enumerate(values):
+                if x in values[:i]:
+                    raise ConfigError(f"$.{key}[{i}]", f"repeats the grid parameter {x!r}")
+    del merged["tau"]
     return ExperimentConfig(experiment=experiment, model=model, spin_params=spin_params,
                             echo=echo, **merged)
 
@@ -373,6 +364,12 @@ def _rows_asymptotic(payload) -> list:
     return rows
 
 
+def _shares(params: list, jobs: int) -> list:
+    """The strided shares params[k::jobs]: at most ``jobs`` of them, none empty."""
+    n = max(1, min(jobs, len(params)))
+    return [params[k::n] for k in range(n)]
+
+
 def _parallel_map(fn, payloads, jobs: int) -> list:
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
@@ -386,20 +383,16 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
     extras = {}
 
     if config.experiment in ("converge-lambda", "converge-tau"):
-        # one payload per grid parameter, each through the public converge_*
-        # function; the generator and its flows e^{s gen} on the s grid are
-        # built once here and travel in every payload
+        # worker k takes the strided share params[k::jobs] through one call of the
+        # public converge_* function, which builds the generator and flows once
         grid = (config.s_max, config.s_steps)
         if config.experiment == "converge-lambda":
             converge = converge_lambda_interpolated if config.interpolated else converge_lambda
-            eff = effective_generator_weak_coupling(model, tau, config.branch_cut_angle)
-            flows = grid_flows(eff, *grid)
-            payloads = [(converge, (model, tau, [lam], *grid, config.branch_cut_angle, flows))
-                        for lam in config.lambdas]
+            payloads = [(converge, (model, tau, share, *grid, config.branch_cut_angle))
+                        for share in _shares(sorted(config.lambdas, reverse=True), jobs)]
         else:
-            flows = grid_flows(effective_generator_fast_repetition(model), *grid)
-            payloads = [(converge_tau, (model, [pair], *grid, flows))
-                        for pair in _pairs(config.lambdas, config.taus)]
+            payloads = [(converge_tau, (model, share, *grid))
+                        for share in _shares(_pairs(config.lambdas, config.taus), jobs)]
         chunks = _parallel_map(_rows_converge, payloads, jobs)
         rows = sorted(r for chunk in chunks for r in chunk)
         return ["parameter", "s", "error"], rows, extras, 0

@@ -93,19 +93,6 @@ class Superoperator:
         self.matrix = matrix
         self.dim = n
 
-    @classmethod
-    def identity(cls, n: int) -> "Superoperator":
-        return cls(np.eye(n * n, dtype=complex))
-
-    @classmethod
-    def zero(cls, n: int) -> "Superoperator":
-        return cls(np.zeros((n * n, n * n), dtype=complex))
-
-    @classmethod
-    def left_right(cls, a: np.ndarray, b: np.ndarray) -> "Superoperator":
-        """The map x -> a x b."""
-        return cls(np.kron(a, np.asarray(b).T))
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim, self.dim):
@@ -143,9 +130,6 @@ class Superoperator:
         sw = _swap_permutation(n)
         return Superoperator(self.matrix.T[np.ix_(sw, sw)])
 
-    def power(self, k: int) -> "Superoperator":
-        return Superoperator(np.linalg.matrix_power(self.matrix, k))
-
     def norm(self) -> float:
         return superop_norm(self)
 
@@ -165,17 +149,6 @@ def commutator_superop(v: np.ndarray) -> Superoperator:
     n = v.shape[0]
     eye = np.eye(n)
     return Superoperator(np.kron(v, eye) - np.kron(eye, v.T))
-
-
-def derivation_superop(h: np.ndarray) -> Superoperator:
-    """Heisenberg derivation x -> i[h, x] of a Hermitian h.
-
-    exp(t * result) is the evolution x -> e^{ith} x e^{-ith}; on u_kl it
-    acts as multiplication by e^{it(E_k - E_l)}, so u01 of a two-level h =
-    diag(0, S) picks up the phase e^{-itS}.
-    """
-    h = require_hermitian(h, name="h")
-    return 1j * commutator_superop(h)
 
 
 def superop_norm(s: Superoperator | np.ndarray):
@@ -366,13 +339,3 @@ def matrix_log_unitary(u: Superoperator | np.ndarray,
     log_m = z @ (1j * shifted[:, None] * z.conj().T)
     log_m = 0.5 * (log_m - log_m.conj().T)  # exactly anti-Hermitian
     return Superoperator(log_m) if wrap else log_m
-
-
-def choi_matrix(s: Superoperator) -> np.ndarray:
-    """Choi matrix C with C[(j,a),(m,b)] = <e_a, S(u_jm) e_b>.
-
-    S is completely positive iff C is positive semidefinite; the identity
-    map yields the unnormalized maximally entangled projector (trace n).
-    """
-    n = s.dim
-    return s.matrix.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n).copy()

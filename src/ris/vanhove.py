@@ -21,10 +21,9 @@ tests.
 
 The convergence experiments measure ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||
 on a grid of s (finite-type chain elements: Attal and Joye, J. Stat. Phys.
-126 (2007)).  The generator and its flows e^{s gen} are built once per
-experiment (:func:`grid_flows`) and may be passed to every converge call
-on that grid; each (lambda, tau) is then a few numpy calls on stacks along
-the s axis (:func:`_grid_report`).
+126 (2007)).  Each converge call builds the generator and its flows e^{s gen}
+once for all of its parameters; each (lambda, tau) is then a few numpy
+calls on stacks along the s axis (:func:`_grid_report`).
 """
 from __future__ import annotations
 
@@ -57,13 +56,11 @@ FAST_REPETITION = "fast-repetition"
 @dataclass(frozen=True)
 class EffectiveGenerator:
     """``sectors`` labels each index (k, l) of the Bohr frame of h_S by the
-    spectral sector the generator was averaged over; ``tau`` is the period a
-    weak-coupling generator was built at (None in the fast-repetition regime)."""
+    spectral sector the generator was averaged over."""
     regime: str
     generator: Superoperator
     sectors: np.ndarray
     branch_cut_angle: float | None = None
-    tau: float | None = None
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ def effective_generator_weak_coupling(model: RISModel, tau: float,
         branch_cut_angle = largest_gap_bisector(angles)
     sectors, avg = _sector_average(model, second_order_term(model, tau),
                                    wrap_to_cut(angles, branch_cut_angle))
-    return EffectiveGenerator(WEAK_COUPLING, -1.0 * avg, sectors, branch_cut_angle, tau)
+    return EffectiveGenerator(WEAK_COUPLING, -1.0 * avg, sectors, branch_cut_angle)
 
 
 def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
@@ -157,42 +154,15 @@ def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
     return EffectiveGenerator(FAST_REPETITION, -0.5 * avg, sectors, None)
 
 
-@dataclass(frozen=True)
-class GridFlows:
-    """e^{s gen} for gen = ``effective.generator`` at each s of ``s_grid``, stacked in ``flows``."""
-    effective: EffectiveGenerator
-    s_grid: np.ndarray
-    flows: np.ndarray
+def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps: int,
+                 cases, time_of) -> ConvergenceReport:
+    """Rows (parameter, s, ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||), gen = ``eff.generator``.
 
-
-def grid_flows(eff: EffectiveGenerator, s_max: float, s_steps: int) -> GridFlows:
-    """The flows of ``eff`` on s = linspace(0, s_max, s_steps): one expm per s.
-
-    Build them once and hand them to every converge call of one experiment.
-    """
-    s_grid = np.linspace(0.0, s_max, s_steps)
-    return GridFlows(eff, s_grid, np.stack([matrix_exp(s * eff.generator.matrix)
-                                            for s in s_grid]))
-
-
-def _check_flows(flows: GridFlows, regime: str, s_max: float, s_steps: int,
-                 tau: float | None = None, branch_cut_angle: float | None = None) -> None:
-    """Raise ValueError unless ``flows`` fit the regime, tau, the s grid and an explicit cut."""
-    eff = flows.effective
-    if (eff.regime != regime or eff.tau != tau or flows.s_grid.size != s_steps
-            or flows.s_grid[-1] != s_max or branch_cut_angle not in (None, eff.branch_cut_angle)):
-        raise ValueError(f"flows of the {eff.regime} generator (tau {eff.tau!r}, cut "
-                         f"{eff.branch_cut_angle!r}) on {flows.s_grid.size} points up to "
-                         f"{flows.s_grid[-1]!r} do not fit the {regime} grid (tau {tau!r}, cut "
-                         f"{branch_cut_angle!r}) of {s_steps} points up to {s_max!r}")
-
-
-def _grid_report(model: RISModel, flows: GridFlows, cases, time_of) -> ConvergenceReport:
-    """Rows (parameter, s, ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||) on the grid of ``flows``.
-
-    ``cases`` lists (parameter, lambda, tau).  phi_res^t = T^n ∘ E_S phi_SE^{t1}
-    with t = n*tau + t1, as in :func:`restricted_dynamics`; the regimes differ
-    only in the generator and in t = time_of(s, lambda, tau):
+    s = linspace(0, s_max, s_steps); the flows e^{s gen}, one expm per s,
+    serve every case of ``cases``, which lists (parameter, lambda, tau).
+    phi_res^t = T^n ∘ E_S phi_SE^{t1} with t = n*tau + t1, as in
+    :func:`restricted_dynamics`; the regimes differ only in the generator
+    and in t = time_of(s, lambda, tau):
 
     * weak coupling on the lattice: t = tau * floor(s / (lambda^2 tau));
     * weak coupling interpolated: t = s / lambda^2;
@@ -204,17 +174,19 @@ def _grid_report(model: RISModel, flows: GridFlows, cases, time_of) -> Convergen
     in the Bohr frame of h_S; and one stacked spectral norm.  Each stack holds
     s_steps superoperators of n_S^4 entries.
     """
+    s_grid = np.linspace(0.0, s_max, s_steps)
+    flows = np.stack([matrix_exp(s * eff.generator.matrix) for s in s_grid])
     rows = []
     for param, lam, tau in cases:
-        times = np.array([time_of(s, lam, tau) for s in flows.s_grid])
+        times = np.array([time_of(s, lam, tau) for s in s_grid])
         maps = _repeated(model, lam, tau, reduced_map_T(model, lam, tau).matrix, times)
-        errors = superop_norm(maps @ _free_evolution(model, -times) - flows.flows)
-        rows.extend((param, float(s), float(e)) for s, e in zip(flows.s_grid, errors))
+        errors = superop_norm(maps @ _free_evolution(model, -times) - flows)
+        rows.extend((param, float(s), float(e)) for s, e in zip(s_grid, errors))
     sups = tuple((p, max(e for q, _, e in rows if q == p)) for p, _, _ in cases)
     ratios = tuple(((p1, p2), (e1 / e2 if e2 > 0 else math.inf))
                    for (p1, e1), (p2, e2) in zip(sups, sups[1:]))
     ordered = tuple(sorted(rows, key=lambda r: (r[0], r[1])))
-    return ConvergenceReport(flows.effective.regime, ordered, sups, ratios)
+    return ConvergenceReport(eff.regime, ordered, sups, ratios)
 
 
 def _decreasing(lambdas) -> list:
@@ -225,57 +197,49 @@ def _decreasing(lambdas) -> list:
 
 
 def _converge_weak(model: RISModel, tau: float, lambdas, s_max: float, s_steps: int,
-                   branch_cut_angle: float | None, flows: GridFlows | None,
-                   time_of) -> ConvergenceReport:
+                   branch_cut_angle: float | None, time_of) -> ConvergenceReport:
     lambdas = _decreasing(lambdas)
-    if flows is None:
-        flows = grid_flows(effective_generator_weak_coupling(model, tau, branch_cut_angle),
-                           s_max, s_steps)
-    _check_flows(flows, WEAK_COUPLING, s_max, s_steps, tau, branch_cut_angle)
-    return _grid_report(model, flows, [(lam, lam, tau) for lam in lambdas], time_of)
+    eff = effective_generator_weak_coupling(model, tau, branch_cut_angle)
+    return _grid_report(model, eff, s_max, s_steps, [(lam, lam, tau) for lam in lambdas],
+                        time_of)
 
 
 def converge_lambda(model: RISModel, tau: float, lambdas, s_max: float, s_steps: int,
-                    branch_cut_angle: float | None = None,
-                    flows: GridFlows | None = None) -> ConvergenceReport:
+                    branch_cut_angle: float | None = None) -> ConvergenceReport:
     """Weak-coupling convergence on the interaction lattice.
 
     For each lambda and each s on the grid, measures
     ||T(lambda,tau)^n alpha_S^{-tau n} - e^{s gen}|| with n = floor(s/(lambda^2 tau)).
-    ``flows``, when given, is grid_flows(effective_generator_weak_coupling(model,
-    tau, branch_cut_angle), s_max, s_steps), built once by a caller that runs
-    several calls on the same grid.
+    The call builds the generator and its flows once for all of ``lambdas``.
     """
-    return _converge_weak(model, tau, lambdas, s_max, s_steps, branch_cut_angle, flows,
+    return _converge_weak(model, tau, lambdas, s_max, s_steps, branch_cut_angle,
                           lambda s, lam, tau: tau * math.floor(s / (lam * lam * tau)))
 
 
 def converge_lambda_interpolated(model: RISModel, tau: float, lambdas, s_max: float,
-                                 s_steps: int, branch_cut_angle: float | None = None,
-                                 flows: GridFlows | None = None) -> ConvergenceReport:
+                                 s_steps: int,
+                                 branch_cut_angle: float | None = None) -> ConvergenceReport:
     """Weak-coupling convergence at arbitrary times t = s/lambda^2.
 
     Uses the repeated-interaction dynamics (with its partial last
-    interval) instead of pure powers of T.  ``flows`` as in :func:`converge_lambda`.
+    interval) instead of pure powers of T.  The call builds the generator
+    and its flows once for all of ``lambdas``.
     """
-    return _converge_weak(model, tau, lambdas, s_max, s_steps, branch_cut_angle, flows,
+    return _converge_weak(model, tau, lambdas, s_max, s_steps, branch_cut_angle,
                           lambda s, lam, tau: s / (lam * lam))
 
 
-def converge_tau(model: RISModel, pairs, s_max: float, s_steps: int,
-                 flows: GridFlows | None = None) -> ConvergenceReport:
+def converge_tau(model: RISModel, pairs, s_max: float, s_steps: int) -> ConvergenceReport:
     """Fast-repetition convergence for (lambda_n, tau_n) with lambda_n^2 tau_n -> 0.
 
     For each pair, measures sup_s || phi_res^{s/(lambda^2 tau)}
     alpha_S^{-s/(lambda^2 tau)} - e^{s gen} || (norm convergence: finite
-    dimension upgrades the weak-star statement).  ``flows``, when given, is
-    grid_flows(effective_generator_fast_repetition(model), s_max, s_steps).
+    dimension upgrades the weak-star statement).  The call builds the
+    generator and its flows once for all of ``pairs``.
     """
     pairs = [(float(l), float(t)) for l, t in pairs]
     if any(t <= 0 or l < 0 for l, t in pairs):
         raise ValueError("pairs must have tau > 0 and lambda >= 0")
-    if flows is None:
-        flows = grid_flows(effective_generator_fast_repetition(model), s_max, s_steps)
-    _check_flows(flows, FAST_REPETITION, s_max, s_steps)
-    return _grid_report(model, flows, [(tau, lam, tau) for lam, tau in pairs],
+    return _grid_report(model, effective_generator_fast_repetition(model), s_max, s_steps,
+                        [(tau, lam, tau) for lam, tau in pairs],
                         lambda s, lam, tau: s / (lam * lam * tau) if lam > 0 else 0.0)

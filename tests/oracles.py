@@ -14,22 +14,24 @@ n-sized commutators and Kronecker sums in the eigenframe of H_0.  The
 Schur route to the van Hove averages (the branch logarithm A0 of
 alpha_S^tau, its clustered spectral projections and the sum of P B P over
 them) and their defining Cesaro time average are the oracles for the
-Bohr-frame masks of ``ris.vanhove``.
+Bohr-frame masks of ``ris.vanhove``.  The superoperator constructors, the
+Choi matrix and the peripheral spectrum at the end are test helpers.
 """
 import math
 
 import numpy as np
 
+from ris.asymptotic import _peripheral
 from ris.dynamics import ChainState, RISModel, system_free_evolution
 from ris.linops import (
     SpectralDecomposition,
     Superoperator,
     commutator_superop,
-    derivation_superop,
     kron,
     largest_gap_bisector,
     matrix_exp,
     matrix_log_unitary,
+    require_hermitian,
     vec,
 )
 
@@ -223,3 +225,46 @@ def log_generator_A0(model: RISModel, tau: float,
     raises with the suggested cut attached.
     """
     return _branch_log(system_free_evolution(model, tau), branch_cut_angle)[0]
+
+
+def identity_superop(n: int) -> Superoperator:
+    return Superoperator(np.eye(n * n, dtype=complex))
+
+
+def zero_superop(n: int) -> Superoperator:
+    return Superoperator(np.zeros((n * n, n * n), dtype=complex))
+
+
+def left_right(a: np.ndarray, b: np.ndarray) -> Superoperator:
+    """The map x -> a x b."""
+    return Superoperator(np.kron(a, np.asarray(b).T))
+
+
+def superop_power(s: Superoperator, k: int) -> Superoperator:
+    return Superoperator(np.linalg.matrix_power(s.matrix, k))
+
+
+def derivation_superop(h: np.ndarray) -> Superoperator:
+    """Heisenberg derivation x -> i[h, x] of a Hermitian h.
+
+    exp(t * result) is the evolution x -> e^{ith} x e^{-ith}; on u_kl it
+    acts as multiplication by e^{it(E_k - E_l)}, so u01 of a two-level h =
+    diag(0, S) picks up the phase e^{-itS}.
+    """
+    h = require_hermitian(h, name="h")
+    return 1j * commutator_superop(h)
+
+
+def choi_matrix(s: Superoperator) -> np.ndarray:
+    """Choi matrix C with C[(j,a),(m,b)] = <e_a, S(u_jm) e_b>.
+
+    S is completely positive iff C is positive semidefinite; the identity
+    map yields the unnormalized maximally entangled projector (trace n).
+    """
+    n = s.dim
+    return s.matrix.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n).copy()
+
+
+def peripheral_spectrum(t_map: Superoperator, tol: float = 1e-9) -> list[complex]:
+    """Eigenvalues of modulus >= 1 - tol, sorted by decreasing modulus."""
+    return _peripheral(np.linalg.eigvals(t_map.matrix), tol)

@@ -23,7 +23,7 @@ from ris.dynamics import (
     interaction_dynamics,
     reduced_map_T,
 )
-from ris.linops import Superoperator, choi_matrix, matrix_exp, spectral_decompose, superop_norm
+from ris.linops import Superoperator, matrix_exp, spectral_decompose, superop_norm
 from ris.spin import SpinParams, build_spin_model, closed_form_deltas
 from ris.vanhove import (
     converge_lambda,
@@ -35,7 +35,13 @@ from ris.vanhove import (
 )
 
 from conftest import cli_trace_distances, random_two_level_model, spin_base
-from oracles import cesaro_average, full_generator, log_generator_A0, spectral_average
+from oracles import (
+    cesaro_average,
+    choi_matrix,
+    full_generator,
+    log_generator_A0,
+    spectral_average,
+)
 
 
 def report(number: int, description: str, passed: bool, detail: str = ""):

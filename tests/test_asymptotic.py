@@ -8,7 +8,6 @@ from ris.asymptotic import (
     effective_asymptotic_state,
     kato_structure_check,
     limit_projection,
-    peripheral_spectrum,
     trace_distance,
 )
 from ris.dynamics import NoAsymptoticStateError, RISModel, reduced_map_T, system_free_evolution
@@ -27,6 +26,7 @@ from conftest import (
     random_unitary,
     spin_base,
 )
+from oracles import identity_superop, left_right, peripheral_spectrum, zero_superop
 
 
 def projection_onto_identity(rho):
@@ -39,7 +39,7 @@ def projection_onto_identity(rho):
 class TestPeripheralSpectrum:
     def test_unitary_conjugation_all_peripheral(self, rng):
         w = random_unitary(rng, 2)
-        conj = Superoperator.left_right(w, w.conj().T)
+        conj = left_right(w, w.conj().T)
         assert len(peripheral_spectrum(conj)) == 4
 
     def test_free_step_on_spin_model(self):
@@ -165,7 +165,7 @@ class TestAsymptoticPeriodicState:
 
 class TestEffectiveAsymptoticState:
     def test_zero_generator_not_rank_one(self):
-        result = effective_asymptotic_state(Superoperator.zero(2))
+        result = effective_asymptotic_state(zero_superop(2))
         assert not result.rank_one
         assert result.density is None
 
@@ -222,7 +222,7 @@ class TestKatoStructure:
         # P(eps) is constant, the extrapolation reproduces P(0), and the
         # reduced first-order operator vanishes so Q is everything
         assert superop_norm(report.p_plus - report.p0) <= 1e-10
-        assert superop_norm(report.q - Superoperator.identity(2)) <= 1e-10
+        assert superop_norm(report.q - identity_superop(2)) <= 1e-10
         assert all(d <= 1e-10 for _, d in report.distance_rows)
 
     def test_spin_model_lemma_items(self):

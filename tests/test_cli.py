@@ -234,8 +234,9 @@ def test_jobs_and_output_are_read_by_every_experiment(tmp_path, experiment):
 
 
 # the grid parameters key the CSV rows: (parameter, s) for converge, (lambda, t)
-# or (lambda, tau, t) for asymptotic; a repeat writes two row sets under one
-# key, which for converge-tau hold different errors
+# or (lambda, tau, t) for asymptotic, (order, lambda, t) for dyson-check and eps
+# for kato; a repeat writes two row sets under one key, which for converge-tau
+# hold different errors; kato extrapolates to eps = 0+ from two eps at least
 FAST = {"regime": "fast-repetition"}
 REPEATED_PARAMETERS = [  # (experiment, extra config fields, JSON path of the error)
     ("converge-lambda", {"lambdas": [0.2, 0.1, 0.2], "s_steps": 3}, "$.lambdas[2]"),
@@ -249,6 +250,10 @@ REPEATED_PARAMETERS = [  # (experiment, extra config fields, JSON path of the er
     ("asymptotic", {"lambdas": [0.2], "t_samples": [0.0, 0.5, 0.0]}, "$.t_samples[2]"),
     ("asymptotic", {**FAST, "lambdas": [1.0], "taus": [0.2], "t_samples": [0.1, 0.1]},
      "$.t_samples[1]"),
+    ("dyson-check", {"dyson_times": [0.5, 0.5]}, "$.dyson_times[1]"),
+    ("dyson-check", {"dyson_orders": [2, 3, 2]}, "$.dyson_orders[2]"),
+    ("kato", {"eps": [0.02, 0.02, 0.01]}, "$.eps[1]"),
+    ("kato", {"eps": [0.01]}, "$.eps"),
 ]
 
 
@@ -402,22 +407,31 @@ class TestRun:
         run(config, out_path=str(out2), jobs=3)
         assert out1.read_bytes() == out2.read_bytes()
 
+    # the converge runs hand worker k the share params[k::jobs]; the unsorted
+    # lambdas reach the converge_* functions in decreasing order
+    UNSORTED = {"lambdas": [0.1, 0.3, 0.05, 0.2, 0.15], "s_max": 1.0, "s_steps": 5}
+
     @pytest.mark.parametrize("doc", [
         {"experiment": "converge-lambda", "interpolated": True, "lambdas": [0.3, 0.2, 0.1],
          "s_max": 1.0, "s_steps": 5},
+        {"experiment": "converge-lambda", **UNSORTED},
+        {"experiment": "converge-lambda", "interpolated": True, **UNSORTED},
         {"experiment": "converge-tau", "lambdas": [1.0], "taus": [0.2, 0.1], "s_max": 1.0,
          "s_steps": 5},
+        {"experiment": "converge-tau", "lambdas": [1.0, 2.0, 0.5, 1.5],
+         "taus": [0.1, 0.2, 0.3, 0.05], "s_max": 1.0, "s_steps": 5},
         {"experiment": "asymptotic", "lambdas": [0.2, 0.1], "t_samples": [0.0, 0.5]},
         {"experiment": "asymptotic", "regime": "fast-repetition", "lambdas": [1.0, 2.0],
          "taus": [0.2, 0.1], "t_samples": [0.0, 0.05]},
-    ], ids=["converge-lambda-interpolated", "converge-tau", "asymptotic",
-            "asymptotic-fast-repetition"])
+    ], ids=["converge-lambda-interpolated", "converge-lambda-unsorted",
+            "converge-lambda-interpolated-unsorted", "converge-tau", "converge-tau-4-pairs",
+            "asymptotic", "asymptotic-fast-repetition"])
     def test_parallel_determinism_per_experiment(self, tmp_path, doc):
         config = parse_config(json.dumps({"model": SPIN_MODEL, **doc}))
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(config, out_path=str(out1), jobs=1) == 0
-        assert run(config, out_path=str(out2), jobs=2) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        out = {jobs: tmp_path / f"jobs{jobs}.csv" for jobs in (1, 2, 3)}
+        for jobs, path in out.items():
+            assert run(config, out_path=str(path), jobs=jobs) == 0
+        assert out[1].read_bytes() == out[2].read_bytes() == out[3].read_bytes()
 
     def test_dyson_check(self, tmp_path):
         doc = {"model": SPIN_MODEL, "experiment": "dyson-check",

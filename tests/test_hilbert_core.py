@@ -13,9 +13,7 @@ from ris.dynamics import (
     system_free_evolution,
 )
 from ris.linops import (
-    choi_matrix,
     commutator_superop,
-    derivation_superop,
     matrix_exp,
     spectral_decompose,
     superop_norm,
@@ -28,7 +26,9 @@ from ris.vanhove import (
 
 from conftest import random_model, random_unitary
 from oracles import (
+    choi_matrix,
     density_from_dual_fixed_point,
+    derivation_superop,
     dyson_term_block,
     full_generator,
     restrict_to_system,

@@ -17,7 +17,6 @@ from ris.dynamics import (
 from ris.linops import (
     BranchCutCollisionError,
     Superoperator,
-    derivation_superop,
     matrix_exp,
     spectral_decompose,
     superop_norm,
@@ -29,7 +28,6 @@ from ris.vanhove import (
     converge_tau,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
-    grid_flows,
     second_order_term,
 )
 
@@ -43,9 +41,11 @@ from conftest import (
 from oracles import (
     _branch_log,
     cesaro_average,
+    derivation_superop,
     log_generator_A0,
     restrict_to_system,
     spectral_average,
+    zero_superop,
 )
 
 # frozen oracle values: direct evaluation of the closed forms at
@@ -96,7 +96,7 @@ class TestSpectralAverage:
 
     def test_cesaro_trivial_generator(self, rng):
         b = Superoperator(rng.standard_normal((4, 4)))
-        assert superop_norm(cesaro_average(b, Superoperator.zero(2)) - b) <= 1e-14
+        assert superop_norm(cesaro_average(b, zero_superop(2)) - b) <= 1e-14
 
 
 class TestLogGeneratorA0:
@@ -339,40 +339,6 @@ class TestGridEvaluator:
             assert p == 0.3
             expected = superop_norm(np.eye(gen.shape[0]) - matrix_exp(s * gen))
             assert abs(err - expected) <= 1e-12
-
-    @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_shared_flows_give_the_same_rows(self, name):
-        model = self.MODELS[name]()
-        weak = grid_flows(effective_generator_weak_coupling(model, 1.0), 2.0, 7)
-        fast = grid_flows(effective_generator_fast_repetition(model), 2.0, 7)
-        assert weak.flows.shape == (7, 4, 4) and weak.s_grid[-1] == 2.0
-        for converge in (converge_lambda, converge_lambda_interpolated):
-            for lam in (0.4, 0.25):
-                assert (converge(model, 1.0, [lam], 2.0, 7, None, weak).rows
-                        == converge(model, 1.0, [lam], 2.0, 7).rows)
-        for pair in [(1.0, 0.3), (2.0, 0.1)]:
-            assert (converge_tau(model, [pair], 2.0, 7, fast).rows
-                    == converge_tau(model, [pair], 2.0, 7).rows)
-
-    def test_flows_of_another_grid_regime_tau_or_cut_are_refused(self):
-        model = self.MODELS["spin"]()
-        weak = grid_flows(effective_generator_weak_coupling(model, 1.0), 2.0, 7)
-        fast = grid_flows(effective_generator_fast_repetition(model), 2.0, 7)
-        with pytest.raises(ValueError, match="do not fit"):
-            converge_lambda(model, 1.0, [0.4], 2.0, 7, None, fast)
-        with pytest.raises(ValueError, match="do not fit"):
-            converge_tau(model, [(1.0, 0.3)], 2.0, 7, weak)
-        with pytest.raises(ValueError, match="do not fit"):
-            converge_lambda_interpolated(model, 1.0, [0.4], 2.0, 8, None, weak)
-        with pytest.raises(ValueError, match="do not fit"):
-            converge_lambda_interpolated(model, 1.0, [0.4], 3.0, 7, None, weak)
-        with pytest.raises(ValueError, match="do not fit"):
-            converge_lambda(model, 1.0, [0.4], 2.0, 7, weak.effective.branch_cut_angle + 0.1,
-                            weak)
-        with pytest.raises(ValueError, match="do not fit"):
-            converge_lambda(model, 0.5, [0.4], 2.0, 7, None, weak)
-        assert converge_lambda(model, 1.0, [0.4], 2.0, 7, weak.effective.branch_cut_angle,
-                               weak).rows == converge_lambda(model, 1.0, [0.4], 2.0, 7).rows
 
 
 def rotated_model(seed: int, levels, n_e: int = 2) -> RISModel:
