@@ -86,29 +86,27 @@ class LimitProjection:
     eigenvalues: np.ndarray
 
 
-def limit_projection(t_map: Superoperator, tol: float = 1e-7,
-                     max_power: int = 2 ** 30,
-                     cluster_radius: float = 1e-9) -> LimitProjection:
-    """Eigenprojection of eigenvalue 1, with a power-convergence flag.
+def limit_projection(t_map: Superoperator) -> LimitProjection:
+    """Eigenprojection P of the eigenvalues within 1e-9 of 1, with a power-convergence flag.
 
-    The flag is true iff every other eigenvalue has modulus < 1 - tol and
-    ||T^(2^j) - P|| decreases monotonically (once below one) up to
-    j = log2(max_power), or until it reaches the rounding floor of the
-    squarings.  On failure the projection is still returned with the flag
-    false.  ``eigenvalues`` are those of the decomposition that gave P.
+    The flag is true iff every other eigenvalue has modulus < 1 - 1e-7 and
+    ||T^(2^j) - P|| decreases monotonically (once below one) for j < 30, or
+    until it reaches the rounding floor of the squarings.  On failure the
+    projection is still returned with the flag false.  ``eigenvalues`` are
+    those of the decomposition that gave P.
     """
-    m = t_map.matrix
+    m, radius = t_map.matrix, 1e-9
     eig = np.linalg.eig(m)
-    p, cond = _eigenprojection_near(m, 1.0 + 0.0j, cluster_radius, eig)
-    others = eig[0][np.abs(eig[0] - 1.0) > cluster_radius]
+    p, cond = _eigenprojection_near(m, 1.0 + 0.0j, radius, eig)
+    others = eig[0][np.abs(eig[0] - 1.0) > radius]
     sub = float(np.abs(others).max()) if others.size else 0.0
-    spectral_ok = sub < 1.0 - tol
+    spectral_ok = sub < 1.0 - 1e-7
 
     # each squaring rounds at about eps * side * ||T|| and every later
     # squaring doubles what came before: below the floor of squaring j
     # the error is rounding, not convergence
     drift = np.finfo(float).eps * m.shape[0] * max(1.0, float(np.linalg.norm(m, 2)))
-    floors = [max(1e-10, 2.0 ** j * drift) for j in range(max(1, int(math.log2(max_power))))]
+    floors = [max(1e-10, 2.0 ** j * drift) for j in range(30)]
     errors = []
     power = m.copy()
     for floor in floors:
@@ -183,14 +181,14 @@ class EffectiveStateResult:
     spectral_gap: float
 
 
-def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator,
-                               tol: float = 1e-9) -> EffectiveStateResult:
+def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator) -> EffectiveStateResult:
     """Limit of exp(s*gen) as s -> infinity, via eigenanalysis.
 
-    Rank-one flag: 0 is a simple eigenvalue and every other eigenvalue
-    has real part < -tol.  When true, the density is read off the
-    eigenprojection P of 0.
+    Rank-one flag: 0 is a simple eigenvalue (within tol = 1e-9) and every
+    other eigenvalue has real part < -tol.  When true, the density is read
+    off the eigenprojection P of 0.
     """
+    tol = 1e-9
     g = gen.generator if isinstance(gen, EffectiveGenerator) else gen
     eig = np.linalg.eig(g.matrix)
     near_zero = np.abs(eig[0]) <= tol

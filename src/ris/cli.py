@@ -49,7 +49,7 @@ from .dynamics import (
     dyson_truncation_bound,
     interaction_dynamics,
 )
-from .linops import superop_norm
+from .linops import require_hermitian, superop_norm
 from .spin import (
     SpinParams,
     build_spin_model,
@@ -175,14 +175,6 @@ def _complex_matrix(value, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _hermitian_matrix(value, path: str) -> np.ndarray:
-    m = _complex_matrix(value, path)
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > 1e-12 * max(1.0, float(np.abs(m).max())):
-        raise ConfigError(path, f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    return m
-
-
 def _checked(key: str, value):
     """``value`` of the config field ``key``, validated against :data:`_FIELDS`."""
     default, ok, expected, _, _ = _FIELDS[key]
@@ -209,7 +201,7 @@ def _checked(key: str, value):
 
 #: model kind -> (required fields, optional fields)
 _MODELS = {"spin": (("S", "E", "beta", "tau"), ("b", "c", "a", "d")),
-           "inline": (("h_s", "h_e", "v", "beta"), ("p0",))}
+           "inline": (("h_s", "h_e", "v", "beta"), ())}
 
 
 def _build_model(doc: dict, path: str) -> tuple[RISModel, SpinParams | None]:
@@ -239,12 +231,14 @@ def _build_model(doc: dict, path: str) -> tuple[RISModel, SpinParams | None]:
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
         return build_spin_model(params), params
-    h_s, h_e, v = (_hermitian_matrix(spec[key], f"{path}.{key}") for key in ("h_s", "h_e", "v"))
-    p0 = None
-    if spec.get("p0") is not None:
-        p0 = _hermitian_matrix(spec["p0"], f"{path}.p0")
+    matrices = {key: _complex_matrix(spec[key], f"{path}.{key}") for key in ("h_s", "h_e", "v")}
+    for key, m in matrices.items():
+        try:
+            require_hermitian(m, key)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.{key}", str(exc)) from exc
     try:
-        model = RISModel(h_s=h_s, h_e=h_e, v=v, beta=float(spec["beta"]), p0=p0)
+        model = RISModel(**matrices, beta=float(spec["beta"]))
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
     return model, None
@@ -539,6 +533,9 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=None,
                        help="parallel workers over grid rows")
     args = parser.parse_args(argv)
+    if args.jobs is not None and not _FIELDS["jobs"][1](args.jobs):
+        print(f"error: --jobs: expected {_FIELDS['jobs'][2]}", file=sys.stderr)
+        return 1
     try:
         with open(args.config) as fh:
             text = fh.read()

@@ -270,32 +270,26 @@ def _steps(t: float, tau: float) -> tuple[int, float]:
 
 
 def _powers(m: np.ndarray, exponents) -> np.ndarray:
-    """m^n for each n of ``exponents``, stacked, each as np.linalg.matrix_power(m, n) forms it.
+    """m^n for each n of ``exponents`` (nonnegative integers), stacked.
 
-    The squarings m^(2^j) are formed once and shared.  Each power multiplies
-    in the squarings of its set bits, lowest bit first, into a product that
-    starts at the lowest one; n = 0 is the identity and n = 3 is (m m) m, the
-    special cases of matrix_power.  The products, and so the rounding, are
-    those of matrix_power.
+    One walk over the sorted exponents: the smallest is np.linalg.matrix_power(m, n),
+    each later one m^(n_k - n_(k-1)) m^(n_(k-1)), each distinct step power formed
+    once by matrix_power.  So a lone exponent is exactly matrix_power(m, n), a
+    repeated one a copy, and the stack does not depend on the order of ``exponents``.
     """
     exponents = np.asarray(exponents, dtype=np.int64)
     out = np.empty((exponents.size, *m.shape), dtype=m.dtype)
-    out[...] = np.eye(m.shape[0])
-    started = np.zeros(exponents.size, dtype=bool)
-    square, rest = m, exponents.copy()
-    while True:
-        bit = (rest & 1).astype(bool)
-        later, first = bit & started, bit & ~started
-        out[later] = out[later] @ square
-        out[first] = square
-        started |= bit
-        rest >>= 1
-        if not rest.any():
-            break
-        square = square @ square
-    cubes = exponents == 3
-    if cubes.any():
-        out[cubes] = (m @ m) @ m
+    steps, power, prev = {}, None, 0
+    for i in np.argsort(exponents, kind="stable"):
+        n = int(exponents[i])
+        if power is None:
+            power = np.linalg.matrix_power(m, n)
+        elif n > prev:
+            d = n - prev
+            if d not in steps:
+                steps[d] = np.linalg.matrix_power(m, d)
+            power = steps[d] @ power
+        out[i], prev = power, n
     return out
 
 
@@ -303,8 +297,8 @@ def _repeated(model: RISModel, lam: float, tau: float, t_map: np.ndarray,
               times) -> np.ndarray:
     """T^n ∘ E_S phi_SE^{t1} for each t = n*tau + t1 of ``times`` (:func:`_steps`), stacked.
 
-    ``t_map`` is the matrix of T; the powers share their squarings
-    (:func:`_powers`) and the partial-interval maps one eigh (:func:`_reduced_map`).
+    ``t_map`` is the matrix of T; the powers come from one walk over the sorted
+    n (:func:`_powers`) and the partial-interval maps from one eigh (:func:`_reduced_map`).
     """
     steps = [_steps(t, tau) for t in times]
     maps = _powers(t_map, [n for n, _ in steps])

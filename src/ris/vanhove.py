@@ -21,9 +21,9 @@ tests.
 
 The convergence experiments measure ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||
 on a grid of s (finite-type chain elements: Attal and Joye, J. Stat. Phys.
-126 (2007)).  Each converge call builds the generator and its flows e^{s gen}
-once for all of its parameters; each (lambda, tau) is then a few numpy
-calls on stacks along the s axis (:func:`_grid_report`).
+126 (2007)).  Each converge call builds the generator and its flows e^{s gen},
+the powers of one expm, once for all of its parameters; each (lambda, tau)
+is then a few numpy calls on stacks along the s axis (:func:`_grid_report`).
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from .dynamics import (
     RISModel,
     _free_evolution,
     _pair_reduction,
+    _powers,
     _repeated,
     _taylor_stack,
     reduced_map_T,
@@ -158,8 +159,8 @@ def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps
                  cases, time_of) -> ConvergenceReport:
     """Rows (parameter, s, ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||), gen = ``eff.generator``.
 
-    s = linspace(0, s_max, s_steps); the flows e^{s gen}, one expm per s,
-    serve every case of ``cases``, which lists (parameter, lambda, tau).
+    s = linspace(0, s_max, s_steps) = k ds; the flows e^{s gen} = (e^{ds gen})^k
+    (:func:`_powers`) serve every case of ``cases``: (parameter, lambda, tau).
     phi_res^t = T^n ∘ E_S phi_SE^{t1} with t = n*tau + t1, as in
     :func:`restricted_dynamics`; the regimes differ only in the generator
     and in t = time_of(s, lambda, tau):
@@ -169,13 +170,14 @@ def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps
     * fast repetition: t = s / (lambda^2 tau).
 
     Each case is a few calls on stacks with the s grid as leading axis: one
-    T(lambda, tau); every T^n from one set of shared squarings; every
+    T(lambda, tau); every T^n from one walk over the sorted n; every
     E_S phi_SE^{t1} from one eigh; alpha_S^{-t} as F diag(e^{-it(w_k - w_l)}) F^†
     in the Bohr frame of h_S; and one stacked spectral norm.  Each stack holds
     s_steps superoperators of n_S^4 entries.
     """
     s_grid = np.linspace(0.0, s_max, s_steps)
-    flows = np.stack([matrix_exp(s * eff.generator.matrix) for s in s_grid])
+    ds = s_max / max(s_steps - 1, 1)  # one s: the one flow is (e^{ds gen})^0 = I
+    flows = _powers(matrix_exp(ds * eff.generator.matrix), range(s_steps))
     rows = []
     for param, lam, tau in cases:
         times = np.array([time_of(s, lam, tau) for s in s_grid])
@@ -189,16 +191,11 @@ def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps
     return ConvergenceReport(eff.regime, ordered, sups, ratios)
 
 
-def _decreasing(lambdas) -> list:
+def _converge_weak(model: RISModel, tau: float, lambdas, s_max: float, s_steps: int,
+                   branch_cut_angle: float | None, time_of) -> ConvergenceReport:
     lambdas = list(lambdas)
     if any(l <= 0 for l in lambdas) or any(a <= b for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be positive and strictly decreasing")
-    return lambdas
-
-
-def _converge_weak(model: RISModel, tau: float, lambdas, s_max: float, s_steps: int,
-                   branch_cut_angle: float | None, time_of) -> ConvergenceReport:
-    lambdas = _decreasing(lambdas)
     eff = effective_generator_weak_coupling(model, tau, branch_cut_angle)
     return _grid_report(model, eff, s_max, s_steps, [(lam, lam, tau) for lam in lambdas],
                         time_of)

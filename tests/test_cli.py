@@ -352,6 +352,8 @@ BAD_MODELS = [  # (model object, JSON path of the error, test id)
     (inline(beta=True), "$.model.inline.beta", "inline-beta-true"),
     (inline(beta=NAN), "$.model.inline.beta", "inline-beta-nan"),
     (inline(rho_e=[[1, 0], [0, 0]]), "$.model.inline.rho_e", "inline-unknown-key"),
+    # nothing reads p0 of an inline model: no experiment checks H1
+    (inline(p0=[[1, 0], [0, 0]]), "$.model.inline.p0", "inline-p0"),
     ({**SPIN_MODEL, "inline": INLINE}, "$.model", "spin-and-inline"),
     ({**SPIN_MODEL, "comment": "x"}, "$.model.comment", "model-unknown-key"),
 ]
@@ -580,6 +582,16 @@ class TestMain:
     def test_cli_missing_file(self, capsys):
         assert main(["spin-oracle", "--config", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_cli_jobs_below_one_is_an_error(self, tmp_path, capsys, jobs):
+        path = write_config(tmp_path, {"model": SPIN_MODEL, "experiment": "converge-tau",
+                                       "s_steps": 3})
+        out = tmp_path / "ct.csv"
+        assert main(["converge-tau", "--config", str(path), "--out", str(out),
+                     "--jobs", jobs]) == 1
+        assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _encode(m):
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
@@ -639,6 +651,39 @@ class TestDysonCheckCost:
         # at the default 32 nodes the quadrature matches the Taylor-stack terms to rounding
         gaps = self._dim16_gaps(tmp_path, monkeypatch)
         assert len(gaps) == 6 and all(np.isfinite(gap) and gap <= 1e-12 for gap in gaps)
+
+
+class TestConvergeCost:
+    """Each converge call exponentiates one n_S^2-sided matrix for its flows e^{s gen}."""
+
+    @pytest.mark.parametrize("fields", [
+        {"experiment": "converge-lambda"},
+        {"experiment": "converge-lambda", "interpolated": True},
+        {"experiment": "converge-tau"},
+    ], ids=["lattice", "interpolated", "tau"])
+    @pytest.mark.parametrize("which", ["spin", "random-dim8"])
+    def test_one_flow_expm(self, tmp_path, monkeypatch, which, fields):
+        model = SPIN_MODEL
+        if which == "random-dim8":
+            m = random_model(np.random.default_rng(8), 2, 4)
+            model = {"inline": {"h_s": _encode(m.h_s), "h_e": _encode(m.h_e),
+                                "v": _encode(m.v), "beta": m.beta}}
+            if fields["experiment"] == "converge-lambda":
+                fields = {**fields, "tau": 1.0}
+        # the default grid: 50 values of s
+        config = parse_config(json.dumps({"model": model, **fields}))
+        sides, expm = [], scipy.linalg.expm
+
+        def counting_expm(a):
+            sides.append(a.shape[0])
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        assert run(config, out_path=str(tmp_path / "converge.csv"), jobs=1) == 0
+        assert sides.count(config.model.n_s ** 2) == 1
+        # the weak-coupling generator adds one 3n-sided Taylor stack
+        weak = fields["experiment"] == "converge-lambda"
+        assert len(sides) == 1 + weak
 
 
 # dyson-check takes the norm of [v,.] from the spread of the eigenvalues of v

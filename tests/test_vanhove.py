@@ -324,6 +324,41 @@ class TestGridEvaluator:
                 assert abs(err - expected) <= 1e-12
         assert off_lattice >= 10
 
+    @pytest.mark.parametrize("regime", ["weak", "fast"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_flows_match_per_s_expm(self, monkeypatch, name, regime):
+        # the flows are powers of one expm e^{ds gen}; each against e^{s gen} itself
+        model = self.MODELS[name]()
+        flows, powers = [], ris.vanhove._powers
+
+        def recording_powers(m, exponents):
+            flows.append(powers(m, exponents))
+            return flows[-1]
+
+        monkeypatch.setattr(ris.vanhove, "_powers", recording_powers)
+        s_max, s_steps = 5.0, 50
+        if regime == "weak":
+            gen = effective_generator_weak_coupling(model, 1.0).generator.matrix
+            converge_lambda(model, 1.0, [0.4], s_max, s_steps)
+        else:
+            gen = effective_generator_fast_repetition(model).generator.matrix
+            converge_tau(model, [(1.0, 0.3)], s_max, s_steps)
+        (stack,) = flows
+        for s, flow in zip(np.linspace(0.0, s_max, s_steps), stack, strict=True):
+            expected = matrix_exp(s * gen)
+            assert np.linalg.norm(flow - expected) <= 1e-12 * np.linalg.norm(expected), s
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_one_s_step(self, name):
+        # s = 0 only: the flow is I, and so is phi_res^0 alpha_S^0 to rounding
+        model = self.MODELS[name]()
+        for report, params in [
+                (converge_lambda(model, 1.0, [0.4, 0.25], 2.0, 1), [0.25, 0.4]),
+                (converge_lambda_interpolated(model, 1.0, [0.4, 0.25], 2.0, 1), [0.25, 0.4]),
+                (converge_tau(model, [(1.0, 0.3), (2.0, 0.1)], 2.0, 1), [0.1, 0.3])]:
+            assert [row[:2] for row in report.rows] == [(p, 0.0) for p in params]
+            assert all(err <= 1e-12 for _, _, err in report.rows)
+
     def test_step_cost_guard(self):
         model = build_spin_model(spin_base())
         with pytest.raises(ValueError, match="cost guard"):
