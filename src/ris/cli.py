@@ -2,12 +2,15 @@
 
 Usage: ``ris <experiment> --config <path> [--out <path>] [--jobs N]``.
 
-Configs are JSON; complex scalars are two-element arrays [re, im] and
-complex matrices are nested lists of such pairs.  Every run writes a
-results CSV (fixed columns per experiment) and a metadata JSON sidecar
-(config echo with defaults filled in, itself a valid config, package
-version, wall time).  CSV bodies are deterministic: fixed row order,
-17-significant-digit floats, independent of the parallelism degree.
+Configs are JSON; a complex scalar is a number or a two-element array
+[re, im], and a complex matrix is a list of rows whose entries may mix
+plain numbers and [re, im] pairs.  Every run writes a results CSV (fixed
+columns per experiment) and a metadata JSON sidecar (config echo with
+defaults filled in, itself a valid config, package version, wall time,
+row count, and the run's diagnostics such as kato's).  The sidecar is one
+object with one top-level key per line, in sorted order; each value is
+compact JSON on its key's line.  CSV bodies are deterministic: fixed row
+order, 17-significant-digit floats, independent of the parallelism degree.
 Exit codes: 0 success, 2 oracle tolerance failure, 1 anything else.
 ``effective``, ``asymptotic`` and ``spin-oracle`` read ``regime``;
 fast-repetition ``asymptotic`` runs over the (lambda, tau) pairs of
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import itertools
 import json
 import math
 import os
@@ -72,9 +76,16 @@ EXPERIMENTS = ("effective", "converge-lambda", "converge-tau", "asymptotic",
 REGIME_EXPERIMENTS = ("effective", "asymptotic", "spin-oracle")
 
 
+#: the types of JSON numbers as json.loads makes them; bool is not one of them
+_REALS = {int, float}
+
+
 def _number(x) -> bool:
-    """A finite JSON number; true and false are not numbers."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite JSON number: not true or false, nor an integer beyond the float range."""
+    try:
+        return type(x) in _REALS and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _positive(x) -> bool:
@@ -164,15 +175,42 @@ def _complex_scalar(value, path: str) -> complex:
     raise ConfigError(path, "expected a finite number or a two-element [re, im] array")
 
 
+def _decoded(value: list):
+    """The square matrix ``value`` as a complex array, or None if a row or an entry is bad.
+
+    One type test per entry, then one numpy call for the whole matrix: each
+    entry becomes an (re, im) float pair, and the pairs viewed as complex128
+    are complex(re, im) to the bit, signed zeros included.
+    """
+    n = len(value)
+    if not all(isinstance(row, list) and len(row) == n for row in value):
+        return None
+    pairs = [x if isinstance(x, list) else (x, 0.0) for row in value for x in row]
+    if not _REALS.issuperset(map(type, itertools.chain.from_iterable(pairs))):
+        return None
+    try:
+        parts = np.array(pairs, dtype=float)
+    except (ValueError, OverflowError):  # pairs of unequal lengths; an integer beyond float
+        return None
+    # pairs all of one wrong length, [re] or [re, im, x], make another shape
+    if parts.shape != (n * n, 2) or not np.isfinite(parts).all():
+        return None
+    return parts.view(complex).reshape(n, n)
+
+
 def _complex_matrix(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected a non-empty matrix (list of rows)")
-    rows = []
+    matrix = _decoded(value)
+    if matrix is not None:
+        return matrix
+    # the path of the first bad row or entry, in row-major order
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != len(value):
             raise ConfigError(f"{path}[{i}]", "matrix must be square")
-        rows.append([_complex_scalar(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
-    return np.array(rows, dtype=complex)
+        for j, x in enumerate(row):
+            _complex_scalar(x, f"{path}[{i}][{j}]")
+    raise ConfigError(path, "expected a square matrix of finite numbers or [re, im] arrays")
 
 
 def _checked(key: str, value):
@@ -284,7 +322,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("$.model", f"full dimension {model.dim} exceeds the cap {cap} "
                           "(override with RIS_MAX_DIM)")
 
-    merged = copy.deepcopy({key: row[0] for key, row in _FIELDS.items()})
+    # a default is a scalar, or a list or dict of scalars: a shallow copy of each is a deep one
+    merged = {key: copy.copy(row[0]) for key, row in _FIELDS.items()}
     for key, value in doc.items():
         if key in ("experiment", "model"):
             continue
@@ -367,7 +406,8 @@ def _shares(params: list, jobs: int) -> list:
 def _parallel_map(fn, payloads, jobs: int) -> list:
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at once: no more of them than payloads
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         return list(pool.map(fn, payloads))
 
 
@@ -501,10 +541,12 @@ def _write_outputs(config: ExperimentConfig, header, rows, extras, out_path, wal
         "rows": len(rows),
         **extras,
     }
+    # one sorted key per line, each value encoded whole: no indent, so the C encoder runs
+    members = (f"  {json.dumps(key)}: {json.dumps(meta[key], sort_keys=True, default=repr)}"
+               for key in sorted(meta))
     meta_path = os.path.splitext(out_path)[0] + ".meta.json"
     with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=repr)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(members) + "\n}\n")
     return meta_path
 
 

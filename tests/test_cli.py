@@ -371,6 +371,92 @@ def test_bad_model_is_a_config_error(tmp_path, capsys, model, path):
     assert path in capsys.readouterr().err
 
 
+HUGE = 10 ** 400  # a JSON integer beyond the float range
+
+# an integer too large for a float is not a finite number: a config error at its path
+OVERFLOWS = [  # (experiment, extra config fields, JSON path of the error)
+    ("effective", {"tau": HUGE}, "$.tau"),
+    ("effective", {"model": spin(S=HUGE), "tau": 1.0}, "$.model.spin.S"),
+    ("effective", {"model": inline(h_s=[[0, HUGE], [0, 1]]), "tau": 1.0},
+     "$.model.inline.h_s[0][1]"),
+    ("asymptotic", {"lambdas": [HUGE]}, "$.lambdas[0]"),
+]
+
+
+@pytest.mark.parametrize("experiment, fields, path", OVERFLOWS,
+                         ids=[path for _, _, path in OVERFLOWS])
+def test_integer_beyond_float_is_a_config_error(tmp_path, capsys, experiment, fields, path):
+    doc = {"model": SPIN_MODEL, "experiment": experiment, **fields}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.path == path
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+ENTRY = "expected a finite number or a two-element [re, im] array"
+SQUARE = "matrix must be square"
+BAD_MATRICES = [  # (h_s, JSON path of the error below $.model.inline.h_s, message, test id)
+    ([[True, 0], [0, 1]], "[0][0]", ENTRY, "bool"),
+    ([[0, "1"], [0, 1]], "[0][1]", ENTRY, "string"),
+    ([[0, 0], [None, 1]], "[1][0]", ENTRY, "null"),
+    ([[0, 0], [0, NAN]], "[1][1]", ENTRY, "nan"),
+    ([[float("inf"), 0], [0, 1]], "[0][0]", ENTRY, "infinity"),
+    ([[0, 0], [0, HUGE]], "[1][1]", ENTRY, "integer-beyond-float"),
+    ([[0, [0, HUGE]], [0, 1]], "[0][1]", ENTRY, "pair-integer-beyond-float"),
+    ([[0, [0, True]], [0, 1]], "[0][1]", ENTRY, "pair-bool"),
+    ([[0, [0, NAN]], [0, 1]], "[0][1]", ENTRY, "pair-nan"),
+    ([[0, [[0, 1], 0]], [0, 1]], "[0][1]", ENTRY, "pair-nested"),
+    ([[0, [1.0]], [0, 1]], "[0][1]", ENTRY, "re-only"),
+    ([[0, 0], [[1.0, 0.0, 2.0], 1]], "[1][0]", ENTRY, "re-im-extra"),
+    # every entry of one wrong length: no ragged array to give the error away
+    ([[[0.0], [1.0]], [[1.0], [2.0]]], "[0][0]", ENTRY, "all-re-only"),
+    ([[[0, 0, 1], [1, 0, 1]], [[1, 0, 1], [2, 0, 1]]], "[0][0]", ENTRY, "all-re-im-extra"),
+    ([[[1, 0, 0, 0]]], "[0][0]", ENTRY, "one-entry-of-four"),
+    ([[[]]], "[0][0]", ENTRY, "one-empty-entry"),
+    ([[0, 0], 5], "[1]", SQUARE, "row-not-a-list"),
+    ([[0, 0], [0]], "[1]", SQUARE, "ragged-row"),
+    ([[0, 0], [0, 1], [0, 2]], "[0]", SQUARE, "more-rows-than-columns"),
+    ([], "", "expected a non-empty matrix (list of rows)", "empty"),
+    ({"0": [0]}, "", "expected a non-empty matrix (list of rows)", "object"),
+]
+
+
+@pytest.mark.parametrize("h_s, where, message", [case[:3] for case in BAD_MATRICES],
+                         ids=[case[3] for case in BAD_MATRICES])
+def test_bad_matrix_is_a_config_error(h_s, where, message):
+    doc = {"model": inline(h_s=h_s), "experiment": "effective", "tau": 1.0}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    path = "$.model.inline.h_s" + where
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+
+class TestMatrixDecode:
+    """Matrix entries decode in one numpy call to exactly complex(re, im)."""
+
+    ENTRIES = [0, -0.0, [-0.0, -0.0], [0, -0.0], [-0.0, 0], 1, 2 ** 53 + 1, -2 ** 63,
+               2 ** 64 + 1, 10 ** 300, [1e-310, -5e-324], 1.7976931348623157e308,
+               [0.1, 0.2], [3, 4], [-1, 2.5], 7.25]
+
+    def test_bit_identical_to_complex(self):
+        value = [self.ENTRIES[4 * i:4 * i + 4] for i in range(4)]
+        expected = np.array([[complex(*x) if isinstance(x, list) else complex(x) for x in row]
+                             for row in value])
+        decoded = ris.cli._complex_matrix(value, "$.m")
+        assert decoded.dtype == np.complex128 and decoded.shape == (4, 4)
+        assert np.array_equal(decoded.view(np.uint64), expected.view(np.uint64))
+
+    def test_mixed_numbers_and_pairs_are_accepted(self):
+        h_s = [[0, [0.5, -0.25]], [[0.5, 0.25], 1]]
+        config = parse_config(json.dumps({"model": inline(h_s=h_s), "experiment": "effective",
+                                          "tau": 1.0}))
+        assert np.array_equal(config.model.h_s, [[0, 0.5 - 0.25j], [0.5 + 0.25j, 1]])
+
+
 class TestRun:
     def test_spin_oracle_passes(self, tmp_path):
         config = parse_config(json.dumps({"model": SPIN_MODEL,
@@ -684,6 +770,83 @@ class TestConvergeCost:
         # the weak-coupling generator adds one 3n-sided Taylor stack
         weak = fields["experiment"] == "converge-lambda"
         assert len(sides) == 1 + weak
+
+
+class TestSidecar:
+    """The sidecar: one sorted top-level key per line, each value from the C JSON encoder."""
+
+    KATO = {"model": SPIN_MODEL, "experiment": "kato", "eps": [0.04, 0.02, 0.01]}
+    EFFECTIVE = {"model": inline(), "experiment": "effective", "tau": 1.0}
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+    @pytest.mark.parametrize("doc", [KATO, EFFECTIVE], ids=["kato", "effective-inline"])
+    def test_never_takes_the_pure_python_encoder(self, tmp_path, monkeypatch, doc):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert run(parse_config(json.dumps(doc)), out_path=str(tmp_path / "out.csv")) == 0
+        meta = json.loads((tmp_path / "out.meta.json").read_text())
+        assert meta["config"] == parse_config(json.dumps(doc)).echo
+
+    def test_layout_and_content(self, tmp_path):
+        config = parse_config(json.dumps(self.EFFECTIVE))
+        # extras of every JSON kind, nested keys out of order, and one value only repr encodes
+        extras = {"kato_like": {"z": [1.5, -0.0], "a": True}, "none": None, "text": "λ → 0",
+                  "opaque": np.float32(0.5), "big": 10 ** 30}
+        out = tmp_path / "out.csv"
+        meta_path = ris.cli._write_outputs(config, ["x"], [(1.0,), (2.0,)], extras, str(out),
+                                           0.25, 3)
+        text = (tmp_path / "out.meta.json").read_text()
+        assert meta_path == str(tmp_path / "out.meta.json")
+        # what an indent=2 rendering of the same object parses to
+        meta = {"config": config.echo, "version": ris.__version__, "wall_time_seconds": 0.25,
+                "jobs": 3, "rows": 2, **extras}
+        assert json.loads(text) == json.loads(json.dumps(meta, indent=2, sort_keys=True,
+                                                         default=repr))
+        lines = text.split("\n")
+        assert (lines[0], lines[-2], lines[-1]) == ("{", "}", "")
+        members = [json.loads("{" + line.rstrip(",") + "}") for line in lines[1:-2]]
+        assert [key for member in members for key in member] == sorted(meta)
+        assert all(len(member) == 1 for member in members)
+
+
+class TestPoolSize:
+    """The process pool forks no more workers than there are payloads."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of each pool opened; the stand-in maps serially and starts no process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(ris.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (64, 3)])
+    def test_asymptotic_three_lambdas(self, tmp_path, pools, jobs, workers):
+        config = parse_config(json.dumps({"model": SPIN_MODEL, "experiment": "asymptotic"}))
+        assert len(config.lambdas) == 3
+        assert run(config, out_path=str(tmp_path / "asym.csv"), jobs=jobs) == 0
+        assert pools == [workers]
+
+    def test_converge_tau_three_taus(self, tmp_path, pools):
+        config = parse_config(json.dumps({"model": SPIN_MODEL, "experiment": "converge-tau",
+                                          "s_steps": 3}))
+        assert run(config, out_path=str(tmp_path / "ct.csv"), jobs=64) == 0
+        assert pools == [3]
 
 
 # dyson-check takes the norm of [v,.] from the spread of the eigenvalues of v
