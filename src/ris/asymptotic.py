@@ -1,16 +1,18 @@
-"""Peripheral spectra, limit projections, and asymptotic states.
+"""Limit projections and asymptotic states.
 
-"Unique asymptotic state" is operationalized as: eigenvalue 1 of the
-reduced map is simple and no other eigenvalue is peripheral within
-tolerance.  Its eigenprojection P(x) = Tr(rho x) I then has the matrix
-vec(I) vec(rho^T)^T, and rho is read off as vec(rho^T) = vec(I)^T P / n;
-the limit of exp(s*gen) is the same kind of projection, at eigenvalue 0
-of the generator.  Each map is decomposed by one ``numpy.linalg.eig``,
-which gives its peripheral spectrum, subdominant modulus, projection and
-density.  The maps are not normal: projections pair right eigenvectors
-with the rows of their inverse, and the pairing's condition is reported.
-The CLI ``asymptotic`` experiment compares the exact periodic states with
-the effective limit of either regime (:func:`trace_distance`).
+One verdict decides whether a dynamics has a unique asymptotic state, the
+exact map T(lambda, tau) and an effective generator alike.  With P the
+eigenprojection of eigenvalue 1 of T (of 0 of the generator), the state
+is unique when the rest of the spectrum is isolated, tr P = 1, and the rho
+read off P is PSD; otherwise NoAsymptoticStateError names the dynamics.
+Isolated means :attr:`LimitProjection.converged` for T, and real part
+< -1e-9 for every other eigenvalue of a generator.  P(x) = Tr(rho x) I has
+the matrix vec(I) vec(rho^T)^T, so vec(rho^T) = vec(I)^T P / n.  Each map
+is decomposed by one ``numpy.linalg.eig``; the maps are not normal, so
+projections pair right eigenvectors with the rows of their inverse, and
+the pairing's condition is reported.  The CLI ``asymptotic`` experiment
+compares the exact periodic states with the effective limit of either
+regime (:func:`trace_distance`).
 """
 from __future__ import annotations
 
@@ -28,27 +30,18 @@ class JordanDefectError(ValueError):
     """The relevant eigenvalue is not semisimple within tolerance."""
 
 
-def _peripheral(eigs: np.ndarray, tol: float) -> list[complex]:
-    """The eigenvalues of modulus >= 1 - tol, sorted by decreasing modulus."""
-    periph = [complex(e) for e in eigs if abs(e) >= 1.0 - tol]
-    periph.sort(key=lambda e: (-abs(e), np.angle(e)))
-    return periph
-
-
 def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None):
     """Spectral projection of the eigenvalue cluster within ``radius`` of ``point``.
 
     Right eigenvectors paired with the rows of their inverse; ``eig`` is the
-    ``numpy.linalg.eig(m)`` pair when the caller holds it already.  Raises
-    JordanDefectError when the cluster eigenvalue is not semisimple: the
-    projection fails idempotency, or the restriction of m to the range of
-    the projection carries a nilpotent part.  Returns (projection,
-    pairing condition number).
+    ``numpy.linalg.eig(m)`` pair when the caller holds it already.  An empty
+    cluster gives the zero projection.  Raises JordanDefectError when the
+    cluster eigenvalue is not semisimple: the projection fails idempotency,
+    or the restriction of m to the range of the projection carries a
+    nilpotent part.  Returns (projection, pairing condition number).
     """
     eigs, vr = np.linalg.eig(m) if eig is None else eig
     idx = np.nonzero(np.abs(eigs - point) <= radius)[0]
-    if idx.size == 0:
-        raise ValueError(f"no eigenvalue within {radius:.1e} of {point}")
     vl = np.linalg.inv(vr)
     p = vr[:, idx] @ vl[idx, :]
     scale = max(1.0, float(np.linalg.norm(m, 2)))
@@ -61,18 +54,25 @@ def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None
     return p, float(np.linalg.cond(vr))
 
 
-def _density(p: np.ndarray, n: int) -> np.ndarray:
-    """The rho of a projection P(x) = Tr(rho x) I, from vec(rho^T) ~ vec(I)^T P.
+def _unique_state(p: np.ndarray, isolated: bool, n: int, dynamics: str) -> np.ndarray:
+    """The unique asymptotic state read off the eigenprojection ``p``, Hermitian with trace one.
 
-    Trace one and Hermitian; raises NoAsymptoticStateError unless PSD.
+    Raises NoAsymptoticStateError naming ``dynamics`` unless the rest of the
+    spectrum is ``isolated``, tr P = 1 and the state is PSD.
     """
+    rank = float(np.trace(p).real)
+    if not isolated or abs(rank - 1.0) > 1e-8:
+        raise NoAsymptoticStateError(
+            f"{dynamics} has no unique asymptotic state (eigenprojection of trace "
+            f"{rank:.6g}, rest of the spectrum {'' if isolated else 'not '}isolated)")
     rho = (np.eye(n).reshape(-1) @ p).reshape(n, n).T
     rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
     low = float(np.linalg.eigvalsh(rho).min())
     if low < -1e-10:
         raise NoAsymptoticStateError(
-            f"limit projection encodes no PSD state (min eigenvalue {low:.3e})")
+            f"{dynamics} has no unique asymptotic state (its limit projection "
+            f"encodes no PSD state, min eigenvalue {low:.3e})")
     return rho
 
 
@@ -83,7 +83,6 @@ class LimitProjection:
     subdominant_modulus: float
     pairing_condition: float
     power_errors: tuple
-    eigenvalues: np.ndarray
 
 
 def limit_projection(t_map: Superoperator) -> LimitProjection:
@@ -92,8 +91,7 @@ def limit_projection(t_map: Superoperator) -> LimitProjection:
     The flag is true iff every other eigenvalue has modulus < 1 - 1e-7 and
     ||T^(2^j) - P|| decreases monotonically (once below one) for j < 30, or
     until it reaches the rounding floor of the squarings.  On failure the
-    projection is still returned with the flag false.  ``eigenvalues`` are
-    those of the decomposition that gave P.
+    projection is still returned with the flag false.
     """
     m, radius = t_map.matrix, 1e-9
     eig = np.linalg.eig(m)
@@ -114,22 +112,16 @@ def limit_projection(t_map: Superoperator) -> LimitProjection:
         if errors[-1] < floor:
             break
         power = power @ power
-    started = False
-    monotone = True
-    for prev, cur, floor in zip(errors, errors[1:], floors[1:]):
-        if not started and prev < 1.0:
-            started = True
-        if started and cur > prev + 1e-12 and cur > floor:
-            monotone = False
+    first = next((j for j, e in enumerate(errors) if e < 1.0), len(errors))
+    monotone = all(cur <= prev + 1e-12 or cur <= floor for prev, cur, floor
+                   in zip(errors[first:], errors[first + 1:], floors[first + 1:]))
     return LimitProjection(Superoperator(p), spectral_ok and monotone,
-                           sub, cond, tuple(errors), eig[0])
+                           sub, cond, tuple(errors))
 
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    peripheral_eigenvalues: tuple
     limit_projection: Superoperator
-    is_rank_one: bool
     asymptotic_density: np.ndarray
     period_samples: tuple
 
@@ -146,18 +138,12 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
     The density at the period start is read off the eigenprojection of
     eigenvalue 1 of T(lambda, tau); the sample at t in [0, tau) is
     it propagated through the partial-interval map.  Raises
-    NoAsymptoticStateError when eigenvalue 1 is not simple-and-dominant.
+    NoAsymptoticStateError when T has no unique asymptotic state.
     """
     t_map = reduced_map_T(model, lam, tau)
     lp = limit_projection(t_map)
-    periph = _peripheral(lp.eigenvalues, 1e-9)
-    if len(periph) != 1 or not lp.converged:
-        raise NoAsymptoticStateError(
-            f"no unique asymptotic state: peripheral spectrum {periph}, "
-            f"power convergence {lp.converged}")
-    rho0 = _density(lp.projection.matrix, model.n_s)
-    trace_of_p = float(np.trace(lp.projection.matrix).real)
-    is_rank_one = abs(trace_of_p - 1.0) < 1e-8
+    rho0 = _unique_state(lp.projection.matrix, lp.converged, model.n_s,
+                         f"T at (lambda, tau) = ({lam:g}, {tau:g})")
 
     samples = []
     for t in t_samples:
@@ -171,36 +157,22 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
         if drift > 1e-9:
             raise NoAsymptoticStateError(f"period drift {drift:.3e} at t={t}")
         samples.append((float(t), rho_t))
-    return AsymptoticReport(tuple(periph), lp.projection, is_rank_one, rho0, tuple(samples))
+    return AsymptoticReport(lp.projection, rho0, tuple(samples))
 
 
-@dataclass(frozen=True)
-class EffectiveStateResult:
-    density: np.ndarray | None
-    rank_one: bool
-    spectral_gap: float
+def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator) -> np.ndarray:
+    """The density that exp(s*gen) relaxes to as s -> infinity.
 
-
-def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator) -> EffectiveStateResult:
-    """Limit of exp(s*gen) as s -> infinity, via eigenanalysis.
-
-    Rank-one flag: 0 is a simple eigenvalue (within tol = 1e-9) and every
-    other eigenvalue has real part < -tol.  When true, the density is read
-    off the eigenprojection P of 0.
+    Read off the eigenprojection of 0 (within 1e-9); raises
+    NoAsymptoticStateError when the generator has no unique asymptotic state.
     """
     tol = 1e-9
     g = gen.generator if isinstance(gen, EffectiveGenerator) else gen
     eig = np.linalg.eig(g.matrix)
-    near_zero = np.abs(eig[0]) <= tol
-    others = eig[0][~near_zero]
-    gap = float(-others.real.max()) if others.size else 0.0
-    if not near_zero.any():
-        return EffectiveStateResult(None, False, gap)
     # a multiple zero raises JordanDefectError when it is defective
-    p_inf, _ = _eigenprojection_near(g.matrix, 0.0 + 0.0j, tol, eig)
-    if near_zero.sum() > 1 or (others.size and gap <= tol):
-        return EffectiveStateResult(None, False, gap)
-    return EffectiveStateResult(_density(p_inf, g.dim), True, gap)
+    p, _ = _eigenprojection_near(g.matrix, 0.0 + 0.0j, tol, eig)
+    isolated = bool(np.all(eig[0][np.abs(eig[0]) > tol].real < -tol))
+    return _unique_state(p, isolated, g.dim, "the effective generator")
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -221,7 +193,6 @@ class KatoReport:
     p0: Superoperator
     t_prime: Superoperator
     q: Superoperator
-    p0q: Superoperator
     p_plus: Superoperator
     commutator_norm: float
     idempotency_defect: float
@@ -230,7 +201,6 @@ class KatoReport:
     distance_rows: tuple          # (eps, ||P(eps) - P(0+)||)
     distance_ratios: tuple
     extrapolation_stable: bool
-    raw_differences: tuple
 
 
 def _free_fixed_projection(model: RISModel, tau: float) -> np.ndarray:
@@ -280,8 +250,8 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
 
     return KatoReport(
         p0=Superoperator(p0), t_prime=Superoperator(t_prime), q=Superoperator(q),
-        p0q=Superoperator(p0q), p_plus=Superoperator(p_plus),
+        p_plus=Superoperator(p_plus),
         commutator_norm=comm, idempotency_defect=idem, subprojection_defect=sub,
         trace_p_plus=float(np.trace(p_plus).real),
         distance_rows=rows, distance_ratios=ratios,
-        extrapolation_stable=stable, raw_differences=diffs)
+        extrapolation_stable=stable)

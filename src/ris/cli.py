@@ -48,6 +48,7 @@ from .asymptotic import (
 from .dynamics import (
     NoAsymptoticStateError,
     RISModel,
+    check_H1,
     dyson_term_quadrature,
     dyson_terms,
     dyson_truncation_bound,
@@ -333,6 +334,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if experiment == "spin-oracle" and spin_params is None:
         raise ConfigError("$.model", "experiment 'spin-oracle' requires a spin model")
+    if experiment == "spin-oracle" and not check_H1(model):  # p0 only for a = d = 0
+        raise ConfigError(f"$.model.spin.{'a' if spin_params.a != 0 else 'd'}",
+                          "the spin closed forms need a = d = 0 (hypothesis H1)")
     # the run's names in _FIELDS; a field the run would not read is an error,
     # not silently ignored
     run = {experiment, experiment + ("/fast" if merged["regime"] == FAST_REPETITION else "/weak")}
@@ -411,6 +415,13 @@ def _parallel_map(fn, payloads, jobs: int) -> list:
         return list(pool.map(fn, payloads))
 
 
+def _effective(config: ExperimentConfig, tau: float | None):
+    """The effective generator of the run's regime; weak coupling reads ``tau``."""
+    if config.regime == FAST_REPETITION:
+        return effective_generator_fast_repetition(config.model)
+    return effective_generator_weak_coupling(config.model, tau, config.branch_cut_angle)
+
+
 def _run_experiment(config: ExperimentConfig, jobs: int):
     """Returns (header, rows, metadata_extras, exit_code)."""
     model, tau = config.model, config.echo.get("tau")
@@ -433,16 +444,10 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
 
     if config.experiment == "asymptotic":
         fast = config.regime == FAST_REPETITION
-        if fast:
-            gen = effective_generator_fast_repetition(model)
-            pairs = _pairs(config.lambdas, config.taus)
-        else:
-            gen = effective_generator_weak_coupling(model, tau, config.branch_cut_angle)
-            pairs = [(lam, tau) for lam in config.lambdas]
-        eff = effective_asymptotic_state(gen)
-        if not eff.rank_one:
-            raise NoAsymptoticStateError("effective dynamics has no rank-one limit")
-        payloads = [(model, lam, t, fast, config.t_samples, eff.density) for lam, t in pairs]
+        pairs = (_pairs(config.lambdas, config.taus) if fast
+                 else [(lam, tau) for lam in config.lambdas])
+        rho_eff = effective_asymptotic_state(_effective(config, tau))
+        payloads = [(model, lam, t, fast, config.t_samples, rho_eff) for lam, t in pairs]
         chunks = _parallel_map(_rows_asymptotic, payloads, jobs)
         rows = sorted(r for chunk in chunks for r in chunk)
         header = ["lambda", "tau", "t"] if fast else ["lambda", "t"]
@@ -453,10 +458,7 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
         return header, rows, extras, 0
 
     if config.experiment == "effective":
-        if config.regime == "weak-coupling":
-            eff = effective_generator_weak_coupling(model, tau, config.branch_cut_angle)
-        else:
-            eff = effective_generator_fast_repetition(model)
+        eff = _effective(config, tau)
         extras["regime"] = eff.regime
         extras["branch_cut_angle"] = eff.branch_cut_angle
         g = eff.generator.matrix
@@ -503,18 +505,18 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
 
     if config.experiment == "spin-oracle":
         params = config.spin_params
-        if config.regime == FAST_REPETITION:
-            deltas, eff = fast_repetition_deltas, effective_generator_fast_repetition(model)
-        else:
-            deltas = closed_form_deltas
-            eff = effective_generator_weak_coupling(model, params.tau, config.branch_cut_angle)
+        deltas = fast_repetition_deltas if config.regime == FAST_REPETITION else closed_form_deltas
+        eff = _effective(config, params.tau)
         d0, d1 = deltas(params)
         g = eff.generator.matrix
         rows = [("delta0", d0, g[0, 0].real, abs(g[0, 0].real - d0)),
                 ("delta1", d1, g[-1, -1].real, abs(g[-1, -1].real - d1))]
-        if params.S != 0 and params.coupling_strength > 0:
+        try:
             rho_closed = spin_asymptotic_state(params, deltas)
-            rho_pipe = effective_asymptotic_state(eff).density
+        except NoAsymptoticStateError:  # no closed-form state: the delta rows only
+            pass
+        else:
+            rho_pipe = effective_asymptotic_state(eff)
             for i in range(2):
                 rows.append((f"rho_{i}{i}", rho_closed[i, i].real, rho_pipe[i, i].real,
                              abs(rho_closed[i, i].real - rho_pipe[i, i].real)))

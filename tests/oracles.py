@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from ris.asymptotic import _peripheral
 from ris.dynamics import ChainState, RISModel, system_free_evolution
 from ris.linops import (
     SpectralDecomposition,
@@ -267,4 +266,6 @@ def choi_matrix(s: Superoperator) -> np.ndarray:
 
 def peripheral_spectrum(t_map: Superoperator, tol: float = 1e-9) -> list[complex]:
     """Eigenvalues of modulus >= 1 - tol, sorted by decreasing modulus."""
-    return _peripheral(np.linalg.eigvals(t_map.matrix), tol)
+    periph = [complex(e) for e in np.linalg.eigvals(t_map.matrix) if abs(e) >= 1.0 - tol]
+    periph.sort(key=lambda e: (-abs(e), np.angle(e)))
+    return periph

@@ -188,10 +188,10 @@ def test_criterion_09_parametrized_regime(tmp_path):
                     - _fast_repetition_distances(tmp_path, 3, [1.0])[0])
     # and every n=3 point agrees with a direct computation at its (lambda, tau)
     eps = 0.6
-    eff = effective_asymptotic_state(effective_generator_fast_repetition(model))
+    rho_eff = effective_asymptotic_state(effective_generator_fast_repetition(model))
     direct = trace_distance(
         asymptotic_periodic_state(model, eps ** -1.0, eps ** 3).asymptotic_density,
-        eff.density)
+        rho_eff)
     direct_gap = abs(_fast_repetition_distances(tmp_path, 3, [eps])[0] - direct)
     ok = decreasing and all(r >= 3.0 for r in ratios) and cross_gap <= 1e-9 \
         and direct_gap <= 1e-9

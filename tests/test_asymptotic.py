@@ -121,7 +121,7 @@ class TestAsymptoticPeriodicState:
         rho = report.asymptotic_density
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
-        assert report.is_rank_one
+        assert abs(np.trace(report.limit_projection.matrix) - 1.0) <= 1e-8
 
     def test_free_dynamics_raises(self):
         model = build_spin_model(spin_base())
@@ -140,7 +140,7 @@ class TestAsymptoticPeriodicState:
         report = asymptotic_periodic_state(model, lam, 1.0)
         dist = trace_distance(report.asymptotic_density, spin_asymptotic_state(params))
         assert dist <= 0.1 * lam ** 2
-        assert report.is_rank_one
+        assert abs(np.trace(report.limit_projection.matrix) - 1.0) <= 1e-8
 
     def test_period_samples_are_states(self):
         model = build_spin_model(spin_base())
@@ -165,18 +165,28 @@ class TestAsymptoticPeriodicState:
 
 class TestEffectiveAsymptoticState:
     def test_zero_generator_not_rank_one(self):
-        result = effective_asymptotic_state(zero_superop(2))
-        assert not result.rank_one
-        assert result.density is None
+        with pytest.raises(NoAsymptoticStateError):
+            effective_asymptotic_state(zero_superop(2))
+
+    def test_generator_without_zero_eigenvalue(self):
+        # the eigenprojection of an absent eigenvalue is zero, of trace 0
+        with pytest.raises(NoAsymptoticStateError, match="trace 0"):
+            effective_asymptotic_state(Superoperator(-np.eye(4)))
+
+    def test_error_names_the_dynamics(self):
+        model = build_spin_model(spin_base(b=0.0, c=0.0))  # v = 0
+        with pytest.raises(NoAsymptoticStateError, match=r"T at \(lambda, tau\) = \(0.3, 1\)"):
+            asymptotic_periodic_state(model, 0.3, 1.0)
+        with pytest.raises(NoAsymptoticStateError, match="the effective generator"):
+            effective_asymptotic_state(effective_generator_weak_coupling(model, 1.0))
 
     def test_spin_generator_recovers_closed_form(self):
         params = spin_base()
         eff = effective_generator_weak_coupling(build_spin_model(params), 1.0)
-        result = effective_asymptotic_state(eff)
-        assert result.rank_one
-        assert np.abs(result.density - spin_asymptotic_state(params)).max() <= 1e-9
+        rho = effective_asymptotic_state(eff)
+        assert np.abs(rho - spin_asymptotic_state(params)).max() <= 1e-9
         # the flow reaches the projection x -> Tr(rho x) I it is read off
-        limit = projection_onto_identity(result.density)
+        limit = projection_onto_identity(rho)
         assert superop_norm(matrix_exp(1e3 * eff.generator.matrix) - limit.matrix) <= 1e-9
 
     def test_system_only_coupling_never_mixes(self):
@@ -287,9 +297,9 @@ class TestParametrizedTauExperiment:
         # the same numeric (lambda, tau): parametrization independence
         model = build_spin_model(spin_base())
         eps = 0.6
-        eff = effective_asymptotic_state(effective_generator_fast_repetition(model))
+        rho_eff = effective_asymptotic_state(effective_generator_fast_repetition(model))
         direct = asymptotic_periodic_state(model, eps ** -1.0, eps ** 3)
-        dist = trace_distance(direct.asymptotic_density, eff.density)
+        dist = trace_distance(direct.asymptotic_density, rho_eff)
         assert abs(self.distance(tmp_path, 3, eps) - dist) <= 1e-9
 
 

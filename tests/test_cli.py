@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -858,3 +859,52 @@ def test_commutator_norm_is_eigenvalue_spread(seed, n_s, n_e, scale):
     levels = np.linalg.eigvalsh(v)
     gap = abs(superop_norm(commutator_superop(v)) - (levels[-1] - levels[0]))
     assert gap <= 1e-12 * np.linalg.norm(v, 2)
+
+
+#: spin models at the edges of the closed forms and of the pipeline's verdict
+EDGE_SPIN_MODELS = {
+    "resonant-tau": {"tau": 2 * math.pi},
+    "S0": {"S": 0},
+    "b-c-0": {"b": 0, "c": 0},
+    "a-d-0.7": {"a": 0.7, "d": 0.7, "b": 0, "c": 0},
+    "beta0": {"beta": 0},
+    "beta1e6": {"beta": 1e6},
+    "S-eq-E": {"S": 2},
+}
+#: every experiment, in each regime that it reads
+EDGE_RUNS = [(e, r) for e in ris.cli.EXPERIMENTS
+             for r in (("weak-coupling", "fast-repetition")
+                       if e in ris.cli.REGIME_EXPERIMENTS else (None,))]
+
+
+@pytest.mark.parametrize("model", sorted(EDGE_SPIN_MODELS))
+@pytest.mark.parametrize("experiment, regime", EDGE_RUNS,
+                         ids=[f"{e}-{r}" if r else e for e, r in EDGE_RUNS])
+def test_edge_spin_model_ends_in_an_exit_code(tmp_path, capsys, model, experiment, regime):
+    doc = {"experiment": experiment, "model": spin(**EDGE_SPIN_MODELS[model])}
+    if regime:
+        doc["regime"] = regime
+    config = write_config(tmp_path, doc)
+    code = main([experiment, "--config", str(config), "--out", str(tmp_path / "out.csv")])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "error:" in capsys.readouterr().err
+
+
+def test_spin_oracle_at_resonant_tau_writes_the_delta_rows_only(tmp_path):
+    # at tau = 2 pi both kernels vanish: delta_0 + delta_1 is -6e-32, rounding noise
+    config = write_config(tmp_path, {"experiment": "spin-oracle", "model": spin(tau=2 * math.pi)})
+    out = tmp_path / "so.csv"
+    assert main(["spin-oracle", "--config", str(config), "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["delta0", "delta1"]
+
+
+@pytest.mark.parametrize("fields, path", [
+    ({"a": 0.7, "d": 0.7, "b": 0, "c": 0}, "$.model.spin.a"),
+    ({"d": 0.5}, "$.model.spin.d"),
+])
+def test_spin_oracle_without_H1_is_a_config_error(fields, path):
+    # the closed forms hold for a = d = 0 only
+    with pytest.raises(ConfigError, match="a = d = 0") as err:
+        parse_config(json.dumps({"experiment": "spin-oracle", "model": spin(**fields)}))
+    assert err.value.path == path

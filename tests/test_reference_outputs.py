@@ -1,9 +1,11 @@
 """CLI outputs against the benchmark references under perfbench/reference/.
 
-Runs all 7 spin-sweep configs and both converge experiments of every
-grid-dim8 pool model through ``parse_config`` + ``run``, and compares each
-CSV and sidecar with the benchmark's own checker (|diff| <= 1e-9 +
-1e-9*|ref|).  Only reads perfbench/.
+Runs all 7 spin-sweep configs, both converge experiments of every
+grid-dim8 pool model and the effective, asymptotic and kato experiments of
+every ceiling-dim16 pool model (the random-model asymptotic references)
+through ``parse_config`` + ``run``, with the workload's RIS_MAX_DIM, and
+compares each CSV and sidecar with the benchmark's own checker
+(|diff| <= 1e-9 + 1e-9*|ref|).  Only reads perfbench/.
 """
 import json
 import sys
@@ -19,8 +21,8 @@ from workloads import POOL, WORKLOADS, configs, reference_dir  # noqa: E402
 
 # (workload, seed, experiment); seed k runs pool model k of a seeded workload
 CASES = [("spin-sweep", 0, name) for name, _ in configs(WORKLOADS["spin-sweep"], 0)] + [
-    ("grid-dim8", seed, name) for seed in range(POOL)
-    for name, _ in configs(WORKLOADS["grid-dim8"], seed)]
+    (workload, seed, name) for workload in ("grid-dim8", "ceiling-dim16") for seed in range(POOL)
+    for name, _ in configs(WORKLOADS[workload], seed)]
 
 
 def case_id(workload, seed, name):
@@ -30,11 +32,15 @@ def case_id(workload, seed, name):
 
 @pytest.mark.parametrize("workload, seed, name", CASES, ids=[case_id(*c) for c in CASES])
 def test_output_matches_reference(tmp_path, monkeypatch, workload, seed, name):
-    monkeypatch.delenv("RIS_MAX_DIM", raising=False)
-    text = dict(configs(WORKLOADS[workload], seed))[name]
+    spec = WORKLOADS[workload]
+    if spec.max_dim is None:
+        monkeypatch.delenv("RIS_MAX_DIM", raising=False)
+    else:
+        monkeypatch.setenv("RIS_MAX_DIM", str(spec.max_dim))
+    text = dict(configs(spec, seed))[name]
     out = tmp_path / f"{name}.csv"
     assert run(parse_config(text), out_path=str(out)) == 0
-    ref = reference_dir(WORKLOADS[workload], seed)
+    ref = reference_dir(spec, seed)
     assert compare_csv(out.read_text(), (ref / f"{name}.csv").read_text()) is None
     meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
     assert compare_meta(meta, json.loads((ref / f"{name}.meta.json").read_text())) is None

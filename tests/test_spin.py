@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from ris.asymptotic import effective_asymptotic_state
 from ris.dynamics import NoAsymptoticStateError, check_H1
 from ris.linops import hermitian_defect, matrix_exp
 from ris.spin import (
@@ -218,6 +219,17 @@ class TestAsymptoticState:
         with pytest.raises(NoAsymptoticStateError, match="vanish"):
             spin_asymptotic_state(spin_base(b=0.0, c=0.0))
 
+    def test_resonant_tau_has_no_state_in_either_path(self):
+        # at tau = 2 pi with S = 1, E = 2 both kernels vanish; the deltas are
+        # rounding noise of -6e-32, and the pipeline's verdict agrees
+        params = spin_base(tau=2 * np.pi)
+        assert abs(sum(closed_form_deltas(params))) <= 1e-30
+        with pytest.raises(NoAsymptoticStateError, match="resonant"):
+            spin_asymptotic_state(params)
+        eff = effective_generator_weak_coupling(build_spin_model(params), params.tau)
+        with pytest.raises(NoAsymptoticStateError, match="effective generator"):
+            effective_asymptotic_state(eff)
+
     def test_fixed_by_effective_dynamics(self):
         params = spin_base()
         rho = spin_asymptotic_state(params)
@@ -229,8 +241,7 @@ class TestAsymptoticState:
             assert np.abs(propagated - rho).max() <= 1e-9
 
     def test_matches_pipeline_state(self):
-        from ris.asymptotic import effective_asymptotic_state
         params = spin_base()
         eff = effective_generator_weak_coupling(build_spin_model(params), params.tau)
-        pipeline_rho = effective_asymptotic_state(eff).density
+        pipeline_rho = effective_asymptotic_state(eff)
         assert np.abs(pipeline_rho - spin_asymptotic_state(params)).max() <= 1e-9
