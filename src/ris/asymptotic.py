@@ -10,9 +10,11 @@ Isolated means :attr:`LimitProjection.converged` for T, and real part
 the matrix vec(I) vec(rho^T)^T, so vec(rho^T) = vec(I)^T P / n.  Each map
 is decomposed by one ``numpy.linalg.eig``; the maps are not normal, so
 projections pair right eigenvectors with the rows of their inverse, and
-the pairing's condition is reported.  The CLI ``asymptotic`` experiment
-compares the exact periodic states with the effective limit of either
-regime (:func:`trace_distance`).
+the pairing's condition is reported.  The exact maps are in the Bohr frame
+of h_S (:mod:`ris.dynamics`), which leaves verdicts, spectra and norms as
+they are: only the densities returned are converted, to q rho q^†.  The
+CLI ``asymptotic`` experiment compares the exact periodic states with the
+effective limit of either regime (:func:`trace_distance`).
 """
 from __future__ import annotations
 
@@ -21,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NoAsymptoticStateError, RISModel, _reduced_map, reduced_map_T
+from .dynamics import (
+    NoAsymptoticStateError,
+    RISModel,
+    _computational,
+    _free_evolution,
+    _reduced_map,
+)
 from .linops import Superoperator, superop_norm
 from .vanhove import EffectiveGenerator, _second_order_reduction
 
@@ -121,7 +129,6 @@ def limit_projection(t_map: Superoperator) -> LimitProjection:
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    limit_projection: Superoperator
     asymptotic_density: np.ndarray
     period_samples: tuple
 
@@ -140,7 +147,7 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
     it propagated through the partial-interval map.  Raises
     NoAsymptoticStateError when T has no unique asymptotic state.
     """
-    t_map = reduced_map_T(model, lam, tau)
+    t_map = Superoperator(_reduced_map(model, lam, tau))
     lp = limit_projection(t_map)
     rho0 = _unique_state(lp.projection.matrix, lp.converged, model.n_s,
                          f"T at (lambda, tau) = ({lam:g}, {tau:g})")
@@ -156,8 +163,8 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
         drift = float(np.abs(rho_t - rho_t_shifted).max())
         if drift > 1e-9:
             raise NoAsymptoticStateError(f"period drift {drift:.3e} at t={t}")
-        samples.append((float(t), rho_t))
-    return AsymptoticReport(lp.projection, rho0, tuple(samples))
+        samples.append((float(t), _computational(model, rho_t)))
+    return AsymptoticReport(_computational(model, rho0), tuple(samples))
 
 
 def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator) -> np.ndarray:
@@ -190,10 +197,6 @@ class KatoReport:
     [Q, P(0)] = 0, P(0)Q idempotent, P(0+) a sub-projection of P(0)Q,
     and ||P(eps) - P(0+)|| = O(eps).
     """
-    p0: Superoperator
-    t_prime: Superoperator
-    q: Superoperator
-    p_plus: Superoperator
     commutator_norm: float
     idempotency_defect: float
     subprojection_defect: float
@@ -203,16 +206,6 @@ class KatoReport:
     extrapolation_stable: bool
 
 
-def _free_fixed_projection(model: RISModel, tau: float) -> np.ndarray:
-    """P(0), the eigenprojection of 1 of alpha_S^tau: F diag(|e^{i theta} - 1| <= 1e-8) F^†.
-
-    theta = tau (w_k - w_l) in the Bohr frame F = kron(q, conj q) of eigh(h_S).
-    """
-    bohr, frame = model._system_bohr
-    fixed = np.abs(np.exp(1j * tau * bohr) - 1.0) <= 1e-8
-    return (frame * fixed) @ frame.conj().T
-
-
 def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     """Verify the analytic-perturbation structure of the reduced map at small coupling."""
     eps_list = sorted(float(e) for e in eps_list)
@@ -220,25 +213,25 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
         raise ValueError(f"eps_list needs at least two distinct positive values, got {eps_list}")
     eps_desc = eps_list[::-1]
 
-    p0 = _free_fixed_projection(model, tau)
+    # P(0), in the Bohr frame the mask of the angles tau (w_k - w_l) = 0 mod 2 pi
+    fixed = np.abs(_free_evolution(model, tau) - 1.0) <= 1e-8
     # T(eps) = alpha_S^tau + eps R + O(eps^2) at lambda = sqrt(eps): T'(0) is R
-    t_prime = _second_order_reduction(model, tau)
-    g = p0 @ t_prime @ p0
+    g = np.where(fixed[:, None] & fixed, _second_order_reduction(model, tau), 0.0)
     eig = np.linalg.eig(g)
     scale = max(float(np.abs(eig[0]).max()), 1e-30)
     q, _ = _eigenprojection_near(g, 0.0 + 0.0j, 1e-9 * scale, eig)
 
     p_eps = {}
     for eps in eps_desc:
-        t_map = reduced_map_T(model, math.sqrt(eps), tau)
-        p_eps[eps], _ = _eigenprojection_near(t_map.matrix, 1.0 + 0.0j, 1e-9)
+        t_map = _reduced_map(model, math.sqrt(eps), tau)
+        p_eps[eps], _ = _eigenprojection_near(t_map, 1.0 + 0.0j, 1e-9)
 
     # two-point Richardson on the two smallest eps
     e1, e2 = eps_list[1], eps_list[0]
     p_plus = p_eps[e2] + (p_eps[e2] - p_eps[e1]) * (e2 / (e1 - e2))
 
-    p0q = p0 @ q
-    comm = superop_norm(p0 @ q - q @ p0)
+    p0q = np.where(fixed[:, None], q, 0.0)
+    comm = superop_norm(p0q - np.where(fixed, q, 0.0))
     idem = superop_norm(p0q @ p0q - p0q)
     sub = max(superop_norm(p0q @ p_plus - p_plus), superop_norm(p_plus @ p0q - p_plus))
 
@@ -249,8 +242,6 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     stable = all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:]))
 
     return KatoReport(
-        p0=Superoperator(p0), t_prime=Superoperator(t_prime), q=Superoperator(q),
-        p_plus=Superoperator(p_plus),
         commutator_norm=comm, idempotency_defect=idem, subprojection_defect=sub,
         trace_p_plus=float(np.trace(p_plus).real),
         distance_rows=rows, distance_ratios=ratios,

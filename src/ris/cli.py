@@ -54,7 +54,7 @@ from .dynamics import (
     dyson_truncation_bound,
     interaction_dynamics,
 )
-from .linops import require_hermitian, superop_norm
+from .linops import NotHermitianError, superop_norm
 from .spin import (
     SpinParams,
     build_spin_model,
@@ -271,13 +271,10 @@ def _build_model(doc: dict, path: str) -> tuple[RISModel, SpinParams | None]:
             raise ConfigError(path, str(exc)) from exc
         return build_spin_model(params), params
     matrices = {key: _complex_matrix(spec[key], f"{path}.{key}") for key in ("h_s", "h_e", "v")}
-    for key, m in matrices.items():
-        try:
-            require_hermitian(m, key)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.{key}", str(exc)) from exc
     try:
         model = RISModel(**matrices, beta=float(spec["beta"]))
+    except NotHermitianError as exc:  # the model names the field it checked
+        raise ConfigError(f"{path}.{exc.name}", str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
     return model, None

@@ -10,6 +10,10 @@ from the Taylor stack of U in lambda.  The Dyson quadrature, the oracle of
 dyson-check, takes its two innermost levels from n-sized products too, n
 exponentials per innermost node; only its levels from the third up, and
 the change out of the eigenframe of its result, are n^2-sided GEMMs.
+
+Maps on M_S are computed in the Bohr frame |q_k><q_l| of h_S = q diag(w) q^†,
+where alpha_S^t is the diagonal e^{it(w_k - w_l)}; :func:`_computational`
+converts a public value to the computational basis, once.
 """
 from __future__ import annotations
 
@@ -125,50 +129,45 @@ class RISModel:
 
     @cached_property
     def _system_bohr(self):
-        """:func:`_bohr_frame` of h_S, for alpha_S^t."""
-        return _bohr_frame(self.h_s)
-
-    @cached_property
-    def _free_frame(self):
-        """(w, q, kron(q, conj q)) for eigh(H_0) = (w, q): the free Liouvillian's eigenframe."""
-        w, q = np.linalg.eigh(self.free_hamiltonian)
-        return w, q, kron(q, q.conj())
+        """(w_k - w_l in row-major (k, l) order, q) for eigh(h_S) = (w, q): the Bohr frame."""
+        w, q = np.linalg.eigh(self.h_s)
+        return (w[:, None] - w[None, :]).reshape(-1), q
 
     @cached_property
     def _chain_frame(self):
-        """(sqrt(p_a), I_S (x) W): Gibbs weights of the chain state in the eigenbasis W of h_E."""
+        """(sqrt(p_a), q (x) W): Gibbs weights of the chain state in the eigenbasis W of h_E."""
         weights, w = _gibbs_weights(self.h_e, self.beta)
-        return np.sqrt(weights), kron(np.eye(self.n_s), w)
+        return np.sqrt(weights), kron(self._system_bohr[1], w)
 
 
-def _bohr_frame(h: np.ndarray):
-    """(w_k - w_l in row-major (k, l) order, kron(q, conj q)) for eigh(h) = (w, q)."""
-    w, q = np.linalg.eigh(h)
-    return (w[:, None] - w[None, :]).reshape(-1), kron(q, q.conj())
+def _computational(model: RISModel, x: np.ndarray) -> np.ndarray:
+    """``x`` from the Bohr frame of h_S: q x q^† for a density, F x F^† with
+    F = kron(q, conj q) for (a stack of) matrices of maps on M_S."""
+    q = model._system_bohr[1]
+    frame = q if x.shape[-1] == model.n_s else kron(q, q.conj())
+    return frame @ x @ frame.conj().T
 
 
 def system_free_evolution(model: RISModel, t: float) -> Superoperator:
     """alpha_S^t on the small system: x -> U x U^† with U = e^{i t h_S}, from eigenphases.
 
-    With the cached eigh(h_S) = (w, q) and F = kron(q, conj q), the matrix
-    kron(U, conj U) is F diag(e^{i t (w_k - w_l)}) F^†: no expm.
+    In the Bohr frame of the cached eigh(h_S) = (w, q) it is the diagonal
+    e^{i t (w_k - w_l)}: no expm.
     """
-    return Superoperator(_free_evolution(model, t))
+    return Superoperator(_computational(model, np.diag(_free_evolution(model, t))))
 
 
 def _free_evolution(model: RISModel, t) -> np.ndarray:
-    """Matrices F diag(e^{i t (w_k - w_l)}) F^† of alpha_S^t, one per entry of ``t`` (leading axes)."""
-    bohr, frame = model._system_bohr
-    phases = np.exp(1j * np.asarray(t)[..., None] * bohr)
-    return (frame * phases[..., None, :]) @ frame.conj().T
+    """alpha_S^t in the Bohr frame: its diagonal e^{i t (w_k - w_l)}, per entry of ``t``."""
+    return np.exp(1j * np.asarray(t)[..., None] * model._system_bohr[0])
 
 
 def _pair_reduction(model: RISModel, lefts, rights) -> np.ndarray:
-    """Matrix of x -> sum_j Tr_E[(I (x) rho_E) A_j (x (x) I) B_j^†] on M_S.
+    """Matrix of x -> sum_j Tr_E[(I (x) rho_E) A_j (x (x) I) B_j^†] on M_S, in the Bohr frame.
 
     With rho_E = sum_a p_a |a><a| and the blocks A_ab = <a|A|b>_E this is
     sum_j sum_{a,b} p_a kron(A_j,ab, conj(B_j,ab)), contracted as one GEMM
-    X_A^T conj(X_B) of the stacks X[(j,a,b),(i,k)] = sqrt(p_a) <i a|A_j|k b>.
+    X_A^T conj(X_B) of the stacks X[(j,a,b),(i,k)] = sqrt(p_a) <q_i a|A_j|q_k b>.
     The A_j and B_j may carry common leading axes; the result then carries
     them too, one GEMM per leading index.
     """
@@ -205,14 +204,17 @@ def _taylor_stack(model: RISModel, order: int, t: float) -> list:
 
 
 def _reduced_map(model: RISModel, lam: float, t) -> np.ndarray:
-    """Matrices of E_S ∘ phi_SE^t on M_S, one per entry t >= 0 of ``t`` (leading axes).
+    """Matrices of E_S ∘ phi_SE^t in the Bohr frame, one per entry t >= 0 of ``t``.
 
     See :func:`reduced_map_T`; a stack of times shares one eigh of H_0 + lambda v.
     """
     u = _unitary(model, lam, t)
-    m = _pair_reduction(model, [u], [u])
-    # the Kraus sum is unital only to a few 1e-15 and limit_projection squares
-    # T up to 2^30 times: add vec(I - T(I)) vec(I)^T / n_S so T(I) = I to rounding
+    return _unital(model, _pair_reduction(model, [u], [u]))
+
+
+def _unital(model: RISModel, m: np.ndarray) -> np.ndarray:
+    """m += vec(I - m(I)) vec(I)^T / n_S: the Kraus sum, or its change of frame, is unital only
+    to a few 1e-15, and limit_projection squares T up to 2^30 times; now m(I) = I to rounding."""
     eye = np.eye(model.n_s).reshape(-1)
     m += (eye - m @ eye)[..., :, None] * eye / model.n_s
     return m
@@ -235,7 +237,7 @@ def reduced_map_T(model: RISModel, lam: float, tau: float) -> Superoperator:
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return Superoperator(_reduced_map(model, lam, tau))
+    return Superoperator(_unital(model, _computational(model, _reduced_map(model, lam, tau))))
 
 
 def restricted_dynamics(model: RISModel, lam: float, tau: float, t: float) -> Superoperator:
@@ -248,8 +250,8 @@ def restricted_dynamics(model: RISModel, lam: float, tau: float, t: float) -> Su
         raise ValueError("tau must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    t_map = reduced_map_T(model, lam, tau).matrix
-    return Superoperator(_repeated(model, lam, tau, t_map, [t])[0])
+    t_map = _reduced_map(model, lam, tau)
+    return Superoperator(_computational(model, _repeated(model, lam, tau, t_map, [t])[0]))
 
 
 def _steps(t: float, tau: float) -> tuple[int, float]:
@@ -297,7 +299,7 @@ def _repeated(model: RISModel, lam: float, tau: float, t_map: np.ndarray,
               times) -> np.ndarray:
     """T^n ∘ E_S phi_SE^{t1} for each t = n*tau + t1 of ``times`` (:func:`_steps`), stacked.
 
-    ``t_map`` is the matrix of T; the powers come from one walk over the sorted
+    ``t_map`` is T, all in the Bohr frame; the powers come from one walk over the sorted
     n (:func:`_powers`) and the partial-interval maps from one eigh (:func:`_reduced_map`).
     """
     steps = [_steps(t, tau) for t in times]
@@ -372,7 +374,7 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
         raise ValueError("k must be >= 1")
     if nodes ** k > 2_000_000:
         raise ValueError(f"nested quadrature with {nodes}^{k} evaluations refused (cost guard)")
-    w, q, frame = model._free_frame
+    w, q = np.linalg.eigh(model.free_hamiltonian)
     n = len(w)
     vt = q.conj().T @ model.v @ q
     x, wq = _gauss_legendre(nodes)
@@ -418,31 +420,29 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
             acc += ci * (nested(j - 1, ui) @ commutator_superop(picture(ui)).matrix)
         return acc
 
-    return Superoperator(frame @ nested(k, t) @ frame.conj().T)
+    return Superoperator(kron(q, q.conj()) @ nested(k, t) @ kron(q.conj().T, q.T))
 
 
-def dyson_truncation_bound(n: int, eps: float, t: float, a1_norm: float,
-                           m: float = 1.0, growth: float = 0.0) -> float:
+def dyson_truncation_bound(n: int, eps: float, t: float, a1_norm: float) -> float:
     """Error bound for the perturbation series truncated before order n.
 
-    e^{growth*t} * sum_{k>=n} (eps*t)^k * m^(k+1) * a1_norm^k / k!,
-    summed until terms fall below 1e-18 relative.
+    sum_{k>=n} (eps*t*a1_norm)^k / k!, summed until terms fall below 1e-18 relative.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if min(eps, t, a1_norm, m) < 0 or growth < 0:
-        raise ValueError("eps, t, a1_norm, m, growth must be nonnegative")
-    x = eps * t * a1_norm * m
+    if min(eps, t, a1_norm) < 0:
+        raise ValueError("eps, t, a1_norm must be nonnegative")
+    x = eps * t * a1_norm
     if x == 0.0:
         return 0.0
-    term = m * x ** n / math.factorial(n)
+    term = x ** n / math.factorial(n)
     total = term
     j = n
     while term > 1e-18 * total:
         j += 1
         term *= x / j
         total += term
-    return math.exp(growth * t) * total
+    return total
 
 
 @dataclass(frozen=True)

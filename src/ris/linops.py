@@ -37,6 +37,14 @@ class BranchCutCollisionError(ValueError):
         self.suggested_cut = suggested_cut
 
 
+class NotHermitianError(ValueError):
+    """A matrix that must be Hermitian is not; ``name`` is the name it was checked under."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(f"{name} {message}")
+        self.name = name
+
+
 def vec(x: np.ndarray) -> np.ndarray:
     """Row-major vectorization of a square matrix."""
     return np.asarray(x).reshape(-1)
@@ -65,12 +73,12 @@ def require_hermitian(a: np.ndarray, name: str = "matrix", rtol: float = 1e-12) 
     """Validate Hermiticity relative to the largest entry; returns complex array."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+        raise NotHermitianError(name, f"must be square, got shape {a.shape}")
     scale = max(float(np.abs(a).max(initial=0.0)), 1.0)
     defect = hermitian_defect(a)
     if defect > rtol * scale:
-        raise ValueError(f"{name} is not Hermitian: max asymmetry {defect:.3e} "
-                         f"exceeds {rtol:.0e} * max|entry| = {rtol * scale:.3e}")
+        raise NotHermitianError(name, f"is not Hermitian: max asymmetry {defect:.3e} "
+                                      f"exceeds {rtol:.0e} * max|entry| = {rtol * scale:.3e}")
     return a
 
 

@@ -10,18 +10,19 @@ lambda^2*tau per interaction:
 * fast repetition (tau -> 0, lambda^2 tau -> 0): minus one half of the
   spectral average of E_S [v,.]^2, averaged over the Bohr sectors of h_S.
 
-The spectral average "B-natural" of B is sum_k P_k B P_k.  Both families
-of projections P_k are diagonal in the Bohr frame F = kron(q, conj q) of
-the cached eigh(h_S) = (w, q): the spectral projections of A0 group the
-wrapped angles tau (w_k - w_l), the Bohr sectors group the frequencies
-w_k - w_l.  The average is therefore an entrywise mask in that frame, the
-secular approximation of Davies, "Markovian master equations" (CMP 1974).
-Its defining time-average (Cesaro) limit is an independent oracle in the
-tests.
+The spectral average "B-natural" of B is sum_k P_k B P_k.  Everything here
+is computed in the Bohr frame |q_k><q_l| of the cached eigh(h_S) = (w, q),
+where alpha_S^t is the diagonal e^{it(w_k - w_l)} and both families of
+projections P_k are diagonal: the spectral projections of A0 group the
+wrapped angles tau (w_k - w_l), the Bohr sectors the frequencies w_k - w_l.
+The average is an entrywise mask, the secular approximation of Davies,
+"Markovian master equations" (CMP 1974).  Its defining time-average
+(Cesaro) limit is an independent oracle in the tests.
 
 The convergence experiments measure ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||
 on a grid of s (finite-type chain elements: Attal and Joye, J. Stat. Phys.
-126 (2007)).  Each converge call builds the generator and its flows e^{s gen},
+126 (2007)); the frame is unitary, so the norm is that of the computational
+basis.  Each converge call builds the generator and its flows e^{s gen},
 the powers of one expm, once for all of its parameters; each (lambda, tau)
 is then a few numpy calls on stacks along the s axis (:func:`_grid_report`).
 """
@@ -34,13 +35,13 @@ import numpy as np
 
 from .dynamics import (
     RISModel,
+    _computational,
     _free_evolution,
     _pair_reduction,
     _powers,
+    _reduced_map,
     _repeated,
     _taylor_stack,
-    reduced_map_T,
-    system_free_evolution,
 )
 from .linops import (
     Superoperator,
@@ -56,10 +57,11 @@ FAST_REPETITION = "fast-repetition"
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """``sectors`` labels each index (k, l) of the Bohr frame of h_S by the
-    spectral sector the generator was averaged over."""
+    """``generator`` in the computational basis and ``bohr`` in the Bohr frame of h_S, whose
+    indices (k, l) ``sectors`` labels by the spectral sector they were averaged over."""
     regime: str
     generator: Superoperator
+    bohr: np.ndarray
     sectors: np.ndarray
     branch_cut_angle: float | None = None
 
@@ -84,25 +86,25 @@ class ConvergenceReport:
         raise KeyError(parameter)
 
 
-def _sector_average(model: RISModel, b: Superoperator, freqs: np.ndarray):
-    """(labels, F (M ∘ F^† b F) F^†): b averaged over the sectors of ``freqs``.
+def _sector_average(model: RISModel, regime: str, b: np.ndarray, freqs: np.ndarray,
+                    branch_cut_angle: float | None = None) -> EffectiveGenerator:
+    """The generator M ∘ b: b, a matrix in the Bohr frame, averaged over the sectors of ``freqs``.
 
-    ``freqs`` holds one real frequency per index (k, l) of the Bohr frame
-    F = kron(q, conj q) of eigh(h_S) = (w, q).  Sorted frequencies split into
-    sectors wherever a gap exceeds 1e-8, and M_ij = [label_i = label_j]: the
-    sum of P b P over the sector projections P, which are diagonal in F.
+    ``freqs`` holds one real frequency per index (k, l) of the Bohr frame.
+    Sorted frequencies split into sectors wherever a gap exceeds 1e-8, and
+    M_ij = [label_i = label_j]: the sum of P b P over the sector
+    projections P, which are diagonal in the Bohr frame.
     """
     order = np.argsort(freqs)
     labels = np.empty(freqs.size, dtype=int)
     labels[order] = np.concatenate([[0], np.cumsum(np.diff(freqs[order]) > 1e-8)])
-    frame = model._system_bohr[1]
-    inner = frame.conj().T @ b.matrix @ frame
-    masked = np.where(labels[:, None] == labels[None, :], inner, 0.0)
-    return labels, Superoperator(frame @ masked @ frame.conj().T)
+    bohr = np.where(labels[:, None] == labels[None, :], b, 0.0)
+    return EffectiveGenerator(regime, Superoperator(_computational(model, bohr)), bohr, labels,
+                              branch_cut_angle)
 
 
 def _second_order_reduction(model: RISModel, tau: float) -> np.ndarray:
-    """R, the lambda^2 coefficient of the reduced map T(lambda, tau), from the n-sized Taylor stack.
+    """R, the lambda^2 coefficient of T(lambda, tau) in the Bohr frame, from the Taylor stack.
 
     e^{i tau (H0 + lambda v)} = U0 + lambda U1 + lambda^2 U2 + O(lambda^3), the U_k read off
     one 3n-sided exponential (:func:`_taylor_stack`), and
@@ -115,11 +117,11 @@ def _second_order_reduction(model: RISModel, tau: float) -> np.ndarray:
 
 
 def second_order_term(model: RISModel, tau: float) -> Superoperator:
-    """E_S phi_{SE,2}^tau restricted to M_S: -R ∘ alpha_S^{-tau}.
-
-    Since phi_SE^tau = sum_k (i lambda)^k phi_{SE,k}^tau alpha_SE^tau, with R the lambda^2
-    coefficient of T(lambda, tau) (:func:`_second_order_reduction`)."""
-    return Superoperator(-_second_order_reduction(model, tau)) @ system_free_evolution(model, -tau)
+    """E_S phi_{SE,2}^tau restricted to M_S: -R ∘ alpha_S^{-tau}, R the lambda^2 coefficient of
+    T(lambda, tau) (:func:`_second_order_reduction`), as phi_SE^tau = sum_k (i lambda)^k
+    phi_{SE,k}^tau alpha_SE^tau.  In the Bohr frame: -R, columns times e^{-i tau (w_k - w_l)}."""
+    term = -_second_order_reduction(model, tau) * _free_evolution(model, -tau)
+    return Superoperator(_computational(model, term))
 
 
 def effective_generator_weak_coupling(model: RISModel, tau: float,
@@ -132,12 +134,13 @@ def effective_generator_weak_coupling(model: RISModel, tau: float,
     cut raises BranchCutCollisionError with the suggested cut attached.
     """
     # in (-pi, pi], as the eigenvalue phases of alpha_S^tau
-    angles = np.angle(np.exp(1j * tau * model._system_bohr[0]))
+    angles = np.angle(_free_evolution(model, tau))
     if branch_cut_angle is None:
         branch_cut_angle = largest_gap_bisector(angles)
-    sectors, avg = _sector_average(model, second_order_term(model, tau),
-                                   wrap_to_cut(angles, branch_cut_angle))
-    return EffectiveGenerator(WEAK_COUPLING, -1.0 * avg, sectors, branch_cut_angle)
+    # R ∘ alpha_S^{-tau}: minus the second-order term
+    return _sector_average(model, WEAK_COUPLING,
+                           _second_order_reduction(model, tau) * _free_evolution(model, -tau),
+                           wrap_to_cut(angles, branch_cut_angle), branch_cut_angle)
 
 
 def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
@@ -149,15 +152,13 @@ def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
     """
     v = model.v
     v2, eye = v @ v, np.eye(model.dim)
-    double_comm = Superoperator(_pair_reduction(
-        model, [v2, -2.0 * v, eye], [eye, v.conj().T, v2.conj().T]))
-    sectors, avg = _sector_average(model, double_comm, model._system_bohr[0])
-    return EffectiveGenerator(FAST_REPETITION, -0.5 * avg, sectors, None)
+    double_comm = _pair_reduction(model, [v2, -2.0 * v, eye], [eye, v.conj().T, v2.conj().T])
+    return _sector_average(model, FAST_REPETITION, -0.5 * double_comm, model._system_bohr[0])
 
 
 def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps: int,
                  cases, time_of) -> ConvergenceReport:
-    """Rows (parameter, s, ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||), gen = ``eff.generator``.
+    """Rows (parameter, s, ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||), gen = ``eff.bohr``.
 
     s = linspace(0, s_max, s_steps) = k ds; the flows e^{s gen} = (e^{ds gen})^k
     (:func:`_powers`) serve every case of ``cases``: (parameter, lambda, tau).
@@ -169,20 +170,22 @@ def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps
     * weak coupling interpolated: t = s / lambda^2;
     * fast repetition: t = s / (lambda^2 tau).
 
-    Each case is a few calls on stacks with the s grid as leading axis: one
-    T(lambda, tau); every T^n from one walk over the sorted n; every
-    E_S phi_SE^{t1} from one eigh; alpha_S^{-t} as F diag(e^{-it(w_k - w_l)}) F^†
-    in the Bohr frame of h_S; and one stacked spectral norm.  Each stack holds
-    s_steps superoperators of n_S^4 entries.
+    All in the Bohr frame, each case a few calls on stacks with the s grid as
+    leading axis: one T(lambda, tau); every T^n from one walk over the sorted n;
+    every E_S phi_SE^{t1} from one eigh; alpha_S^{-t} and the flows applied in
+    place; and one stacked spectral norm.  Each stack holds s_steps
+    superoperators of n_S^4 entries.
     """
     s_grid = np.linspace(0.0, s_max, s_steps)
     ds = s_max / max(s_steps - 1, 1)  # one s: the one flow is (e^{ds gen})^0 = I
-    flows = _powers(matrix_exp(ds * eff.generator.matrix), range(s_steps))
+    flows = _powers(matrix_exp(ds * eff.bohr), range(s_steps))
     rows = []
     for param, lam, tau in cases:
         times = np.array([time_of(s, lam, tau) for s in s_grid])
-        maps = _repeated(model, lam, tau, reduced_map_T(model, lam, tau).matrix, times)
-        errors = superop_norm(maps @ _free_evolution(model, -times) - flows)
+        maps = _repeated(model, lam, tau, _reduced_map(model, lam, tau), times)
+        maps *= _free_evolution(model, -times)[:, None, :]
+        maps -= flows
+        errors = superop_norm(maps)
         rows.extend((param, float(s), float(e)) for s, e in zip(s_grid, errors))
     sups = tuple((p, max(e for q, _, e in rows if q == p)) for p, _, _ in cases)
     ratios = tuple(((p1, p2), (e1 / e2 if e2 > 0 else math.inf))

@@ -148,14 +148,14 @@ def test_criterion_07_dyson_bound():
             for k in range(1, order):
                 total = total + (1j * lam) ** k * (dyson_term(model, k, t) @ free)
             err = superop_norm(phi - total)
-            bound = dyson_truncation_bound(order, lam, t, a1, m=1.0, growth=0.0)
+            bound = dyson_truncation_bound(order, lam, t, a1)
             bound_ok &= err <= bound
             details.append(f"n={order},lt={lam * t}: {err:.2e}<={bound:.2e}")
     quad_gap = max(superop_norm(dyson_term(model, k, 2.0)
                                 - dyson_term_quadrature(model, k, 2.0))
                    for k in (1, 2, 3))
-    report(7, "Dyson bound: truncation errors within the series tail bound "
-              "(M=1, growth=0); block-exponential vs quadrature to 1e-6",
+    report(7, "Dyson bound: truncation errors within the series tail bound; "
+              "block-exponential vs quadrature to 1e-6",
            bound_ok and quad_gap <= 1e-6,
            f"quad gap = {quad_gap:.2e}; " + "; ".join(details))
 

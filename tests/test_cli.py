@@ -350,6 +350,10 @@ BAD_MODELS = [  # (model object, JSON path of the error, test id)
     (inline(v=[[0, [0, True], 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
      "$.model.inline.v[0][1]", "inline-pair-true"),
     (inline(h_e=[[0, 0], [0, NAN]]), "$.model.inline.h_e[1][1]", "inline-entry-nan"),
+    (inline(h_s=[[0, 1], [0, 1]]), "$.model.inline.h_s", "inline-h_s-not-hermitian"),
+    (inline(h_e=[[0, [0, 1]], [[0, 1], 2]]), "$.model.inline.h_e", "inline-h_e-not-hermitian"),
+    (inline(v=[[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 0]]),
+     "$.model.inline.v", "inline-v-not-hermitian"),
     (inline(beta=True), "$.model.inline.beta", "inline-beta-true"),
     (inline(beta=NAN), "$.model.inline.beta", "inline-beta-nan"),
     (inline(rho_e=[[1, 0], [0, 0]]), "$.model.inline.rho_e", "inline-unknown-key"),

@@ -6,11 +6,13 @@ import pytest
 from ris.dynamics import (
     ChainState,
     RISModel,
+    _computational,
     _free_evolution,
     _powers,
     _reduced_map,
     _repeated,
     _steps,
+    _unital,
     check_H1,
     dyson_term,
     dyson_term_quadrature,
@@ -287,15 +289,18 @@ class TestStackedPieces:
         assert stacked.shape == (times.size, 4, 4)
         for t, m in zip(times, stacked):
             assert np.array_equal(m, _reduced_map(model, 0.6, t))
-        assert np.array_equal(_reduced_map(model, 0.6, 1.3),
-                              reduced_map_T(model, 0.6, 1.3).matrix)
+        converted = _unital(model, _computational(model, _reduced_map(model, 0.6, 1.3)))
+        assert np.array_equal(converted, reduced_map_T(model, 0.6, 1.3).matrix)
 
     def test_stacked_free_evolution_equals_one_at_a_time(self, rng):
         model = random_model(rng, 3, 2)
         times = np.array([-2.5, -0.1, 0.0, 0.4, 3.0])
         stacked = _free_evolution(model, times)
-        for t, m in zip(times, stacked):
-            assert np.array_equal(m, system_free_evolution(model, t).matrix)
+        assert stacked.shape == (times.size, 9)
+        for t, phases in zip(times, stacked):
+            assert np.array_equal(phases, _free_evolution(model, t))
+            assert np.array_equal(_computational(model, np.diag(phases)),
+                                  system_free_evolution(model, t).matrix)
 
     def test_stacked_norm_equals_one_at_a_time(self, rng):
         stack = rng.standard_normal((5, 9, 9)) + 1j * rng.standard_normal((5, 9, 9))
@@ -316,20 +321,20 @@ class TestStackedPieces:
     def test_snapped_times_are_exact_powers(self):
         model = build_spin_model(spin_base())
         lam, tau = 0.4, 0.7
-        t_map = reduced_map_T(model, lam, tau).matrix
+        t_map = _reduced_map(model, lam, tau)
         times = [3 * tau - 1e-13, 3 * tau, 3 * tau + 1e-13]
         for m in _repeated(model, lam, tau, t_map, times):
             assert np.array_equal(m, np.linalg.matrix_power(t_map, 3))
         for t in times:
             assert np.array_equal(restricted_dynamics(model, lam, tau, t).matrix,
-                                  np.linalg.matrix_power(t_map, 3))
+                                  _computational(model, np.linalg.matrix_power(t_map, 3)))
 
     def test_repeated_equals_power_then_partial_map(self, rng):
         # the per-time form: matrix_power of T, then the partial-interval map;
         # equal to rounding, since the powers come from one walk over the n
         model = random_model(rng, 2, 2)
         lam, tau = 0.5, 0.8
-        t_map = reduced_map_T(model, lam, tau).matrix
+        t_map = _reduced_map(model, lam, tau)
         times = [0.0, 0.3, 0.8, 2.5, 2.4, 17.05]
         for t, m in zip(times, _repeated(model, lam, tau, t_map, times)):
             n, t1 = _steps(t, tau)
@@ -426,11 +431,6 @@ class TestTruncationBound:
         values_e = [dyson_truncation_bound(2, e, 0.5, 1.5) for e in grid]
         assert all(a < b for a, b in zip(values_t, values_t[1:]))
         assert all(a < b for a, b in zip(values_e, values_e[1:]))
-
-    def test_growth_factor(self):
-        base = dyson_truncation_bound(2, 0.5, 2.0, 1.0)
-        grown = dyson_truncation_bound(2, 0.5, 2.0, 1.0, growth=0.3)
-        assert grown == pytest.approx(base * np.exp(0.6))
 
 
 class TestH1:

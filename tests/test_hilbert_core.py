@@ -39,9 +39,21 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
 sizes = st.sampled_from([2, 3, 4])
 betas = st.sampled_from([0.0, 1.0, 50.0])
-models = st.builds(lambda seed, n_s, n_e, beta: random_model(np.random.default_rng(seed),
-                                                             n_s, n_e, beta),
-                   st.integers(0, 2 ** 32 - 1), sizes, sizes, betas)
+
+
+def drawn_model(seed, n_s, n_e, beta, rotate):
+    """:func:`random_model`; with ``rotate``, h_S = U diag(levels) U^† for a random unitary U."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_s, n_e, beta)
+    if not rotate:
+        return model
+    u = random_unitary(rng, n_s)
+    h_s = u @ model.h_s @ u.conj().T
+    return RISModel(h_s=0.5 * (h_s + h_s.conj().T), h_e=model.h_e, v=model.v, beta=beta)
+
+
+# h_S diagonal or not: a rotated h_S has a Bohr frame q != I
+models = st.builds(drawn_model, st.integers(0, 2 ** 32 - 1), sizes, sizes, betas, st.booleans())
 
 
 def max_abs(a):
