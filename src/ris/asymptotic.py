@@ -1,19 +1,21 @@
-"""Limit projections and asymptotic states.
+"""Asymptotic states, and the limit projection as their oracle.
 
 One verdict decides whether a dynamics has a unique asymptotic state, the
-exact map T(lambda, tau) and an effective generator alike.  With P the
-eigenprojection of eigenvalue 1 of T (of 0 of the generator), the state
-is unique when the rest of the spectrum is isolated, tr P = 1, and the rho
-read off P is PSD; otherwise NoAsymptoticStateError names the dynamics.
-Isolated means :attr:`LimitProjection.converged` for T, and real part
-< -1e-9 for every other eigenvalue of a generator.  P(x) = Tr(rho x) I has
-the matrix vec(I) vec(rho^T)^T, so vec(rho^T) = vec(I)^T P / n.  Each map
-is decomposed by one ``numpy.linalg.eig``; the maps are not normal, so
-projections pair right eigenvectors with the rows of their inverse, and
-the pairing's condition is reported.  The exact maps are in the Bohr frame
-of h_S (:mod:`ris.dynamics`), which leaves verdicts, spectra and norms as
-they are: only the densities returned are converted, to q rho q^†.  The
-CLI ``asymptotic`` experiment compares the exact periodic states with the
+exact map T(lambda, tau) and an effective generator alike, and it reads
+the spectrum from one ``numpy.linalg.eigvals``: exactly one eigenvalue lies
+within 1e-9 of 1 (of 0 for a generator), and every other one has modulus
+< 1 - 1e-7 (real part < -1e-9).  The state then comes from one bordered
+solve: P(x) = Tr(rho x) I has w = vec(rho^T) as the fixed vector of M^T,
+and (M^T - point) w = 0 with row 0 replaced by vec(I)^T w = Tr rho = 1 is
+nonsingular, because both dynamics are unital and so vec(I), with entry 1
+at index 0, is the left null vector of M^T - point.  The solution must
+leave a residual below 1e-9 and be PSD; otherwise NoAsymptoticStateError
+names the dynamics.  :func:`limit_projection`, the eigenprojection of 1
+with the convergence of T^(2^j), is the oracle of this solve and is not
+on the state path.  The exact maps are in the Bohr frame of h_S
+(:mod:`ris.dynamics`), which leaves verdicts, spectra and norms as they
+are: only the densities returned are converted, to q rho q^†.  The CLI
+``asymptotic`` experiment compares the exact periodic states with the
 effective limit of either regime (:func:`trace_distance`).
 """
 from __future__ import annotations
@@ -62,30 +64,51 @@ def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None
     return p, float(np.linalg.cond(vr))
 
 
-def _unique_state(p: np.ndarray, isolated: bool, n: int, dynamics: str) -> np.ndarray:
-    """The unique asymptotic state read off the eigenprojection ``p``, Hermitian with trace one.
+def _asymptotic_state(m: np.ndarray, point: float, dynamics: str) -> np.ndarray:
+    """The unique asymptotic state of the map (``point`` 1) or generator (``point`` 0) ``m``.
 
-    Raises NoAsymptoticStateError naming ``dynamics`` unless the rest of the
-    spectrum is ``isolated``, tr P = 1 and the state is PSD.
+    The verdict reads ``numpy.linalg.eigvals`` only; the state, Hermitian
+    with trace one, is the solution of the bordered system of the module
+    docstring.  Raises NoAsymptoticStateError naming ``dynamics`` unless
+    exactly one eigenvalue lies within 1e-9 of ``point``, the rest of the
+    spectrum is isolated, the residual ||M^T w - point w|| is at most 1e-9
+    and the state is PSD.
     """
-    rank = float(np.trace(p).real)
-    if not isolated or abs(rank - 1.0) > 1e-8:
+    eigs = np.linalg.eigvals(m)
+    near = np.abs(eigs - point) <= 1e-9
+    others = eigs[~near]
+    # a map's other eigenvalues decay inside the unit disc, a generator's in the left half-plane
+    isolated = bool(np.all(np.abs(others) < 1.0 - 1e-7 if point else others.real < -1e-9))
+    rank = int(near.sum())
+    if not isolated or rank != 1:
         raise NoAsymptoticStateError(
             f"{dynamics} has no unique asymptotic state (eigenprojection of trace "
-            f"{rank:.6g}, rest of the spectrum {'' if isolated else 'not '}isolated)")
-    rho = (np.eye(n).reshape(-1) @ p).reshape(n, n).T
-    rho = rho / np.trace(rho)
+            f"{rank}, rest of the spectrum {'' if isolated else 'not '}isolated)")
+    n = math.isqrt(m.shape[0])
+    a = m.T - point * np.eye(n * n)
+    a[0] = np.eye(n).reshape(-1)
+    e0 = np.zeros(n * n)
+    e0[0] = 1.0
+    w = np.linalg.solve(a, e0)
+    residual = float(np.linalg.norm(m.T @ w - point * w))
+    if residual > 1e-9:
+        raise NoAsymptoticStateError(
+            f"{dynamics} has no unique asymptotic state (its fixed point solves "
+            f"to a residual of {residual:.3e})")
+    rho = w.reshape(n, n).T
     rho = 0.5 * (rho + rho.conj().T)
     low = float(np.linalg.eigvalsh(rho).min())
     if low < -1e-10:
         raise NoAsymptoticStateError(
-            f"{dynamics} has no unique asymptotic state (its limit projection "
-            f"encodes no PSD state, min eigenvalue {low:.3e})")
+            f"{dynamics} has no unique asymptotic state (its fixed point is no PSD "
+            f"state, min eigenvalue {low:.3e})")
     return rho
 
 
 @dataclass(frozen=True)
 class LimitProjection:
+    """What :func:`limit_projection` returns: the oracle of the asymptotic-state solve."""
+
     projection: Superoperator
     converged: bool
     subdominant_modulus: float
@@ -96,7 +119,10 @@ class LimitProjection:
 def limit_projection(t_map: Superoperator) -> LimitProjection:
     """Eigenprojection P of the eigenvalues within 1e-9 of 1, with a power-convergence flag.
 
-    The flag is true iff every other eigenvalue has modulus < 1 - 1e-7 and
+    The oracle of the bordered solve of :func:`asymptotic_periodic_state`:
+    no production path calls it.  It stays in this module because the
+    benchmark tracer binds ``asymptotic.limit_projection`` by name.  The
+    flag is true iff every other eigenvalue has modulus < 1 - 1e-7 and
     ||T^(2^j) - P|| decreases monotonically (once below one) for j < 30, or
     until it reaches the rounding floor of the squarings.  On failure the
     projection is still returned with the flag false.
@@ -142,21 +168,20 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
                               t_samples=()) -> AsymptoticReport:
     """The periodic family of states the repeated interactions relax to.
 
-    The density at the period start is read off the eigenprojection of
-    eigenvalue 1 of T(lambda, tau); the sample at t in [0, tau) is
-    it propagated through the partial-interval map.  Raises
-    NoAsymptoticStateError when T has no unique asymptotic state.
+    The density at the period start is the fixed point of the trace dual
+    of T(lambda, tau); the sample at t in [0, tau) is it propagated through
+    the partial-interval map.  T and the partial maps share one eigh of
+    H_0 + lambda v.  Raises NoAsymptoticStateError when T has no unique
+    asymptotic state.
     """
-    t_map = Superoperator(_reduced_map(model, lam, tau))
-    lp = limit_projection(t_map)
-    rho0 = _unique_state(lp.projection.matrix, lp.converged, model.n_s,
-                         f"T at (lambda, tau) = ({lam:g}, {tau:g})")
-
-    samples = []
     for t in t_samples:
         if not 0 <= t < tau:
             raise ValueError(f"sample time {t} outside [0, tau)")
-        partial = Superoperator(_reduced_map(model, lam, t))
+    t_map, *partials = map(Superoperator, _reduced_map(model, lam, [tau, *t_samples]))
+    rho0 = _asymptotic_state(t_map.matrix, 1.0, f"T at (lambda, tau) = ({lam:g}, {tau:g})")
+
+    samples = []
+    for t, partial in zip(t_samples, partials):
         rho_t = _apply_dual(partial, rho0)
         # one extra full period must reproduce the same sample
         rho_t_shifted = _apply_dual(partial, _apply_dual(t_map, rho0))
@@ -170,16 +195,12 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
 def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator) -> np.ndarray:
     """The density that exp(s*gen) relaxes to as s -> infinity.
 
-    Read off the eigenprojection of 0 (within 1e-9); raises
-    NoAsymptoticStateError when the generator has no unique asymptotic state.
+    The fixed point of the trace dual of the generator at eigenvalue 0;
+    raises NoAsymptoticStateError when the generator has no unique
+    asymptotic state.
     """
-    tol = 1e-9
     g = gen.generator if isinstance(gen, EffectiveGenerator) else gen
-    eig = np.linalg.eig(g.matrix)
-    # a multiple zero raises JordanDefectError when it is defective
-    p, _ = _eigenprojection_near(g.matrix, 0.0 + 0.0j, tol, eig)
-    isolated = bool(np.all(eig[0][np.abs(eig[0]) > tol].real < -tol))
-    return _unique_state(p, isolated, g.dim, "the effective generator")
+    return _asymptotic_state(g.matrix, 0.0, "the effective generator")
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

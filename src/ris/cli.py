@@ -369,10 +369,17 @@ def parse_config(text: str) -> ExperimentConfig:
                             echo=echo, **merged)
 
 
-def _fmt(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} in results")
-    return format(float(x), ".17g")
+def _csv_line(row) -> str:
+    """``row`` as one CSV line: a leading label as it is, then every number in one
+    "%.17g" format, the text of format(float(x), ".17g").  Raises ValueError on a
+    non-finite number."""
+    label = row[:1] if isinstance(row[0], str) else ()
+    numbers = tuple(row[len(label):])
+    text = ",".join(("%.17g",) * len(numbers)) % numbers
+    if "n" in text:  # of all "%.17g" texts only inf and nan hold an n
+        bad = next(x for x in numbers if not math.isfinite(x))
+        raise ValueError(f"non-finite value {bad!r} in results")
+    return ",".join((*label, text))
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +532,7 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
 
 
 def _write_outputs(config: ExperimentConfig, header, rows, extras, out_path, wall, jobs):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(c) if isinstance(c, str) else _fmt(c) for c in row]
-        lines.append(",".join(cells))
-    csv_body = "\n".join(lines) + "\n"
+    csv_body = "\n".join([",".join(header), *map(_csv_line, rows)]) + "\n"
     with open(out_path, "w") as fh:
         fh.write(csv_body)
     meta = {

@@ -214,7 +214,8 @@ def _reduced_map(model: RISModel, lam: float, t) -> np.ndarray:
 
 def _unital(model: RISModel, m: np.ndarray) -> np.ndarray:
     """m += vec(I - m(I)) vec(I)^T / n_S: the Kraus sum, or its change of frame, is unital only
-    to a few 1e-15, and limit_projection squares T up to 2^30 times; now m(I) = I to rounding."""
+    to a few 1e-15; now m(I) = I to rounding.  Unitality makes vec(I), whose entry 0 is 1, the
+    left null vector of T^T - 1, so the asymptotic-state solve may replace row 0 by Tr rho = 1."""
     eye = np.eye(model.n_s).reshape(-1)
     m += (eye - m @ eye)[..., :, None] * eye / model.n_s
     return m

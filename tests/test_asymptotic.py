@@ -164,6 +164,85 @@ class TestAsymptoticPeriodicState:
         assert np.abs(p.apply(x) - expected).max() <= 1e-9
 
 
+def state_of_projection(p: np.ndarray) -> np.ndarray:
+    """The rho of P(x) = Tr(rho x) I, read off the rows of the projection matrix P."""
+    n = int(round(np.sqrt(p.shape[0])))
+    rho = (np.eye(n).reshape(-1) @ p).reshape(n, n).T
+    return rho / np.trace(rho)
+
+
+def dual_residual(s: Superoperator, rho: np.ndarray, point: float) -> float:
+    """Largest entry of S*(rho) - point rho: how far rho is from the fixed point of the trace dual."""
+    return float(np.abs(s.trace_dual().apply(rho) - point * rho).max())
+
+
+#: (seed, n_S, n_E): the slow-relaxation cases at lambda = 0.025, then more sizes
+SOLVE_MODELS = [(3, 2, 2), (0, 2, 4), (2, 4, 2), (0, 4, 4), (19, 4, 2), (5, 3, 3), (7, 2, 3)]
+
+
+class TestBorderedSolve:
+    """The state from one bordered solve against the limit projection, its oracle."""
+
+    @pytest.mark.parametrize("seed, n_s, n_e", SOLVE_MODELS)
+    @pytest.mark.parametrize("lam", [0.025, 0.2, 1.0])
+    def test_periodic_state_matches_limit_projection(self, seed, n_s, n_e, lam):
+        model = random_model(np.random.default_rng(seed), n_s, n_e)
+        rho = asymptotic_periodic_state(model, lam, 1.0).asymptotic_density
+        t_map = reduced_map_T(model, lam, 1.0)
+        lp = limit_projection(t_map)
+        assert lp.converged
+        assert np.abs(rho - state_of_projection(lp.projection.matrix)).max() <= 1e-11
+        assert dual_residual(t_map, rho, 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("seed, n_s, n_e", SOLVE_MODELS)
+    @pytest.mark.parametrize("regime", ["weak-coupling", "fast-repetition"])
+    def test_effective_state_matches_limit_projection(self, seed, n_s, n_e, regime):
+        # the flow e^G at s = 1 has the eigenprojection of 1 that G has of 0
+        model = random_model(np.random.default_rng(seed), n_s, n_e)
+        gen = (effective_generator_weak_coupling(model, 1.0) if regime == "weak-coupling"
+               else effective_generator_fast_repetition(model)).generator
+        rho = effective_asymptotic_state(gen)
+        lp = limit_projection(Superoperator(matrix_exp(gen.matrix)))
+        assert lp.converged
+        assert np.abs(rho - state_of_projection(lp.projection.matrix)).max() <= 1e-11
+        assert dual_residual(gen, rho, 0.0) <= 1e-14
+
+    def test_jordan_block_at_zero_raises(self, rng):
+        # a 2 x 2 Jordan block at 0 in a random frame: eigvals splits it to about
+        # +-1e-8, so no eigenvalue, or two, lie within 1e-9 of 0
+        frame = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        jordan = np.diag([0.0, 0.0, -1.0, -2.0]).astype(complex)
+        jordan[0, 1] = 1.0
+        g = Superoperator(frame @ jordan @ np.linalg.inv(frame))
+        with pytest.raises(NoAsymptoticStateError, match="the effective generator"):
+            effective_asymptotic_state(g)
+
+    def test_residual_check_rejects_a_wrong_solution(self, monkeypatch):
+        model = build_spin_model(spin_base())
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+        with pytest.raises(NoAsymptoticStateError, match="residual"):
+            asymptotic_periodic_state(model, 0.2, 1.0)
+
+    @pytest.mark.parametrize("model", [build_spin_model(spin_base()),
+                                       random_model(np.random.default_rng(0), 4, 4)],
+                             ids=["spin", "random-4x4"])
+    def test_state_path_takes_no_eig_inv_or_power_walk(self, monkeypatch, model):
+        gen = effective_generator_weak_coupling(model, 1.0)
+        expected = (asymptotic_periodic_state(model, 0.2, 1.0, t_samples=(0.0, 0.5)),
+                    effective_asymptotic_state(gen))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the state path left the bordered solve")
+
+        monkeypatch.setattr("ris.asymptotic.limit_projection", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        report = asymptotic_periodic_state(model, 0.2, 1.0, t_samples=(0.0, 0.5))
+        assert np.array_equal(report.asymptotic_density, expected[0].asymptotic_density)
+        assert np.array_equal(effective_asymptotic_state(gen), expected[1])
+
+
 class TestEffectiveAsymptoticState:
     def test_zero_generator_not_rank_one(self):
         with pytest.raises(NoAsymptoticStateError):
@@ -175,8 +254,9 @@ class TestEffectiveAsymptoticState:
             effective_asymptotic_state(Superoperator(-np.eye(4)))
 
     def test_error_names_the_dynamics(self):
-        model = build_spin_model(spin_base(b=0.0, c=0.0))  # v = 0
-        with pytest.raises(NoAsymptoticStateError, match=r"T at \(lambda, tau\) = \(0.3, 1\)"):
+        model = build_spin_model(spin_base(b=0.0, c=0.0))  # v = 0: eigenvalue 1 is double
+        with pytest.raises(NoAsymptoticStateError,
+                           match=r"T at \(lambda, tau\) = \(0.3, 1\) .* of trace 2,"):
             asymptotic_periodic_state(model, 0.3, 1.0)
         with pytest.raises(NoAsymptoticStateError, match="the effective generator"):
             effective_asymptotic_state(effective_generator_weak_coupling(model, 1.0))
@@ -196,7 +276,7 @@ class TestEffectiveAsymptoticState:
         # there is no asymptotic state (the whole spectrum is peripheral)
         model = build_spin_model(spin_base(b=0.0, c=0.0, a=0.7, d=0.7))
         assert len(peripheral_spectrum(reduced_map_T(model, 0.3, 1.0))) == 4
-        with pytest.raises(NoAsymptoticStateError):
+        with pytest.raises(NoAsymptoticStateError, match="of trace 2,"):
             asymptotic_periodic_state(model, 0.3, 1.0)
 
     def test_diagonal_couplings_still_relax(self):
@@ -306,7 +386,7 @@ class TestParametrizedTauExperiment:
 
 
 class TestOneDecompositionPerMap:
-    """Each map the asymptotic module analyses goes through one eig call."""
+    """Each map the asymptotic module analyses goes through one eig or eigvals call."""
 
     @staticmethod
     def decomposed(monkeypatch) -> list:

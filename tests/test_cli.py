@@ -816,6 +816,35 @@ class TestSidecar:
         assert all(len(member) == 1 for member in members)
 
 
+class TestCsvLine:
+    """A CSV row is formatted in one call, with the text of format(float(x), ".17g") per cell."""
+
+    VALUES = [0.0, -0.0, 1, -3, 10 ** 20, 2 ** 53 + 1, True, 5e-324, 1.7976931348623157e308,
+              0.1, 1 / 3, -2.5e-17, np.float64(-0.0), np.float64(0.6334493644798731),
+              np.int64(7), np.float64(1e300)]
+
+    def test_same_text_as_one_format_per_cell(self):
+        rng = np.random.default_rng(0)
+        draws = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+                                rng.standard_normal(200)])
+        for row in [tuple(self.VALUES), tuple(draws), tuple(map(float, draws)), (3,)]:
+            assert ris.cli._csv_line(row) == ",".join(format(float(x), ".17g") for x in row)
+
+    def test_leading_label_is_written_as_it_is(self):
+        assert ris.cli._csv_line(("rho_00", 0.5, -0.0, 2)) == "rho_00,0.5,-0,2"
+        assert ris.cli._csv_line(["delta0", 1e-17]) == "delta0,1.0000000000000001e-17"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_non_finite_value_is_an_error(self, bad, where):
+        row = [1.0, 2.0, 3.0]
+        row[where] = bad
+        with pytest.raises(ValueError, match="non-finite value"):
+            ris.cli._csv_line(tuple(row))
+        with pytest.raises(ValueError, match="non-finite value"):
+            ris.cli._csv_line(("label", *row))
+
+
 class TestPoolSize:
     """The process pool forks no more workers than there are payloads."""
 
