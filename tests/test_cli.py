@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ris.cli
+import ris.linops
 from ris.cli import ConfigError, main, parse_config, run
 from ris.linops import commutator_superop, superop_norm
 from ris.spin import fast_repetition_deltas
@@ -673,6 +673,13 @@ class TestMain:
     def test_cli_missing_file(self, capsys):
         assert main(["spin-oracle", "--config", "/nonexistent.json"]) == 1
 
+    def test_cli_unwritable_out_is_an_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": SPIN_MODEL, "experiment": "effective"})
+        out = tmp_path / "missing-dir" / "x.csv"
+        assert main(["effective", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and str(out) in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_cli_jobs_below_one_is_an_error(self, tmp_path, capsys, jobs):
         path = write_config(tmp_path, {"model": SPIN_MODEL, "experiment": "converge-tau",
@@ -702,7 +709,7 @@ class TestDysonCheckCost:
         config = parse_config(json.dumps({"model": model, "experiment": "dyson-check",
                                           "quadrature_order": 6}))
         sides, quadratures = [], []
-        expm, quadrature = scipy.linalg.expm, ris.cli.dyson_term_quadrature
+        expm, quadrature = ris.linops._pade_expm, ris.cli.dyson_term_quadrature
 
         def counting_expm(a):
             sides.append(a.shape[0])
@@ -712,7 +719,7 @@ class TestDysonCheckCost:
             quadratures.append((k, t))
             return quadrature(model, k, t, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        monkeypatch.setattr(ris.linops, "_pade_expm", counting_expm)
         monkeypatch.setattr(ris.cli, "dyson_term_quadrature", counting_quadrature)
         assert run(config, out_path=str(tmp_path / "dyson.csv")) == 0
         assert 0 < max(sides) <= max(config.dyson_orders) * config.model.dim
@@ -763,13 +770,13 @@ class TestConvergeCost:
                 fields = {**fields, "tau": 1.0}
         # the default grid: 50 values of s
         config = parse_config(json.dumps({"model": model, **fields}))
-        sides, expm = [], scipy.linalg.expm
+        sides, expm = [], ris.linops._pade_expm
 
         def counting_expm(a):
             sides.append(a.shape[0])
             return expm(a)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        monkeypatch.setattr(ris.linops, "_pade_expm", counting_expm)
         assert run(config, out_path=str(tmp_path / "converge.csv"), jobs=1) == 0
         assert sides.count(config.model.n_s ** 2) == 1
         # the weak-coupling generator adds one 3n-sided Taylor stack

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris.linops import (
     BranchCutCollisionError,
@@ -11,8 +14,9 @@ from ris.linops import (
     spectral_decompose,
     superop_norm,
 )
+from ris.vanhove import effective_generator_fast_repetition, effective_generator_weak_coupling
 
-from conftest import random_density, random_hermitian, random_unitary, u
+from conftest import random_density, random_hermitian, random_model, random_unitary, u
 from oracles import choi_matrix, derivation_superop, identity_superop, left_right
 
 I2 = np.eye(2, dtype=complex)
@@ -58,6 +62,56 @@ class TestMatrixExp:
     def test_inverse_roundtrip(self, rng):
         a = random_hermitian(rng, 5) * 1j
         assert np.allclose(matrix_exp(a) @ matrix_exp(-a), np.eye(5), atol=1e-10)
+
+
+def expm_gap(a: np.ndarray) -> float:
+    """Relative 1-norm gap between matrix_exp(a) and scipy.linalg.expm(a)."""
+    got, want = matrix_exp(a), scipy.linalg.expm(a)
+    return float(np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max())
+
+
+KERNEL = settings(max_examples=60, deadline=None, derandomize=True)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+class TestPadeKernel:
+    """matrix_exp against scipy.linalg.expm, the same algorithm, to 1e-12 relative."""
+
+    @settings(KERNEL, max_examples=150)
+    @given(st.integers(1, 64), st.floats(-4.0, 2.0), seeds)
+    def test_dense(self, side, log_norm, seed):
+        # 1-norms 1e-4 .. 1e2 run every Pade degree, with and without squarings
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        a *= 10.0 ** log_norm / np.abs(a).sum(axis=0).max()
+        assert expm_gap(a) <= 1e-12
+
+    @settings(KERNEL)
+    @given(st.sampled_from([2, 3, 4]), st.sampled_from([(2, 2), (2, 4), (4, 4)]),
+           st.floats(0.05, 5.0), seeds)
+    def test_van_loan_blocks(self, blocks, dims, tau, seed):
+        # i tau B, B block upper-bidiagonal with H_0 on the diagonal and v above it
+        model = random_model(np.random.default_rng(seed), *dims)
+        block = (kron(np.eye(blocks), model.free_hamiltonian)
+                 + kron(np.eye(blocks, k=1), model.v))
+        assert expm_gap(1j * tau * block) <= 1e-12
+
+    @settings(KERNEL)
+    @given(st.sampled_from(["weak", "fast"]), st.sampled_from([(2, 2), (2, 4), (4, 2), (8, 2)]),
+           st.floats(0.2, 1.0), st.floats(0.01, 5.0), seeds)
+    def test_generator_flows(self, regime, dims, tau, ds, seed):
+        # ds * gen with gen an effective generator in the Bohr frame, n_S^2 sided
+        model = random_model(np.random.default_rng(seed), *dims)
+        eff = (effective_generator_weak_coupling(model, tau) if regime == "weak"
+               else effective_generator_fast_repetition(model))
+        assert expm_gap(ds * eff.bohr) <= 1e-12
+
+    @pytest.mark.parametrize("a", [
+        [[-1.0, 1e4], [0.0, -1.01]],
+        [[0.5j, 1e3], [-1e-3, 0.4j]],
+    ], ids=["triangular", "full"])
+    def test_highly_non_normal_2x2(self, a):
+        assert expm_gap(np.array(a, dtype=complex)) <= 1e-12
 
 
 class TestSuperoperator:
