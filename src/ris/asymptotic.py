@@ -29,11 +29,10 @@ from .dynamics import (
     NoAsymptoticStateError,
     RISModel,
     _computational,
-    _free_evolution,
     _reduced_map,
 )
 from .linops import Superoperator, superop_norm
-from .vanhove import EffectiveGenerator, _second_order_reduction
+from .vanhove import EffectiveGenerator, _alpha_classes, _second_order_reduction
 
 
 class JordanDefectError(ValueError):
@@ -159,11 +158,6 @@ class AsymptoticReport:
     period_samples: tuple
 
 
-def _apply_dual(map_on_system: Superoperator, rho: np.ndarray) -> np.ndarray:
-    out = map_on_system.trace_dual().apply(rho)
-    return 0.5 * (out + out.conj().T)
-
-
 def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
                               t_samples=()) -> AsymptoticReport:
     """The periodic family of states the repeated interactions relax to.
@@ -177,18 +171,18 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
     for t in t_samples:
         if not 0 <= t < tau:
             raise ValueError(f"sample time {t} outside [0, tau)")
-    t_map, *partials = map(Superoperator, _reduced_map(model, lam, [tau, *t_samples]))
-    rho0 = _asymptotic_state(t_map.matrix, 1.0, f"T at (lambda, tau) = ({lam:g}, {tau:g})")
-
+    t_map, *partials = _reduced_map(model, lam, [tau, *t_samples])
+    rho0 = _asymptotic_state(t_map, 1.0, f"T at (lambda, tau) = ({lam:g}, {tau:g})")
+    # the trace dual of a map M sends vec(rho^T) to M^T vec(rho^T), as in the solve
+    n, w0 = model.n_s, rho0.T.reshape(-1)
     samples = []
     for t, partial in zip(t_samples, partials):
-        rho_t = _apply_dual(partial, rho0)
-        # one extra full period must reproduce the same sample
-        rho_t_shifted = _apply_dual(partial, _apply_dual(t_map, rho0))
-        drift = float(np.abs(rho_t - rho_t_shifted).max())
+        # the sample, and the one a full period later, which must be the same
+        rho_t, later = ((partial.T @ w).reshape(n, n).T for w in (w0, t_map.T @ w0))
+        drift = float(np.abs(rho_t - later).max())
         if drift > 1e-9:
             raise NoAsymptoticStateError(f"period drift {drift:.3e} at t={t}")
-        samples.append((float(t), _computational(model, rho_t)))
+        samples.append((float(t), _computational(model, 0.5 * (rho_t + rho_t.conj().T))))
     return AsymptoticReport(_computational(model, rho0), tuple(samples))
 
 
@@ -234,8 +228,9 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
         raise ValueError(f"eps_list needs at least two distinct positive values, got {eps_list}")
     eps_desc = eps_list[::-1]
 
-    # P(0), in the Bohr frame the mask of the angles tau (w_k - w_l) = 0 mod 2 pi
-    fixed = np.abs(_free_evolution(model, tau) - 1.0) <= 1e-8
+    # P(0), in the Bohr frame the eigenvalue class of index (0, 0): angles 0 mod 2 pi
+    labels, _ = _alpha_classes(model, tau)
+    fixed = labels == labels[0]
     # T(eps) = alpha_S^tau + eps R + O(eps^2) at lambda = sqrt(eps): T'(0) is R
     g = np.where(fixed[:, None] & fixed, _second_order_reduction(model, tau), 0.0)
     eig = np.linalg.eig(g)

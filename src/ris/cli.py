@@ -19,9 +19,11 @@ the run would not read is a config error, and so is a repeated entry that
 keys the CSV rows: lambda in ``converge-lambda`` and weak-coupling
 ``asymptotic``, tau in ``converge-tau``, the (lambda, tau) pair in
 fast-repetition ``asymptotic``, ``t_samples``, ``dyson_times``,
-``dyson_orders`` and ``eps`` (``kato`` needs two at least).  The
-environment variable RIS_MAX_DIM overrides the default dimension cap
-(n_S * n_E <= 8).
+``dyson_orders`` and ``eps`` (``kato`` needs two at least); so is a
+``dyson-check`` beyond the cost guards of :mod:`ris.dynamics`.  No field
+sets a branch cut: each branch of log alpha_S^tau gives the same generator,
+and ``effective`` records the cut it read.  RIS_MAX_DIM overrides the
+default dimension cap (n_S * n_E <= 8).
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ from .asymptotic import (
     trace_distance,
 )
 from .dynamics import (
+    MAX_DYSON_ORDER,
+    MAX_QUADRATURE_EVALUATIONS,
     NoAsymptoticStateError,
     RISModel,
     check_H1,
@@ -111,9 +115,6 @@ _FIELDS = {
                '"weak-coupling" or "fast-repetition"', REGIME_EXPERIMENTS, ()),
     # null: the tau of the spin model; spin-oracle always takes that one
     "tau": (None, _positive, "a positive number", ("converge-lambda", "kato", *_WEAK), ()),
-    # null: the largest-gap bisector
-    "branch_cut_angle": (None, lambda x: x is None or _number(x), "a number or null",
-                         ("converge-lambda", *_WEAK, "spin-oracle/weak"), ()),
     "lambdas": ([0.2, 0.1, 0.05], _positive, "a positive number",
                 (*_CONVERGE, "asymptotic"), ("converge-lambda", "asymptotic/weak")),
     # the paired runs; fast-repetition asymptotic keys its rows by the
@@ -126,7 +127,9 @@ _FIELDS = {
     "interpolated": (False, lambda x: isinstance(x, bool), "true or false",
                      ("converge-lambda",), ()),
     "quadrature_order": (32, _integer(1), "an integer >= 1", ("dyson-check",), ()),
-    "dyson_orders": ([2, 3, 4], _integer(1), "an integer >= 1",
+    # order k needs the Dyson terms up to k - 1
+    "dyson_orders": ([2, 3, 4], lambda x: _integer(1)(x) and x <= MAX_DYSON_ORDER + 1,
+                     f"an integer in [1, {MAX_DYSON_ORDER + 1}]",
                      ("dyson-check",), ("dyson-check",)),
     "dyson_times": ([0.5, 1.0], lambda x: _number(x) and x >= 0, "a nonnegative number",
                     ("dyson-check",), ("dyson-check",)),
@@ -156,7 +159,6 @@ class ExperimentConfig:
     s_max: float
     s_steps: int
     interpolated: bool
-    branch_cut_angle: float | None
     quadrature_order: int
     dyson_orders: list
     dyson_times: list
@@ -358,6 +360,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"$.t_samples[{i}]", f"expected a time in [0, {period:g})")
     if experiment == "kato" and len(merged["eps"]) < 2:  # two extrapolate to eps = 0+
         raise ConfigError("$.eps", "expected two entries at least")
+    if experiment == "dyson-check":  # the run checks the terms 1..3 below the top order
+        nodes, k = merged["quadrature_order"], min(3, max(merged["dyson_orders"]) - 1)
+        if nodes ** k > MAX_QUADRATURE_EVALUATIONS:
+            raise ConfigError("$.quadrature_order", f"{nodes}^{k} quadrature evaluations exceed "
+                              f"the cost guard ({MAX_QUADRATURE_EVALUATIONS:.0e})")
     for key, row in _FIELDS.items():
         if not run.isdisjoint(row[4]):
             values = pairs if key == "taus" and experiment == "asymptotic" else merged[key]
@@ -423,7 +430,7 @@ def _effective(config: ExperimentConfig, tau: float | None):
     """The effective generator of the run's regime; weak coupling reads ``tau``."""
     if config.regime == FAST_REPETITION:
         return effective_generator_fast_repetition(config.model)
-    return effective_generator_weak_coupling(config.model, tau, config.branch_cut_angle)
+    return effective_generator_weak_coupling(config.model, tau)
 
 
 def _run_experiment(config: ExperimentConfig, jobs: int):
@@ -437,7 +444,7 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
         grid = (config.s_max, config.s_steps)
         if config.experiment == "converge-lambda":
             converge = converge_lambda_interpolated if config.interpolated else converge_lambda
-            payloads = [(converge, (model, tau, share, *grid, config.branch_cut_angle))
+            payloads = [(converge, (model, tau, share, *grid))
                         for share in _shares(sorted(config.lambdas, reverse=True), jobs)]
         else:
             payloads = [(converge_tau, (model, share, *grid))

@@ -31,6 +31,10 @@ from .linops import (
     require_hermitian,
 )
 
+#: cost guards: the most interaction steps of :func:`_steps`, the highest order of
+#: :func:`dyson_terms`, the most nodes**k integrand evaluations of :func:`dyson_term_quadrature`
+MAX_STEPS, MAX_DYSON_ORDER, MAX_QUADRATURE_EVALUATIONS = 10 ** 12, 8, 2_000_000
+
 
 class NoAsymptoticStateError(ValueError):
     """The dynamics at hand has no unique asymptotic state."""
@@ -251,19 +255,19 @@ def restricted_dynamics(model: RISModel, lam: float, tau: float, t: float) -> Su
         raise ValueError("tau must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    t_map = _reduced_map(model, lam, tau)
-    return Superoperator(_computational(model, _repeated(model, lam, tau, t_map, [t])[0]))
+    return Superoperator(_computational(model, _repeated(model, lam, tau, [t])[0]))
 
 
 def _steps(t: float, tau: float) -> tuple[int, float]:
     """(n, t1) with t = n*tau + t1 and 0 <= t1 < tau.
 
     t1 within 1e-12 of 0 or of tau snaps to 0, so that t = n*tau lands on an
-    exact power despite rounding; more than 1e12 steps is refused.
+    exact power despite rounding; more than MAX_STEPS steps, or a time that is
+    not finite, is refused.
     """
+    if not t / tau < MAX_STEPS + 1:  # also inf and nan
+        raise ValueError(f"{t / tau:.6g} interaction steps exceed the cost guard ({MAX_STEPS:.0e})")
     n = int(math.floor(t / tau))
-    if n > 10 ** 12:
-        raise ValueError(f"{n} interaction steps exceed the cost guard (1e+12)")
     t1 = t - n * tau
     if abs(t1 - tau) <= 1e-12 * max(1.0, tau):
         n, t1 = n + 1, 0.0
@@ -296,19 +300,18 @@ def _powers(m: np.ndarray, exponents) -> np.ndarray:
     return out
 
 
-def _repeated(model: RISModel, lam: float, tau: float, t_map: np.ndarray,
-              times) -> np.ndarray:
+def _repeated(model: RISModel, lam: float, tau: float, times) -> np.ndarray:
     """T^n ∘ E_S phi_SE^{t1} for each t = n*tau + t1 of ``times`` (:func:`_steps`), stacked.
 
-    ``t_map`` is T, all in the Bohr frame; the powers come from one walk over the sorted
-    n (:func:`_powers`) and the partial-interval maps from one eigh (:func:`_reduced_map`).
+    All in the Bohr frame: T and the partial-interval maps from one eigh
+    (:func:`_reduced_map`), the powers from one walk over the sorted n (:func:`_powers`).
     """
     steps = [_steps(t, tau) for t in times]
-    maps = _powers(t_map, [n for n, _ in steps])
     t1 = np.array([t1 for _, t1 in steps])
     partial = t1 > 0.0
-    if partial.any():
-        maps[partial] = maps[partial] @ _reduced_map(model, lam, t1[partial])
+    stack = _reduced_map(model, lam, [tau, *t1[partial]])
+    maps = _powers(stack[0], [n for n, _ in steps])
+    maps[partial] = maps[partial] @ stack[1:]
     return maps
 
 
@@ -319,8 +322,8 @@ def dyson_terms(model: RISModel, order: int, t: float) -> list:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order > 8:
-        raise ValueError("k > 8 refused (cost guard)")
+    if order > MAX_DYSON_ORDER:
+        raise ValueError(f"k > {MAX_DYSON_ORDER} refused (cost guard)")
     us = _taylor_stack(model, order, t)
     ws = [u @ us[0].conj().T for u in us]
     return [Superoperator((-1j) ** k * sum(kron(ws[j], ws[k - j].conj()) for j in range(k + 1)))
@@ -373,7 +376,7 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if nodes ** k > 2_000_000:
+    if nodes ** k > MAX_QUADRATURE_EVALUATIONS:
         raise ValueError(f"nested quadrature with {nodes}^{k} evaluations refused (cost guard)")
     w, q = np.linalg.eigh(model.free_hamiltonian)
     n = len(w)

@@ -28,7 +28,7 @@ import numpy as np
 
 
 class BranchCutCollisionError(ValueError):
-    """An eigenvalue sits on (or too close to) the requested branch cut.
+    """An eigenvalue sits on (or too close to) the branch cut asked of :func:`matrix_log_unitary`.
 
     Carries ``suggested_cut``, the bisector of the largest angular gap in
     the spectrum, which maximizes the numerical margin.
@@ -425,35 +425,19 @@ def largest_gap_bisector(angles: np.ndarray) -> float:
     return float(np.where(mids == -np.pi, np.pi, mids).max())
 
 
-def wrap_to_cut(angles: np.ndarray, branch_cut_angle: float) -> np.ndarray:
-    """Angles moved into the 2*pi window (cut - 2*pi, cut) of a branch cut.
-
-    An angle within angular distance 1e-8 of the cut raises
-    BranchCutCollisionError carrying the largest-gap bisector as the
-    suggested cut.
-    """
-    angles = np.asarray(angles, dtype=float)
-    rel = np.mod(angles - branch_cut_angle, 2 * np.pi)
-    dist_to_cut = np.minimum(rel, 2 * np.pi - rel)
-    if dist_to_cut.min() < 1e-8:
-        raise BranchCutCollisionError(
-            f"eigenvalue at angle {angles[int(np.argmin(dist_to_cut))]:.12f} collides "
-            f"with the branch cut at {branch_cut_angle:.12f}",
-            suggested_cut=largest_gap_bisector(angles))
-    return branch_cut_angle - 2 * np.pi + rel
-
-
 def matrix_log_unitary(u: Superoperator | np.ndarray,
                        branch_cut_angle: float = np.pi):
     """Logarithm of a unitary, with an explicit branch cut.
 
     Eigenvalue arguments are placed in the 2*pi window (cut - 2*pi, cut);
-    the result is anti-Hermitian and satisfies exp(result) = u.  The
-    window and the collision rule are :func:`wrap_to_cut`.
+    the result is anti-Hermitian and satisfies exp(result) = u.  An angle
+    within angular distance 1e-8 of the cut raises BranchCutCollisionError
+    carrying the largest-gap bisector as the suggested cut.
 
-    A test reference: the package takes the branch logarithm of
-    alpha_S^tau as wrapped Bohr angles in the eigenframe of h_S.  It stays
-    here only because perfbench/tracer.py binds it by name.
+    A test reference: the package reads the eigenvalue classes of
+    alpha_S^tau, which every branch shares, off the Bohr angles in the
+    eigenframe of h_S.  It stays here only because perfbench/tracer.py
+    binds it by name.
     """
     wrap = isinstance(u, Superoperator)
     m = u.matrix if wrap else np.asarray(u, dtype=complex)
@@ -464,7 +448,15 @@ def matrix_log_unitary(u: Superoperator | np.ndarray,
 
     import scipy.linalg
     t, z = scipy.linalg.schur(m, output="complex")
-    shifted = wrap_to_cut(np.angle(np.diag(t)), branch_cut_angle)
+    angles = np.angle(np.diag(t))
+    rel = np.mod(angles - branch_cut_angle, 2 * np.pi)
+    dist_to_cut = np.minimum(rel, 2 * np.pi - rel)
+    if dist_to_cut.min() < 1e-8:
+        raise BranchCutCollisionError(
+            f"eigenvalue at angle {angles[int(np.argmin(dist_to_cut))]:.12f} collides "
+            f"with the branch cut at {branch_cut_angle:.12f}",
+            suggested_cut=largest_gap_bisector(angles))
+    shifted = branch_cut_angle - 2 * np.pi + rel
     log_m = z @ (1j * shifted[:, None] * z.conj().T)
     log_m = 0.5 * (log_m - log_m.conj().T)  # exactly anti-Hermitian
     return Superoperator(log_m) if wrap else log_m

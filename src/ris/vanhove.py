@@ -4,9 +4,9 @@ Two perturbative regimes, both on the rescaled time s that advances by
 lambda^2*tau per interaction:
 
 * weak coupling (lambda -> 0, tau fixed): the effective generator is
-  minus the spectral average of the second-order term E_S phi_{SE,2}^tau,
-  averaged with respect to the spectral projections of the branch
-  logarithm A0 of alpha_S^tau;
+  minus the spectral average of the second-order term E_S phi_{SE,2}^tau
+  over the spectral projections of A0, a logarithm of alpha_S^tau; every
+  branch of it has the eigenprojections of alpha_S^tau, so no cut enters;
 * fast repetition (tau -> 0, lambda^2 tau -> 0): minus one half of the
   spectral average of E_S [v,.]^2, averaged over the Bohr sectors of h_S.
 
@@ -14,9 +14,10 @@ The spectral average "B-natural" of B is sum_k P_k B P_k.  Everything here
 is computed in the Bohr frame |q_k><q_l| of the cached eigh(h_S) = (w, q),
 where alpha_S^t is the diagonal e^{it(w_k - w_l)} and both families of
 projections P_k are diagonal: the spectral projections of A0 group the
-wrapped angles tau (w_k - w_l), the Bohr sectors the frequencies w_k - w_l.
-The average is an entrywise mask, the secular approximation of Davies,
-"Markovian master equations" (CMP 1974).  Its defining time-average
+angles tau (w_k - w_l) mod 2 pi (:func:`_alpha_classes`, which Kato's P(0)
+reads too), the Bohr sectors the frequencies w_k - w_l.  The average is an
+entrywise mask, the secular approximation of Davies, "Markovian master
+equations" (CMP 1974).  Its defining time-average
 (Cesaro) limit is an independent oracle in the tests.
 
 The convergence experiments measure ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||
@@ -39,17 +40,11 @@ from .dynamics import (
     _free_evolution,
     _pair_reduction,
     _powers,
-    _reduced_map,
     _repeated,
+    _steps,
     _taylor_stack,
 )
-from .linops import (
-    Superoperator,
-    largest_gap_bisector,
-    matrix_exp,
-    superop_norm,
-    wrap_to_cut,
-)
+from .linops import Superoperator, largest_gap_bisector, matrix_exp, superop_norm
 
 WEAK_COUPLING = "weak-coupling"
 FAST_REPETITION = "fast-repetition"
@@ -58,7 +53,8 @@ FAST_REPETITION = "fast-repetition"
 @dataclass(frozen=True)
 class EffectiveGenerator:
     """``generator`` in the computational basis and ``bohr`` in the Bohr frame of h_S, whose
-    indices (k, l) ``sectors`` labels by the spectral sector they were averaged over."""
+    indices (k, l) ``sectors`` labels by the spectral sector they were averaged over.  In the
+    weak-coupling regime ``branch_cut_angle`` records the cut the sectors were read from."""
     regime: str
     generator: Superoperator
     bohr: np.ndarray
@@ -86,21 +82,30 @@ class ConvergenceReport:
         raise KeyError(parameter)
 
 
-def _sector_average(model: RISModel, regime: str, b: np.ndarray, freqs: np.ndarray,
-                    branch_cut_angle: float | None = None) -> EffectiveGenerator:
-    """The generator M ∘ b: b, a matrix in the Bohr frame, averaged over the sectors of ``freqs``.
-
-    ``freqs`` holds one real frequency per index (k, l) of the Bohr frame.
-    Sorted frequencies split into sectors wherever a gap exceeds 1e-8, and
-    M_ij = [label_i = label_j]: the sum of P b P over the sector
-    projections P, which are diagonal in the Bohr frame.
-    """
+def _sector_labels(freqs: np.ndarray) -> np.ndarray:
+    """A sector label per entry of ``freqs``: sorted, they split wherever a gap exceeds 1e-8."""
     order = np.argsort(freqs)
     labels = np.empty(freqs.size, dtype=int)
     labels[order] = np.concatenate([[0], np.cumsum(np.diff(freqs[order]) > 1e-8)])
+    return labels
+
+
+def _alpha_classes(model: RISModel, tau: float) -> tuple[np.ndarray, float]:
+    """(labels, cut): the eigenvalue classes of alpha_S^tau over the Bohr indices (k, l), from
+    the angles tau (w_k - w_l) read counterclockwise from ``cut``, the bisector of their
+    largest gap (:func:`_sector_labels`).  Index 0, (k, l) = (0, 0), has the eigenvalue 1."""
+    angles = np.angle(_free_evolution(model, tau))
+    cut = largest_gap_bisector(angles)
+    return _sector_labels(np.mod(angles - cut, 2 * np.pi)), cut
+
+
+def _sector_average(model: RISModel, regime: str, b: np.ndarray, labels: np.ndarray,
+                    cut: float | None = None) -> EffectiveGenerator:
+    """The generator M ∘ b: b, a matrix in the Bohr frame, averaged over the sectors ``labels``
+    of its indices (k, l).  M_ij = [label_i = label_j]: the sum of P b P over the sector
+    projections P, which are diagonal in the Bohr frame."""
     bohr = np.where(labels[:, None] == labels[None, :], b, 0.0)
-    return EffectiveGenerator(regime, Superoperator(_computational(model, bohr)), bohr, labels,
-                              branch_cut_angle)
+    return EffectiveGenerator(regime, Superoperator(_computational(model, bohr)), bohr, labels, cut)
 
 
 def _second_order_reduction(model: RISModel, tau: float) -> np.ndarray:
@@ -124,23 +129,14 @@ def second_order_term(model: RISModel, tau: float) -> Superoperator:
     return Superoperator(_computational(model, term))
 
 
-def effective_generator_weak_coupling(model: RISModel, tau: float,
-                                      branch_cut_angle: float | None = None) -> EffectiveGenerator:
-    """Weak-coupling generator: minus the A0-spectral-average of the second-order term.
-
-    A0, the branch logarithm of alpha_S^tau, is i times the Bohr angles
-    tau (w_k - w_l) wrapped into (cut - 2 pi, cut) in the Bohr frame.  The
-    default cut is the bisector of the largest angular gap; an angle on the
-    cut raises BranchCutCollisionError with the suggested cut attached.
-    """
-    # in (-pi, pi], as the eigenvalue phases of alpha_S^tau
-    angles = np.angle(_free_evolution(model, tau))
-    if branch_cut_angle is None:
-        branch_cut_angle = largest_gap_bisector(angles)
+def effective_generator_weak_coupling(model: RISModel, tau: float) -> EffectiveGenerator:
+    """Weak-coupling generator: minus the A0-spectral-average of the second-order term, whose
+    sectors are the eigenvalue classes of alpha_S^tau (:func:`_alpha_classes`)."""
+    labels, cut = _alpha_classes(model, tau)
     # R ∘ alpha_S^{-tau}: minus the second-order term
     return _sector_average(model, WEAK_COUPLING,
                            _second_order_reduction(model, tau) * _free_evolution(model, -tau),
-                           wrap_to_cut(angles, branch_cut_angle), branch_cut_angle)
+                           labels, cut)
 
 
 def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
@@ -153,7 +149,8 @@ def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
     v = model.v
     v2, eye = v @ v, np.eye(model.dim)
     double_comm = _pair_reduction(model, [v2, -2.0 * v, eye], [eye, v.conj().T, v2.conj().T])
-    return _sector_average(model, FAST_REPETITION, -0.5 * double_comm, model._system_bohr[0])
+    return _sector_average(model, FAST_REPETITION, -0.5 * double_comm,
+                           _sector_labels(model._system_bohr[0]))
 
 
 def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps: int,
@@ -164,26 +161,32 @@ def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps
     (:func:`_powers`) serve every case of ``cases``: (parameter, lambda, tau).
     phi_res^t = T^n ∘ E_S phi_SE^{t1} with t = n*tau + t1, as in
     :func:`restricted_dynamics`; the regimes differ only in the generator
-    and in t = time_of(s, lambda, tau):
+    and in the times t = time_of(s grid, lambda, tau):
 
     * weak coupling on the lattice: t = tau * floor(s / (lambda^2 tau));
     * weak coupling interpolated: t = s / lambda^2;
     * fast repetition: t = s / (lambda^2 tau).
 
-    All in the Bohr frame, each case a few calls on stacks with the s grid as
-    leading axis: one T(lambda, tau); every T^n from one walk over the sorted n;
-    every E_S phi_SE^{t1} from one eigh; alpha_S^{-t} and the flows applied in
-    place; and one stacked spectral norm.  Each stack holds s_steps
-    superoperators of n_S^4 entries.
+    First every case's last time passes the cost guard of :func:`_steps` (an inf
+    or 0/0 time fails it), whose error then names the parameter.  Then each case is
+    a few calls on stacks of s_steps maps in the Bohr frame: :func:`_repeated`,
+    alpha_S^{-t} and the flows applied in place, and one stacked spectral norm.
     """
     s_grid = np.linspace(0.0, s_max, s_steps)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        times = [time_of(s_grid, lam, tau) for _, lam, tau in cases]
+    for (param, _, tau), t in zip(cases, times):
+        try:
+            _steps(t[-1], tau)
+        except ValueError as exc:
+            name = "lambda" if eff.regime == WEAK_COUPLING else "tau"
+            raise ValueError(f"{name} = {param!r}: {exc}") from None
     ds = s_max / max(s_steps - 1, 1)  # one s: the one flow is (e^{ds gen})^0 = I
     flows = _powers(matrix_exp(ds * eff.bohr), range(s_steps))
     rows = []
-    for param, lam, tau in cases:
-        times = np.array([time_of(s, lam, tau) for s in s_grid])
-        maps = _repeated(model, lam, tau, _reduced_map(model, lam, tau), times)
-        maps *= _free_evolution(model, -times)[:, None, :]
+    for (param, lam, tau), t in zip(cases, times):
+        maps = _repeated(model, lam, tau, t)
+        maps *= _free_evolution(model, -t)[:, None, :]
         maps -= flows
         errors = superop_norm(maps)
         rows.extend((param, float(s), float(e)) for s, e in zip(s_grid, errors))
@@ -195,37 +198,36 @@ def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps
 
 
 def _converge_weak(model: RISModel, tau: float, lambdas, s_max: float, s_steps: int,
-                   branch_cut_angle: float | None, time_of) -> ConvergenceReport:
+                   time_of) -> ConvergenceReport:
     lambdas = list(lambdas)
     if any(l <= 0 for l in lambdas) or any(a <= b for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be positive and strictly decreasing")
-    eff = effective_generator_weak_coupling(model, tau, branch_cut_angle)
+    eff = effective_generator_weak_coupling(model, tau)
     return _grid_report(model, eff, s_max, s_steps, [(lam, lam, tau) for lam in lambdas],
                         time_of)
 
 
-def converge_lambda(model: RISModel, tau: float, lambdas, s_max: float, s_steps: int,
-                    branch_cut_angle: float | None = None) -> ConvergenceReport:
+def converge_lambda(model: RISModel, tau: float, lambdas, s_max: float,
+                    s_steps: int) -> ConvergenceReport:
     """Weak-coupling convergence on the interaction lattice.
 
     For each lambda and each s on the grid, measures
     ||T(lambda,tau)^n alpha_S^{-tau n} - e^{s gen}|| with n = floor(s/(lambda^2 tau)).
     The call builds the generator and its flows once for all of ``lambdas``.
     """
-    return _converge_weak(model, tau, lambdas, s_max, s_steps, branch_cut_angle,
-                          lambda s, lam, tau: tau * math.floor(s / (lam * lam * tau)))
+    return _converge_weak(model, tau, lambdas, s_max, s_steps,
+                          lambda s, lam, tau: tau * np.floor(s / (lam * lam * tau)))
 
 
 def converge_lambda_interpolated(model: RISModel, tau: float, lambdas, s_max: float,
-                                 s_steps: int,
-                                 branch_cut_angle: float | None = None) -> ConvergenceReport:
+                                 s_steps: int) -> ConvergenceReport:
     """Weak-coupling convergence at arbitrary times t = s/lambda^2.
 
     Uses the repeated-interaction dynamics (with its partial last
     interval) instead of pure powers of T.  The call builds the generator
     and its flows once for all of ``lambdas``.
     """
-    return _converge_weak(model, tau, lambdas, s_max, s_steps, branch_cut_angle,
+    return _converge_weak(model, tau, lambdas, s_max, s_steps,
                           lambda s, lam, tau: s / (lam * lam))
 
 
@@ -242,4 +244,4 @@ def converge_tau(model: RISModel, pairs, s_max: float, s_steps: int) -> Converge
         raise ValueError("pairs must have tau > 0 and lambda >= 0")
     return _grid_report(model, effective_generator_fast_repetition(model), s_max, s_steps,
                         [(tau, lam, tau) for lam, tau in pairs],
-                        lambda s, lam, tau: s / (lam * lam * tau) if lam > 0 else 0.0)
+                        lambda s, lam, tau: s / (lam * lam * tau) if lam > 0 else 0.0 * s)

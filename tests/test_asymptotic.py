@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ris.asymptotic
 from ris.asymptotic import (
     JordanDefectError,
     _eigenprojection_near,
@@ -11,9 +12,10 @@ from ris.asymptotic import (
     trace_distance,
 )
 from ris.dynamics import NoAsymptoticStateError, RISModel, reduced_map_T, system_free_evolution
-from ris.linops import Superoperator, matrix_exp, superop_norm
+from ris.linops import Superoperator, kron, matrix_exp, spectral_decompose, superop_norm
 from ris.spin import build_spin_model, spin_asymptotic_state
 from ris.vanhove import (
+    _second_order_reduction,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
     second_order_term,
@@ -342,6 +344,39 @@ class TestKatoStructure:
                                - t_prime) for eps in (1e-2, 5e-3)]
         assert errors[1] < errors[0] <= 1e-2 * superop_norm(t_prime)
         assert 1.8 <= errors[0] / errors[1] <= 2.2
+
+    def test_p0_is_the_generator_class_of_index_0_at_resonance(self, monkeypatch, rng):
+        # tau = 2 pi with levels 0, 0.5, 1, 2: the Bohr angles 2 pi (w_k - w_l) are 0 mod
+        # 2 pi for the differences 0, +-1, +-2 and pi for +-0.5, +-1.5
+        tau, levels = 2 * np.pi, np.array([0.0, 0.5, 1.0, 2.0])
+        q = random_unitary(rng, 4)
+        model = random_model(rng, 4, 2)
+        model = RISModel(h_s=q @ np.diag(levels) @ q.conj().T, h_e=model.h_e, v=model.v,
+                         beta=1.0)
+        masked = []
+
+        class Seen(Exception):
+            pass
+
+        def first_call(m, *args):
+            masked.append(m)
+            raise Seen
+
+        monkeypatch.setattr(ris.asymptotic, "_eigenprojection_near", first_call)
+        with pytest.raises(Seen):
+            kato_structure_check(model, tau, [0.02, 0.01])
+        sectors = effective_generator_weak_coupling(model, tau).sectors
+        fixed = sectors == sectors[0]
+        assert fixed.sum() == 10
+        # kato's P(0) T'(0) P(0) masks R to the class of index (0, 0)
+        r = _second_order_reduction(model, tau)
+        assert np.array_equal(masked[0], np.where(fixed[:, None] & fixed, r, 0.0))
+        # and that class is the eigenprojection of 1 of alpha_S^tau, by Schur
+        one = min(spectral_decompose(system_free_evolution(model, tau)).clusters,
+                  key=lambda c: abs(c.eigenvalue - 1.0))
+        frame = kron(model._system_bohr[1], model._system_bohr[1].conj())
+        assert np.abs(frame @ np.diag(fixed.astype(float)) @ frame.conj().T
+                      - one.projection.matrix).max() <= 1e-12
 
     def test_requires_positive_eps(self):
         model = build_spin_model(spin_base())

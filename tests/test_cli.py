@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ris.cli
+import ris.dynamics
 import ris.linops
 from ris.cli import ConfigError, main, parse_config, run
 from ris.linops import commutator_superop, superop_norm
@@ -104,6 +105,9 @@ BAD_VALUES = [  # (field, value, JSON path of the error)
     ("branch_cut_angle", "pi", "$.branch_cut_angle"),
     ("dyson_orders", ["2"], "$.dyson_orders[0]"),
     ("dyson_orders", [2, 0], "$.dyson_orders[1]"),
+    # the cost guards of the run: the Dyson terms up to 8, nodes^3 quadrature evaluations
+    ("dyson_orders", [2, 10], "$.dyson_orders[1]"),
+    ("quadrature_order", 200, "$.quadrature_order"),
     ("dyson_times", [0.5, True], "$.dyson_times[1]"),
     ("dyson_times", [-0.5], "$.dyson_times[0]"),
     ("t_samples", "0", "$.t_samples"),
@@ -129,6 +133,25 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, key, value, path):
     assert main(["dyson-check", "--config", str(config), "--out", str(out)]) == 1
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dyson_check_cost_guards_are_those_of_the_run():
+    def parses(**fields):
+        try:
+            parse_config(json.dumps({"model": SPIN_MODEL, "experiment": "dyson-check",
+                                     **fields}))
+        except ConfigError:
+            return False
+        return True
+
+    top = ris.dynamics.MAX_DYSON_ORDER + 1  # order k needs the terms up to k - 1
+    assert parses(dyson_orders=[top]) and not parses(dyson_orders=[top + 1])
+    # the run checks the terms up to min(3, top order - 1) against a quadrature
+    cube = int(ris.dynamics.MAX_QUADRATURE_EVALUATIONS ** (1 / 3))
+    assert cube ** 3 <= ris.dynamics.MAX_QUADRATURE_EVALUATIONS < (cube + 1) ** 3
+    assert parses(quadrature_order=cube) and not parses(quadrature_order=cube + 1)
+    assert parses(quadrature_order=200, dyson_orders=[2, 3])
+    assert parses(quadrature_order=10 ** 9, dyson_orders=[1])
 
 
 # only "effective", "asymptotic" and "spin-oracle" read the regime: anywhere
@@ -669,6 +692,23 @@ class TestMain:
                                        "eps": [0.01]})
         assert main(["kato", "--config", str(path), "--out", str(tmp_path / "k.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    # lambda = 1e-160 overflows t = s / lambda^2 to inf, 1e-300 makes it 0/0
+    @pytest.mark.parametrize("experiment, fields, start", [
+        ("converge-lambda", {"lambdas": [0.2, 1e-7]}, "lambda = 1e-07: "),
+        ("converge-lambda", {"lambdas": [1e-160]}, "lambda = 1e-160: "),
+        ("converge-lambda", {"lambdas": [1e-300], "interpolated": True}, "lambda = 1e-300: "),
+        ("converge-tau", {"lambdas": [1e-7], "taus": [0.2, 0.1]}, "tau = 0.2: "),
+    ])
+    def test_cli_converge_step_cost_guard(self, tmp_path, capsys, experiment, fields, start):
+        path = write_config(tmp_path, {"model": SPIN_MODEL, "experiment": experiment,
+                                       "s_steps": 3, **fields})
+        out = tmp_path / "c.csv"
+        assert main([experiment, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + start) and "cost guard" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_cli_missing_file(self, capsys):
         assert main(["spin-oracle", "--config", "/nonexistent.json"]) == 1

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ris.dynamics import (
+    MAX_STEPS,
     ChainState,
     RISModel,
     _computational,
@@ -323,7 +325,7 @@ class TestStackedPieces:
         lam, tau = 0.4, 0.7
         t_map = _reduced_map(model, lam, tau)
         times = [3 * tau - 1e-13, 3 * tau, 3 * tau + 1e-13]
-        for m in _repeated(model, lam, tau, t_map, times):
+        for m in _repeated(model, lam, tau, times):
             assert np.array_equal(m, np.linalg.matrix_power(t_map, 3))
         for t in times:
             assert np.array_equal(restricted_dynamics(model, lam, tau, t).matrix,
@@ -336,18 +338,21 @@ class TestStackedPieces:
         lam, tau = 0.5, 0.8
         t_map = _reduced_map(model, lam, tau)
         times = [0.0, 0.3, 0.8, 2.5, 2.4, 17.05]
-        for t, m in zip(times, _repeated(model, lam, tau, t_map, times)):
+        for t, m in zip(times, _repeated(model, lam, tau, times)):
             n, t1 = _steps(t, tau)
             expected = np.linalg.matrix_power(t_map, n)
             if t1 > 0.0:
                 expected = expected @ _reduced_map(model, lam, t1)
             assert np.linalg.norm(m - expected) <= 1e-12 * np.linalg.norm(expected), t
             # a lone time is matrix_power exactly, as restricted_dynamics takes it
-            assert np.array_equal(_repeated(model, lam, tau, t_map, [t])[0], expected), t
+            assert np.array_equal(_repeated(model, lam, tau, [t])[0], expected), t
 
-    def test_step_cost_guard(self):
+    @pytest.mark.parametrize("t, tau", [(2e12, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                                        (1.0, 5e-324)])
+    def test_step_cost_guard(self, t, tau):
         with pytest.raises(ValueError, match="cost guard"):
-            _steps(2e12, 1.0)
+            _steps(t, tau)
+        assert _steps(MAX_STEPS * 1.0, 1.0) == (MAX_STEPS, 0.0)
 
 
 class TestDysonTerms:
@@ -393,7 +398,8 @@ class TestDysonTerms:
         ("spin", 32, 0.5), ("random-2x4", 32, 1.0), ("random-4x4", 8, 8.0)])
     def test_quadrature_peak_memory(self, which, nodes, mib):
         # the third level loops over its nodes, so no stack of n^2-sided matrices is
-        # ever formed; a warm-up call caches the eigenframe of H_0 and the nodes
+        # ever formed; a warm-up call caches the Gauss-Legendre nodes, the one cache
+        # of the quadrature (the eigh of H_0 runs, and is measured, on every call)
         model = {"spin": lambda: build_spin_model(spin_base()),
                  "random-2x4": lambda: random_model(np.random.default_rng(8), 2, 4),
                  "random-4x4": lambda: random_model(np.random.default_rng(16), 4, 4)}[which]()
