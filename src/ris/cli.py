@@ -50,6 +50,7 @@ from .asymptotic import (
 from .dynamics import (
     MAX_DYSON_ORDER,
     MAX_QUADRATURE_EVALUATIONS,
+    MAX_QUADRATURE_NODES,
     NoAsymptoticStateError,
     RISModel,
     check_H1,
@@ -362,6 +363,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("$.eps", "expected two entries at least")
     if experiment == "dyson-check":  # the run checks the terms 1..3 below the top order
         nodes, k = merged["quadrature_order"], min(3, max(merged["dyson_orders"]) - 1)
+        if k >= 1 and nodes > MAX_QUADRATURE_NODES:
+            raise ConfigError("$.quadrature_order", f"{nodes} quadrature nodes exceed the cost "
+                              f"guard ({MAX_QUADRATURE_NODES})")
         if nodes ** k > MAX_QUADRATURE_EVALUATIONS:
             raise ConfigError("$.quadrature_order", f"{nodes}^{k} quadrature evaluations exceed "
                               f"the cost guard ({MAX_QUADRATURE_EVALUATIONS:.0e})")

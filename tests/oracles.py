@@ -10,7 +10,9 @@ Dyson terms as one superoperator block exponential are the oracle for the
 Taylor-stack terms of ``ris.dynamics``; the nested quadrature with the
 interaction picture as a product of n^2-sided superoperators, on the same
 nodes, pins ``dyson_term_quadrature``, whose two innermost levels are
-n-sized commutators and Kronecker sums in the eigenframe of H_0.  The
+n-sized commutators and Kronecker sums in the eigenframe of H_0; its third
+level as a loop over the outer nodes, the second-level quadrature times
+one commutator superoperator per node, pins the symmetric-pair form.  The
 Schur route to the van Hove averages (the branch logarithm A0 of
 alpha_S^tau, its clustered spectral projections and the sum of P B P over
 them) and their defining Cesaro time average are the oracles for the
@@ -24,7 +26,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from ris.dynamics import ChainState, RISModel, system_free_evolution
+from ris.dynamics import ChainState, RISModel, dyson_term_quadrature, system_free_evolution
 from ris.linops import (
     SpectralDecomposition,
     Superoperator,
@@ -150,6 +152,23 @@ def dyson_term_product_quadrature(model: RISModel, k: int, t: float, nodes: int)
         return acc
 
     return Superoperator(nested(k, t))
+
+
+def dyson_term_loop_quadrature(model: RISModel, t: float, nodes: int) -> Superoperator:
+    """Third Dyson term by nested Gauss-Legendre, the outer level as a loop over its nodes.
+
+    sum_i c_i Q2(u_i) [alpha^{u_i}(v),.] over the nodes u_i and weights c_i on [0, t],
+    Q2 the second-level ``dyson_term_quadrature`` on the same nodes and alpha^u(v) =
+    e^{iuH_0} v e^{-iuH_0}: one n^2-sided product per node.
+    """
+    x, wq = np.polynomial.legendre.leggauss(nodes)
+    acc = np.zeros((model.dim ** 2,) * 2, dtype=complex)
+    for xi, wi in zip(x, wq):
+        u = 0.5 * t * (xi + 1.0)
+        flow = expm(1j * u * model.free_hamiltonian)
+        picture = commutator_superop(flow @ model.v @ flow.conj().T).matrix
+        acc += (0.5 * t * wi) * (dyson_term_quadrature(model, 2, u, nodes).matrix @ picture)
+    return Superoperator(acc)
 
 
 def spectral_average(b: Superoperator, basis: SpectralDecomposition) -> Superoperator:

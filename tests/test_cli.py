@@ -135,7 +135,12 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, key, value, path):
     assert not out.exists()
 
 
-def test_dyson_check_cost_guards_are_those_of_the_run():
+def test_dyson_check_cost_guards_are_those_of_the_run(monkeypatch):
+    def leggauss(nodes):
+        raise AssertionError(f"leggauss({nodes}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+
     def parses(**fields):
         try:
             parse_config(json.dumps({"model": SPIN_MODEL, "experiment": "dyson-check",
@@ -152,6 +157,13 @@ def test_dyson_check_cost_guards_are_those_of_the_run():
     assert parses(quadrature_order=cube) and not parses(quadrature_order=cube + 1)
     assert parses(quadrature_order=200, dyson_orders=[2, 3])
     assert parses(quadrature_order=10 ** 9, dyson_orders=[1])
+    # a quadrature needs leggauss(nodes), an eigenproblem of side nodes: any run that
+    # computes one is refused beyond MAX_QUADRATURE_NODES
+    cap = ris.dynamics.MAX_QUADRATURE_NODES
+    for orders in ([2], [3], [2, 3]):
+        assert parses(quadrature_order=cap, dyson_orders=orders)
+        assert not parses(quadrature_order=cap + 1, dyson_orders=orders)
+        assert not parses(quadrature_order=2 * 10 ** 6, dyson_orders=orders)
 
 
 # only "effective", "asymptotic" and "spin-oracle" read the regime: anywhere

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ris.dynamics import (
+    MAX_QUADRATURE_EVALUATIONS,
+    MAX_QUADRATURE_NODES,
     MAX_STEPS,
     ChainState,
     RISModel,
@@ -39,6 +41,7 @@ from oracles import (
     choi_matrix,
     conditional_expectation,
     derivation_superop,
+    dyson_term_loop_quadrature,
     dyson_term_product_quadrature,
     full_generator,
     identity_superop,
@@ -355,6 +358,17 @@ class TestStackedPieces:
         assert _steps(MAX_STEPS * 1.0, 1.0) == (MAX_STEPS, 0.0)
 
 
+# models of the quadrature tests; S = E gives H_0 the degenerate levels S and E
+QUADRATURE_MODELS = {
+    "spin": lambda: build_spin_model(spin_base()),
+    "spin-degenerate": lambda: build_spin_model(spin_base(E=1.0)),
+    "random-dim6": lambda: random_model(np.random.default_rng(6), 2, 3),
+    "random-3x2": lambda: random_model(np.random.default_rng(32), 3, 2),
+    "random-2x4": lambda: random_model(np.random.default_rng(8), 2, 4),
+    "random-4x4": lambda: random_model(np.random.default_rng(16), 4, 4),
+}
+
+
 class TestDysonTerms:
     def test_first_order_commuting_interaction(self, rng):
         # v = h_S (x) I + I (x) h_E commutes with the free flow: the
@@ -366,12 +380,19 @@ class TestDysonTerms:
         got = dyson_term(model, 1, t)
         assert superop_norm(got - t * commutator_superop(v)) <= 1e-10
 
-    def test_cost_guard(self):
+    def test_cost_guard(self, monkeypatch):
+        # a quadrature is refused before the companion eigenproblem of leggauss(nodes)
+        def leggauss(nodes):
+            raise AssertionError(f"leggauss({nodes}) called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
         model = build_spin_model(spin_base())
         with pytest.raises(ValueError, match="cost guard"):
             dyson_term(model, 9, 1.0)
-        with pytest.raises(ValueError, match="cost guard"):
-            dyson_term_quadrature(model, 5, 1.0, nodes=32)
+        for k, nodes in [(5, 32), (1, MAX_QUADRATURE_NODES + 1), (2, MAX_QUADRATURE_NODES + 1),
+                         (1, MAX_QUADRATURE_EVALUATIONS)]:
+            with pytest.raises(ValueError, match="cost guard"):
+                dyson_term_quadrature(model, k, 1.0, nodes=nodes)
 
     def test_block_exponential_matches_quadrature(self):
         model = build_spin_model(spin_base())
@@ -383,26 +404,32 @@ class TestDysonTerms:
     @pytest.mark.parametrize("which", ["spin", "random-dim6", "spin-degenerate", "random-3x2"])
     def test_eigenframe_quadrature_matches_product_form(self, which):
         # same nodes and weights; the oracle forms alpha^u [v,.] alpha^{-u} from two expm.
-        # k = 4 runs a dense third level on top of the two Hilbert-space ones; S = E
-        # gives H_0 the degenerate levels S and E
-        model = {"spin": lambda: build_spin_model(spin_base()),
-                 "random-dim6": lambda: random_model(np.random.default_rng(6), 2, 3),
-                 "spin-degenerate": lambda: build_spin_model(spin_base(E=1.0)),
-                 "random-3x2": lambda: random_model(np.random.default_rng(32), 3, 2)}[which]()
-        for k, t, nodes in [(1, 2.0, 6), (2, 2.0, 6), (3, 1.0, 6), (4, 1.0, 4)]:
+        # k = 4 runs a dense fourth level on top of the three Hilbert-space ones
+        model = QUADRATURE_MODELS[which]()
+        # odd node counts exercise the middle node of the mirror; k >= 3 the pairs i = j
+        for k, t, nodes in [(1, 2.0, 6), (2, 2.0, 6), (3, 1.0, 6), (4, 1.0, 4),
+                            (3, 1.0, 5), (3, 1.0, 7), (4, 1.0, 3)]:
             gap = superop_norm(dyson_term_quadrature(model, k, t, nodes=nodes)
                                - dyson_term_product_quadrature(model, k, t, nodes=nodes))
             assert gap <= 1e-13
 
+    @pytest.mark.parametrize("which, nodes", [
+        ("spin", 32), ("random-2x4", 32), ("random-3x2", 32), ("random-4x4", 8)])
+    def test_third_level_matches_loop_over_outer_nodes(self, which, nodes):
+        # same nodes and weights; the oracle takes the second level once per outer node
+        model = QUADRATURE_MODELS[which]()
+        oracle = dyson_term_loop_quadrature(model, 1.0, nodes)
+        gap = superop_norm(dyson_term_quadrature(model, 3, 1.0, nodes=nodes) - oracle)
+        assert gap <= 1e-14 * superop_norm(oracle)
+
     @pytest.mark.parametrize("which, nodes, mib", [
         ("spin", 32, 0.5), ("random-2x4", 32, 1.0), ("random-4x4", 8, 8.0)])
     def test_quadrature_peak_memory(self, which, nodes, mib):
-        # the third level loops over its nodes, so no stack of n^2-sided matrices is
-        # ever formed; a warm-up call caches the Gauss-Legendre nodes, the one cache
-        # of the quadrature (the eigh of H_0 runs, and is measured, on every call)
-        model = {"spin": lambda: build_spin_model(spin_base()),
-                 "random-2x4": lambda: random_model(np.random.default_rng(8), 2, 4),
-                 "random-4x4": lambda: random_model(np.random.default_rng(16), 4, 4)}[which]()
+        # the third level takes its node pairs in chunks of about 2**12 / (n (n + nodes/2)),
+        # so no stack of n^2-sided matrices over all pairs is ever formed; a warm-up call
+        # caches the Gauss-Legendre nodes and the pair tables, the caches of the quadrature
+        # (the eigh of H_0 runs, and is measured, on every call)
+        model = QUADRATURE_MODELS[which]()
         dyson_term_quadrature(model, 3, 1.0, nodes=nodes)
         tracemalloc.start()
         try:
