@@ -8,10 +8,10 @@ eigh, E_S ∘ phi_SE^t the Kraus map x -> sum_{a,b} p_a K_ab x K_ab^† with
 K_ab = <a|U|b>_E and rho_E = sum_a p_a |a><a|, and the Dyson terms come
 from the Taylor stack of U in lambda.  The Dyson quadrature, the oracle of
 dyson-check, takes its three innermost levels from n-sized products too: n
-exponentials per innermost node, the third level once per symmetric pair of
-middle nodes, and its Kronecker sums as (n^2 x P)(P x n^2) GEMMs; only its
-levels from the fourth up, and the change out of the eigenframe of its
-result, are n^2-sided GEMMs.
+exponentials per innermost node, the third level split at its middle time
+into one sum over N nodes, and its Kronecker sums as (n^2 x P)(P x n^2)
+GEMMs; only its levels from the fourth up, and the change out of the
+eigenframe of its result, are n^2-sided GEMMs.
 
 Maps on M_S are computed in the Bohr frame |q_k><q_l| of h_S = q diag(w) q^†,
 where alpha_S^t is the diagonal e^{it(w_k - w_l)}; :func:`_computational`
@@ -347,17 +347,10 @@ def dyson_term(model: RISModel, k: int, t: float) -> Superoperator:
     return dyson_terms(model, k, t)[-1]
 
 
-#: node count -> read-only Gauss-Legendre (nodes, weights) on [-1, 1], and node
-#: count -> read-only node tables of the third quadrature level; plain dicts,
+#: node count -> read-only Gauss-Legendre (nodes, weights) on [-1, 1]; a plain dict,
 #: not functools.lru_cache, so no module function carries __wrapped__, which
 #: perfbench reads as a tracer wrapper left installed
 _GAUSS_LEGENDRE: dict = {}
-_NODE_PAIRS: dict = {}
-
-#: complex entries of one chunk of node pairs at the third quadrature level, counting
-#: n (n + ceil(nodes/2)) per pair: one n-sided factor and the phase vectors of its
-#: innermost nodes; a chunk's working set is a small multiple of this many entries
-_PAIR_CHUNK = 2 ** 12
 
 
 def _gauss_legendre(nodes: int):
@@ -369,38 +362,14 @@ def _gauss_legendre(nodes: int):
     return _GAUSS_LEGENDRE[nodes]
 
 
-def _node_pairs(nodes: int):
-    """Node tables of the third quadrature level, computed once per node count (read-only).
-
-    With y = (x + 1)/2 and h = w/2 the rule on [0, 1]: y; for the pairs i <= j in
-    row-major order, (i, j), y_i y_j and the weights (g y_i, g y_j) of the ordered
-    pairs (i, j) and (j, i), g = y_i y_j h_i h_j, the second 0 if i = j; and the first
-    half of the nodes with the square roots of their weights, the middle node of an
-    odd rule at half weight.  ``leggauss`` symmetrises its nodes: y_(N-1-l) = 1 - y_l.
-    """
-    if nodes not in _NODE_PAIRS:
-        x, wq = _gauss_legendre(nodes)
-        y, h = 0.5 * (x + 1.0), 0.5 * wq
-        i, j = np.triu_indices(nodes)
-        g = y[i] * y[j] * h[i] * h[j]
-        half = h[:(nodes + 1) // 2].copy()
-        half[nodes // 2:] *= 0.5  # the middle node, its own mirror
-        tables = (y, np.stack([i, j]), y[i] * y[j],
-                  np.stack([g * y[i], np.where(i < j, g * y[j], 0.0)]),
-                  y[:len(half)], np.sqrt(half))
-        for table in tables:
-            table.flags.writeable = False
-        _NODE_PAIRS[nodes] = tables
-    return _NODE_PAIRS[nodes]
-
-
 def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) -> Superoperator:
     """Independent evaluation of :func:`dyson_term` by nested Gauss-Legendre.
 
     Works in the eigenframe Z = kron(q, conj q) of the free Liouvillian, with
     eigh(H_0) = (w, q).  There Z^† [v,.] Z = [v~,.] with v~ = q^† v q, and
     alpha^u [v~,.] alpha^{-u} = [v~ ∘ (phi phi^H),.] with phi = e^{iuw}.  With
-    N = ``nodes``, each level costs:
+    X(u) that integrand, C(r) = [M(r),.] its integral up to r and N = ``nodes``,
+    each level costs:
 
     1. The innermost integral up to u is [M(u),.], M(u) = v~ ∘ sum_l c_l phi_l phi_l^H
        over its nodes s_l and weights c_l: N n exponentials and one n-sided GEMM.
@@ -408,14 +377,12 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
        L(sum c M V) + R(sum c V M) - sum_j c_j (kron(M_j, V_j^T) + kron(V_j, M_j^T)),
        L(X) = kron(X, I) and R(X) = kron(I, X^T): N^2 n exponentials, 2N n-sided
        products, and the Kronecker sum as one (n^2 x 2N)(2N x n^2) GEMM.
-    3. The third, sum_ij c_i c_ij [M_ij,.][V_ij,.][V_i,.], has the middle nodes
-       t y_i y_j (y = (x + 1)/2 the rule on [0, 1]), symmetric in (i, j), so it
-       takes each pair i <= j once: N(N+1)/2 of them.  Mirrored innermost nodes
-       share phases, e^{is(1-y)w} = e^{isw} conj e^{isyw}, so a pair costs
-       (N/2 + 1) n exponentials, one (n x N/2)(N/2 x n) Gram product and six
-       n-sided products.  Expanding the three commutators into L and R parts
-       leaves L(X) - R(Y) and a Kronecker sum of 2N^2 + 4N terms, accumulated
-       per chunk of m pairs by one (n^2 x 4m)(4m x n^2) GEMM and permuted once.
+    3. The third is split at its middle time r: the times below it give C(r) and
+       those above it C(t) - C(r), so it is exactly int_0^t C(r) X(r) (C(t) - C(r)) dr,
+       sum_j c_j [M_j,.][V_j,.][B_j,.] with B_j = M(t) - M_j.  Expanding the three
+       commutators leaves L(sum c M V B) - R(sum c B V M) and a Kronecker sum of 6N
+       terms, all one (n^2 x (6N + 2))((6N + 2) x n^2) GEMM: (N + 1) N n exponentials,
+       as at the second level, and 8N n-sided products.
     4. Each level from the fourth up loops over its nodes, one call of the level
        below and one n^2-sided GEMM per node: N^(k-3) calls of the third level.
 
@@ -448,67 +415,36 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
         phi = np.exp(1j * np.asarray(u)[..., None] * w)
         return vt * (phi[..., :, None] * phi[..., None, :].conj())
 
+    def kron_sum(lefts, rights):
+        """sum_p kron(lefts[p], rights[p]^T) as one GEMM: P[(a, c), (d, b)] = sum_p
+        lefts[p][a, c] rights[p][d, b], permuted to the ((a, b), (c, d)) entries."""
+        cross = lefts.reshape(-1, n * n).T @ rights.reshape(-1, n * n)
+        return cross.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+
     def second(upper):
         """The two innermost integrals up to ``upper``: sum_j c_j [M_j,.][V_j,.], n^2-sided."""
         u, c = rule(upper)
         m, v = first(u), picture(u)
         cm, cv = c[:, None, None] * m, c[:, None, None] * v
-        # P[(a, c), (d, b)] = sum_j c_j (M_j[a, c] V_j[d, b] + V_j[a, c] M_j[d, b]),
-        # permuted to the ((a, b), (c, d)) entries of the Kronecker sum
-        cross = (np.concatenate([cm, cv]).reshape(-1, n * n).T
-                 @ np.concatenate([v, m]).reshape(-1, n * n))
-        out = -cross.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+        out = -kron_sum(np.concatenate([cm, cv]), np.concatenate([v, m]))
         out += kron((cm @ v).sum(axis=0), np.eye(n))
         out += kron(np.eye(n), (v @ cm).sum(axis=0).T)
         return out
 
     def third(upper):
-        """The three innermost integrals up to ``upper``: sum_ij c_i c_ij [M_ij,.][V_ij,.][V_i,.].
-
-        Per pair p = (i <= j) at s = upper y_i y_j: A = upper^3 v~ ∘ sum_l h_l phi_l phi_l^H
-        over the nodes s y_l, B = V(s) and E = sum weights[:, p] V(upper y) over i and j,
-        so that the ordered pairs (i, j) and (j, i) give [A,.][B,.][E,.].  Its Kronecker
-        part is -kron(AE, B^T) + kron(A, (EB)^T) - kron(BE, A^T) + kron(B, (EA)^T), and,
-        summed over j first, -kron(S_i, V_i^T) + kron(V_i, T_i^T) with S_i and T_i the
-        weighted sums of AB and BA; the rest is L(sum S_i V_i) - R(sum V_i T_i).
-        """
-        y, pairs, yy, pair_weights, mirror, root = _node_pairs(nodes)
-        outer = picture(upper * y).reshape(nodes, n * n)
-        scaled_vt = upper ** 3 * vt
-        size = min(len(yy), max(1, _PAIR_CHUNK // (n * (n + len(mirror)))))
-        left = np.empty((4 * size, n, n), dtype=complex)
-        right = np.empty_like(left)
-        acc = np.zeros((n * n, n * n), dtype=complex)
-        ends = np.zeros((2, nodes, n * n), dtype=complex)  # S and T
-        for lo in range(0, len(yy), size):
-            p = slice(lo, lo + size)
-            s = upper * yy[p]
-            m = len(s)
-            weights = np.zeros((nodes, m))
-            np.add.at(weights, (pairs[:, p], np.arange(m)), pair_weights[:, p])
-            phase = 1j * np.multiply.outer(np.multiply.outer(s, mirror), w)
-            np.exp(phase, out=phase)
-            phase *= root[:, None]
-            gram = np.swapaxes(phase, -1, -2) @ phase.conj()
-            phi = np.exp(1j * s[:, None] * w)
-            free = phi[:, :, None] * phi[:, None, :].conj()
-            # left [A, B, -AE, -BE] and right [EB, EA, B, A]
-            lp, rp = left[:4 * m].reshape(4, m, n, n), right[:4 * m].reshape(4, m, n, n)
-            np.multiply(scaled_vt, gram + gram.conj() * free, out=lp[0])  # + the mirrored nodes
-            np.multiply(vt, free, out=lp[1])
-            e = (weights.T @ outer).reshape(m, n, n)
-            np.matmul(e, lp[1::-1], out=rp[:2])
-            rp[2:] = lp[1::-1]
-            np.matmul(lp[:2], -e, out=lp[2:])
-            ends += weights @ (lp[:2] @ lp[1::-1]).reshape(2, m, n * n)
-            # P[(a, c), (d, b)] as in second()
-            acc += lp.reshape(-1, n * n).T @ rp.reshape(-1, n * n)
-        acc += np.concatenate([-ends[0], outer]).T @ np.concatenate([outer, ends[1]])
-        out = acc.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
-        outer, ends = outer.reshape(nodes, n, n), ends.reshape(2, nodes, n, n)
-        out += kron((ends[0] @ outer).sum(axis=0), np.eye(n))
-        out -= kron(np.eye(n), (outer @ ends[1]).sum(axis=0).T)
-        return out
+        """The three innermost integrals up to ``upper``: sum_j c_j [M_j,.][V_j,.][B_j,.]."""
+        r, c = rule(upper)
+        m = first(np.append(r, upper))
+        m, b = m[:-1], m[-1] - m[:-1]
+        v = picture(r)
+        cm, cv, cb = c[:, None, None] * m, c[:, None, None] * v, c[:, None, None] * b
+        cmv, bv = cm @ v, b @ v
+        eye = np.eye(n)[None]
+        # [M,.][V,.][B,.] = L(MVB) - R(BVM) - kron(MV, B^T) - kron(MB, V^T) - kron(VB, M^T)
+        #                   + kron(M, (BV)^T) + kron(V, (BM)^T) + kron(B, (VM)^T)
+        return kron_sum(
+            np.concatenate([(cmv @ b).sum(axis=0)[None], -eye, -cmv, -cm @ b, -cv @ b, cm, cv, cb]),
+            np.concatenate([eye, (bv @ cm).sum(axis=0)[None], b, v, m, bv, b @ m, v @ m]))
 
     def nested(j, upper):
         if j == 1:

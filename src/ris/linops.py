@@ -61,8 +61,14 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product of two matrices; dimensions multiply.
+
+    One broadcast product, the same entries a_ij b_kl as ``np.kron`` to the bit,
+    without its general n-d set-up.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -158,7 +164,7 @@ def commutator_superop(v: np.ndarray) -> Superoperator:
     v = np.asarray(v, dtype=complex)
     n = v.shape[0]
     eye = np.eye(n)
-    return Superoperator(np.kron(v, eye) - np.kron(eye, v.T))
+    return Superoperator(kron(v, eye) - kron(eye, v.T))
 
 
 def superop_norm(s: Superoperator | np.ndarray):
@@ -170,7 +176,7 @@ def superop_norm(s: Superoperator | np.ndarray):
     m = s.matrix if isinstance(s, Superoperator) else np.asarray(s)
     if m.size == 0:
         return 0.0
-    norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0]
     return float(norms) if m.ndim == 2 else norms
 
 

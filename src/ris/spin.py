@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NoAsymptoticStateError, RISModel
+from .linops import kron
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def build_spin_model(p: SpinParams) -> RISModel:
     h_s = np.diag([0.0, p.S]).astype(complex)
     h_e = np.diag([0.0, p.E]).astype(complex)
     bmat = np.array([[p.a, p.b], [p.c, p.d]], dtype=complex)
-    v = np.kron(_u(1, 0), bmat) + np.kron(_u(0, 1), bmat.conj().T)
+    v = kron(_u(1, 0), bmat) + kron(_u(0, 1), bmat.conj().T)
     p0 = _u(0, 0) if p.a == 0 and p.d == 0 else None
     return RISModel(h_s=h_s, h_e=h_e, v=v, beta=p.beta, p0=p0)
 

@@ -7,12 +7,14 @@ the tests compare the production maps against these.  The fixed state of
 a map or generator, as an eigenvector of its trace dual, is the oracle
 for the densities ``ris.asymptotic`` reads off eigenprojections.  The
 Dyson terms as one superoperator block exponential are the oracle for the
-Taylor-stack terms of ``ris.dynamics``; the nested quadrature with the
-interaction picture as a product of n^2-sided superoperators, on the same
-nodes, pins ``dyson_term_quadrature``, whose two innermost levels are
-n-sized commutators and Kronecker sums in the eigenframe of H_0; its third
-level as a loop over the outer nodes, the second-level quadrature times
-one commutator superoperator per node, pins the symmetric-pair form.  The
+Taylor-stack terms of ``ris.dynamics``.  The same quadrature rule with
+the interaction picture as a product of n^2-sided superoperators, on the
+same nodes and with the third level split at its middle time, pins
+``dyson_term_quadrature``, whose three innermost levels are n-sized
+commutators and Kronecker sums in the eigenframe of H_0.  The fully nested
+rule, the third level as a loop over the outer nodes of the second-level
+quadrature times one commutator superoperator per node, is a second rule
+whose quadrature error differs; at 32 nodes both are exact to rounding.  The
 Schur route to the van Hove averages (the branch logarithm A0 of
 alpha_S^tau, its clustered spectral projections and the sum of P B P over
 them) and their defining Cesaro time average are the oracles for the
@@ -134,9 +136,12 @@ def dyson_term_block(model: RISModel, k: int, t: float) -> tuple:
 
 
 def dyson_term_product_quadrature(model: RISModel, k: int, t: float, nodes: int) -> Superoperator:
-    """k-th Dyson term by nested Gauss-Legendre, alpha^u [v,.] alpha^{-u} as a matrix product.
+    """k-th Dyson term by Gauss-Legendre, alpha^u [v,.] alpha^{-u} as a matrix product.
 
     alpha^u = exp(u * full_generator(model, 0)) from one n^2-sided expm per node.
+    The third level is split at its middle time r, int_0^t C(r) X(r) (C(t) - C(r)) dr
+    with X(u) the integrand and C(r) the first level up to r, as in
+    ``dyson_term_quadrature``; every other level nests on the one below.
     """
     l0, cv = full_generator(model, 0.0).matrix, commutator_superop(model.v).matrix
     x, wq = np.polynomial.legendre.leggauss(nodes)
@@ -144,18 +149,23 @@ def dyson_term_product_quadrature(model: RISModel, k: int, t: float, nodes: int)
     def nested(j, upper):
         if j == 0:
             return np.eye(len(cv), dtype=complex)
+        whole = nested(1, upper) if j == 3 else None
         acc = np.zeros_like(cv)
         for xi, wi in zip(x, wq):
             u = 0.5 * upper * (xi + 1.0)
             picture = expm(u * l0) @ cv @ expm(-u * l0)
-            acc += (0.5 * upper * wi) * (nested(j - 1, u) @ picture)
+            if j == 3:
+                inner = nested(1, u)
+                acc += (0.5 * upper * wi) * (inner @ picture @ (whole - inner))
+            else:
+                acc += (0.5 * upper * wi) * (nested(j - 1, u) @ picture)
         return acc
 
     return Superoperator(nested(k, t))
 
 
 def dyson_term_loop_quadrature(model: RISModel, t: float, nodes: int) -> Superoperator:
-    """Third Dyson term by nested Gauss-Legendre, the outer level as a loop over its nodes.
+    """Third Dyson term by fully nested Gauss-Legendre, the outer level as a loop over its nodes.
 
     sum_i c_i Q2(u_i) [alpha^{u_i}(v),.] over the nodes u_i and weights c_i on [0, t],
     Q2 the second-level ``dyson_term_quadrature`` on the same nodes and alpha^u(v) =

@@ -38,6 +38,21 @@ class TestKron:
         expected[0 * 2 + 1, 1 * 2 + 0] = 1.0
         assert np.array_equal(m, expected)
 
+    @pytest.mark.parametrize("a_complex, b_complex", [(False, False), (True, True),
+                                                      (False, True), (True, False)])
+    def test_bytes_match_numpy(self, rng, a_complex, b_complex):
+        # the broadcast product makes the same multiplications as np.kron, so the
+        # bytes agree, signed zeros included, on operands of unequal shapes
+        def draw(shape, cplx):
+            m = rng.standard_normal(shape)
+            m[0, 0] = -0.0
+            return m + 1j * rng.standard_normal(shape) if cplx else m
+
+        a, b = draw((3, 2), a_complex), draw((2, 5), b_complex)
+        got, expected = kron(a, b), np.kron(a, b)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestMatrixExp:
     def test_zero_is_exact_identity(self):
@@ -153,6 +168,12 @@ class TestSuperoperator:
         w = random_unitary(rng, 3)
         conj = left_right(w, w.conj().T)
         assert superop_norm(conj) == pytest.approx(1.0, abs=1e-12)
+
+    def test_norm_is_numpy_spectral_norm(self, rng):
+        # the leading singular value, bit for bit np.linalg.norm(., 2), one matrix or a stack
+        stack = rng.standard_normal((3, 9, 9)) + 1j * rng.standard_normal((3, 9, 9))
+        assert np.array_equal(superop_norm(stack), np.linalg.norm(stack, 2, axis=(-2, -1)))
+        assert superop_norm(Superoperator(stack[0])) == np.linalg.norm(stack[0], 2)
 
     def test_submultiplicative(self, rng):
         a = Superoperator(rng.standard_normal((9, 9)))
