@@ -47,7 +47,7 @@ def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None
     cluster gives the zero projection.  Raises JordanDefectError when the
     cluster eigenvalue is not semisimple: the projection fails idempotency,
     or the restriction of m to the range of the projection carries a
-    nilpotent part.  Returns (projection, pairing condition number).
+    nilpotent part.
     """
     eigs, vr = np.linalg.eig(m) if eig is None else eig
     idx = np.nonzero(np.abs(eigs - point) <= radius)[0]
@@ -60,7 +60,7 @@ def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None
         raise JordanDefectError(
             f"eigenvalue cluster at {point} is defective within {radius:.1e} "
             f"(idempotency defect {idem:.3e}, nilpotent part {nilpotent:.3e})")
-    return p, float(np.linalg.cond(vr))
+    return p
 
 
 def _asymptotic_state(m: np.ndarray, point: float, dynamics: str) -> np.ndarray:
@@ -111,7 +111,7 @@ class LimitProjection:
     projection: Superoperator
     converged: bool
     subdominant_modulus: float
-    pairing_condition: float
+    pairing_condition: float  # cond of the eigenvectors paired with their inverse
     power_errors: tuple
 
 
@@ -128,7 +128,7 @@ def limit_projection(t_map: Superoperator) -> LimitProjection:
     """
     m, radius = t_map.matrix, 1e-9
     eig = np.linalg.eig(m)
-    p, cond = _eigenprojection_near(m, 1.0 + 0.0j, radius, eig)
+    p = _eigenprojection_near(m, 1.0 + 0.0j, radius, eig)
     others = eig[0][np.abs(eig[0] - 1.0) > radius]
     sub = float(np.abs(others).max()) if others.size else 0.0
     spectral_ok = sub < 1.0 - 1e-7
@@ -149,7 +149,7 @@ def limit_projection(t_map: Superoperator) -> LimitProjection:
     monotone = all(cur <= prev + 1e-12 or cur <= floor for prev, cur, floor
                    in zip(errors[first:], errors[first + 1:], floors[first + 1:]))
     return LimitProjection(Superoperator(p), spectral_ok and monotone,
-                           sub, cond, tuple(errors))
+                           sub, float(np.linalg.cond(eig[1])), tuple(errors))
 
 
 @dataclass(frozen=True)
@@ -235,12 +235,12 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     g = np.where(fixed[:, None] & fixed, _second_order_reduction(model, tau), 0.0)
     eig = np.linalg.eig(g)
     scale = max(float(np.abs(eig[0]).max()), 1e-30)
-    q, _ = _eigenprojection_near(g, 0.0 + 0.0j, 1e-9 * scale, eig)
+    q = _eigenprojection_near(g, 0.0 + 0.0j, 1e-9 * scale, eig)
 
     p_eps = {}
     for eps in eps_desc:
         t_map = _reduced_map(model, math.sqrt(eps), tau)
-        p_eps[eps], _ = _eigenprojection_near(t_map, 1.0 + 0.0j, 1e-9)
+        p_eps[eps] = _eigenprojection_near(t_map, 1.0 + 0.0j, 1e-9)
 
     # two-point Richardson on the two smallest eps
     e1, e2 = eps_list[1], eps_list[0]

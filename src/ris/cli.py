@@ -380,17 +380,18 @@ def parse_config(text: str) -> ExperimentConfig:
                             echo=echo, **merged)
 
 
-def _csv_line(row) -> str:
-    """``row`` as one CSV line: a leading label as it is, then every number in one
-    "%.17g" format, the text of format(float(x), ".17g").  Raises ValueError on a
-    non-finite number."""
-    label = row[:1] if isinstance(row[0], str) else ()
-    numbers = tuple(row[len(label):])
-    text = ",".join(("%.17g",) * len(numbers)) % numbers
-    if "n" in text:  # of all "%.17g" texts only inf and nan hold an n
-        bad = next(x for x in numbers if not math.isfinite(x))
+def _csv_body(rows) -> str:
+    """The CSV lines of ``rows``, each ended by a newline, from one format call over the
+    table: a leading label as it is, then every number in "%.17g", the text of
+    format(float(x), ".17g").  Raises ValueError on a non-finite number."""
+    keys = [(isinstance(row[0], str), len(row)) for row in rows]
+    formats = {k: ",".join(("%s",) * k[0] + ("%.17g",) * (k[1] - k[0])) + "\n" for k in set(keys)}
+    text = "".join([formats[key] for key in keys]) % tuple(itertools.chain.from_iterable(rows))
+    # of all "%.17g" texts only inf and nan hold an n; a label may hold some too
+    if text.count("n") > sum(row[0].count("n") for row in rows if isinstance(row[0], str)):
+        bad = next(x for row in rows for x in row[isinstance(row[0], str):] if not math.isfinite(x))
         raise ValueError(f"non-finite value {bad!r} in results")
-    return ",".join((*label, text))
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +544,7 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
 
 
 def _write_outputs(config: ExperimentConfig, header, rows, extras, out_path, wall, jobs):
-    csv_body = "\n".join([",".join(header), *map(_csv_line, rows)]) + "\n"
+    csv_body = ",".join(header) + "\n" + _csv_body(rows)
     with open(out_path, "w") as fh:
         fh.write(csv_body)
     meta = {

@@ -6,12 +6,13 @@ temperature of the chain.  Everything is computed from n-sized unitaries:
 the flow phi_SE^t is x -> U x U^† with U = e^{it(H_0 + lambda*v)} from one
 eigh, E_S ∘ phi_SE^t the Kraus map x -> sum_{a,b} p_a K_ab x K_ab^† with
 K_ab = <a|U|b>_E and rho_E = sum_a p_a |a><a|, and the Dyson terms come
-from the Taylor stack of U in lambda.  The Dyson quadrature, the oracle of
-dyson-check, takes its three innermost levels from n-sized products too: n
-exponentials per innermost node, the third level split at its middle time
-into one sum over N nodes, and its Kronecker sums as (n^2 x P)(P x n^2)
-GEMMs; only its levels from the fourth up, and the change out of the
-eigenframe of its result, are n^2-sided GEMMs.
+from the Taylor stack of U in lambda; the reduced map forms U in the chain
+frame q (x) W of h_S and h_E and contracts its one Kraus row stack with its
+own conjugate.  The Dyson quadrature, the oracle of dyson-check, takes its
+three innermost levels from n-sized products too: n exponentials per
+innermost node, the third level split at its middle time into one sum over
+N nodes, and its Kronecker sums as (n^2 x P)(P x n^2) GEMMs; only its levels
+from the fourth up are n^2-sided GEMMs.
 
 Maps on M_S are computed in the Bohr frame |q_k><q_l| of h_S = q diag(w) q^†,
 where alpha_S^t is the diagonal e^{it(w_k - w_l)}; :func:`_computational`
@@ -27,6 +28,7 @@ import numpy as np
 
 from .linops import (
     Superoperator,
+    change_frame,
     commutator_superop,
     kron,
     matrix_exp,
@@ -150,10 +152,9 @@ class RISModel:
 
 def _computational(model: RISModel, x: np.ndarray) -> np.ndarray:
     """``x`` from the Bohr frame of h_S: q x q^† for a density, F x F^† with
-    F = kron(q, conj q) for (a stack of) matrices of maps on M_S."""
+    F = kron(q, conj q) for (a stack of) matrices of maps on M_S (:func:`change_frame`)."""
     q = model._system_bohr[1]
-    frame = q if x.shape[-1] == model.n_s else kron(q, q.conj())
-    return frame @ x @ frame.conj().T
+    return q @ x @ q.conj().T if x.shape[-1] == model.n_s else change_frame(q, x)
 
 
 def system_free_evolution(model: RISModel, t: float) -> Superoperator:
@@ -170,35 +171,42 @@ def _free_evolution(model: RISModel, t) -> np.ndarray:
     return np.exp(1j * np.asarray(t)[..., None] * model._system_bohr[0])
 
 
-def _pair_reduction(model: RISModel, lefts, rights) -> np.ndarray:
+def _chain(model: RISModel, ops) -> np.ndarray:
+    """The operators ``ops`` on C^n stacked along axis -3, in the chain frame q (x) W."""
+    return model._chain_frame[1].conj().T @ np.stack(ops, axis=-3) @ model._chain_frame[1]
+
+
+def _pair_reduction(model: RISModel, lefts, rights=None) -> np.ndarray:
     """Matrix of x -> sum_j Tr_E[(I (x) rho_E) A_j (x (x) I) B_j^†] on M_S, in the Bohr frame.
 
     With rho_E = sum_a p_a |a><a| and the blocks A_ab = <a|A|b>_E this is
-    sum_j sum_{a,b} p_a kron(A_j,ab, conj(B_j,ab)), contracted as one GEMM
-    X_A^T conj(X_B) of the stacks X[(j,a,b),(i,k)] = sqrt(p_a) <q_i a|A_j|q_k b>.
-    The A_j and B_j may carry common leading axes; the result then carries
-    them too, one GEMM per leading index.
-    """
+    sum_j sum_{a,b} p_a kron(A_j,ab, conj(B_j,ab)), one GEMM X_A^T conj(X_B) of the stacks
+    X[(j,a,b),(i,k)] = sqrt(p_a) <q_i a|A_j|q_k b>, X_B = X_A when ``rights`` is None.  The
+    A_j and B_j come stacked on axis -3 in the chain frame (:func:`_chain`), under common
+    leading axes that the result carries too, one GEMM per leading index."""
     ns, ne = model.n_s, model.n_e
-    sqrt_p, frame = model._chain_frame
+    sqrt_p = model._chain_frame[0]
 
-    def stack(ops):
-        x = frame.conj().T @ np.stack(ops, axis=-3) @ frame
+    def stack(x):
         lead = x.shape[:-3]
         x = x.reshape(*lead, -1, ns, ne, ns, ne)
         x = x.transpose(*range(len(lead) + 1), -3, -1, -4, -2)
         return (x * sqrt_p[:, None, None, None]).reshape(*lead, -1, ns * ns)
 
-    m = np.swapaxes(stack(lefts), -1, -2) @ stack(rights).conj()
+    left = stack(lefts)
+    m = np.swapaxes(left, -1, -2) @ (left if rights is None else stack(rights)).conj()
     lead = m.shape[:-2]
     m = m.reshape(*lead, ns, ns, ns, ns).swapaxes(-3, -2)
     return m.reshape(*lead, ns * ns, ns * ns)
 
 
-def _unitary(model: RISModel, lam: float, t) -> np.ndarray:
-    """U = e^{it(H_0 + lambda v)} for each entry of ``t`` (leading axes), from one eigh."""
+def _unitary(model: RISModel, lam: float, t, frame=None) -> np.ndarray:
+    """U = e^{it(H_0 + lambda v)} for each entry of ``t`` (leading axes), from one eigh (w, Q):
+    in the ``frame`` F, G e^{itw} G^† with G = F^† Q, the whole stack one GEMM with G^†."""
     w, q = np.linalg.eigh(model.free_hamiltonian + lam * model.v)
-    return (q * np.exp(1j * np.asarray(t)[..., None] * w)[..., None, :]) @ q.conj().T
+    q = q if frame is None else frame.conj().T @ q
+    phased = q * np.exp(1j * np.asarray(t)[..., None] * w)[..., None, :]
+    return (phased.reshape(-1, len(w)) @ q.conj().T).reshape(phased.shape)
 
 
 def _taylor_stack(model: RISModel, order: int, t: float) -> list:
@@ -214,10 +222,9 @@ def _taylor_stack(model: RISModel, order: int, t: float) -> list:
 def _reduced_map(model: RISModel, lam: float, t) -> np.ndarray:
     """Matrices of E_S ∘ phi_SE^t in the Bohr frame, one per entry t >= 0 of ``t``.
 
-    See :func:`reduced_map_T`; a stack of times shares one eigh of H_0 + lambda v.
-    """
-    u = _unitary(model, lam, t)
-    return _unital(model, _pair_reduction(model, [u], [u]))
+    See :func:`reduced_map_T`; a stack of times shares one eigh of H_0 + lambda v."""
+    u = _unitary(model, lam, t, model._chain_frame[1])
+    return _unital(model, _pair_reduction(model, u[..., None, :, :]))
 
 
 def _unital(model: RISModel, m: np.ndarray) -> np.ndarray:
@@ -259,62 +266,62 @@ def restricted_dynamics(model: RISModel, lam: float, tau: float, t: float) -> Su
         raise ValueError("tau must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return Superoperator(_computational(model, _repeated(model, lam, tau, [t])[0]))
+    return Superoperator(_computational(model, _repeated(model, lam, tau, *_steps([t], tau))[0]))
 
 
-def _steps(t: float, tau: float) -> tuple[int, float]:
-    """(n, t1) with t = n*tau + t1 and 0 <= t1 < tau.
+def _steps(t, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, t1) with t = n*tau + t1 and 0 <= t1 < tau, entrywise over the array ``t``.
 
     t1 within 1e-12 of 0 or of tau snaps to 0, so that t = n*tau lands on an
     exact power despite rounding; more than MAX_STEPS steps, or a time that is
-    not finite, is refused.
-    """
-    if not t / tau < MAX_STEPS + 1:  # also inf and nan
-        raise ValueError(f"{t / tau:.6g} interaction steps exceed the cost guard ({MAX_STEPS:.0e})")
-    n = int(math.floor(t / tau))
+    not finite, is refused, and the error names the first such step count."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = t / tau
+    refused = ~(ratio < MAX_STEPS + 1)  # also inf and nan
+    if refused.any():
+        raise ValueError(f"{ratio[refused][0]:.6g} interaction steps exceed the cost guard "
+                         f"({MAX_STEPS:.0e})")
+    n = np.floor(ratio).astype(np.int64)
     t1 = t - n * tau
-    if abs(t1 - tau) <= 1e-12 * max(1.0, tau):
-        n, t1 = n + 1, 0.0
-    elif abs(t1) <= 1e-12 * max(1.0, tau):
-        t1 = 0.0
-    return n, t1
+    tol = 1e-12 * max(1.0, tau)
+    up = np.abs(t1 - tau) <= tol
+    return n + up, np.where(up | (np.abs(t1) <= tol), 0.0, t1)
 
 
 def _powers(m: np.ndarray, exponents) -> np.ndarray:
     """m^n for each n of ``exponents`` (nonnegative integers), stacked.
 
-    One walk over the sorted exponents: the smallest is np.linalg.matrix_power(m, n),
-    each later one m^(n_k - n_(k-1)) m^(n_(k-1)), each distinct step power formed
-    once by matrix_power.  So a lone exponent is exactly matrix_power(m, n), a
-    repeated one a copy, and the stack does not depend on the order of ``exponents``.
-    """
+    One walk over the sorted exponents, as Python ints: the smallest is matrix_power(m, n),
+    each later one m^(n_k - n_(k-1)) m^(n_(k-1)) by a matmul into its slot, each distinct
+    step power formed once by matrix_power.  So a lone exponent is exactly matrix_power(m, n),
+    a repeated one a copy, and the stack does not depend on the order of ``exponents``."""
     exponents = np.asarray(exponents, dtype=np.int64)
     out = np.empty((exponents.size, *m.shape), dtype=m.dtype)
-    steps, power, prev = {}, None, 0
-    for i in np.argsort(exponents, kind="stable"):
-        n = int(exponents[i])
-        if power is None:
-            power = np.linalg.matrix_power(m, n)
+    order = np.argsort(exponents, kind="stable")
+    steps, prev, last = {}, 0, None
+    for i, n in zip(order.tolist(), exponents[order].tolist()):
+        if last is None:
+            out[i] = np.linalg.matrix_power(m, n)
         elif n > prev:
-            d = n - prev
-            if d not in steps:
-                steps[d] = np.linalg.matrix_power(m, d)
-            power = steps[d] @ power
-        out[i], prev = power, n
+            if n - prev not in steps:
+                steps[n - prev] = np.linalg.matrix_power(m, n - prev)
+            np.matmul(steps[n - prev], out[last], out=out[i])
+        else:
+            out[i] = out[last]
+        prev, last = n, i
     return out
 
 
-def _repeated(model: RISModel, lam: float, tau: float, times) -> np.ndarray:
-    """T^n ∘ E_S phi_SE^{t1} for each t = n*tau + t1 of ``times`` (:func:`_steps`), stacked.
+def _repeated(model: RISModel, lam: float, tau: float, n, t1) -> np.ndarray:
+    """T^n ∘ E_S phi_SE^{t1} for each time n*tau + t1 of the arrays (n, t1) of :func:`_steps`.
 
     All in the Bohr frame: T and the partial-interval maps from one eigh
     (:func:`_reduced_map`), the powers from one walk over the sorted n (:func:`_powers`).
     """
-    steps = [_steps(t, tau) for t in times]
-    t1 = np.array([t1 for _, t1 in steps])
     partial = t1 > 0.0
     stack = _reduced_map(model, lam, [tau, *t1[partial]])
-    maps = _powers(stack[0], [n for n, _ in steps])
+    maps = _powers(stack[0], n)
     maps[partial] = maps[partial] @ stack[1:]
     return maps
 
@@ -386,7 +393,7 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
     4. Each level from the fourth up loops over its nodes, one call of the level
        below and one n^2-sided GEMM per node: N^(k-3) calls of the third level.
 
-    Two more n^2-sided GEMMs take the result out of the eigenframe.
+    The result leaves the eigenframe by :func:`change_frame`, four n-sided products.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -459,7 +466,7 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
             acc += ci * (nested(j - 1, ui) @ commutator_superop(picture(ui)).matrix)
         return acc
 
-    return Superoperator(kron(q, q.conj()) @ nested(k, t) @ kron(q.conj().T, q.T))
+    return Superoperator(change_frame(q, nested(k, t)))
 
 
 def dyson_truncation_bound(n: int, eps: float, t: float, a1_norm: float) -> float:

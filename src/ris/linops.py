@@ -52,14 +52,6 @@ def vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x).reshape(-1)
 
 
-def unvec(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    n = round(np.sqrt(v.size))
-    if n * n != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape(n, n)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices; dimensions multiply.
 
@@ -69,6 +61,16 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def change_frame(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F x F^† with F = kron(q, conj q) for (a stack of) matrices x of maps on M_n, in O(n^5)."""
+    n, lead = q.shape[0], x.shape[:-2]
+    y = (x.reshape(-1, n) @ q.T).reshape(*lead, n, n, n, n)  # (a, b, c, l)
+    y = np.swapaxes(y, -1, -2).reshape(-1, n) @ q.conj().T  # (a, b, l, k)
+    y = np.swapaxes(y.reshape(*lead, n, n, n, n), -1, -2)  # (a, b, k, l)
+    y = q.conj() @ y.reshape(*lead, n, n, n * n)  # (a, j, (k, l))
+    return (q @ y.reshape(*lead, n, n ** 3)).reshape(*lead, n * n, n * n)
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -113,7 +115,7 @@ class Superoperator:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {x.shape}")
-        return unvec(self.matrix @ vec(x))
+        return (self.matrix @ x.reshape(-1)).reshape(x.shape)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
@@ -142,8 +144,7 @@ class Superoperator:
         for a Hermiticity-preserving map it equals the Hilbert-Schmidt
         adjoint, the conjugate transpose of ``matrix``.
         """
-        n = self.dim
-        sw = _swap_permutation(n)
+        sw = np.arange(self.dim ** 2).reshape(self.dim, self.dim).T.reshape(-1)  # x -> x^T
         return Superoperator(self.matrix.T[np.ix_(sw, sw)])
 
     def norm(self) -> float:
@@ -151,12 +152,6 @@ class Superoperator:
 
     def __repr__(self):
         return f"Superoperator(dim={self.dim})"
-
-
-def _swap_permutation(n: int):
-    """Index permutation realizing transposition on vectorized matrices."""
-    idx = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    return idx
 
 
 def commutator_superop(v: np.ndarray) -> Superoperator:
@@ -375,11 +370,6 @@ def _cluster_indices(eigs: np.ndarray, tol: float):
     return groups, degenerate
 
 
-def normality_defect(a: np.ndarray) -> float:
-    a = np.asarray(a, dtype=complex)
-    return float(np.linalg.norm(a @ a.conj().T - a.conj().T @ a, "fro"))
-
-
 def spectral_decompose(a: Superoperator | np.ndarray,
                        tol: float = 1e-8) -> SpectralDecomposition:
     """Eigenvalue clusters and orthogonal projections of a normal matrix or superoperator.
@@ -397,7 +387,7 @@ def spectral_decompose(a: Superoperator | np.ndarray,
     wrap = isinstance(a, Superoperator)
     m = a.matrix if wrap else np.asarray(a, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(m, "fro")) ** 2)
-    if normality_defect(m) > 1e-10 * scale:
+    if np.linalg.norm(m @ m.conj().T - m.conj().T @ m, "fro") > 1e-10 * scale:
         raise ValueError("input is not normal within 1e-10")
     import scipy.linalg
     t, z = scipy.linalg.schur(m, output="complex")

@@ -36,6 +36,7 @@ import numpy as np
 
 from .dynamics import (
     RISModel,
+    _chain,
     _computational,
     _free_evolution,
     _pair_reduction,
@@ -76,10 +77,7 @@ class ConvergenceReport:
     decay_ratios: tuple
 
     def sup_error(self, parameter: float) -> float:
-        for p, e in self.sup_errors:
-            if p == parameter:
-                return e
-        raise KeyError(parameter)
+        return dict(self.sup_errors)[parameter]
 
 
 def _sector_labels(freqs: np.ndarray) -> np.ndarray:
@@ -118,7 +116,7 @@ def _second_order_reduction(model: RISModel, tau: float) -> np.ndarray:
     if tau <= 0:
         raise ValueError("tau must be positive")
     u0, u1, u2 = _taylor_stack(model, 2, tau)
-    return _pair_reduction(model, [u2, u1, u0], [u0, u1, u2])
+    return _pair_reduction(model, _chain(model, [u2, u1, u0]), _chain(model, [u0, u1, u2]))
 
 
 def second_order_term(model: RISModel, tau: float) -> Superoperator:
@@ -148,7 +146,8 @@ def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
     """
     v = model.v
     v2, eye = v @ v, np.eye(model.dim)
-    double_comm = _pair_reduction(model, [v2, -2.0 * v, eye], [eye, v.conj().T, v2.conj().T])
+    double_comm = _pair_reduction(model, _chain(model, [v2, -2.0 * v, eye]),
+                                  _chain(model, [eye, v.conj().T, v2.conj().T]))
     return _sector_average(model, FAST_REPETITION, -0.5 * double_comm,
                            _sector_labels(model._system_bohr[0]))
 
@@ -167,34 +166,37 @@ def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps
     * weak coupling interpolated: t = s / lambda^2;
     * fast repetition: t = s / (lambda^2 tau).
 
-    First every case's last time passes the cost guard of :func:`_steps` (an inf
-    or 0/0 time fails it), whose error then names the parameter.  Then each case is
-    a few calls on stacks of s_steps maps in the Bohr frame: :func:`_repeated`,
-    alpha_S^{-t} and the flows applied in place, and one stacked spectral norm.
+    First :func:`_steps` splits the times of every case, and its cost guard, which an inf or
+    0/0 time fails, then names the parameter.  Then each case is a few calls on stacks of
+    s_steps maps in the Bohr frame: :func:`_repeated`, alpha_S^{-t} and the flows applied in
+    place, and one stacked spectral norm; a parameter's sup is its largest error.
     """
     s_grid = np.linspace(0.0, s_max, s_steps)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         times = [time_of(s_grid, lam, tau) for _, lam, tau in cases]
+    steps = []
     for (param, _, tau), t in zip(cases, times):
         try:
-            _steps(t[-1], tau)
+            steps.append(_steps(t, tau))
         except ValueError as exc:
             name = "lambda" if eff.regime == WEAK_COUPLING else "tau"
             raise ValueError(f"{name} = {param!r}: {exc}") from None
     ds = s_max / max(s_steps - 1, 1)  # one s: the one flow is (e^{ds gen})^0 = I
     flows = _powers(matrix_exp(ds * eff.bohr), range(s_steps))
-    rows = []
-    for (param, lam, tau), t in zip(cases, times):
-        maps = _repeated(model, lam, tau, t)
+    errors = np.empty((len(cases), s_steps))
+    for k, ((_, lam, tau), t, split) in enumerate(zip(cases, times, steps)):
+        maps = _repeated(model, lam, tau, *split)
         maps *= _free_evolution(model, -t)[:, None, :]
         maps -= flows
-        errors = superop_norm(maps)
-        rows.extend((param, float(s), float(e)) for s, e in zip(s_grid, errors))
-    sups = tuple((p, max(e for q, _, e in rows if q == p)) for p, _, _ in cases)
+        errors[k] = superop_norm(maps)
+    params = np.array([p for p, _, _ in cases], dtype=float)
+    sups = tuple((p, float(errors[params == p].max())) for p, _, _ in cases)
     ratios = tuple(((p1, p2), (e1 / e2 if e2 > 0 else math.inf))
                    for (p1, e1), (p2, e2) in zip(sups, sups[1:]))
-    ordered = tuple(sorted(rows, key=lambda r: (r[0], r[1])))
-    return ConvergenceReport(eff.regime, ordered, sups, ratios)
+    order = np.lexsort((np.tile(s_grid, len(cases)), np.repeat(params, s_steps)))  # stable
+    case, k = np.divmod(order, s_steps)  # the (case, s) entries in (parameter, s) order
+    rows = tuple(zip(params[case].tolist(), s_grid[k].tolist(), errors[case, k].tolist()))
+    return ConvergenceReport(eff.regime, rows, sups, ratios)
 
 
 def _converge_weak(model: RISModel, tau: float, lambdas, s_max: float, s_steps: int,

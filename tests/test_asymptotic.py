@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,17 +67,27 @@ class TestEigenprojectionNear:
     def test_pairing_reconstructs_a_non_normal_matrix(self, rng, n):
         a = np.array([[1.0, 1.0], [0.0, 0.5]]) if n == 2 else rng.standard_normal((n, n))
         eigs = np.linalg.eigvals(a)
-        projections = []
-        for e in eigs:
-            p, cond = _eigenprojection_near(a, e, 1e-9)
-            assert 1.0 <= cond < 1e6
-            projections.append(p)
+        projections = [_eigenprojection_near(a, e, 1e-9) for e in eigs]
         assert np.abs(sum(projections) - np.eye(n)).max() <= 1e-10
         assert np.abs(sum(e * p for e, p in zip(eigs, projections)) - a).max() <= 1e-9
         assert np.abs(projections[0] @ projections[1]).max() <= 1e-10
 
 
 class TestLimitProjection:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_pairing_condition(self, rng, n):
+        # the matrices of TestEigenprojectionNear, scaled into the closed unit disc and padded
+        # to a square side by a diagonal block: neither moves an eigenvector, and the unit
+        # eigenvector columns of the pad leave cond(vr) as it is
+        a = np.array([[1.0, 1.0], [0.0, 0.5]]) if n == 2 else rng.standard_normal((n, n))
+        a = a / np.abs(np.linalg.eigvals(a)).max()
+        side = math.isqrt(n - 1) + 1
+        pad = np.linspace(0.1, 0.4, side * side - n)
+        padded = np.block([[a, np.zeros((n, pad.size))], [np.zeros((pad.size, n)), np.diag(pad)]])
+        cond = limit_projection(Superoperator(padded)).pairing_condition
+        assert 1.0 <= cond < 1e6
+        assert cond == pytest.approx(np.linalg.cond(np.linalg.eig(a)[1]), rel=1e-9)
+
     def test_projection_is_its_own_limit(self, rng):
         p = projection_onto_identity(random_density(rng, 2))
         lp = limit_projection(p)

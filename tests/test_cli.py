@@ -13,7 +13,7 @@ from ris.cli import ConfigError, main, parse_config, run
 from ris.linops import commutator_superop, superop_norm
 from ris.spin import fast_repetition_deltas
 
-from conftest import random_model
+from conftest import random_model, random_unitary
 
 SPIN_MODEL = {"spin": {"S": 1, "E": 2, "beta": 1, "b": [1, 0], "c": [1, 0], "tau": 1}}
 
@@ -497,6 +497,20 @@ class TestMatrixDecode:
         assert np.array_equal(config.model.h_s, [[0, 0.5 - 0.25j], [0.5 + 0.25j, 1]])
 
 
+def rotated_inline_model(seed=3, n_s=2, n_e=3):
+    """A random inline model whose h_S is rotated out of the computational basis."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_s, n_e)
+    u = random_unitary(rng, n_s)
+    big = np.kron(u, np.eye(n_e))
+
+    def encode(m):
+        return [[[x.real, x.imag] for x in row] for row in m.tolist()]
+
+    return {"inline": {"h_s": encode(u @ model.h_s @ u.conj().T), "h_e": encode(model.h_e),
+                       "v": encode(big @ model.v @ big.conj().T), "beta": model.beta}}
+
+
 class TestRun:
     def test_spin_oracle_passes(self, tmp_path):
         config = parse_config(json.dumps({"model": SPIN_MODEL,
@@ -539,6 +553,7 @@ class TestRun:
     # lambdas reach the converge_* functions in decreasing order
     UNSORTED = {"lambdas": [0.1, 0.3, 0.05, 0.2, 0.15], "s_max": 1.0, "s_steps": 5}
 
+
     @pytest.mark.parametrize("doc", [
         {"experiment": "converge-lambda", "interpolated": True, "lambdas": [0.3, 0.2, 0.1],
          "s_max": 1.0, "s_steps": 5},
@@ -548,11 +563,16 @@ class TestRun:
          "s_steps": 5},
         {"experiment": "converge-tau", "lambdas": [1.0, 2.0, 0.5, 1.5],
          "taus": [0.1, 0.2, 0.3, 0.05], "s_max": 1.0, "s_steps": 5},
+        {"experiment": "converge-lambda", "interpolated": True, "tau": 1.0,
+         "model": rotated_inline_model(), **UNSORTED},
+        {"experiment": "converge-tau", "model": rotated_inline_model(),
+         "lambdas": [1.0, 2.0, 0.5], "taus": [0.1, 0.2, 0.3], "s_max": 1.0, "s_steps": 5},
         {"experiment": "asymptotic", "lambdas": [0.2, 0.1], "t_samples": [0.0, 0.5]},
         {"experiment": "asymptotic", "regime": "fast-repetition", "lambdas": [1.0, 2.0],
          "taus": [0.2, 0.1], "t_samples": [0.0, 0.05]},
     ], ids=["converge-lambda-interpolated", "converge-lambda-unsorted",
             "converge-lambda-interpolated-unsorted", "converge-tau", "converge-tau-4-pairs",
+            "converge-lambda-interpolated-rotated-inline", "converge-tau-rotated-inline",
             "asymptotic", "asymptotic-fast-repetition"])
     def test_parallel_determinism_per_experiment(self, tmp_path, doc):
         config = parse_config(json.dumps({"model": SPIN_MODEL, **doc}))
@@ -875,8 +895,8 @@ class TestSidecar:
         assert all(len(member) == 1 for member in members)
 
 
-class TestCsvLine:
-    """A CSV row is formatted in one call, with the text of format(float(x), ".17g") per cell."""
+class TestCsvBody:
+    """A CSV table is formatted in one call, with the text of format(float(x), ".17g") per cell."""
 
     VALUES = [0.0, -0.0, 1, -3, 10 ** 20, 2 ** 53 + 1, True, 5e-324, 1.7976931348623157e308,
               0.1, 1 / 3, -2.5e-17, np.float64(-0.0), np.float64(0.6334493644798731),
@@ -886,12 +906,19 @@ class TestCsvLine:
         rng = np.random.default_rng(0)
         draws = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
                                 rng.standard_normal(200)])
-        for row in [tuple(self.VALUES), tuple(draws), tuple(map(float, draws)), (3,)]:
-            assert ris.cli._csv_line(row) == ",".join(format(float(x), ".17g") for x in row)
+        table = [tuple(self.VALUES), tuple(draws), tuple(map(float, draws)), (3,)]
+        lines = [",".join(format(float(x), ".17g") for x in row) + "\n" for row in table]
+        for row, line in zip(table, lines):
+            assert ris.cli._csv_body([row]) == line
+        assert ris.cli._csv_body(table) == "".join(lines)
+        assert ris.cli._csv_body([]) == ""
 
     def test_leading_label_is_written_as_it_is(self):
-        assert ris.cli._csv_line(("rho_00", 0.5, -0.0, 2)) == "rho_00,0.5,-0,2"
-        assert ris.cli._csv_line(["delta0", 1e-17]) == "delta0,1.0000000000000001e-17"
+        assert ris.cli._csv_body([("rho_00", 0.5, -0.0, 2)]) == "rho_00,0.5,-0,2\n"
+        assert ris.cli._csv_body([["delta0", 1e-17]]) == "delta0,1.0000000000000001e-17\n"
+        # labels that hold an n or a % sign, in a table that mixes rows with and without one
+        table = [("nan_inf", 1.0), (2.0, 3.0), ("100%n", -0.5)]
+        assert ris.cli._csv_body(table) == "nan_inf,1\n2,3\n100%n,-0.5\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
     @pytest.mark.parametrize("where", [0, 2])
@@ -899,9 +926,11 @@ class TestCsvLine:
         row = [1.0, 2.0, 3.0]
         row[where] = bad
         with pytest.raises(ValueError, match="non-finite value"):
-            ris.cli._csv_line(tuple(row))
+            ris.cli._csv_body([tuple(row)])
         with pytest.raises(ValueError, match="non-finite value"):
-            ris.cli._csv_line(("label", *row))
+            ris.cli._csv_body([("label", *row)])
+        with pytest.raises(ValueError, match="non-finite value"):
+            ris.cli._csv_body([("n", 1.0), ("nn", *row), (4.0, 5.0)])
 
 
 class TestPoolSize:

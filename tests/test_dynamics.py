@@ -272,10 +272,15 @@ class TestStackedPieces:
         exponents = [0, 1, 2, 3, 7, 8, 15, 16, 255, 256, 1000,
                      *rng.integers(0, 5000, size=8)]
         stacked = _powers(t_map, exponents)
-        # the walk multiplies in step powers: matrix_power to rounding
-        for i, n in enumerate(exponents):
-            expected = np.linalg.matrix_power(t_map, int(n))
-            assert np.linalg.norm(stacked[i] - expected) <= 1e-12 * np.linalg.norm(expected), n
+        # the walk multiplies in step powers: matrix_power to rounding, also for
+        # exponents unsorted, repeated and zero, as a list or as an int64 array
+        unsorted = [7, 0, 3, 7, 1000, 0, 2, 3, 255, 1]
+        for exps, stack in [(exponents, stacked), (unsorted, _powers(t_map, unsorted)),
+                            (unsorted, _powers(t_map, np.array(unsorted)))]:
+            assert stack.shape == (len(exps), *t_map.shape)
+            for i, n in enumerate(exps):
+                expected = np.linalg.matrix_power(t_map, int(n))
+                assert np.linalg.norm(stack[i] - expected) <= 1e-12 * np.linalg.norm(expected), n
         # the walk is over the sorted exponents: shuffled and repeated
         # exponents give the same stack exactly
         order = rng.permutation(len(exponents))
@@ -285,8 +290,9 @@ class TestStackedPieces:
 
     def test_powers_of_a_single_exponent(self, rng):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        for n in (0, 1, 2, 3, 4, 5, 31, 32, 33):
+        for n in (0, 1, 2, 3, 4, 5, 31, 32, 33, 64):
             assert np.array_equal(_powers(m, [n])[0], np.linalg.matrix_power(m, n)), n
+            assert np.array_equal(_powers(m, np.array([n]))[0], np.linalg.matrix_power(m, n)), n
 
     def test_stacked_partial_maps_equal_one_at_a_time(self, rng):
         model = random_model(rng, 2, 3)
@@ -329,7 +335,7 @@ class TestStackedPieces:
         lam, tau = 0.4, 0.7
         t_map = _reduced_map(model, lam, tau)
         times = [3 * tau - 1e-13, 3 * tau, 3 * tau + 1e-13]
-        for m in _repeated(model, lam, tau, times):
+        for m in _repeated(model, lam, tau, *_steps(times, tau)):
             assert np.array_equal(m, np.linalg.matrix_power(t_map, 3))
         for t in times:
             assert np.array_equal(restricted_dynamics(model, lam, tau, t).matrix,
@@ -342,21 +348,36 @@ class TestStackedPieces:
         lam, tau = 0.5, 0.8
         t_map = _reduced_map(model, lam, tau)
         times = [0.0, 0.3, 0.8, 2.5, 2.4, 17.05]
-        for t, m in zip(times, _repeated(model, lam, tau, times)):
+        for t, m in zip(times, _repeated(model, lam, tau, *_steps(times, tau))):
             n, t1 = _steps(t, tau)
             expected = np.linalg.matrix_power(t_map, n)
             if t1 > 0.0:
                 expected = expected @ _reduced_map(model, lam, t1)
             assert np.linalg.norm(m - expected) <= 1e-12 * np.linalg.norm(expected), t
             # a lone time is matrix_power exactly, as restricted_dynamics takes it
-            assert np.array_equal(_repeated(model, lam, tau, [t])[0], expected), t
+            assert np.array_equal(_repeated(model, lam, tau, *_steps([t], tau))[0], expected), t
 
     @pytest.mark.parametrize("t, tau", [(2e12, 1.0), (math.inf, 1.0), (math.nan, 1.0),
                                         (1.0, 5e-324)])
     def test_step_cost_guard(self, t, tau):
-        with pytest.raises(ValueError, match="cost guard"):
-            _steps(t, tau)
+        # a refused time refuses the whole array, and the error names its step count
+        for times in (t, [t], [0.0, 1.5 * tau, t, 0.5 * tau]):
+            with pytest.raises(ValueError, match="cost guard") as err:
+                _steps(times, tau)
+            assert str(err.value).startswith(f"{t / tau:.6g} interaction steps"), times
         assert _steps(MAX_STEPS * 1.0, 1.0) == (MAX_STEPS, 0.0)
+        # an array of exact multiples, multiples -+1e-13, 0, halfway times and the guard's
+        # edge: entry by entry the split of the time alone
+        for tau in (0.1, 0.7, 1.0, 3.0):
+            times = np.array([0.0, tau, 3 * tau, 3 * tau - 1e-13, 3 * tau + 1e-13,
+                              1000 * tau - 1e-13, 1000 * tau + 1e-13, 2.5 * tau, MAX_STEPS * tau])
+            n, t1 = _steps(times, tau)
+            assert n.dtype == np.int64 and n.shape == t1.shape == times.shape
+            assert n.tolist() == [0, 1, 3, 3, 3, 1000, 1000, 2, MAX_STEPS]
+            assert (t1[:-2] == 0.0).all() and t1[-1] == 0.0
+            assert abs(t1[-2] - 0.5 * tau) <= 1e-12 * max(1.0, tau)
+            for k, x in enumerate(times):
+                assert _steps(x, tau) == (n[k], t1[k]), x
 
 
 # models of the quadrature tests; S = E gives H_0 the degenerate levels S and E

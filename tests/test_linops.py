@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ris.linops import (
     BranchCutCollisionError,
     Superoperator,
+    change_frame,
     kron,
     largest_gap_bisector,
     matrix_exp,
@@ -52,6 +53,29 @@ class TestKron:
         got, expected = kron(a, b), np.kron(a, b)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+class TestChangeFrame:
+    """F x F^† with F = kron(q, conj q), from four n-sided products."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_equals_the_kron_product(self, rng, n, lead):
+        q = random_unitary(rng, n)
+        x = rng.standard_normal((*lead, n * n, n * n)) + 1j * rng.standard_normal(
+            (*lead, n * n, n * n))
+        frame = kron(q, q.conj())
+        expected = frame @ x @ frame.conj().T
+        got = change_frame(q, x)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_conjugates_the_map(self, rng):
+        # the matrix of x -> A x B becomes that of y -> (q A q^†) y (q B q^†)
+        q, a, b = random_unitary(rng, 3), random_hermitian(rng, 3), random_hermitian(rng, 3)
+        got = change_frame(q, kron(a, b.T))
+        qa, qb = q @ a @ q.conj().T, q @ b @ q.conj().T
+        assert np.abs(got - kron(qa, qb.T)).max() <= 1e-13
 
 
 class TestMatrixExp:
