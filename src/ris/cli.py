@@ -499,14 +499,14 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
         # [v,.] = kron(v, I) - kron(I, v^T) is normal with eigenvalues v_i - v_j
         levels = np.linalg.eigvalsh(model.v)
         a1 = float(levels[-1] - levels[0])
-        rows = []
+        nodes, rows = config.quadrature_order, []
         for t in config.dyson_times:
             # lambda = 1 in every row: lambda*t is carried by dyson_times via t
-            free, exact = interaction_dynamics(model, 0.0, t), interaction_dynamics(model, 1.0, t)
+            free, exact = (interaction_dynamics(model, lam, t).matrix for lam in (0.0, 1.0))
             # every term of one t from one Taylor stack: one expm per t
             top = max(config.dyson_orders) - 1
-            terms = dyson_terms(model, top, t) if top else []
-            gaps = [superop_norm(d - dyson_term_quadrature(model, k, t, config.quadrature_order))
+            terms = [d.matrix for d in dyson_terms(model, top, t)] if top else []
+            gaps = [superop_norm(d - dyson_term_quadrature(model, k, t, nodes).matrix)
                     for k, d in enumerate(terms[:3], start=1)]
             for order in config.dyson_orders:
                 total = free

@@ -8,11 +8,9 @@ eigh, E_S ∘ phi_SE^t the Kraus map x -> sum_{a,b} p_a K_ab x K_ab^† with
 K_ab = <a|U|b>_E and rho_E = sum_a p_a |a><a|, and the Dyson terms come
 from the Taylor stack of U in lambda; the reduced map forms U in the chain
 frame q (x) W of h_S and h_E and contracts its one Kraus row stack with its
-own conjugate.  The Dyson quadrature, the oracle of dyson-check, takes its
-three innermost levels from n-sized products too: n exponentials per
-innermost node, the third level split at its middle time into one sum over
-N nodes, and its Kronecker sums as (n^2 x P)(P x n^2) GEMMs; only its levels
-from the fourth up are n^2-sided GEMMs.
+own conjugate.  The Dyson quadrature, the oracle of dyson-check, integrates
+the terms W_j of W(t) = U(t) e^{-itH_0} on C^n by nested Gauss-Legendre and
+forms the Dyson term by the Leibniz sum of the Taylor-stack terms.
 
 Maps on M_S are computed in the Bohr frame |q_k><q_l| of h_S = q diag(w) q^†,
 where alpha_S^t is the diagonal e^{it(w_k - w_l)}; :func:`_computational`
@@ -29,7 +27,6 @@ import numpy as np
 from .linops import (
     Superoperator,
     change_frame,
-    commutator_superop,
     kron,
     matrix_exp,
     require_hermitian,
@@ -337,8 +334,12 @@ def dyson_terms(model: RISModel, order: int, t: float) -> list:
         raise ValueError(f"k > {MAX_DYSON_ORDER} refused (cost guard)")
     us = _taylor_stack(model, order, t)
     ws = [u @ us[0].conj().T for u in us]
-    return [Superoperator((-1j) ** k * sum(kron(ws[j], ws[k - j].conj()) for j in range(k + 1)))
-            for k in range(1, order + 1)]
+    return [Superoperator(_dyson_sum(ws, k)) for k in range(1, order + 1)]
+
+
+def _dyson_sum(ws, k: int) -> np.ndarray:
+    """Dyson term k, (-i)^k sum_j kron(W_j, conj W_{k-j}), from the terms W_j of U e^{-itH_0}."""
+    return (-1j) ** k * sum(kron(ws[j], ws[k - j].conj()) for j in range(k + 1))
 
 
 def dyson_term(model: RISModel, k: int, t: float) -> Superoperator:
@@ -370,30 +371,18 @@ def _gauss_legendre(nodes: int):
 
 
 def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) -> Superoperator:
-    """Independent evaluation of :func:`dyson_term` by nested Gauss-Legendre.
+    """Independent evaluation of :func:`dyson_term` by nested Gauss-Legendre on C^n.
 
-    Works in the eigenframe Z = kron(q, conj q) of the free Liouvillian, with
-    eigh(H_0) = (w, q).  There Z^† [v,.] Z = [v~,.] with v~ = q^† v q, and
-    alpha^u [v~,.] alpha^{-u} = [v~ ∘ (phi phi^H),.] with phi = e^{iuw}.  With
-    X(u) that integrand, C(r) = [M(r),.] its integral up to r and N = ``nodes``,
-    each level costs:
-
-    1. The innermost integral up to u is [M(u),.], M(u) = v~ ∘ sum_l c_l phi_l phi_l^H
-       over its nodes s_l and weights c_l: N n exponentials and one n-sided GEMM.
-    2. The second, sum_j c_j [M_j,.][V_j,.] with V_j = v~ ∘ (phi_j phi_j^H), is
-       L(sum c M V) + R(sum c V M) - sum_j c_j (kron(M_j, V_j^T) + kron(V_j, M_j^T)),
-       L(X) = kron(X, I) and R(X) = kron(I, X^T): N^2 n exponentials, 2N n-sided
-       products, and the Kronecker sum as one (n^2 x 2N)(2N x n^2) GEMM.
-    3. The third is split at its middle time r: the times below it give C(r) and
-       those above it C(t) - C(r), so it is exactly int_0^t C(r) X(r) (C(t) - C(r)) dr,
-       sum_j c_j [M_j,.][V_j,.][B_j,.] with B_j = M(t) - M_j.  Expanding the three
-       commutators leaves L(sum c M V B) - R(sum c B V M) and a Kronecker sum of 6N
-       terms, all one (n^2 x (6N + 2))((6N + 2) x n^2) GEMM: (N + 1) N n exponentials,
-       as at the second level, and 8N n-sided products.
-    4. Each level from the fourth up loops over its nodes, one call of the level
-       below and one n^2-sided GEMM per node: N^(k-3) calls of the third level.
-
-    The result leaves the eigenframe by :func:`change_frame`, four n-sided products.
+    W(t) = U(t) e^{-itH_0} solves dW/dt = i lambda W v~(t), v~(u) = e^{iuH_0} v e^{-iuH_0}, so
+    its terms in lambda are W_j(t) = i int_0^t W_{j-1}(u) v~(u) du, W_0 = I, and the k-th Dyson
+    term is their Leibniz sum (:func:`_dyson_sum`), the one n^2-sided step.  In the eigenframe
+    (w, q) = eigh(H_0), where W_j is q^† W_j q, v~(u) = v~ ∘ (phi phi^H) with v~ = q^† v q and
+    phi = e^{iuw}, and M(r) = v~ ∘ sum_l c_l phi_l phi_l^H over the nodes s_l and weights c_l on
+    [0, r] is the innermost integral up to r.  Over the N = ``nodes`` nodes r_j and weights c_j
+    on [0, t], W_1(t) = i M(t), W_2(t) = i^2 sum_j c_j M(r_j) v~(r_j) and, split at its middle
+    time, W_3(t) = i^3 sum_j c_j M(r_j) v~(r_j) (M(t) - M(r_j)): the times below r give M(r)
+    and those above it M(t) - M(r).  The three share N + 1 values of M, N (N + 1) n
+    exponentials.  Each W_j from the fourth up loops over its nodes: N^(j-3) evaluations of W_3.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -402,7 +391,6 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
     if nodes > MAX_QUADRATURE_NODES:
         raise ValueError(f"{nodes} quadrature nodes refused (cost guard)")
     w, q = np.linalg.eigh(model.free_hamiltonian)
-    n = len(w)
     vt = q.conj().T @ model.v @ q
     x, wq = _gauss_legendre(nodes)
 
@@ -412,61 +400,33 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
         return 0.5 * upper * (x + 1.0), 0.5 * upper * wq
 
     def first(upper):
-        """M with [M,.] the innermost integral up to each entry of ``upper`` (leading axes)."""
+        """M, the innermost integral up to each entry of ``upper`` (leading axes)."""
         s, c = rule(upper)
         phi = np.exp(1j * s[..., None] * w)
         return vt * (np.swapaxes(phi * c[..., None], -1, -2) @ phi.conj())
 
-    def picture(u):
-        """alpha^u(v~) = v~ ∘ (phi phi^H), phi = e^{iuw}, per entry of ``u`` (leading axes)."""
-        phi = np.exp(1j * np.asarray(u)[..., None] * w)
-        return vt * (phi[..., :, None] * phi[..., None, :].conj())
+    def picture(r, c):
+        """c v~(r) = c v~ ∘ (phi phi^H), phi = e^{irw}, per entry of the nodes ``r``."""
+        phi = np.exp(1j * r[:, None] * w)
+        return c[:, None, None] * vt * (phi[:, :, None] * phi[:, None, :].conj())
 
-    def kron_sum(lefts, rights):
-        """sum_p kron(lefts[p], rights[p]^T) as one GEMM: P[(a, c), (d, b)] = sum_p
-        lefts[p][a, c] rights[p][d, b], permuted to the ((a, b), (c, d)) entries."""
-        cross = lefts.reshape(-1, n * n).T @ rights.reshape(-1, n * n)
-        return cross.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
-
-    def second(upper):
-        """The two innermost integrals up to ``upper``: sum_j c_j [M_j,.][V_j,.], n^2-sided."""
-        u, c = rule(upper)
-        m, v = first(u), picture(u)
-        cm, cv = c[:, None, None] * m, c[:, None, None] * v
-        out = -kron_sum(np.concatenate([cm, cv]), np.concatenate([v, m]))
-        out += kron((cm @ v).sum(axis=0), np.eye(n))
-        out += kron(np.eye(n), (v @ cm).sum(axis=0).T)
-        return out
-
-    def third(upper):
-        """The three innermost integrals up to ``upper``: sum_j c_j [M_j,.][V_j,.][B_j,.]."""
+    def low(j, upper):
+        """[W_1, ..., W_j](upper), j <= 3, in the eigenframe of H_0, from one call of ``first``."""
+        if j == 1:
+            return [1j * first(upper)]
         r, c = rule(upper)
         m = first(np.append(r, upper))
-        m, b = m[:-1], m[-1] - m[:-1]
-        v = picture(r)
-        cm, cv, cb = c[:, None, None] * m, c[:, None, None] * v, c[:, None, None] * b
-        cmv, bv = cm @ v, b @ v
-        eye = np.eye(n)[None]
-        # [M,.][V,.][B,.] = L(MVB) - R(BVM) - kron(MV, B^T) - kron(MB, V^T) - kron(VB, M^T)
-        #                   + kron(M, (BV)^T) + kron(V, (BM)^T) + kron(B, (VM)^T)
-        return kron_sum(
-            np.concatenate([(cmv @ b).sum(axis=0)[None], -eye, -cmv, -cm @ b, -cv @ b, cm, cv, cb]),
-            np.concatenate([eye, (bv @ cm).sum(axis=0)[None], b, v, m, bv, b @ m, v @ m]))
+        mv = m[:-1] @ picture(r, c)
+        return [1j * m[-1], -mv.sum(axis=0), -1j * (mv @ (m[-1] - m[:-1])).sum(axis=0)][:j]
 
-    def nested(j, upper):
-        if j == 1:
-            return commutator_superop(first(upper)).matrix
-        if j == 2:
-            return second(upper)
-        if j == 3:
-            return third(upper)
-        u, c = rule(upper)
-        acc = np.zeros((n * n, n * n), dtype=complex)
-        for ui, ci in zip(u, c):
-            acc += ci * (nested(j - 1, ui) @ commutator_superop(picture(ui)).matrix)
-        return acc
+    def high(j, upper):
+        """W_j(upper), j >= 4, in the eigenframe of H_0: a loop over the nodes on [0, upper]."""
+        r, c = rule(upper)
+        inner = np.stack([high(j - 1, ri) if j > 4 else low(3, ri)[2] for ri in r])
+        return 1j * (inner @ picture(r, c)).sum(axis=0)
 
-    return Superoperator(change_frame(q, nested(k, t)))
+    ws = [*low(min(k, 3), t), *(high(j, t) for j in range(4, k + 1))]
+    return Superoperator(_dyson_sum([np.eye(len(w)), *(q @ wj @ q.conj().T for wj in ws)], k))
 
 
 def dyson_truncation_bound(n: int, eps: float, t: float, a1_norm: float) -> float:

@@ -7,18 +7,18 @@ the tests compare the production maps against these.  The fixed state of
 a map or generator, as an eigenvector of its trace dual, is the oracle
 for the densities ``ris.asymptotic`` reads off eigenprojections.  The
 Dyson terms as one superoperator block exponential are the oracle for the
-Taylor-stack terms of ``ris.dynamics``.  The same quadrature rule with
-the interaction picture as a product of n^2-sided superoperators, on the
-same nodes and with the third level split at its middle time, pins
-``dyson_term_quadrature``, whose three innermost levels are n-sized
-commutators and Kronecker sums in the eigenframe of H_0.  The fully nested
-rule, the third level as a loop over the outer nodes of the second-level
-quadrature times one commutator superoperator per node, is a second rule
-whose quadrature error differs; at 32 nodes both are exact to rounding.  The
-Schur route to the van Hove averages (the branch logarithm A0 of
-alpha_S^tau, its clustered spectral projections and the sum of P B P over
-them) and their defining Cesaro time average are the oracles for the
-Bohr-frame masks of ``ris.vanhove``.  The superoperator constructors, the
+Taylor-stack terms of ``ris.dynamics``.  The same quadrature rule in the
+computational basis, the terms W_j of W(t) = U(t) e^{-itH_0} integrated on
+the same nodes with the interaction picture from expm per node, the third
+level split at its middle time and the same Leibniz sum, pins
+``dyson_term_quadrature``, which runs that rule in the eigenframe of H_0.
+The third level as a loop over the outer nodes of the second-level
+quadrature times one commutator superoperator per node is a second rule,
+whose cross terms differ at finite nodes; at 32 nodes both are exact to
+rounding.  The Schur route to the van Hove averages (the branch
+logarithm A0 of alpha_S^tau, its clustered spectral projections and the
+sum of P B P over them) and their defining Cesaro time average are the
+oracles for the Bohr-frame masks of ``ris.vanhove``.  The superoperator constructors, the
 Choi matrix and the peripheral spectrum at the end are test helpers.
 Every exponential here is ``scipy.linalg.expm``, never the package's own
 ``matrix_exp``, so no oracle shares its kernel with the code it checks.
@@ -136,32 +136,39 @@ def dyson_term_block(model: RISModel, k: int, t: float) -> tuple:
 
 
 def dyson_term_product_quadrature(model: RISModel, k: int, t: float, nodes: int) -> Superoperator:
-    """k-th Dyson term by Gauss-Legendre, alpha^u [v,.] alpha^{-u} as a matrix product.
+    """k-th Dyson term by the rule of ``dyson_term_quadrature``, in the computational basis.
 
-    alpha^u = exp(u * full_generator(model, 0)) from one n^2-sided expm per node.
-    The third level is split at its middle time r, int_0^t C(r) X(r) (C(t) - C(r)) dr
-    with X(u) the integrand and C(r) the first level up to r, as in
-    ``dyson_term_quadrature``; every other level nests on the one below.
+    W_j(t) = i int_0^t W_{j-1}(u) v(u) du, W_0 = I, with v(u) = e^{iuH_0} v e^{-iuH_0} from one
+    expm per node.  The third level is split at its middle time r, i^3 int_0^t M(r) v(r)
+    (M(t) - M(r)) dr with M(r) the first level up to r; every other level nests on the one
+    below.  The term is (-i)^k sum_j kron(W_j, conj W_{k-j}).
     """
-    l0, cv = full_generator(model, 0.0).matrix, commutator_superop(model.v).matrix
+    h0, v = model.free_hamiltonian, model.v
     x, wq = np.polynomial.legendre.leggauss(nodes)
 
-    def nested(j, upper):
-        if j == 0:
-            return np.eye(len(cv), dtype=complex)
-        whole = nested(1, upper) if j == 3 else None
-        acc = np.zeros_like(cv)
-        for xi, wi in zip(x, wq):
-            u = 0.5 * upper * (xi + 1.0)
-            picture = expm(u * l0) @ cv @ expm(-u * l0)
-            if j == 3:
-                inner = nested(1, u)
-                acc += (0.5 * upper * wi) * (inner @ picture @ (whole - inner))
-            else:
-                acc += (0.5 * upper * wi) * (nested(j - 1, u) @ picture)
-        return acc
+    def rule(upper):
+        return [(0.5 * upper * (xi + 1.0), 0.5 * upper * wi) for xi, wi in zip(x, wq)]
 
-    return Superoperator(nested(k, t))
+    def picture(u):
+        flow = expm(1j * u * h0)
+        return flow @ v @ flow.conj().T
+
+    def term(j, upper):
+        if j == 0:
+            return np.eye(len(v), dtype=complex)
+        if j == 1:
+            return 1j * sum(c * picture(u) for u, c in rule(upper))
+        acc, whole = np.zeros_like(v), term(1, upper) if j == 3 else None
+        for u, c in rule(upper):
+            if j == 3:
+                inner = term(1, u)
+                acc += c * (inner @ picture(u) @ (whole - inner))
+            else:
+                acc += c * (term(j - 1, u) @ picture(u))
+        return 1j * acc
+
+    ws = [term(j, t) for j in range(k + 1)]
+    return Superoperator((-1j) ** k * sum(np.kron(ws[j], ws[k - j].conj()) for j in range(k + 1)))
 
 
 def dyson_term_loop_quadrature(model: RISModel, t: float, nodes: int) -> Superoperator:

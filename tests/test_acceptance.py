@@ -16,14 +16,19 @@ from ris.asymptotic import (
 )
 from ris.dynamics import (
     check_H1,
-    commutator_superop,
     dyson_term,
     dyson_term_quadrature,
     dyson_truncation_bound,
     interaction_dynamics,
     reduced_map_T,
 )
-from ris.linops import Superoperator, matrix_exp, spectral_decompose, superop_norm
+from ris.linops import (
+    Superoperator,
+    commutator_superop,
+    matrix_exp,
+    spectral_decompose,
+    superop_norm,
+)
 from ris.spin import SpinParams, build_spin_model, closed_form_deltas
 from ris.vanhove import (
     converge_lambda,

@@ -435,8 +435,8 @@ class TestDysonTerms:
     @pytest.mark.parametrize("which", ["spin", "random-dim6", "spin-degenerate", "random-3x2"])
     def test_eigenframe_quadrature_matches_product_form(self, which):
         # same nodes and weights, and the third level split at its middle time; the
-        # oracle forms alpha^u [v,.] alpha^{-u} from two expm.  k = 4 runs a dense fourth
-        # level on top of the three Hilbert-space ones
+        # oracle forms e^{iuH_0} v e^{-iuH_0} from one expm per node in the computational
+        # basis.  k = 4 runs the loop of the fourth level over the split third one
         model = QUADRATURE_MODELS[which]()
         for k, t, nodes in [(1, 2.0, 6), (2, 2.0, 6), (3, 1.0, 6), (4, 1.0, 4),
                             (3, 1.0, 5), (3, 1.0, 7), (4, 1.0, 3)]:
@@ -454,11 +454,12 @@ class TestDysonTerms:
         assert gap <= 1e-14 * superop_norm(oracle)
 
     @pytest.mark.parametrize("which, nodes, mib", [
-        ("spin", 32, 0.5), ("random-2x4", 32, 1.0), ("random-4x4", 8, 8.0)])
+        ("spin", 32, 0.5), ("random-2x4", 32, 1.0), ("random-4x4", 8, 8.0),
+        ("random-4x4", 32, 3.0)])
     def test_quadrature_peak_memory(self, which, nodes, mib):
-        # the third level holds its 6N + 2 Kronecker factors, n-sided, and one n^2-sided
-        # result; a warm-up call caches the Gauss-Legendre nodes, the cache of the
-        # quadrature (the eigh of H_0 runs, and is measured, on every call)
+        # the levels hold (N + 1) N n-sided factors, and the Leibniz sum its k + 1
+        # n^2-sided Kronecker products; a warm-up call caches the Gauss-Legendre nodes, the
+        # cache of the quadrature (the eigh of H_0 runs, and is measured, on every call)
         model = QUADRATURE_MODELS[which]()
         dyson_term_quadrature(model, 3, 1.0, nodes=nodes)
         tracemalloc.start()

@@ -8,13 +8,13 @@ import ris.linops
 import ris.vanhove
 from ris.dynamics import (
     RISModel,
-    commutator_superop,
     reduced_map_T,
     restricted_dynamics,
     system_free_evolution,
 )
 from ris.linops import (
     Superoperator,
+    commutator_superop,
     kron,
     matrix_exp,
     spectral_decompose,
@@ -256,7 +256,7 @@ class TestConvergenceExperiments:
         # the partial last interval changes each error by at most the
         # second-order series tail over one interval (first order dies
         # under the conditional expectation), times the norm of T^n
-        from ris.dynamics import commutator_superop, dyson_truncation_bound
+        from ris.dynamics import dyson_truncation_bound
         model = build_spin_model(spin_base())
         lam, tau = 0.2, 1.0
         lattice = converge_lambda(model, tau, [lam], 3.0, 15)
