@@ -210,7 +210,10 @@ class KatoReport:
     eigenprojection of 0 of P(0) T'(0) P(0), and P(0+) the Richardson
     extrapolation of the eigenprojections P(eps) of 1 of T(eps):
     [Q, P(0)] = 0, P(0)Q idempotent, P(0+) a sub-projection of P(0)Q,
-    and ||P(eps) - P(0+)|| = O(eps).
+    and ||P(eps) - P(0+)|| = O(eps).  ``distance_ratios`` are those of consecutive
+    ``distance_rows``, largest eps first.  The two-point extrapolation from the two smallest,
+    eps_1 > eps_2, makes P(eps_1) - P(0+) and P(eps_2) - P(0+) parallel, so the last ratio is
+    eps_1/eps_2 by construction, to rounding; only the earlier ratios depend on the model.
     """
     commutator_norm: float
     idempotency_defect: float

@@ -9,8 +9,10 @@ columns per experiment) and a metadata JSON sidecar (config echo with
 defaults filled in, itself a valid config, package version, wall time,
 row count, and the run's diagnostics such as kato's).  The sidecar is one
 object with one top-level key per line, in sorted order; each value is
-compact JSON on its key's line.  CSV bodies are deterministic: fixed row
-order, 17-significant-digit floats, independent of the parallelism degree.
+compact JSON on its key's line.  Each experiment hands the writer one float
+table whose columns are the CSV's, and ``spin-oracle`` a leading label column
+too; the CSV body is that table in a fixed row order, every number in 17
+significant digits, independent of the parallelism degree.
 Exit codes: 0 success, 2 oracle tolerance failure, 1 anything else.
 ``effective``, ``asymptotic`` and ``spin-oracle`` read ``regime``;
 fast-repetition ``asymptotic`` runs over the (lambda, tau) pairs of
@@ -20,10 +22,11 @@ keys the CSV rows: lambda in ``converge-lambda`` and weak-coupling
 ``asymptotic``, tau in ``converge-tau``, the (lambda, tau) pair in
 fast-repetition ``asymptotic``, ``t_samples``, ``dyson_times``,
 ``dyson_orders`` and ``eps`` (``kato`` needs two at least); so is a
-``dyson-check`` beyond the cost guards of :mod:`ris.dynamics`.  No field
-sets a branch cut: each branch of log alpha_S^tau gives the same generator,
-and ``effective`` records the cut it read.  RIS_MAX_DIM overrides the
-default dimension cap (n_S * n_E <= 8).
+``dyson-check`` or a converge grid beyond the cost guards of
+:mod:`ris.dynamics`.  No field sets a branch cut: each branch of
+log alpha_S^tau gives the same generator, and ``effective`` records the
+cut it read.  RIS_MAX_DIM overrides the default dimension cap
+(n_S * n_E <= 8).
 """
 from __future__ import annotations
 
@@ -49,6 +52,7 @@ from .asymptotic import (
 )
 from .dynamics import (
     MAX_DYSON_ORDER,
+    MAX_GRID_ENTRIES,
     MAX_QUADRATURE_EVALUATIONS,
     MAX_QUADRATURE_NODES,
     NoAsymptoticStateError,
@@ -359,6 +363,10 @@ def parse_config(text: str) -> ExperimentConfig:
         for i, t in enumerate(merged["t_samples"]):
             if not 0 <= t < period:
                 raise ConfigError(f"$.t_samples[{i}]", f"expected a time in [0, {period:g})")
+    entries = merged["s_steps"] * model.n_s ** 4
+    if experiment in _CONVERGE and entries > MAX_GRID_ENTRIES:  # as vanhove._grid_report
+        raise ConfigError("$.s_steps", f"s_steps * n_S^4 = {merged['s_steps']} * {model.n_s}^4 "
+                          f"= {entries} grid entries exceed the cost guard ({MAX_GRID_ENTRIES})")
     if experiment == "kato" and len(merged["eps"]) < 2:  # two extrapolate to eps = 0+
         raise ConfigError("$.eps", "expected two entries at least")
     if experiment == "dyson-check":  # the run checks the terms 1..3 below the top order
@@ -380,18 +388,17 @@ def parse_config(text: str) -> ExperimentConfig:
                             echo=echo, **merged)
 
 
-def _csv_body(rows) -> str:
-    """The CSV lines of ``rows``, each ended by a newline, from one format call over the
-    table: a leading label as it is, then every number in "%.17g", the text of
-    format(float(x), ".17g").  Raises ValueError on a non-finite number."""
-    keys = [(isinstance(row[0], str), len(row)) for row in rows]
-    formats = {k: ",".join(("%s",) * k[0] + ("%.17g",) * (k[1] - k[0])) + "\n" for k in set(keys)}
-    text = "".join([formats[key] for key in keys]) % tuple(itertools.chain.from_iterable(rows))
-    # of all "%.17g" texts only inf and nan hold an n; a label may hold some too
-    if text.count("n") > sum(row[0].count("n") for row in rows if isinstance(row[0], str)):
-        bad = next(x for row in rows for x in row[isinstance(row[0], str):] if not math.isfinite(x))
-        raise ValueError(f"non-finite value {bad!r} in results")
-    return text
+def _csv_body(table: np.ndarray, labels=()) -> str:
+    """The CSV lines of the float table ``table``, each ended by a newline, from one format
+    call: the row's entry of ``labels`` as it is, if any, then every number in "%.17g", the
+    text of format(x, ".17g").  Raises ValueError on a non-finite number."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ValueError(f"non-finite value {float(table[~finite][0])!r} in results")
+    line = ",".join(("%s",) * bool(labels) + ("%.17g",) * table.shape[1]) + "\n"
+    if labels:
+        table = np.column_stack([np.array(labels, dtype=object), table.astype(object)])
+    return (line * len(table)) % tuple(table.reshape(-1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +406,21 @@ def _csv_body(rows) -> str:
 # be dispatched to worker processes, taking only picklable payloads
 # ---------------------------------------------------------------------------
 
-def _rows_converge(payload) -> list:
+def _rows_converge(payload) -> np.ndarray:
     converge, args = payload
-    return list(converge(*args).rows)
+    # the (parameter, s, error) rows; fromiter is half the cost of np.array over tuples
+    return np.fromiter(itertools.chain.from_iterable(converge(*args).rows), float).reshape(-1, 3)
 
 
-def _rows_asymptotic(payload) -> list:
+def _rows_asymptotic(payload) -> np.ndarray:
     model, lam, tau, tau_column, t_samples, eff_density = payload
     report = asymptotic_periodic_state(model, lam, tau, t_samples=t_samples)
     dist = trace_distance(report.asymptotic_density, eff_density)
-    lead = (lam, tau) if tau_column else (lam,)
-    rows = []
-    for t, rho in report.period_samples:
-        # row-major entries, each as (re, im): the column order of the header
-        entries = np.stack([rho.real, rho.imag], axis=-1).reshape(-1)
-        rows.append((*lead, t, *entries, dist))
-    return rows
+    times, states = zip(*report.period_samples)
+    lead = np.tile((lam, tau) if tau_column else (lam,), (len(times), 1))
+    # row-major entries, each as (re, im): the column order of the header
+    entries = np.asarray(states, dtype=complex).view(float).reshape(len(times), -1)
+    return np.column_stack([lead, times, entries, np.full(len(times), dist)])
 
 
 def _shares(params: list, jobs: int) -> list:
@@ -423,12 +429,16 @@ def _shares(params: list, jobs: int) -> list:
     return [params[k::n] for k in range(n)]
 
 
-def _parallel_map(fn, payloads, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    # the pool forks all its workers at once: no more of them than payloads
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(fn, payloads))
+def _parallel_table(fn, payloads, jobs: int) -> np.ndarray:
+    """The tables fn(payload) as one, its rows in ascending order, first column first."""
+    if jobs > 1 and len(payloads) > 1:
+        # the pool forks all its workers at once: no more of them than payloads
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+            tables = list(pool.map(fn, payloads))
+    else:
+        tables = [fn(p) for p in payloads]
+    table = np.concatenate(tables)
+    return table[np.lexsort(table.T[::-1])]
 
 
 def _effective(config: ExperimentConfig, tau: float | None):
@@ -439,7 +449,8 @@ def _effective(config: ExperimentConfig, tau: float | None):
 
 
 def _run_experiment(config: ExperimentConfig, jobs: int):
-    """Returns (header, rows, metadata_extras, exit_code)."""
+    """Returns (header, table, labels, metadata_extras, exit_code): one float table with the
+    columns of ``header``, and for ``spin-oracle`` only a leading label column ``labels``."""
     model, tau = config.model, config.echo.get("tau")
     extras = {}
 
@@ -454,9 +465,8 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
         else:
             payloads = [(converge_tau, (model, share, *grid))
                         for share in _shares(_pairs(config.lambdas, config.taus), jobs)]
-        chunks = _parallel_map(_rows_converge, payloads, jobs)
-        rows = sorted(r for chunk in chunks for r in chunk)
-        return ["parameter", "s", "error"], rows, extras, 0
+        table = _parallel_table(_rows_converge, payloads, jobs)
+        return ["parameter", "s", "error"], table, (), extras, 0
 
     if config.experiment == "asymptotic":
         fast = config.regime == FAST_REPETITION
@@ -464,23 +474,22 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
                  else [(lam, tau) for lam in config.lambdas])
         rho_eff = effective_asymptotic_state(_effective(config, tau))
         payloads = [(model, lam, t, fast, config.t_samples, rho_eff) for lam, t in pairs]
-        chunks = _parallel_map(_rows_asymptotic, payloads, jobs)
-        rows = sorted(r for chunk in chunks for r in chunk)
+        table = _parallel_table(_rows_asymptotic, payloads, jobs)
         header = ["lambda", "tau", "t"] if fast else ["lambda", "t"]
         for i in range(model.n_s):
             for j in range(model.n_s):
                 header.extend([f"rho_{i}{j}_re", f"rho_{i}{j}_im"])
         header.append("trace_distance")
-        return header, rows, extras, 0
+        return header, table, (), extras, 0
 
     if config.experiment == "effective":
         eff = _effective(config, tau)
         extras["regime"] = eff.regime
         extras["branch_cut_angle"] = eff.branch_cut_angle
         g = eff.generator.matrix
-        rows = [(i, j, g[i, j].real, g[i, j].imag)
-                for i in range(g.shape[0]) for j in range(g.shape[1])]
-        return ["row", "col", "entry_re", "entry_im"], rows, extras, 0
+        table = np.column_stack([*np.indices(g.shape).reshape(2, -1), g.real.ravel(),
+                                 g.imag.ravel()])
+        return ["row", "col", "entry_re", "entry_im"], table, (), extras, 0
 
     if config.experiment == "kato":
         report = kato_structure_check(model, tau, config.eps)
@@ -492,8 +501,7 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
             "extrapolation_stable": report.extrapolation_stable,
             "distance_ratios": list(report.distance_ratios),
         })
-        rows = [(eps, dist) for eps, dist in report.distance_rows]
-        return ["eps", "distance_to_p0plus"], rows, extras, 0
+        return ["eps", "distance_to_p0plus"], np.array(report.distance_rows), (), extras, 0
 
     if config.experiment == "dyson-check":
         # [v,.] = kron(v, I) - kron(I, v^T) is normal with eigenvalues v_i - v_j
@@ -515,9 +523,9 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
                 rows.append((order, 1.0, t, superop_norm(exact - total),
                              dyson_truncation_bound(order, 1.0, t, a1),
                              max(gaps[:order - 1], default=0.0)))
-        ok = all(err <= bound for _, _, _, err, bound, _ in rows)
+        table = np.array(rows)
         return (["order", "lambda", "t", "truncation_error", "bound", "blockexp_vs_quadrature"],
-                rows, extras, 0 if ok else 2)
+                table, (), extras, 0 if (table[:, 3] <= table[:, 4]).all() else 2)
 
     if config.experiment == "spin-oracle":
         params = config.spin_params
@@ -525,26 +533,24 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
         eff = _effective(config, params.tau)
         d0, d1 = deltas(params)
         g = eff.generator.matrix
-        rows = [("delta0", d0, g[0, 0].real, abs(g[0, 0].real - d0)),
-                ("delta1", d1, g[-1, -1].real, abs(g[-1, -1].real - d1))]
+        labels, pairs = ["delta0", "delta1"], [(d0, g[0, 0].real), (d1, g[-1, -1].real)]
         try:
             rho_closed = spin_asymptotic_state(params, deltas)
         except NoAsymptoticStateError:  # no closed-form state: the delta rows only
             pass
         else:
             rho_pipe = effective_asymptotic_state(eff)
-            for i in range(2):
-                rows.append((f"rho_{i}{i}", rho_closed[i, i].real, rho_pipe[i, i].real,
-                             abs(rho_closed[i, i].real - rho_pipe[i, i].real)))
-        tol = config.tolerances["oracle"]
-        code = 0 if all(r[3] <= tol for r in rows) else 2
-        return ["quantity", "closed_form", "pipeline", "abs_diff"], rows, extras, code
+            labels += ["rho_00", "rho_11"]
+            pairs += [(rho_closed[i, i].real, rho_pipe[i, i].real) for i in range(2)]
+        table = np.array([(closed, pipe, abs(closed - pipe)) for closed, pipe in pairs])
+        code = 0 if (table[:, 2] <= config.tolerances["oracle"]).all() else 2
+        return ["quantity", "closed_form", "pipeline", "abs_diff"], table, labels, extras, code
 
     raise ConfigError("$.experiment", f"unhandled experiment {config.experiment!r}")
 
 
-def _write_outputs(config: ExperimentConfig, header, rows, extras, out_path, wall, jobs):
-    csv_body = ",".join(header) + "\n" + _csv_body(rows)
+def _write_outputs(config: ExperimentConfig, header, table, labels, extras, out_path, wall, jobs):
+    csv_body = ",".join(header) + "\n" + _csv_body(table, labels)
     with open(out_path, "w") as fh:
         fh.write(csv_body)
     meta = {
@@ -552,7 +558,7 @@ def _write_outputs(config: ExperimentConfig, header, rows, extras, out_path, wal
         "version": __version__,
         "wall_time_seconds": wall,
         "jobs": jobs,
-        "rows": len(rows),
+        "rows": len(table),
         **extras,
     }
     # one sorted key per line, each value encoded whole: no indent, so the C encoder runs
@@ -570,9 +576,9 @@ def run(config: ExperimentConfig, out_path: str | None = None,
     jobs = jobs if jobs is not None else config.jobs
     out_path = out_path or config.output or f"{config.experiment}.csv"
     start = time.perf_counter()
-    header, rows, extras, code = _run_experiment(config, jobs)
+    header, table, labels, extras, code = _run_experiment(config, jobs)
     wall = time.perf_counter() - start
-    _write_outputs(config, header, rows, extras, out_path, wall, jobs)
+    _write_outputs(config, header, table, labels, extras, out_path, wall, jobs)
     return code
 
 

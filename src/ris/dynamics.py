@@ -34,9 +34,11 @@ from .linops import (
 
 #: cost guards: the most interaction steps of :func:`_steps`, the highest order of
 #: :func:`dyson_terms`, the most nodes**k integrand evaluations and the most nodes of
-#: :func:`dyson_term_quadrature`
+#: :func:`dyson_term_quadrature`, and the most s_steps * n_S^4 entries of one stack of
+#: maps on the s grid of a convergence experiment (256 MiB of complex128 each)
 MAX_STEPS, MAX_DYSON_ORDER = 10 ** 12, 8
 MAX_QUADRATURE_EVALUATIONS, MAX_QUADRATURE_NODES = 2_000_000, 256
+MAX_GRID_ENTRIES = 2 ** 24
 
 
 class NoAsymptoticStateError(ValueError):

@@ -344,6 +344,8 @@ class TestKatoStructure:
         distances = [d for _, d in report.distance_rows]
         assert all(a > b for a, b in zip(distances, distances[1:]))
         assert all(1.5 <= r <= 3.0 for r in report.distance_ratios)
+        # the last ratio is eps_1/eps_2 = 0.01/0.005 of the extrapolation, whatever the model
+        assert report.distance_ratios[-1] == pytest.approx(2.0, rel=1e-9)
 
     def test_t_prime_is_the_first_order_coefficient(self):
         # under H1, T(sqrt(eps)) = T(0) + eps T'(0) + O(eps^2): the difference

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import ris.cli
 import ris.dynamics
 import ris.linops
+import ris.vanhove
 from ris.cli import ConfigError, main, parse_config, run
 from ris.linops import commutator_superop, superop_norm
 from ris.spin import fast_repetition_deltas
@@ -164,6 +165,60 @@ def test_dyson_check_cost_guards_are_those_of_the_run(monkeypatch):
         assert parses(quadrature_order=cap, dyson_orders=orders)
         assert not parses(quadrature_order=cap + 1, dyson_orders=orders)
         assert not parses(quadrature_order=2 * 10 ** 6, dyson_orders=orders)
+
+
+def diagonal_inline(n_s, n_e=1):
+    """An inline model of n_S distinct levels and no coupling: cheap to parse at any size."""
+    return {"inline": {"h_s": np.diag(np.arange(n_s, dtype=float)).tolist(),
+                       "h_e": np.zeros((n_e, n_e)).tolist(),
+                       "v": np.zeros((n_s * n_e, n_s * n_e)).tolist(), "beta": 1.0}}
+
+
+@pytest.mark.parametrize("experiment", ["converge-lambda", "converge-tau"])
+def test_converge_grid_cost_guard_is_that_of_the_run(monkeypatch, experiment):
+    cap = ris.dynamics.MAX_GRID_ENTRIES
+    monkeypatch.setenv("RIS_MAX_DIM", "32")
+
+    def parses(model, n_s, s_steps=50):
+        doc = {"model": model, "experiment": experiment, "s_steps": s_steps}
+        if experiment == "converge-lambda":
+            doc["tau"] = 1.0
+        try:
+            parse_config(json.dumps(doc))
+        except ConfigError as err:
+            assert err.path == "$.s_steps"
+            assert str(err).endswith(f"{s_steps} * {n_s}^4 = {s_steps * n_s ** 4} grid entries "
+                                     f"exceed the cost guard ({cap})")
+            return False
+        return True
+
+    # the spin model: n_S = 2, 16 entries per map
+    assert parses(SPIN_MODEL, 2, cap // 16) and not parses(SPIN_MODEL, 2, cap // 16 + 1)
+    assert not parses(SPIN_MODEL, 2, 10 ** 9)
+    # the default 50 steps up to n_S = 24
+    assert parses(diagonal_inline(24), 24) and not parses(diagonal_inline(25), 25)
+    assert not parses(diagonal_inline(32), 32)
+    assert parses(diagonal_inline(4, 4), 4, cap // 4 ** 4)
+    assert not parses(diagonal_inline(4, 4), 4, cap // 4 ** 4 + 1)
+
+
+@pytest.mark.parametrize("experiment", ["converge-lambda", "converge-tau"])
+def test_cli_converge_grid_cost_guard_comes_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            experiment):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the converge run started")
+
+    monkeypatch.setattr(ris.vanhove, "_powers", refuse)
+    monkeypatch.setattr(ris.vanhove, "effective_generator_weak_coupling", refuse)
+    monkeypatch.setattr(ris.vanhove, "effective_generator_fast_repetition", refuse)
+    monkeypatch.setattr(np, "linspace", refuse)
+    path = write_config(tmp_path, {"model": SPIN_MODEL, "experiment": experiment,
+                                   "s_steps": 1_000_000_000})
+    out = tmp_path / "c.csv"
+    assert main([experiment, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.s_steps: ") and "cost guard" in err
+    assert not out.exists()
 
 
 # only "effective", "asymptotic" and "spin-oracle" read the regime: anywhere
@@ -879,10 +934,11 @@ class TestSidecar:
         extras = {"kato_like": {"z": [1.5, -0.0], "a": True}, "none": None, "text": "λ → 0",
                   "opaque": np.float32(0.5), "big": 10 ** 30}
         out = tmp_path / "out.csv"
-        meta_path = ris.cli._write_outputs(config, ["x"], [(1.0,), (2.0,)], extras, str(out),
-                                           0.25, 3)
+        meta_path = ris.cli._write_outputs(config, ["x"], np.array([[1.0], [2.0]]), (), extras,
+                                           str(out), 0.25, 3)
         text = (tmp_path / "out.meta.json").read_text()
         assert meta_path == str(tmp_path / "out.meta.json")
+        assert out.read_text() == "x\n1\n2\n"
         # what an indent=2 rendering of the same object parses to
         meta = {"config": config.echo, "version": ris.__version__, "wall_time_seconds": 0.25,
                 "jobs": 3, "rows": 2, **extras}
@@ -896,41 +952,56 @@ class TestSidecar:
 
 
 class TestCsvBody:
-    """A CSV table is formatted in one call, with the text of format(float(x), ".17g") per cell."""
+    """A float table is formatted in one call, with the text of format(float(x), ".17g") per
+    cell, after a leading label column if the table has one."""
 
     VALUES = [0.0, -0.0, 1, -3, 10 ** 20, 2 ** 53 + 1, True, 5e-324, 1.7976931348623157e308,
               0.1, 1 / 3, -2.5e-17, np.float64(-0.0), np.float64(0.6334493644798731),
               np.int64(7), np.float64(1e300)]
 
+    @staticmethod
+    def oracle(rows, labels=()):
+        """One format(float(x), ".17g") per cell, after the row's label if there are labels."""
+        return "".join(",".join([*labels[i:i + 1], *(format(float(x), ".17g") for x in row)])
+                       + "\n" for i, row in enumerate(rows))
+
     def test_same_text_as_one_format_per_cell(self):
         rng = np.random.default_rng(0)
         draws = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
                                 rng.standard_normal(200)])
-        table = [tuple(self.VALUES), tuple(draws), tuple(map(float, draws)), (3,)]
-        lines = [",".join(format(float(x), ".17g") for x in row) + "\n" for row in table]
-        for row, line in zip(table, lines):
-            assert ris.cli._csv_body([row]) == line
-        assert ris.cli._csv_body(table) == "".join(lines)
-        assert ris.cli._csv_body([]) == ""
+        rows = [self.VALUES, draws[:16], draws[-16:], [3] * 16, list(map(float, draws[16:32]))]
+        for row in rows:
+            assert ris.cli._csv_body(np.array([row], dtype=float)) == self.oracle([row])
+        assert ris.cli._csv_body(np.array(rows, dtype=float)) == self.oracle(rows)
+        assert ris.cli._csv_body(draws.reshape(-1, 1)) == self.oracle(draws.reshape(-1, 1))
+        assert ris.cli._csv_body(draws.reshape(4, -1)) == self.oracle(draws.reshape(4, -1))
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_empty_table_is_empty_text(self, columns):
+        assert ris.cli._csv_body(np.empty((0, columns))) == ""
 
     def test_leading_label_is_written_as_it_is(self):
-        assert ris.cli._csv_body([("rho_00", 0.5, -0.0, 2)]) == "rho_00,0.5,-0,2\n"
-        assert ris.cli._csv_body([["delta0", 1e-17]]) == "delta0,1.0000000000000001e-17\n"
-        # labels that hold an n or a % sign, in a table that mixes rows with and without one
-        table = [("nan_inf", 1.0), (2.0, 3.0), ("100%n", -0.5)]
-        assert ris.cli._csv_body(table) == "nan_inf,1\n2,3\n100%n,-0.5\n"
+        table = np.array([[0.5, -0.0, 2], [1e-17, 1.0, -3.5]])
+        # labels that hold an n or a % sign, as a list or a tuple
+        for labels in (["rho_00", "delta0"], ("nan_inf", "100%n%s")):
+            assert ris.cli._csv_body(table, labels) == self.oracle(table, labels)
+        assert ris.cli._csv_body(table, ["a", "b"]) == ("a,0.5,-0,2\n"
+                                                        "b,1.0000000000000001e-17,1,-3.5\n")
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    @pytest.mark.parametrize("bad, text", [(math.nan, "nan"), (math.inf, "inf"),
+                                           (-math.inf, "-inf"), (np.float64("nan"), "nan")])
     @pytest.mark.parametrize("where", [0, 2])
-    def test_non_finite_value_is_an_error(self, bad, where):
-        row = [1.0, 2.0, 3.0]
-        row[where] = bad
-        with pytest.raises(ValueError, match="non-finite value"):
-            ris.cli._csv_body([tuple(row)])
-        with pytest.raises(ValueError, match="non-finite value"):
-            ris.cli._csv_body([("label", *row)])
-        with pytest.raises(ValueError, match="non-finite value"):
-            ris.cli._csv_body([("n", 1.0), ("nn", *row), (4.0, 5.0)])
+    @pytest.mark.parametrize("labels", [(), ("n", "nn")])
+    def test_non_finite_value_is_an_error(self, bad, text, where, labels):
+        table = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        table[-1, where] = bad
+        with pytest.raises(ValueError, match=f"^non-finite value {text} in results$"):
+            ris.cli._csv_body(table, labels)
+
+    def test_first_non_finite_value_is_named(self):
+        table = np.array([[1.0, 2.0, -math.inf], [math.nan, 5.0, math.inf]])
+        with pytest.raises(ValueError, match="value -inf in"):
+            ris.cli._csv_body(table)
 
 
 class TestPoolSize:

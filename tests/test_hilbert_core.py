@@ -13,6 +13,7 @@ from ris.dynamics import (
     system_free_evolution,
 )
 from ris.linops import (
+    Superoperator,
     commutator_superop,
     matrix_exp,
     spectral_decompose,
@@ -150,3 +151,17 @@ def test_density_from_zero_projection_matches_dual_null_vector(model, generator)
     rho = effective_asymptotic_state(gen)
     oracle = density_from_dual_fixed_point(gen.generator, point=0.0)
     assert max_abs(rho - oracle) <= 1e-10
+
+
+@PROPERTY
+@given(models, st.sampled_from([effective_generator_weak_coupling,
+                                lambda model, tau: effective_generator_fast_repetition(model)]))
+def test_generators_have_lindblad_form(model, generator):
+    # unital, and conditionally completely positive: the Choi matrix is PSD on the
+    # complement of the maximally entangled vector, whose projector the identity map gives
+    gen = generator(model, 1.0).generator
+    n = model.n_s
+    assert max_abs(gen.apply(np.eye(n))) <= 1e-12
+    off = np.eye(n * n) - choi_matrix(Superoperator(np.eye(n * n))) / n
+    projected = off @ choi_matrix(gen) @ off
+    assert np.linalg.eigvalsh(0.5 * (projected + projected.conj().T)).min() >= -1e-12

@@ -386,6 +386,26 @@ class TestGridEvaluator:
             call()
         assert str(err.value).startswith(f"{name} = {param!r}: ")
 
+    # the spin model has n_S^4 = 16: 2^20 steps fill the guard, 10^9 would take 8 GB per stack
+    @pytest.mark.parametrize("s_steps", [2 ** 20 + 1, 10 ** 9])
+    @pytest.mark.parametrize("converge", [converge_lambda, converge_lambda_interpolated,
+                                          converge_tau])
+    def test_grid_cost_guard_refuses_before_any_work(self, monkeypatch, converge, s_steps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the s grid was formed")
+
+        model = build_spin_model(spin_base())
+        args = ([(0.3, 0.2)],) if converge is converge_tau else (1.0, [0.3])
+        monkeypatch.setattr(ris.vanhove, "_powers", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(ValueError, match="cost guard") as err:
+            converge(model, *args, 5.0, s_steps)
+        assert str(err.value) == (f"s_steps * n_S^4 = {s_steps} * 2^4 = {16 * s_steps} grid "
+                                  f"entries exceed the cost guard ({2 ** 24})")
+        # at the guard itself the grid is formed
+        with pytest.raises(AssertionError, match="the s grid was formed"):
+            converge(model, *args, 5.0, 2 ** 20)
+
     def test_zero_coupling_is_the_free_flow(self):
         # lambda = 0: every time is 0, T^0 = I, and the error is ||I - e^{s gen}||
         model = self.MODELS["random-diagonal-hs"]()
