@@ -3,7 +3,6 @@
 from .linops import (
     BranchCutCollisionError,
     Superoperator,
-    commutator_superop,
     kron,
     largest_gap_bisector,
     matrix_exp,
@@ -15,9 +14,9 @@ from .dynamics import (
     NoAsymptoticStateError,
     RISModel,
     check_H1,
+    dyson_check,
     dyson_term,
     dyson_term_quadrature,
-    dyson_terms,
     dyson_truncation_bound,
     gibbs_state,
     interaction_dynamics,

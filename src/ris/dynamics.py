@@ -9,8 +9,8 @@ K_ab = <a|U|b>_E and rho_E = sum_a p_a |a><a|, and the Dyson terms come
 from the Taylor stack of U in lambda; the reduced map forms U in the chain
 frame q (x) W of h_S and h_E and contracts its one Kraus row stack with its
 own conjugate.  The Dyson quadrature, the oracle of dyson-check, integrates
-the terms W_j of W(t) = U(t) e^{-itH_0} on C^n by nested Gauss-Legendre and
-forms the Dyson term by the Leibniz sum of the Taylor-stack terms.
+the terms W_j of W(t) = U(t) e^{-itH_0} on C^n by nested Gauss-Legendre, and
+:func:`dyson_check` takes norms of Kronecker sums of these n-sided terms.
 
 Maps on M_S are computed in the Bohr frame |q_k><q_l| of h_S = q diag(w) q^†,
 where alpha_S^t is the diagonal e^{it(w_k - w_l)}; :func:`_computational`
@@ -30,15 +30,17 @@ from .linops import (
     kron,
     matrix_exp,
     require_hermitian,
+    superop_norm,
 )
 
 #: cost guards: the most interaction steps of :func:`_steps`, the highest order of
-#: :func:`dyson_terms`, the most nodes**k integrand evaluations and the most nodes of
-#: :func:`dyson_term_quadrature`, and the most s_steps * n_S^4 entries of one stack of
-#: maps on the s grid of a convergence experiment (256 MiB of complex128 each)
+#: :func:`_taylor_stack`, the most nodes**k integrand evaluations and the most nodes of a
+#: Dyson quadrature, and the most s_steps * n_S^4 entries of one stack of maps on the s grid
+#: of a convergence experiment (256 MiB of complex128 each); and the largest lambda t ||[v,.]||
+#: of a Dyson series, whose bound, about e^x, overflows a float past x = 709
 MAX_STEPS, MAX_DYSON_ORDER = 10 ** 12, 8
 MAX_QUADRATURE_EVALUATIONS, MAX_QUADRATURE_NODES = 2_000_000, 256
-MAX_GRID_ENTRIES = 2 ** 24
+MAX_GRID_ENTRIES, MAX_SERIES_EXPONENT = 2 ** 24, 700.0
 
 
 class NoAsymptoticStateError(ValueError):
@@ -133,6 +135,12 @@ class RISModel:
         return kron(self.h_s, np.eye(self.n_e)) + kron(np.eye(self.n_s), self.h_e)
 
     @cached_property
+    def commutator_norm(self) -> float:
+        """||[v,.]||: [v,.] is normal, with the eigenvalues v_i - v_j of the v_i of v."""
+        levels = np.linalg.eigvalsh(self.v)
+        return float(levels[-1] - levels[0])
+
+    @cached_property
     def chain_state(self) -> ChainState:
         return gibbs_state(self.h_e, self.beta)
 
@@ -213,6 +221,8 @@ def _taylor_stack(model: RISModel, order: int, t: float) -> list:
 
     The first block row of exp(it B), B the (order+1)-block upper-bidiagonal matrix
     with H_0 on the diagonal and v above it (Van Loan, IEEE TAC 1978)."""
+    if order > MAX_DYSON_ORDER:
+        raise ValueError(f"Dyson order {order} exceeds the cost guard ({MAX_DYSON_ORDER})")
     m = order + 1
     block = kron(np.eye(m), model.free_hamiltonian) + kron(np.eye(m, k=1), model.v)
     return np.split(matrix_exp(1j * t * block)[:model.dim], m, axis=1)
@@ -325,18 +335,27 @@ def _repeated(model: RISModel, lam: float, tau: float, n, t1) -> np.ndarray:
     return maps
 
 
-def dyson_terms(model: RISModel, order: int, t: float) -> list:
-    """Dyson terms 1..order of :func:`dyson_term` at time t, term k at index k - 1.
+def check_grid(s_steps: int, n_s: int) -> None:
+    """The cost guard of an s grid: s_steps * n_S^4 entries per stack of maps."""
+    if s_steps * n_s ** 4 > MAX_GRID_ENTRIES:
+        raise ValueError(f"s_steps * n_S^4 = {s_steps} * {n_s}^4 = {s_steps * n_s ** 4} grid "
+                         f"entries exceed the cost guard ({MAX_GRID_ENTRIES})")
 
-    All from one Taylor stack of the given order: one (order+1)n-sided expm.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order > MAX_DYSON_ORDER:
-        raise ValueError(f"k > {MAX_DYSON_ORDER} refused (cost guard)")
-    us = _taylor_stack(model, order, t)
-    ws = [u @ us[0].conj().T for u in us]
-    return [Superoperator(_dyson_sum(ws, k)) for k in range(1, order + 1)]
+
+def check_quadrature(k: int, nodes: int) -> None:
+    """The cost guards of a quadrature of the Dyson terms up to k (none for k = 0)."""
+    if k >= 1 and nodes > MAX_QUADRATURE_NODES:
+        raise ValueError(f"{nodes} quadrature nodes exceed the cost guard ({MAX_QUADRATURE_NODES})")
+    if nodes ** k > MAX_QUADRATURE_EVALUATIONS:
+        raise ValueError(f"{nodes}^{k} quadrature evaluations exceed the cost guard "
+                         f"({MAX_QUADRATURE_EVALUATIONS:.0e})")
+
+
+def check_series_exponent(x: float) -> None:
+    """Refuse x = lambda t ||[v,.]|| past MAX_SERIES_EXPONENT, or nan: e^x nears overflow."""
+    if not x <= MAX_SERIES_EXPONENT:
+        raise ValueError(f"lambda t ||[v,.]|| = {x:.6g} exceeds {MAX_SERIES_EXPONENT:g}: "
+                         "the bound of the series overflows")
 
 
 def _dyson_sum(ws, k: int) -> np.ndarray:
@@ -349,12 +368,14 @@ def dyson_term(model: RISModel, k: int, t: float) -> Superoperator:
 
     The iterated integral over 0 <= t_1 <= ... <= t_k <= t of alpha^{t_1}[v,.]alpha^{-t_1}
     ... alpha^{t_k}[v,.]alpha^{-t_k}, so phi_SE^t = sum_k (i lambda)^k dyson_term(k) ∘ alpha_SE^t.
-    From the Taylor stack (:func:`_taylor_stack`) it is i^{-k} sum_{j<=k} kron(U_j, conj U_{k-j})
-    ∘ kron(U_0^†, U_0^T) (alpha_SE^{-t}) = i^{-k} sum_j kron(W_j, conj W_{k-j}), W_j = U_j U_0^†.
+    From the Taylor stack (:func:`_taylor_stack`), one (k+1)n-sided expm, it is
+    i^{-k} sum_{j<=k} kron(U_j, conj U_{k-j}) ∘ kron(U_0^†, U_0^T) (alpha_SE^{-t})
+    = i^{-k} sum_j kron(W_j, conj W_{k-j}), W_j = U_j U_0^†.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return dyson_terms(model, k, t)[-1]
+    us = _taylor_stack(model, k, t)
+    return Superoperator(_dyson_sum([u @ us[0].conj().T for u in us], k))
 
 
 #: node count -> read-only Gauss-Legendre (nodes, weights) on [-1, 1]; a plain dict,
@@ -373,11 +394,16 @@ def _gauss_legendre(nodes: int):
 
 
 def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) -> Superoperator:
-    """Independent evaluation of :func:`dyson_term` by nested Gauss-Legendre on C^n.
+    """Independent evaluation of :func:`dyson_term`, the Leibniz sum (:func:`_dyson_sum`) of
+    :func:`_quadrature_terms`."""
+    return Superoperator(_dyson_sum(_quadrature_terms(model, k, t, nodes), k))
+
+
+def _quadrature_terms(model: RISModel, k: int, t: float, nodes: int) -> list:
+    """[I, W_1(t), ..., W_k(t)] on C^n by nested Gauss-Legendre on ``nodes`` nodes.
 
     W(t) = U(t) e^{-itH_0} solves dW/dt = i lambda W v~(t), v~(u) = e^{iuH_0} v e^{-iuH_0}, so
-    its terms in lambda are W_j(t) = i int_0^t W_{j-1}(u) v~(u) du, W_0 = I, and the k-th Dyson
-    term is their Leibniz sum (:func:`_dyson_sum`), the one n^2-sided step.  In the eigenframe
+    its terms in lambda are W_j(t) = i int_0^t W_{j-1}(u) v~(u) du, W_0 = I.  In the eigenframe
     (w, q) = eigh(H_0), where W_j is q^† W_j q, v~(u) = v~ ∘ (phi phi^H) with v~ = q^† v q and
     phi = e^{iuw}, and M(r) = v~ ∘ sum_l c_l phi_l phi_l^H over the nodes s_l and weights c_l on
     [0, r] is the innermost integral up to r.  Over the N = ``nodes`` nodes r_j and weights c_j
@@ -388,10 +414,7 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if nodes ** k > MAX_QUADRATURE_EVALUATIONS:
-        raise ValueError(f"nested quadrature with {nodes}^{k} evaluations refused (cost guard)")
-    if nodes > MAX_QUADRATURE_NODES:
-        raise ValueError(f"{nodes} quadrature nodes refused (cost guard)")
+    check_quadrature(k, nodes)
     w, q = np.linalg.eigh(model.free_hamiltonian)
     vt = q.conj().T @ model.v @ q
     x, wq = _gauss_legendre(nodes)
@@ -428,7 +451,42 @@ def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) ->
         return 1j * (inner @ picture(r, c)).sum(axis=0)
 
     ws = [*low(min(k, 3), t), *(high(j, t) for j in range(4, k + 1))]
-    return Superoperator(_dyson_sum([np.eye(len(w)), *(q @ wj @ q.conj().T for wj in ws)], k))
+    return [np.eye(len(w)), *(q @ wj @ q.conj().T for wj in ws)]
+
+
+def dyson_check(model: RISModel, orders, times, nodes: int = 32) -> np.ndarray:
+    """Rows (order, lambda, t, truncation_error, bound, blockexp_vs_quadrature) of the series
+    phi_SE^t = sum_k (i lambda)^k D_k ∘ alpha_SE^t at lambda = 1: per t, one per order.
+
+    Per t, U = e^{it(H_0 + v)} and U_0 come from an eigh each, and U_1 ... U_top from one
+    Taylor stack, top = max(orders) - 1.  As i^k D_k ∘ alpha_SE^t = sum_j kron(U_j, conj U_{k-j}),
+    an order's error is ||kron(U, conj U) - sum_{j+l<order} kron(U_j, conj U_l)||, 0 at v = 0.
+    Term k <= min(3, top) has the gap ||D_k - D^q_k||, both of :func:`_dyson_sum`, from
+    W_j = U_j U_0^† of the stack and one :func:`_quadrature_terms` call; a row takes the
+    largest gap below its order.  The error has a rounding floor, 5e-16 - 7e-15 at n = 4 - 32,
+    where the bound tends to 0, so a verdict reads err <= bound + eps n^2, n = model.dim.
+    """
+    top, a1 = max(orders) - 1, model.commutator_norm
+    if min(orders) < 1:
+        raise ValueError("orders must be >= 1")
+    check_quadrature(min(3, top), nodes)
+    check_series_exponent(max(times) * a1)
+    rows = []
+    for t in times:
+        us = _taylor_stack(model, top, t)
+        u, u0 = (_unitary(model, lam, t) for lam in (1.0, 0.0))
+        rest, errors, terms = kron(u, u.conj()), {}, [u0, *us[1:]]
+        for k in range(top + 1):
+            rest -= 1j ** k * _dyson_sum(terms, k)
+            if k + 1 in orders:
+                errors[k + 1] = superop_norm(rest)
+        ws = [u_j @ us[0].conj().T for u_j in us]
+        wq = _quadrature_terms(model, min(3, top), t, nodes) if top else []
+        gaps = [superop_norm(_dyson_sum(ws, k) - _dyson_sum(wq, k))
+                for k in range(1, min(3, top) + 1)]
+        rows += [(order, 1.0, t, errors[order], dyson_truncation_bound(order, 1.0, t, a1),
+                  max(gaps[:order - 1], default=0.0)) for order in orders]
+    return np.array(rows)
 
 
 def dyson_truncation_bound(n: int, eps: float, t: float, a1_norm: float) -> float:
@@ -441,6 +499,7 @@ def dyson_truncation_bound(n: int, eps: float, t: float, a1_norm: float) -> floa
     if min(eps, t, a1_norm) < 0:
         raise ValueError("eps, t, a1_norm must be nonnegative")
     x = eps * t * a1_norm
+    check_series_exponent(x)
     if x == 0.0:
         return 0.0
     term = x ** n / math.factorial(n)

@@ -47,11 +47,6 @@ class NotHermitianError(ValueError):
         self.name = name
 
 
-def vec(x: np.ndarray) -> np.ndarray:
-    """Row-major vectorization of a square matrix."""
-    return np.asarray(x).reshape(-1)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices; dimensions multiply.
 
@@ -147,19 +142,8 @@ class Superoperator:
         sw = np.arange(self.dim ** 2).reshape(self.dim, self.dim).T.reshape(-1)  # x -> x^T
         return Superoperator(self.matrix.T[np.ix_(sw, sw)])
 
-    def norm(self) -> float:
-        return superop_norm(self)
-
     def __repr__(self):
         return f"Superoperator(dim={self.dim})"
-
-
-def commutator_superop(v: np.ndarray) -> Superoperator:
-    """The map x -> [v, x] = v x - x v."""
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    eye = np.eye(n)
-    return Superoperator(kron(v, eye) - kron(eye, v.T))
 
 
 def superop_norm(s: Superoperator | np.ndarray):

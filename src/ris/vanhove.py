@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    MAX_GRID_ENTRIES,
     RISModel,
     _chain,
     _computational,
@@ -45,6 +44,7 @@ from .dynamics import (
     _repeated,
     _steps,
     _taylor_stack,
+    check_grid,
 )
 from .linops import Superoperator, largest_gap_bisector, matrix_exp, superop_norm
 
@@ -167,17 +167,14 @@ def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps
     * weak coupling interpolated: t = s / lambda^2;
     * fast repetition: t = s / (lambda^2 tau).
 
-    Its cost guard refuses s_steps * n_S^4 > MAX_GRID_ENTRIES before any work: the call holds
-    a few stacks of that many entries.  First :func:`_steps` splits the times of every case,
-    and its cost guard, which an inf or 0/0 time fails, then names the parameter.  Then each
-    case is a few calls on stacks of s_steps maps in the Bohr frame: :func:`_repeated`,
-    alpha_S^{-t} and the flows applied in place, and one stacked spectral norm; a
-    parameter's sup is its largest error.
+    Its cost guard, :func:`check_grid`, refuses s_steps * n_S^4 > MAX_GRID_ENTRIES before any
+    work: the call holds a few stacks of that many entries.  First :func:`_steps` splits the
+    times of every case, and its cost guard, which an inf or 0/0 time fails, then names the
+    parameter.  Then each case is a few calls on stacks of s_steps maps in the Bohr frame:
+    :func:`_repeated`, alpha_S^{-t} and the flows applied in place, and one stacked spectral
+    norm; a parameter's sup is its largest error.
     """
-    entries = s_steps * model.n_s ** 4
-    if entries > MAX_GRID_ENTRIES:
-        raise ValueError(f"s_steps * n_S^4 = {s_steps} * {model.n_s}^4 = {entries} grid entries "
-                         f"exceed the cost guard ({MAX_GRID_ENTRIES})")
+    check_grid(s_steps, model.n_s)
     s_grid = np.linspace(0.0, s_max, s_steps)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         times = [time_of(s_grid, lam, tau) for _, lam, tau in cases]

@@ -7,10 +7,12 @@ the tests compare the production maps against these.  The fixed state of
 a map or generator, as an eigenvector of its trace dual, is the oracle
 for the densities ``ris.asymptotic`` reads off eigenprojections.  The
 Dyson terms as one superoperator block exponential are the oracle for the
-Taylor-stack terms of ``ris.dynamics``.  The same quadrature rule in the
-computational basis, the terms W_j of W(t) = U(t) e^{-itH_0} integrated on
-the same nodes with the interaction picture from expm per node, the third
-level split at its middle time and the same Leibniz sum, pins
+Taylor-stack terms of ``ris.dynamics``, and the rows of ``dyson_check``
+from n^2-sided flows, products and partial sums are the oracle for its
+n-sided route.  The same quadrature rule in the computational basis, the
+terms W_j of W(t) = U(t) e^{-itH_0} integrated on the same nodes with the
+interaction picture from expm per node, the third level split at its
+middle time and the same Leibniz sum, pins
 ``dyson_term_quadrature``, which runs that rule in the eigenframe of H_0.
 The third level as a loop over the outer nodes of the second-level
 quadrature times one commutator superoperator per node is a second rule,
@@ -18,8 +20,9 @@ whose cross terms differ at finite nodes; at 32 nodes both are exact to
 rounding.  The Schur route to the van Hove averages (the branch
 logarithm A0 of alpha_S^tau, its clustered spectral projections and the
 sum of P B P over them) and their defining Cesaro time average are the
-oracles for the Bohr-frame masks of ``ris.vanhove``.  The superoperator constructors, the
-Choi matrix and the peripheral spectrum at the end are test helpers.
+oracles for the Bohr-frame masks of ``ris.vanhove``.  The superoperator
+constructors (``vec`` and ``commutator_superop`` at the top), the Choi
+matrix and the peripheral spectrum at the end are test helpers.
 Every exponential here is ``scipy.linalg.expm``, never the package's own
 ``matrix_exp``, so no oracle shares its kernel with the code it checks.
 """
@@ -28,17 +31,36 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from ris.dynamics import ChainState, RISModel, dyson_term_quadrature, system_free_evolution
+from ris.dynamics import (
+    ChainState,
+    RISModel,
+    dyson_term,
+    dyson_term_quadrature,
+    dyson_truncation_bound,
+    interaction_dynamics,
+    system_free_evolution,
+)
 from ris.linops import (
     SpectralDecomposition,
     Superoperator,
-    commutator_superop,
     kron,
     largest_gap_bisector,
     matrix_log_unitary,
     require_hermitian,
-    vec,
+    superop_norm,
 )
+
+
+def vec(x: np.ndarray) -> np.ndarray:
+    """Row-major vectorization of a square matrix."""
+    return np.asarray(x).reshape(-1)
+
+
+def commutator_superop(v: np.ndarray) -> Superoperator:
+    """The map x -> [v, x] = v x - x v."""
+    v = np.asarray(v, dtype=complex)
+    eye = np.eye(v.shape[0])
+    return Superoperator(kron(v, eye) - kron(eye, v.T))
 
 
 def full_generator(model: RISModel, lam: float) -> Superoperator:
@@ -186,6 +208,30 @@ def dyson_term_loop_quadrature(model: RISModel, t: float, nodes: int) -> Superop
         picture = commutator_superop(flow @ model.v @ flow.conj().T).matrix
         acc += (0.5 * t * wi) * (dyson_term_quadrature(model, 2, u, nodes).matrix @ picture)
     return Superoperator(acc)
+
+
+def dyson_check_superoperator(model: RISModel, orders, times, nodes: int) -> np.ndarray:
+    """The rows of ``dyson_check`` from n^2-sided superoperators.
+
+    phi^t and the free flow alpha^t from ``interaction_dynamics`` at lambda = 1 and 0, the
+    partial sums alpha^t + sum_{k<order} i^k D_k alpha^t of the products of n^2-sided
+    matrices, with D_k = ``dyson_term``, each gap against ``dyson_term_quadrature`` at k, and
+    ||[v,.]|| as the largest singular value of ``commutator_superop(v)``.
+    """
+    a1 = superop_norm(commutator_superop(model.v))
+    top, rows = max(orders) - 1, []
+    for t in times:
+        free, exact = (interaction_dynamics(model, lam, t).matrix for lam in (0.0, 1.0))
+        terms = [dyson_term(model, k, t).matrix for k in range(1, top + 1)]
+        gaps = [superop_norm(d - dyson_term_quadrature(model, k, t, nodes).matrix)
+                for k, d in enumerate(terms[:3], start=1)]
+        for order in orders:
+            total = free + sum(1j ** k * (d @ free)
+                               for k, d in enumerate(terms[:order - 1], start=1))
+            rows.append((order, 1.0, t, superop_norm(exact - total),
+                         dyson_truncation_bound(order, 1.0, t, a1),
+                         max(gaps[:order - 1], default=0.0)))
+    return np.array(rows)
 
 
 def spectral_average(b: Superoperator, basis: SpectralDecomposition) -> Superoperator:

@@ -24,7 +24,6 @@ from ris.dynamics import (
 )
 from ris.linops import (
     Superoperator,
-    commutator_superop,
     matrix_exp,
     spectral_decompose,
     superop_norm,
@@ -43,6 +42,7 @@ from conftest import cli_trace_distances, random_two_level_model, spin_base
 from oracles import (
     cesaro_average,
     choi_matrix,
+    commutator_superop,
     full_generator,
     log_generator_A0,
     spectral_average,

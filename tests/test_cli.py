@@ -11,10 +11,12 @@ import ris.dynamics
 import ris.linops
 import ris.vanhove
 from ris.cli import ConfigError, main, parse_config, run
-from ris.linops import commutator_superop, superop_norm
+from ris.dynamics import RISModel
+from ris.linops import superop_norm
 from ris.spin import fast_repetition_deltas
 
 from conftest import random_model, random_unitary
+from oracles import commutator_superop
 
 SPIN_MODEL = {"spin": {"S": 1, "E": 2, "beta": 1, "b": [1, 0], "c": [1, 0], "tau": 1}}
 
@@ -111,6 +113,12 @@ BAD_VALUES = [  # (field, value, JSON path of the error)
     ("quadrature_order", 200, "$.quadrature_order"),
     ("dyson_times", [0.5, True], "$.dyson_times[1]"),
     ("dyson_times", [-0.5], "$.dyson_times[0]"),
+    # t ||[v,.]|| past 700: the series bound, about e^(t ||[v,.]||), overflows a float
+    ("dyson_times", [0.5, 1e3], "$.dyson_times[1]"),
+    ("dyson_times", [1e6], "$.dyson_times[0]"),
+    ("dyson_times", [1e12, 0.5], "$.dyson_times[0]"),
+    ("dyson_times", [1e30], "$.dyson_times[0]"),
+    ("dyson_times", [1e300], "$.dyson_times[0]"),
     ("t_samples", "0", "$.t_samples"),
     ("tolerances", {"orcale": 1.0}, "$.tolerances.orcale"),
     ("tolerances", {"cluster": 1e-8}, "$.tolerances.cluster"),
@@ -647,6 +655,22 @@ class TestRun:
             cells = line.split(",")
             assert float(cells[3]) <= float(cells[4])
 
+    def test_dyson_check_verdict_allows_rounding(self, tmp_path, monkeypatch):
+        # as t -> 0 the bound of order 9 is nearly tight and below 1e-14: the rounding floor
+        # of the error, a few eps n^2, decides err <= bound alone
+        doc = {"model": SPIN_MODEL, "experiment": "dyson-check", "dyson_orders": [9],
+               "dyson_times": [0.05]}
+        out = tmp_path / "dyson.csv"
+        assert run(parse_config(json.dumps(doc)), out_path=str(out)) == 0
+        (row,) = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert float(row[4]) < 1e-14
+        # a bound that fails by more than rounding still fails the run
+        bound = ris.dynamics.dyson_truncation_bound
+        monkeypatch.setattr(ris.dynamics, "dyson_truncation_bound",
+                            lambda *args: 0.5 * bound(*args))
+        doc = {"model": SPIN_MODEL, "experiment": "dyson-check"}
+        assert run(parse_config(json.dumps(doc)), out_path=str(out)) == 2
+
     def test_dyson_check_needs_no_tau(self, tmp_path):
         # dyson-check reads its times from dyson_times, never tau
         doc = {"model": {"inline": INLINE}, "experiment": "dyson-check",
@@ -823,7 +847,7 @@ def _encode(m):
 
 
 class TestDysonCheckCost:
-    """dyson-check exponentiates only (k+1)n-sided Taylor stacks and runs each quadrature once."""
+    """dyson-check exponentiates one (k+1)n-sided Taylor stack and runs one quadrature per t."""
 
     @pytest.mark.parametrize("which", ["spin", "random-dim8"])
     def test_expm_sides_and_quadrature_calls(self, tmp_path, monkeypatch, which):
@@ -836,7 +860,7 @@ class TestDysonCheckCost:
         config = parse_config(json.dumps({"model": model, "experiment": "dyson-check",
                                           "quadrature_order": 6}))
         sides, quadratures = [], []
-        expm, quadrature = ris.linops._pade_expm, ris.cli.dyson_term_quadrature
+        expm, quadrature = ris.linops._pade_expm, ris.dynamics._quadrature_terms
 
         def counting_expm(a):
             sides.append(a.shape[0])
@@ -846,13 +870,18 @@ class TestDysonCheckCost:
             quadratures.append((k, t))
             return quadrature(model, k, t, *args, **kwargs)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("a superoperator route was taken")
+
         monkeypatch.setattr(ris.linops, "_pade_expm", counting_expm)
-        monkeypatch.setattr(ris.cli, "dyson_term_quadrature", counting_quadrature)
+        monkeypatch.setattr(ris.dynamics, "_quadrature_terms", counting_quadrature)
+        for name in ("interaction_dynamics", "dyson_term", "dyson_term_quadrature"):
+            monkeypatch.setattr(ris.dynamics, name, refuse)
         assert run(config, out_path=str(tmp_path / "dyson.csv")) == 0
-        assert 0 < max(sides) <= max(config.dyson_orders) * config.model.dim
-        assert sorted(quadratures) == [(k, t) for k in (1, 2, 3) for t in config.dyson_times]
-        # every term of one t comes from one Taylor stack
+        assert max(sides) == max(config.dyson_orders) * config.model.dim
+        # every term of one t comes from one Taylor stack, and W^q_1..W^q_3 from one quadrature
         assert len(sides) == len(config.dyson_times)
+        assert quadratures == [(3, t) for t in config.dyson_times]
 
     @staticmethod
     def _dim16_gaps(tmp_path, monkeypatch, **fields):
@@ -1047,10 +1076,10 @@ class TestPoolSize:
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]),
        st.sampled_from([1e-3, 1.0, 1e3]))
 def test_commutator_norm_is_eigenvalue_spread(seed, n_s, n_e, scale):
-    v = scale * random_model(np.random.default_rng(seed), n_s, n_e).v
-    levels = np.linalg.eigvalsh(v)
-    gap = abs(superop_norm(commutator_superop(v)) - (levels[-1] - levels[0]))
-    assert gap <= 1e-12 * np.linalg.norm(v, 2)
+    m = random_model(np.random.default_rng(seed), n_s, n_e)
+    model = RISModel(h_s=m.h_s, h_e=m.h_e, v=scale * m.v, beta=m.beta)
+    gap = abs(superop_norm(commutator_superop(model.v)) - model.commutator_norm)
+    assert gap <= 1e-12 * np.linalg.norm(model.v, 2)
 
 
 #: spin models at the edges of the closed forms and of the pipeline's verdict

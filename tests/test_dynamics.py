@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ris.dynamics
 from ris.dynamics import (
     MAX_QUADRATURE_EVALUATIONS,
     MAX_QUADRATURE_NODES,
+    MAX_SERIES_EXPONENT,
     MAX_STEPS,
     ChainState,
     RISModel,
@@ -18,9 +20,10 @@ from ris.dynamics import (
     _steps,
     _unital,
     check_H1,
+    check_series_exponent,
+    dyson_check,
     dyson_term,
     dyson_term_quadrature,
-    dyson_terms,
     dyson_truncation_bound,
     gibbs_state,
     interaction_dynamics,
@@ -30,7 +33,6 @@ from ris.dynamics import (
 )
 from ris.linops import (
     Superoperator,
-    commutator_superop,
     kron,
     matrix_exp,
     superop_norm,
@@ -40,8 +42,10 @@ from ris.spin import build_spin_model
 from conftest import random_hermitian, random_model, random_two_level_model, spin_base, u
 from oracles import (
     choi_matrix,
+    commutator_superop,
     conditional_expectation,
     derivation_superop,
+    dyson_check_superoperator,
     dyson_term_loop_quadrature,
     dyson_term_product_quadrature,
     full_generator,
@@ -425,10 +429,11 @@ class TestDysonTerms:
 
     @pytest.mark.parametrize("which", list(QUADRATURE_MODELS))
     @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
-    def test_quadrature_matches_dyson_terms(self, which, t):
+    def test_quadrature_matches_dyson_term(self, which, t):
         # at the default 32 nodes every level of the rule is exact to rounding
         model = QUADRATURE_MODELS[which]()
-        for k, term in enumerate(dyson_terms(model, 3, t), start=1):
+        for k in (1, 2, 3):
+            term = dyson_term(model, k, t)
             gap = superop_norm(dyson_term_quadrature(model, k, t) - term)
             assert gap <= 1e-14 * superop_norm(term), k
 
@@ -482,9 +487,64 @@ class TestDysonTerms:
         assert err <= dyson_truncation_bound(5, lam, t, a1)
 
 
+class TestDysonCheck:
+    @pytest.mark.parametrize("which", ["spin", "spin-degenerate", "random-dim6", "random-3x2",
+                                       "random-2x4"])
+    def test_rows_match_superoperator_route(self, which):
+        # kron(U, conj U) and the n-sided Kronecker sums against interaction_dynamics and the
+        # products d @ free of the n^2-sided partial sums, orders 1 - 9
+        model = QUADRATURE_MODELS[which]()
+        orders, times = [3, 1, 9, 2, 5, 4, 6, 8, 7], [0.0, 0.05, 0.5, 1.0, 2.0]
+        got = dyson_check(model, orders, times, nodes=12)
+        oracle = dyson_check_superoperator(model, orders, times, nodes=12)
+        assert got.shape == oracle.shape == (len(orders) * len(times), 6)
+        assert np.array_equal(got[:, :3], oracle[:, :3])
+        assert np.all(np.abs(got - oracle) <= 1e-13 * np.abs(oracle) + 1e-15)
+
+    def test_free_flow_alone_is_exact(self, rng):
+        # v = 0: U is the free flow, every term U_j beyond U_0 is 0, and the error is 0 at
+        # any order and t, however far the expm of the Taylor stack rounds
+        model = random_model(rng, 2, 3)
+        model = RISModel(h_s=model.h_s, h_e=model.h_e, v=np.zeros((6, 6)), beta=1.0)
+        rows = dyson_check(model, [1, 2, 4], [0.5, 10.0, 1e3], nodes=4)
+        assert (rows[:, 3:] == 0.0).all()
+
+    def test_guards_come_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check started")
+
+        model = build_spin_model(spin_base())
+        for name in ("matrix_exp", "_unitary"):
+            monkeypatch.setattr(ris.dynamics, name, refuse)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        t_max = MAX_SERIES_EXPONENT / model.commutator_norm
+        for orders, times, nodes, match in [
+                ([2, 10], [0.5], 32, "Dyson order 9 exceeds the cost guard"),
+                ([0, 2], [0.5], 32, "orders must be >= 1"),
+                ([4], [0.5], 200, "200\\^3 quadrature evaluations exceed the cost guard"),
+                ([2], [0.5], MAX_QUADRATURE_NODES + 1, "quadrature nodes exceed the cost guard"),
+                ([2], [0.5, 1.001 * t_max], 32, "exceeds 700"),
+                ([2], [math.nan], 32, "exceeds 700")]:
+            with pytest.raises(ValueError, match=match):
+                dyson_check(model, orders, times, nodes)
+        with pytest.raises(AssertionError, match="the check started"):
+            dyson_check(model, [2], [0.999 * t_max], 32)
+
+
 class TestTruncationBound:
     def test_exponential_tail_closed_form(self):
         assert dyson_truncation_bound(1, 1.0, 1.0, 1.0) == pytest.approx(np.e - 1.0)
+
+    def test_refused_past_the_float_range(self):
+        # e^x overflows a float past x = 709; x ** n did so at x = 1e300 as an OverflowError
+        assert math.isfinite(dyson_truncation_bound(2, 1.0, MAX_SERIES_EXPONENT, 1.0))
+        for eps, t, a1 in [(1.0, 1e300, 2.0), (1.0, 351.0, 2.0), (1e200, 1e200, 1.0),
+                           (1.0, math.inf, 1.0)]:
+            with pytest.raises(ValueError, match="exceeds 700"):
+                dyson_truncation_bound(2, eps, t, a1)
+        for x in (MAX_SERIES_EXPONENT * (1 + 1e-15), math.inf, math.nan):
+            with pytest.raises(ValueError, match="the bound of the series overflows"):
+                check_series_exponent(x)
 
     def test_zero_coupling(self):
         assert dyson_truncation_bound(3, 0.0, 2.0, 5.0) == 0.0

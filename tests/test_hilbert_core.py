@@ -14,7 +14,6 @@ from ris.dynamics import (
 )
 from ris.linops import (
     Superoperator,
-    commutator_superop,
     matrix_exp,
     spectral_decompose,
     superop_norm,
@@ -28,6 +27,7 @@ from ris.vanhove import (
 from conftest import random_model, random_unitary
 from oracles import (
     choi_matrix,
+    commutator_superop,
     density_from_dual_fixed_point,
     derivation_superop,
     dyson_term_block,

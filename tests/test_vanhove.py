@@ -14,7 +14,6 @@ from ris.dynamics import (
 )
 from ris.linops import (
     Superoperator,
-    commutator_superop,
     kron,
     matrix_exp,
     spectral_decompose,
@@ -40,6 +39,7 @@ from conftest import (
 from oracles import (
     _branch_log,
     cesaro_average,
+    commutator_superop,
     derivation_superop,
     log_generator_A0,
     restrict_to_system,
