@@ -16,7 +16,11 @@ on the state path.  The exact maps are in the Bohr frame of h_S
 (:mod:`ris.dynamics`), which leaves verdicts, spectra and norms as they
 are: only the densities returned are converted, to q rho q^†.  The CLI
 ``asymptotic`` experiment compares the exact periodic states with the
-effective limit of either regime (:func:`trace_distance`).
+effective limit of either regime (:func:`trace_distance`).  The ``kato``
+experiment (:func:`kato_structure_check`) reads P(0), the eigenprojection
+of 1 of alpha_S^tau, as the mask of the fixed class F of the Bohr indices,
+so P(0) T'(0) P(0) is the F x F block of R and is zero elsewhere: its Q is
+Q_F + 1 off F, from one f-sided eig, and [Q, P(0)] = 0 by construction.
 """
 from __future__ import annotations
 
@@ -210,8 +214,11 @@ class KatoReport:
     eigenprojection of 0 of P(0) T'(0) P(0), and P(0+) the Richardson
     extrapolation of the eigenprojections P(eps) of 1 of T(eps):
     [Q, P(0)] = 0, P(0)Q idempotent, P(0+) a sub-projection of P(0)Q,
-    and ||P(eps) - P(0+)|| = O(eps).  ``distance_ratios`` are those of consecutive
-    ``distance_rows``, largest eps first.  The two-point extrapolation from the two smallest,
+    and ||P(eps) - P(0+)|| = O(eps).  In the Bohr frame P(0) is the mask of
+    the fixed class F, and P(0) T'(0) P(0) is zero off F x F, so Q = Q_F + 1
+    off F, with Q_F the projection of the F x F block: the commutator is 0 by
+    construction, and ``commutator_norm`` reads 0.0.  ``distance_ratios`` are
+    those of consecutive ``distance_rows``, largest eps first.  The two-point extrapolation from the two smallest,
     eps_1 > eps_2, makes P(eps_1) - P(0+) and P(eps_2) - P(0+) parallel, so the last ratio is
     eps_1/eps_2 by construction, to rounding; only the earlier ratios depend on the model.
     """
@@ -231,37 +238,32 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
         raise ValueError(f"eps_list needs at least two distinct positive values, got {eps_list}")
     eps_desc = eps_list[::-1]
 
-    # P(0), in the Bohr frame the eigenvalue class of index (0, 0): angles 0 mod 2 pi
+    # P(0), in the Bohr frame the mask of F, the eigenvalue class of index (0, 0): angles 0
+    # mod 2 pi; T(eps) = alpha_S^tau + eps R + O(eps^2) at lambda = sqrt(eps): T'(0) is R
     labels, _ = _alpha_classes(model, tau)
-    fixed = labels == labels[0]
-    # T(eps) = alpha_S^tau + eps R + O(eps^2) at lambda = sqrt(eps): T'(0) is R
-    g = np.where(fixed[:, None] & fixed, _second_order_reduction(model, tau), 0.0)
-    eig = np.linalg.eig(g)
+    fixed = np.flatnonzero(labels == labels[0])
+    block = np.ix_(fixed, fixed)
+    r = _second_order_reduction(model, tau)[block]
+    eig = np.linalg.eig(r)
     scale = max(float(np.abs(eig[0]).max()), 1e-30)
-    q = _eigenprojection_near(g, 0.0 + 0.0j, 1e-9 * scale, eig)
+    q_f = _eigenprojection_near(r, 0.0 + 0.0j, 1e-9 * scale, eig)
+    p0q = np.zeros((labels.size,) * 2, dtype=complex)
+    p0q[block] = q_f
 
-    p_eps = {}
-    for eps in eps_desc:
-        t_map = _reduced_map(model, math.sqrt(eps), tau)
-        p_eps[eps] = _eigenprojection_near(t_map, 1.0 + 0.0j, 1e-9)
-
-    # two-point Richardson on the two smallest eps
+    # P(eps), largest eps first; P(0+) by two-point Richardson on the two smallest
+    p = np.stack([_eigenprojection_near(_reduced_map(model, math.sqrt(eps), tau), 1.0 + 0.0j, 1e-9)
+                  for eps in eps_desc])
     e1, e2 = eps_list[1], eps_list[0]
-    p_plus = p_eps[e2] + (p_eps[e2] - p_eps[e1]) * (e2 / (e1 - e2))
+    p_plus = p[-1] + (p[-1] - p[-2]) * (e2 / (e1 - e2))
 
-    p0q = np.where(fixed[:, None], q, 0.0)
-    comm = superop_norm(p0q - np.where(fixed, q, 0.0))
-    idem = superop_norm(p0q @ p0q - p0q)
     sub = max(superop_norm(p0q @ p_plus - p_plus), superop_norm(p_plus @ p0q - p_plus))
-
-    rows = tuple((eps, superop_norm(p_eps[eps] - p_plus)) for eps in eps_desc)
-    ratios = tuple(d1 / d2 if d2 > 0 else math.inf
-                   for (_, d1), (_, d2) in zip(rows, rows[1:]))
-    diffs = tuple(superop_norm(p_eps[a] - p_eps[b]) for a, b in zip(eps_desc, eps_desc[1:]))
+    distances = superop_norm(p - p_plus).tolist()
+    ratios = tuple(d1 / d2 if d2 > 0 else math.inf for d1, d2 in zip(distances, distances[1:]))
+    diffs = superop_norm(p[:-1] - p[1:]).tolist()
     stable = all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:]))
 
     return KatoReport(
-        commutator_norm=comm, idempotency_defect=idem, subprojection_defect=sub,
-        trace_p_plus=float(np.trace(p_plus).real),
-        distance_rows=rows, distance_ratios=ratios,
+        commutator_norm=0.0, idempotency_defect=superop_norm(q_f @ q_f - q_f),
+        subprojection_defect=sub, trace_p_plus=float(np.trace(p_plus).real),
+        distance_rows=tuple(zip(eps_desc, distances)), distance_ratios=ratios,
         extrapolation_stable=stable)

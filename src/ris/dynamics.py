@@ -502,7 +502,10 @@ def dyson_truncation_bound(n: int, eps: float, t: float, a1_norm: float) -> floa
     check_series_exponent(x)
     if x == 0.0:
         return 0.0
-    term = x ** n / math.factorial(n)
+    try:
+        term = x ** n / math.factorial(n)
+    except OverflowError:  # a float x^n or n! beyond double range: the same term by logarithms
+        term = math.exp(n * math.log(x) - math.lgamma(n + 1))
     total = term
     j = n
     while term > 1e-18 * total:

@@ -165,17 +165,17 @@ def matrix_exp(a: Superoperator | np.ndarray):
     Pade scaling and squaring in numpy alone (Al-Mohy and Higham, "A new
     scaling and squaring algorithm for the matrix exponential", SIAM J.
     Matrix Anal. Appl. 31 (2009), Algorithm 5.1 with exact 1-norms): see
-    :func:`_pade_expm`.  ``tests/test_linops.py::TestPadeKernel`` checks it
-    against ``scipy.linalg.expm``, the same algorithm, at a relative 1-norm
-    gap of 1e-12.
+    :func:`_pade_expm`, which also states when an exponent past double
+    precision is refused with a ValueError.
+    ``tests/test_linops.py::TestPadeKernel`` checks it against
+    ``scipy.linalg.expm``, the same algorithm, at a relative 1-norm gap of
+    1e-12.
     """
     if isinstance(a, Superoperator):
         return Superoperator(matrix_exp(a.matrix))
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix_exp: input has non-finite entries")
-    if not a.any():
-        return np.eye(a.shape[0], dtype=complex)
     return _pade_expm(a)
 
 
@@ -202,6 +202,9 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932
 _ELL_SCALE = {m: float(factorial(2 * m) * factorial(2 * m + 1) // factorial(m) ** 2)
               for m in _PADE}
 _UNIT_ROUNDOFF = 2.0 ** -53
+_MAX_SQUARINGS = 53
+# ||A^j||_1 <= ||A||_1^j, so up to this 1-norm A^2 ... A^10 cannot overflow
+_MAX_ONENORM = float(np.finfo(float).max) ** 0.1
 # degree 13 on 2^-s A: the coefficient of A^j scales by 2^-js, and the rows
 # U_in, U_out, V_in, V_out by the 2^-s powers of the A A^6, A, A^6, 1 before them
 _HALVINGS_13 = np.array([[7], [1], [6], [0]]) + np.arange(0, 8, 2)
@@ -235,13 +238,21 @@ def _ell(abs_a: np.ndarray, norm_a: float, m: int) -> int:
 
 
 def _pade_expm(a: np.ndarray) -> np.ndarray:
-    """e^A of a finite, nonzero complex square matrix: the kernel of :func:`matrix_exp`.
+    """e^A of a finite complex square matrix: the kernel of :func:`matrix_exp`.
 
-    A diagonal A gives the exponentials of its entries.  Otherwise, with
-    d_j = ||A^j||_1^(1/j), the first degree m of 3, 5 (eta = max(d_4, d_6))
-    and 7, 9 (eta = max(d_6, d_8)) with eta <= theta_m and ell = 0 gives
-    r_m(A) = (V - U)^-1 (V + U) as it is; failing those, degree 13 on
-    2^-s A, s from min(eta, max(d_8, d_10)) plus ell, squared s times.
+    A diagonal A, the zero matrix among them, gives the exponentials of its
+    entries.  Otherwise, with d_j = ||A^j||_1^(1/j), the first degree m of
+    3, 5 (eta = max(d_4, d_6)) and 7, 9 (eta = max(d_6, d_8)) with
+    eta <= theta_m and ell = 0 gives r_m(A) = (V - U)^-1 (V + U) as it is;
+    failing those, degree 13 on 2^-s A, s from min(eta, max(d_8, d_10))
+    plus ell, squared s times.
+
+    Raises ValueError, naming ||A||_1 and a squaring count, in two cases.
+    Past ||A||_1 = _MAX_ONENORM (max float^(1/10), about 6.7e30) A^2 ... A^10
+    may overflow: refused before those products, with the count
+    ceil(log2(||A||_1 / theta_13)) that the 1-norm asks for.  And s >= 53,
+    refused before the Pade solve: each squaring doubles the relative
+    rounding, so 2^s 2^-53 >= 1 leaves no correct digit.
     """
     n = a.shape[0]
     diag = np.diagonal(a)
@@ -249,6 +260,10 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
         return np.diag(np.exp(diag))
     abs_a = np.abs(a)
     norm_a = _onenorm(abs_a)
+    if norm_a > _MAX_ONENORM:
+        raise ValueError(f"matrix_exp: ||A||_1 = {norm_a:.6g} exceeds {_MAX_ONENORM:.6g}, past "
+                         f"which A^2 ... A^10 may overflow; its 1-norm asks for "
+                         f"{ceil(log2(norm_a / _THETA[13]))} squarings")
     powers = np.empty((5, n, n), dtype=complex)  # I, A^2, A^4, A^6, A^8
     powers[0] = np.eye(n)
     np.matmul(a, a, out=powers[1])
@@ -274,6 +289,9 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
             if eta > _THETA[13]:
                 s = ceil(log2(eta / _THETA[13]))
             s += _ell(abs_a * 2.0 ** -s, norm_a * 2.0 ** -s, 13)
+            if s >= _MAX_SQUARINGS:
+                raise ValueError(f"matrix_exp: ||A||_1 = {norm_a:.6g} needs {s} squarings, and "
+                                 f"2^s 2^-53 >= 1 leaves no correct digit")
     coef = _PADE[m]
     k = coef.shape[1]
     if m < 13:

@@ -20,9 +20,12 @@ whose cross terms differ at finite nodes; at 32 nodes both are exact to
 rounding.  The Schur route to the van Hove averages (the branch
 logarithm A0 of alpha_S^tau, its clustered spectral projections and the
 sum of P B P over them) and their defining Cesaro time average are the
-oracles for the Bohr-frame masks of ``ris.vanhove``.  The superoperator
-constructors (``vec`` and ``commutator_superop`` at the top), the Choi
-matrix and the peripheral spectrum at the end are test helpers.
+oracles for the Bohr-frame masks of ``ris.vanhove``.  Q of the Kato check
+from the full eig of R masked to the fixed class, on every Bohr index, is
+the oracle of the F x F block that ``kato_structure_check`` decomposes.
+The superoperator constructors (``vec`` and ``commutator_superop`` at the
+top), the Choi matrix and the peripheral spectrum at the end are test
+helpers.
 Every exponential here is ``scipy.linalg.expm``, never the package's own
 ``matrix_exp``, so no oracle shares its kernel with the code it checks.
 """
@@ -31,9 +34,11 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from ris.asymptotic import _eigenprojection_near
 from ris.dynamics import (
     ChainState,
     RISModel,
+    _reduced_map,
     dyson_term,
     dyson_term_quadrature,
     dyson_truncation_bound,
@@ -49,6 +54,7 @@ from ris.linops import (
     require_hermitian,
     superop_norm,
 )
+from ris.vanhove import _alpha_classes, _second_order_reduction
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -308,6 +314,31 @@ def log_generator_A0(model: RISModel, tau: float,
     raises with the suggested cut attached.
     """
     return _branch_log(system_free_evolution(model, tau), branch_cut_angle)[0]
+
+
+def kato_dense_route(model: RISModel, tau: float, eps_list) -> tuple:
+    """(P(0)Q, idempotency defect, sub-projection defect, commutator norm) of the Kato check
+    by the dense masked route.
+
+    R masked to F x F on all n_S^2 Bohr indices, with F the class of index (0, 0); Q the
+    eigenprojection of 0 of that masked R from its full eig, and P(0)Q its rows in F.
+    P(0+) is the two-point Richardson extrapolation of the P(eps) of the two smallest eps,
+    as ``kato_structure_check`` takes it.
+    """
+    labels, _ = _alpha_classes(model, tau)
+    fixed = labels == labels[0]
+    g = np.where(fixed[:, None] & fixed, _second_order_reduction(model, tau), 0.0)
+    eig = np.linalg.eig(g)
+    scale = max(float(np.abs(eig[0]).max()), 1e-30)
+    q = _eigenprojection_near(g, 0.0 + 0.0j, 1e-9 * scale, eig)
+    e2, e1 = sorted(float(e) for e in eps_list)[:2]
+    p1, p2 = (_eigenprojection_near(_reduced_map(model, math.sqrt(e), tau), 1.0 + 0.0j, 1e-9)
+              for e in (e1, e2))
+    p_plus = p2 + (p2 - p1) * (e2 / (e1 - e2))
+    p0q = np.where(fixed[:, None], q, 0.0)
+    sub = max(superop_norm(p0q @ p_plus - p_plus), superop_norm(p_plus @ p0q - p_plus))
+    return (p0q, superop_norm(p0q @ p0q - p0q), sub,
+            superop_norm(p0q - np.where(fixed, q, 0.0)))
 
 
 def identity_superop(n: int) -> Superoperator:

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ris.dynamics import NoAsymptoticStateError, RISModel, reduced_map_T, system
 from ris.linops import Superoperator, kron, matrix_exp, spectral_decompose, superop_norm
 from ris.spin import build_spin_model, spin_asymptotic_state
 from ris.vanhove import (
+    _alpha_classes,
     _second_order_reduction,
     effective_generator_fast_repetition,
     effective_generator_weak_coupling,
@@ -30,7 +33,10 @@ from conftest import (
     random_unitary,
     spin_base,
 )
-from oracles import left_right, peripheral_spectrum, zero_superop
+from oracles import kato_dense_route, left_right, peripheral_spectrum, zero_superop
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import random_inline_model  # noqa: E402  (only reads perfbench/)
 
 
 def projection_onto_identity(rho):
@@ -382,15 +388,77 @@ class TestKatoStructure:
         sectors = effective_generator_weak_coupling(model, tau).sectors
         fixed = sectors == sectors[0]
         assert fixed.sum() == 10
-        # kato's P(0) T'(0) P(0) masks R to the class of index (0, 0)
+        # kato's P(0) T'(0) P(0) is the block of R on the class F of index (0, 0)
         r = _second_order_reduction(model, tau)
-        assert np.array_equal(masked[0], np.where(fixed[:, None] & fixed, r, 0.0))
+        assert np.array_equal(masked[0], r[np.ix_(fixed, fixed)])
         # and that class is the eigenprojection of 1 of alpha_S^tau, by Schur
         one = min(spectral_decompose(system_free_evolution(model, tau)).clusters,
                   key=lambda c: abs(c.eigenvalue - 1.0))
         frame = kron(model._system_bohr[1], model._system_bohr[1].conj())
         assert np.abs(frame @ np.diag(fixed.astype(float)) @ frame.conj().T
                       - one.projection.matrix).max() <= 1e-12
+
+    # tau = 2 pi resonates the levels: F holds 4, 5 and 10 of the n_S^2 Bohr indices
+    RESONANT = {2: [0.0, 1.0], 3: [0.0, 0.5, 1.0], 4: [0.0, 0.5, 1.0, 2.0]}
+
+    @pytest.mark.parametrize("resonant", [False, True], ids=["tau1", "tau2pi"])
+    @pytest.mark.parametrize("n_s, n_e", [(2, 3), (3, 2), (4, 2)])
+    def test_block_route_matches_dense_masked_route(self, monkeypatch, rng, n_s, n_e, resonant):
+        model, tau = random_model(rng, n_s, n_e), 1.0
+        if resonant:
+            model = RISModel(h_s=np.diag(self.RESONANT[n_s]), h_e=model.h_e, v=model.v, beta=1.0)
+            tau = 2 * np.pi
+        eps = [0.04, 0.02, 0.01]
+        p0q, idem, sub, comm = kato_dense_route(model, tau, eps)
+        # the Q of the dense route commutes with P(0), so the report's 0.0 is exact
+        assert comm <= 1e-12
+        returned = []
+
+        def recorded(*args):
+            returned.append(_eigenprojection_near(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(ris.asymptotic, "_eigenprojection_near", recorded)
+        report = kato_structure_check(model, tau, eps)
+        # the first projection is Q_F; P(0)Q is Q_F at F x F and zero elsewhere
+        labels, _ = _alpha_classes(model, tau)
+        fixed = labels == labels[0]
+        assert returned[0].shape == (fixed.sum(),) * 2
+        block = np.zeros_like(p0q)
+        block[np.ix_(fixed, fixed)] = returned[0]
+        assert np.abs(block - p0q).max() <= 1e-12
+        assert report.commutator_norm == 0.0
+        assert abs(report.idempotency_defect - idem) <= 1e-12
+        assert abs(report.subprojection_defect - sub) <= 1e-12
+
+    @staticmethod
+    def pool_model(index, n_s, n_e, centred):
+        """Pool member ``index`` of the benchmark's rule.  Centred: v minus
+        (vbar - Tr(vbar)/n_S) (x) I, rescaled to norm 1, with vbar = Tr_E[(I (x) rho_E) v],
+        so that T has no lambda^1 term."""
+        doc = random_inline_model(index, n_s, n_e)["inline"]
+        h_s, h_e, v = (np.array(doc[f])[..., 0] + 1j * np.array(doc[f])[..., 1]
+                       for f in ("h_s", "h_e", "v"))
+        model = RISModel(h_s=h_s, h_e=h_e, v=v, beta=doc["beta"])
+        if centred:
+            vbar = np.einsum("iajb,ba->ij", v.reshape(n_s, n_e, n_s, n_e), model.chain_state.rho)
+            v = v - kron(vbar - np.trace(vbar) / n_s * np.eye(n_s), np.eye(n_e))
+            model = RISModel(h_s=h_s, h_e=h_e, v=v / np.linalg.norm(v, 2), beta=doc["beta"])
+        return model
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("n_s", [2, 4])
+    def test_subprojection_defect_falls_on_centred_models(self, n_s, index):
+        # T'(0) is the lambda^2 term only where T has no lambda^1 term: on centred models the
+        # defect falls like sqrt(eps) (no H1) as the eps grid halves, on models as drawn it does not
+        def halving(centred):
+            model = self.pool_model(index, n_s, 4, centred)
+            coarse, fine = (kato_structure_check(model, 1.0, grid).subprojection_defect
+                            for grid in ([0.04, 0.02, 0.01, 0.005], [0.02, 0.01, 0.005, 0.0025]))
+            return coarse / fine
+
+        assert halving(True) >= 1.3
+        assert halving(False) <= 1.2
 
     def test_requires_positive_eps(self):
         model = build_spin_model(spin_base())
@@ -464,7 +532,8 @@ class TestOneDecompositionPerMap:
         inputs = self.decomposed(monkeypatch)
         eps = [0.04, 0.02, 0.01]
         kato_structure_check(model, 1.0, eps)
-        # P0 T' P0 and one T(eps) per eps, each once; P(0) of alpha_S^tau
-        # is read off the Bohr frame of h_S
+        # P0 T' P0 as its block on F, of side f = n_S = 2, and one T(eps) per eps, each once;
+        # P(0) of alpha_S^tau is read off the Bohr frame of h_S
         assert len(inputs) == 1 + len(eps)
+        assert inputs[0].shape == (2, 2)
         assert not any(np.array_equal(a, b) for i, a in enumerate(inputs) for b in inputs[:i])

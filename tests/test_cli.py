@@ -821,6 +821,24 @@ class TestMain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # i tau H of norm ~1e300 (A^2 would overflow), and i t B of the free flow at t = 1e30
+    # (99 squarings): both used to end in NaN or an SVD failure after numpy warnings
+    @pytest.mark.parametrize("doc, text", [
+        ({"model": {"spin": {**SPIN_MODEL["spin"], "tau": 1e300}}, "experiment": "effective",
+          "tau": 1e300}, "exceeds"),
+        ({"model": {"inline": {"h_s": [[0, [0.3, 0.1]], [[0.3, -0.1], 1]],
+                               "h_e": np.diag([0.0, 0.5, 1.0, 1.5]).tolist(),
+                               "v": np.zeros((8, 8)).tolist(), "beta": 1.0}},
+          "experiment": "dyson-check", "dyson_times": [1e30]}, "needs 99 squarings"),
+    ], ids=["effective-tau-1e300", "dyson-check-t-1e30"])
+    def test_cli_exponent_past_double_precision(self, tmp_path, capsys, doc, text):
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "x.csv"
+        assert main([doc["experiment"], "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix_exp: ||A||_1 = ") and text in err
+        assert not out.exists()
+
     def test_cli_missing_file(self, capsys):
         assert main(["spin-oracle", "--config", "/nonexistent.json"]) == 1
 

@@ -546,6 +546,18 @@ class TestTruncationBound:
             with pytest.raises(ValueError, match="the bound of the series overflows"):
                 check_series_exponent(x)
 
+    # a float x ** n or n! past double range gave OverflowError where int arguments, in
+    # exact integer arithmetic, gave the bound; the first term now comes by logarithms
+    @pytest.mark.parametrize("n, x", [(171, 1), (120, 700), (200, 3), (5, 2)])
+    def test_float_arguments_agree_with_int(self, n, x):
+        exact = dyson_truncation_bound(n, 1, x, 1)
+        assert dyson_truncation_bound(n, 1.0, float(x), 1.0) == pytest.approx(exact, rel=1e-12)
+
+    def test_whole_exponential_tail(self):
+        # the terms below order 120 are a fraction 1e-200 of e^700
+        assert dyson_truncation_bound(120, 1.0, 700.0, 1.0) == pytest.approx(math.exp(700),
+                                                                            rel=1e-12)
+
     def test_zero_coupling(self):
         assert dyson_truncation_bound(3, 0.0, 2.0, 5.0) == 0.0
 

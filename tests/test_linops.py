@@ -98,6 +98,20 @@ class TestMatrixExp:
         with pytest.raises(ValueError, match="non-finite"):
             matrix_exp(bad)
 
+    # past a 1-norm of max float^(1/10) A^2 ... A^10 may overflow; below it, i t B with
+    # ||B||_2 = 1 + sqrt 2 needs 56 squarings of its scaled Pade approximant at t = 1e17
+    @pytest.mark.parametrize("scale, text", [(1e300, "exceeds"), (1e31, "exceeds"),
+                                             (1e17, "needs 56 squarings")])
+    def test_refused_past_double_precision(self, scale, text):
+        with pytest.raises(ValueError, match=r"matrix_exp: \|\|A\|\|_1 = .*" + text):
+            matrix_exp(scale * 1j * np.array([[0.0, 1.0], [1.0, 2.0]]))
+
+    def test_largest_scaling_still_accepted(self):
+        # i t sigma_x at t = 1e16 needs 52 squarings
+        a = 1e16j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        e = matrix_exp(a)
+        assert np.all(np.isfinite(e)) and np.abs(e @ e.conj().T - np.eye(2)).max() <= 0.5
+
     def test_inverse_roundtrip(self, rng):
         a = random_hermitian(rng, 5) * 1j
         assert np.allclose(matrix_exp(a) @ matrix_exp(-a), np.eye(5), atol=1e-10)
