@@ -9,7 +9,7 @@ K_ab = <a|U|b>_E and rho_E = sum_a p_a |a><a|, and the Dyson terms come
 from the Taylor stack of U in lambda; the reduced map forms U in the chain
 frame q (x) W of h_S and h_E and contracts its one Kraus row stack with its
 own conjugate.  The Dyson quadrature, the oracle of dyson-check, integrates
-the terms W_j of W(t) = U(t) e^{-itH_0} on C^n by nested Gauss-Legendre, and
+the terms W_1 - W_3 of W(t) = U(t) e^{-itH_0} on C^n by Gauss-Legendre, and
 :func:`dyson_check` takes norms of Kronecker sums of these n-sided terms.
 
 Maps on M_S are computed in the Bohr frame |q_k><q_l| of h_S = q diag(w) q^†,
@@ -33,13 +33,11 @@ from .linops import (
     superop_norm,
 )
 
-#: cost guards: the most interaction steps of :func:`_steps`, the highest order of
-#: :func:`_taylor_stack`, the most nodes**k integrand evaluations and the most nodes of a
-#: Dyson quadrature, and the most s_steps * n_S^4 entries of one stack of maps on the s grid
-#: of a convergence experiment (256 MiB of complex128 each); and the largest lambda t ||[v,.]||
-#: of a Dyson series, whose bound, about e^x, overflows a float past x = 709
-MAX_STEPS, MAX_DYSON_ORDER = 10 ** 12, 8
-MAX_QUADRATURE_EVALUATIONS, MAX_QUADRATURE_NODES = 2_000_000, 256
+#: cost guards: the most steps of :func:`_steps`, the highest order of :func:`_taylor_stack`,
+#: the most nodes N of a Dyson quadrature ((N + 1) N n phases), the most s_steps * n_S^4 entries
+#: of one stack of maps on the s grid of a convergence experiment (256 MiB of complex128 each),
+#: and the largest lambda t ||[v,.]|| of a Dyson series, whose bound, e^x, overflows past 709
+MAX_STEPS, MAX_DYSON_ORDER, MAX_QUADRATURE_NODES = 10 ** 12, 8, 256
 MAX_GRID_ENTRIES, MAX_SERIES_EXPONENT = 2 ** 24, 700.0
 
 
@@ -342,13 +340,10 @@ def check_grid(s_steps: int, n_s: int) -> None:
                          f"entries exceed the cost guard ({MAX_GRID_ENTRIES})")
 
 
-def check_quadrature(k: int, nodes: int) -> None:
-    """The cost guards of a quadrature of the Dyson terms up to k (none for k = 0)."""
-    if k >= 1 and nodes > MAX_QUADRATURE_NODES:
+def check_quadrature(nodes: int) -> None:
+    """The cost guard of a quadrature of the Dyson terms 1 - 3: its (N + 1) N n phases."""
+    if nodes > MAX_QUADRATURE_NODES:
         raise ValueError(f"{nodes} quadrature nodes exceed the cost guard ({MAX_QUADRATURE_NODES})")
-    if nodes ** k > MAX_QUADRATURE_EVALUATIONS:
-        raise ValueError(f"{nodes}^{k} quadrature evaluations exceed the cost guard "
-                         f"({MAX_QUADRATURE_EVALUATIONS:.0e})")
 
 
 def check_series_exponent(x: float) -> None:
@@ -394,13 +389,13 @@ def _gauss_legendre(nodes: int):
 
 
 def dyson_term_quadrature(model: RISModel, k: int, t: float, nodes: int = 32) -> Superoperator:
-    """Independent evaluation of :func:`dyson_term`, the Leibniz sum (:func:`_dyson_sum`) of
-    :func:`_quadrature_terms`."""
+    """Independent evaluation of :func:`dyson_term` for k = 1 - 3, the Leibniz sum
+    (:func:`_dyson_sum`) of :func:`_quadrature_terms`, from one (N + 1) N n stack of phases."""
     return Superoperator(_dyson_sum(_quadrature_terms(model, k, t, nodes), k))
 
 
 def _quadrature_terms(model: RISModel, k: int, t: float, nodes: int) -> list:
-    """[I, W_1(t), ..., W_k(t)] on C^n by nested Gauss-Legendre on ``nodes`` nodes.
+    """[I, W_1(t), ..., W_k(t)], k <= 3, on C^n by Gauss-Legendre on ``nodes`` nodes.
 
     W(t) = U(t) e^{-itH_0} solves dW/dt = i lambda W v~(t), v~(u) = e^{iuH_0} v e^{-iuH_0}, so
     its terms in lambda are W_j(t) = i int_0^t W_{j-1}(u) v~(u) du, W_0 = I.  In the eigenframe
@@ -409,48 +404,21 @@ def _quadrature_terms(model: RISModel, k: int, t: float, nodes: int) -> list:
     [0, r] is the innermost integral up to r.  Over the N = ``nodes`` nodes r_j and weights c_j
     on [0, t], W_1(t) = i M(t), W_2(t) = i^2 sum_j c_j M(r_j) v~(r_j) and, split at its middle
     time, W_3(t) = i^3 sum_j c_j M(r_j) v~(r_j) (M(t) - M(r_j)): the times below r give M(r)
-    and those above it M(t) - M(r).  The three share N + 1 values of M, N (N + 1) n
-    exponentials.  Each W_j from the fourth up loops over its nodes: N^(j-3) evaluations of W_3.
+    and those above it M(t) - M(r).  One (N + 1) N n stack of phases gives M at the r_j and at
+    t, and its last row, the phases at the r_j, gives v~(r_j).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    check_quadrature(k, nodes)
+    if not 1 <= k <= 3:
+        raise ValueError(f"k = {k}: the quadrature gives the Dyson terms 1 to 3")
+    check_quadrature(nodes)
     w, q = np.linalg.eigh(model.free_hamiltonian)
     vt = q.conj().T @ model.v @ q
     x, wq = _gauss_legendre(nodes)
-
-    def rule(upper):
-        """Nodes and weights on [0, upper], for each entry of ``upper`` (leading axes)."""
-        upper = np.asarray(upper)[..., None]
-        return 0.5 * upper * (x + 1.0), 0.5 * upper * wq
-
-    def first(upper):
-        """M, the innermost integral up to each entry of ``upper`` (leading axes)."""
-        s, c = rule(upper)
-        phi = np.exp(1j * s[..., None] * w)
-        return vt * (np.swapaxes(phi * c[..., None], -1, -2) @ phi.conj())
-
-    def picture(r, c):
-        """c v~(r) = c v~ ∘ (phi phi^H), phi = e^{irw}, per entry of the nodes ``r``."""
-        phi = np.exp(1j * r[:, None] * w)
-        return c[:, None, None] * vt * (phi[:, :, None] * phi[:, None, :].conj())
-
-    def low(j, upper):
-        """[W_1, ..., W_j](upper), j <= 3, in the eigenframe of H_0, from one call of ``first``."""
-        if j == 1:
-            return [1j * first(upper)]
-        r, c = rule(upper)
-        m = first(np.append(r, upper))
-        mv = m[:-1] @ picture(r, c)
-        return [1j * m[-1], -mv.sum(axis=0), -1j * (mv @ (m[-1] - m[:-1])).sum(axis=0)][:j]
-
-    def high(j, upper):
-        """W_j(upper), j >= 4, in the eigenframe of H_0: a loop over the nodes on [0, upper]."""
-        r, c = rule(upper)
-        inner = np.stack([high(j - 1, ri) if j > 4 else low(3, ri)[2] for ri in r])
-        return 1j * (inner @ picture(r, c)).sum(axis=0)
-
-    ws = [*low(min(k, 3), t), *(high(j, t) for j in range(4, k + 1))]
+    upper = np.append(0.5 * t * (x + 1.0), t)[:, None]  # the r_j, then t
+    s, c = 0.5 * upper * (x + 1.0), 0.5 * upper * wq
+    phi = np.exp(1j * s[..., None] * w)
+    m = vt * (np.swapaxes(phi * c[..., None], -1, -2) @ phi.conj())
+    mv = m[:-1] @ (c[-1][:, None, None] * vt * (phi[-1][:, :, None] * phi[-1][:, None, :].conj()))
+    ws = [1j * m[-1], -mv.sum(axis=0), -1j * (mv @ (m[-1] - m[:-1])).sum(axis=0)][:k]
     return [np.eye(len(w)), *(q @ wj @ q.conj().T for wj in ws)]
 
 
@@ -463,13 +431,14 @@ def dyson_check(model: RISModel, orders, times, nodes: int = 32) -> np.ndarray:
     an order's error is ||kron(U, conj U) - sum_{j+l<order} kron(U_j, conj U_l)||, 0 at v = 0.
     Term k <= min(3, top) has the gap ||D_k - D^q_k||, both of :func:`_dyson_sum`, from
     W_j = U_j U_0^† of the stack and one :func:`_quadrature_terms` call; a row takes the
-    largest gap below its order.  The error has a rounding floor, 5e-16 - 7e-15 at n = 4 - 32,
-    where the bound tends to 0, so a verdict reads err <= bound + eps n^2, n = model.dim.
+    largest gap below its order.  The error has a rounding floor where the bound tends to 0,
+    so a verdict reads err <= bound + :func:`dyson_allowance`.
     """
     top, a1 = max(orders) - 1, model.commutator_norm
     if min(orders) < 1:
         raise ValueError("orders must be >= 1")
-    check_quadrature(min(3, top), nodes)
+    if top:
+        check_quadrature(nodes)
     check_series_exponent(max(times) * a1)
     rows = []
     for t in times:
@@ -482,11 +451,17 @@ def dyson_check(model: RISModel, orders, times, nodes: int = 32) -> np.ndarray:
                 errors[k + 1] = superop_norm(rest)
         ws = [u_j @ us[0].conj().T for u_j in us]
         wq = _quadrature_terms(model, min(3, top), t, nodes) if top else []
-        gaps = [superop_norm(_dyson_sum(ws, k) - _dyson_sum(wq, k))
-                for k in range(1, min(3, top) + 1)]
+        gaps = [superop_norm(_dyson_sum(ws, k) - _dyson_sum(wq, k)) for k in range(1, len(wq))]
         rows += [(order, 1.0, t, errors[order], dyson_truncation_bound(order, 1.0, t, a1),
                   max(gaps[:order - 1], default=0.0)) for order in orders]
     return np.array(rows)
+
+
+def dyson_allowance(model: RISModel, t) -> np.ndarray:
+    """eps n^2 max(1, t D), n = model.dim and D the spread of eig(H_0 + v), per entry of ``t``: a
+    :func:`dyson_check` error may exceed its bound by this rounding floor, which grows like t D."""
+    levels = np.linalg.eigvalsh(model.free_hamiltonian + model.v)
+    return np.finfo(float).eps * model.dim ** 2 * np.maximum(1.0, np.asarray(t) * np.ptp(levels))
 
 
 def dyson_truncation_bound(n: int, eps: float, t: float, a1_norm: float) -> float:

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from ris.spin import fast_repetition_deltas
 
 from conftest import random_model, random_unitary
 from oracles import commutator_superop
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import random_inline_model  # noqa: E402  (only reads perfbench/)
 
 SPIN_MODEL = {"spin": {"S": 1, "E": 2, "beta": 1, "b": [1, 0], "c": [1, 0], "tau": 1}}
 
@@ -108,9 +113,9 @@ BAD_VALUES = [  # (field, value, JSON path of the error)
     ("branch_cut_angle", "pi", "$.branch_cut_angle"),
     ("dyson_orders", ["2"], "$.dyson_orders[0]"),
     ("dyson_orders", [2, 0], "$.dyson_orders[1]"),
-    # the cost guards of the run: the Dyson terms up to 8, nodes^3 quadrature evaluations
+    # the cost guards of the run: the Dyson terms up to 8, 256 quadrature nodes
     ("dyson_orders", [2, 10], "$.dyson_orders[1]"),
-    ("quadrature_order", 200, "$.quadrature_order"),
+    ("quadrature_order", 257, "$.quadrature_order"),
     ("dyson_times", [0.5, True], "$.dyson_times[1]"),
     ("dyson_times", [-0.5], "$.dyson_times[0]"),
     # t ||[v,.]|| past 700: the series bound, about e^(t ||[v,.]||), overflows a float
@@ -160,16 +165,13 @@ def test_dyson_check_cost_guards_are_those_of_the_run(monkeypatch):
 
     top = ris.dynamics.MAX_DYSON_ORDER + 1  # order k needs the terms up to k - 1
     assert parses(dyson_orders=[top]) and not parses(dyson_orders=[top + 1])
-    # the run checks the terms up to min(3, top order - 1) against a quadrature
-    cube = int(ris.dynamics.MAX_QUADRATURE_EVALUATIONS ** (1 / 3))
-    assert cube ** 3 <= ris.dynamics.MAX_QUADRATURE_EVALUATIONS < (cube + 1) ** 3
-    assert parses(quadrature_order=cube) and not parses(quadrature_order=cube + 1)
-    assert parses(quadrature_order=200, dyson_orders=[2, 3])
+    # order 1 needs no quadrature; a quadrature needs leggauss(nodes), an eigenproblem of
+    # side nodes, and (N + 1) N n phases: any run that computes one is refused beyond
+    # MAX_QUADRATURE_NODES
     assert parses(quadrature_order=10 ** 9, dyson_orders=[1])
-    # a quadrature needs leggauss(nodes), an eigenproblem of side nodes: any run that
-    # computes one is refused beyond MAX_QUADRATURE_NODES
     cap = ris.dynamics.MAX_QUADRATURE_NODES
-    for orders in ([2], [3], [2, 3]):
+    assert cap == 256
+    for orders in ([2], [3], [2, 3], [2, 3, 4], [1, 4], [9]):
         assert parses(quadrature_order=cap, dyson_orders=orders)
         assert not parses(quadrature_order=cap + 1, dyson_orders=orders)
         assert not parses(quadrature_order=2 * 10 ** 6, dyson_orders=orders)
@@ -671,6 +673,35 @@ class TestRun:
         doc = {"model": SPIN_MODEL, "experiment": "dyson-check"}
         assert run(parse_config(json.dumps(doc)), out_path=str(out)) == 2
 
+    def test_dyson_check_most_quadrature_nodes(self, tmp_path):
+        # the largest rule the node guard lets through agrees with the Taylor-stack terms
+        doc = {"model": SPIN_MODEL, "experiment": "dyson-check", "quadrature_order": 256}
+        out = tmp_path / "dyson.csv"
+        assert run(parse_config(json.dumps(doc)), out_path=str(out)) == 0
+        header, *rows = out.read_text().splitlines()
+        column = header.split(",").index("blockexp_vs_quadrature")
+        assert len(rows) == 6 and all(float(row.split(",")[column]) <= 1e-14 for row in rows)
+
+    @pytest.mark.parametrize("t", [10.0, 100.0, 1e3])
+    def test_dyson_check_allowance_grows_with_t(self, tmp_path, t):
+        # pool model 0 at 2 x 4 with h_S turned off its eigenbasis and v near 0: the bound is
+        # near 0 and the error the rounding of U, U_0 and the Taylor terms, which grows with t
+        # (at t = 10: err 4.07e-14, bound 1.91e-14, eps n^2 = 1.42e-14)
+        doc = random_inline_model(0, 2, 4)["inline"]
+        h_s = np.array(doc["h_s"])[..., 0]
+        c, s = math.cos(0.3), math.sin(0.3)
+        turn = np.array([[c, -s], [s, c]])
+        doc = {**doc, "h_s": (turn @ h_s @ turn.T).tolist(),
+               "v": (1e-8 * np.array(doc["v"])).tolist()}
+        config = parse_config(json.dumps({"model": {"inline": doc}, "experiment": "dyson-check",
+                                          "dyson_times": [t]}))
+        out = tmp_path / "dyson.csv"
+        assert run(config, out_path=str(out)) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        slack = ris.dynamics.dyson_allowance(config.model, rows[:, 2])
+        assert (rows[:, 3] > rows[:, 4] + np.finfo(float).eps * 64).any()
+        assert (rows[:, 3] <= rows[:, 4] + slack).all()
+
     def test_dyson_check_needs_no_tau(self, tmp_path):
         # dyson-check reads its times from dyson_times, never tau
         doc = {"model": {"inline": INLINE}, "experiment": "dyson-check",
@@ -740,7 +771,7 @@ class TestRun:
         doc = {"model": {"inline": INLINE}, "experiment": "effective",
                "regime": "fast-repetition"}
         config = parse_config(json.dumps(doc))
-        assert "tau" not in config.echo
+        assert "tau" not in config.echo and config.tau is None
         out = tmp_path / "eff.csv"
         assert run(config, out_path=str(out)) == 0
         assert len(out.read_text().splitlines()) == 17
@@ -1049,6 +1080,60 @@ class TestCsvBody:
         table = np.array([[1.0, 2.0, -math.inf], [math.nan, 5.0, math.inf]])
         with pytest.raises(ValueError, match="value -inf in"):
             ris.cli._csv_body(table)
+
+
+class TestCsvChunks:
+    """The writer formats and writes a table in chunks of _CSV_CHUNK_ROWS rows, to the bytes of
+    one :func:`_csv_body` call, and a table with a non-finite number writes no CSV."""
+
+    CONFIG = {"model": SPIN_MODEL, "experiment": "effective"}
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_same_text_as_one_call(self, tmp_path, monkeypatch, chunk, labelled):
+        monkeypatch.setattr(ris.cli, "_CSV_CHUNK_ROWS", chunk)
+        table = np.random.default_rng(chunk).standard_normal((5, 3)) * 10.0 ** np.arange(3)
+        labels = ["a", "b%s", "n", "rho_00", "delta1"] if labelled else ()
+        out = tmp_path / "out.csv"
+        ris.cli._write_outputs(parse_config(json.dumps(self.CONFIG)), ["x", "y", "z"], table,
+                               labels, {}, str(out), 0.0, 1)
+        assert out.read_text() == "x,y,z\n" + ris.cli._csv_body(table, labels)
+
+    def test_non_finite_value_writes_no_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ris.cli, "_CSV_CHUNK_ROWS", 2)
+        table = np.ones((5, 2))
+        table[4, 1] = math.nan
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="^non-finite value nan in results$"):
+            ris.cli._write_outputs(parse_config(json.dumps(self.CONFIG)), ["x", "y"], table,
+                                   (), {}, str(out), 0.0, 1)
+        assert not out.exists()
+
+
+class TestTau:
+    """tau is a field of the parsed config, read there and not from the echo."""
+
+    @pytest.mark.parametrize("fields, tau", [
+        ({"experiment": "kato"}, 1.0),
+        ({"experiment": "kato", "tau": 0.5}, 0.5),
+        ({"experiment": "converge-lambda", "tau": 2}, 2.0),
+        ({"experiment": "effective", "regime": "fast-repetition"}, None),
+        ({"experiment": "dyson-check"}, None),
+        ({"experiment": "spin-oracle"}, None),
+    ])
+    def test_config_field(self, fields, tau):
+        config = parse_config(json.dumps({"model": SPIN_MODEL, **fields}))
+        assert config.tau == tau and type(config.tau) is type(tau)
+        assert config.echo.get("tau") == tau
+
+    def test_run_reads_the_field(self, tmp_path):
+        config = parse_config(json.dumps({"model": SPIN_MODEL, "experiment": "effective",
+                                          "tau": 0.5}))
+        out = {name: tmp_path / f"{name}.csv" for name in ("as_parsed", "echo_changed")}
+        assert run(config, out_path=str(out["as_parsed"])) == 0
+        config.echo["tau"] = 2.0
+        assert run(config, out_path=str(out["echo_changed"])) == 0
+        assert out["as_parsed"].read_bytes() == out["echo_changed"].read_bytes()
 
 
 class TestPoolSize:

@@ -1,12 +1,13 @@
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ris.dynamics
 from ris.dynamics import (
-    MAX_QUADRATURE_EVALUATIONS,
     MAX_QUADRATURE_NODES,
     MAX_SERIES_EXPONENT,
     MAX_STEPS,
@@ -17,6 +18,7 @@ from ris.dynamics import (
     _powers,
     _reduced_map,
     _repeated,
+    _quadrature_terms,
     _steps,
     _unital,
     check_H1,
@@ -53,6 +55,9 @@ from oracles import (
     restrict_to_system,
     superop_power,
 )
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import random_inline_model  # noqa: E402  (only reads perfbench/)
 
 # frozen from direct evaluation of e^{-beta E} expressions, beta=1, E=2
 GROUND_WEIGHT = 0.8807970779778823
@@ -415,10 +420,27 @@ class TestDysonTerms:
         model = build_spin_model(spin_base())
         with pytest.raises(ValueError, match="cost guard"):
             dyson_term(model, 9, 1.0)
-        for k, nodes in [(5, 32), (1, MAX_QUADRATURE_NODES + 1), (2, MAX_QUADRATURE_NODES + 1),
-                         (1, MAX_QUADRATURE_EVALUATIONS)]:
-            with pytest.raises(ValueError, match="cost guard"):
+        for k, nodes in [(1, MAX_QUADRATURE_NODES + 1), (2, MAX_QUADRATURE_NODES + 1),
+                         (3, 2_000_000)]:
+            with pytest.raises(ValueError, match="quadrature nodes exceed the cost guard"):
                 dyson_term_quadrature(model, k, 1.0, nodes=nodes)
+        with pytest.raises(ValueError, match="the Dyson terms 1 to 3"):
+            dyson_term_quadrature(model, 5, 1.0, nodes=32)
+
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_quadrature_range_comes_before_any_work(self, monkeypatch, k):
+        # the quadrature gives the terms 1 - 3 only; any other k is refused before the
+        # Gauss-Legendre rule or the eigh of H_0
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quadrature started")
+
+        model = build_spin_model(spin_base())
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for quadrature in (_quadrature_terms, dyson_term_quadrature):
+            with pytest.raises(ValueError, match=f"^k = {k}: the quadrature gives the Dyson "
+                                                 "terms 1 to 3$"):
+                quadrature(model, k, 1.0, 7)
 
     def test_block_exponential_matches_quadrature(self):
         model = build_spin_model(spin_base())
@@ -441,10 +463,9 @@ class TestDysonTerms:
     def test_eigenframe_quadrature_matches_product_form(self, which):
         # same nodes and weights, and the third level split at its middle time; the
         # oracle forms e^{iuH_0} v e^{-iuH_0} from one expm per node in the computational
-        # basis.  k = 4 runs the loop of the fourth level over the split third one
+        # basis
         model = QUADRATURE_MODELS[which]()
-        for k, t, nodes in [(1, 2.0, 6), (2, 2.0, 6), (3, 1.0, 6), (4, 1.0, 4),
-                            (3, 1.0, 5), (3, 1.0, 7), (4, 1.0, 3)]:
+        for k, t, nodes in [(1, 2.0, 6), (2, 2.0, 6), (3, 1.0, 6), (3, 1.0, 5), (3, 1.0, 7)]:
             gap = superop_norm(dyson_term_quadrature(model, k, t, nodes=nodes)
                                - dyson_term_product_quadrature(model, k, t, nodes=nodes))
             assert gap <= 1e-13
@@ -474,6 +495,27 @@ class TestDysonTerms:
         finally:
             tracemalloc.stop()
         assert peak <= mib * 2 ** 20
+
+    def test_most_nodes_match_dyson_term(self):
+        # the largest rule the node guard lets through, on a 4 x 4 pool model of the benchmark:
+        # the phases, their weighted copy and their conjugate are three (N + 1) N n stacks of
+        # complex128, 16 MiB each (50.2 MiB measured in all)
+        doc = random_inline_model(0, 4, 4)["inline"]
+        h_s, h_e, v = (np.array(doc[f])[..., 0] + 1j * np.array(doc[f])[..., 1]
+                       for f in ("h_s", "h_e", "v"))
+        model = RISModel(h_s=h_s, h_e=h_e, v=v, beta=doc["beta"])
+        nodes = MAX_QUADRATURE_NODES
+        dyson_term_quadrature(model, 1, 1.0, nodes=nodes)  # caches the Gauss-Legendre rule
+        tracemalloc.start()
+        try:
+            terms = [dyson_term_quadrature(model, k, 1.0, nodes=nodes) for k in (1, 2, 3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (nodes + 1) * nodes * model.dim * 16
+        for k, term in enumerate(terms, start=1):
+            exact = dyson_term(model, k, 1.0)
+            assert superop_norm(term - exact) <= 1e-14 * superop_norm(exact), k
 
     def test_series_reconstruction_within_bound(self):
         model = build_spin_model(spin_base())
@@ -521,7 +563,7 @@ class TestDysonCheck:
         for orders, times, nodes, match in [
                 ([2, 10], [0.5], 32, "Dyson order 9 exceeds the cost guard"),
                 ([0, 2], [0.5], 32, "orders must be >= 1"),
-                ([4], [0.5], 200, "200\\^3 quadrature evaluations exceed the cost guard"),
+                ([4], [0.5], MAX_QUADRATURE_NODES + 1, "257 quadrature nodes exceed the cost guard"),
                 ([2], [0.5], MAX_QUADRATURE_NODES + 1, "quadrature nodes exceed the cost guard"),
                 ([2], [0.5, 1.001 * t_max], 32, "exceeds 700"),
                 ([2], [math.nan], 32, "exceeds 700")]:
@@ -529,6 +571,10 @@ class TestDysonCheck:
                 dyson_check(model, orders, times, nodes)
         with pytest.raises(AssertionError, match="the check started"):
             dyson_check(model, [2], [0.999 * t_max], 32)
+        # order 1 needs no quadrature, and 200 nodes for the terms up to 3 pass the guard
+        for orders, nodes in [([1], 10 ** 9), ([4], 200)]:
+            with pytest.raises(AssertionError, match="the check started"):
+                dyson_check(model, orders, [0.5], nodes)
 
 
 class TestTruncationBound:
