@@ -16,9 +16,9 @@ from ris.dynamics import (
     _computational,
     _free_evolution,
     _powers,
+    _quadrature_terms,
     _reduced_map,
     _repeated,
-    _quadrature_terms,
     _steps,
     _unital,
     check_H1,
