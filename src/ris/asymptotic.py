@@ -21,6 +21,8 @@ experiment (:func:`kato_structure_check`) reads P(0), the eigenprojection
 of 1 of alpha_S^tau, as the mask of the fixed class F of the Bohr indices,
 so P(0) T'(0) P(0) is the F x F block of R and is zero elsewhere: its Q is
 Q_F + 1 off F, from one f-sided eig, and [Q, P(0)] = 0 by construction.
+That block lies inside one class, so it comes from the in-sector entries
+of R in closed form, with no expm (:func:`ris.vanhove._sector_reduction`).
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .dynamics import (
     _reduced_map,
 )
 from .linops import Superoperator, superop_norm
-from .vanhove import EffectiveGenerator, _alpha_classes, _second_order_reduction
+from .vanhove import EffectiveGenerator, _sector_reduction
 
 
 class JordanDefectError(ValueError):
@@ -232,7 +234,10 @@ class KatoReport:
 
 
 def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
-    """Verify the analytic-perturbation structure of the reduced map at small coupling."""
+    """Verify the analytic-perturbation structure of the reduced map at small coupling.
+
+    Raises ValueError when tau max|E| exceeds 2^53, E the levels of H_0, before any work
+    (:func:`ris.dynamics.check_phases`)."""
     eps_list = sorted(float(e) for e in eps_list)
     if len(set(eps_list)) < max(2, len(eps_list)) or eps_list[0] <= 0:
         raise ValueError(f"eps_list needs at least two distinct positive values, got {eps_list}")
@@ -240,10 +245,10 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
 
     # P(0), in the Bohr frame the mask of F, the eigenvalue class of index (0, 0): angles 0
     # mod 2 pi; T(eps) = alpha_S^tau + eps R + O(eps^2) at lambda = sqrt(eps): T'(0) is R
-    labels, _ = _alpha_classes(model, tau)
+    r, labels, _ = _sector_reduction(model, tau)
     fixed = np.flatnonzero(labels == labels[0])
     block = np.ix_(fixed, fixed)
-    r = _second_order_reduction(model, tau)[block]
+    r = r[block]
     eig = np.linalg.eig(r)
     scale = max(float(np.abs(eig[0]).max()), 1e-30)
     q_f = _eigenprojection_near(r, 0.0 + 0.0j, 1e-9 * scale, eig)

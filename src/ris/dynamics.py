@@ -39,6 +39,10 @@ from .linops import (
 #: and the largest lambda t ||[v,.]|| of a Dyson series, whose bound, e^x, overflows past 709
 MAX_STEPS, MAX_DYSON_ORDER, MAX_QUADRATURE_NODES = 10 ** 12, 8, 256
 MAX_GRID_ENTRIES, MAX_SERIES_EXPONENT = 2 ** 24, 700.0
+#: the largest t max|E| of the phases t E of the levels E of H_0: past 2^53 the spacing of
+#: doubles there is at least 2, so no digit of a phase mod 2 pi is correct; also the largest
+#: t ||v||_inf, which keeps the lambda^2 coefficient, of order (t ||v||)^2, far from overflow
+MAX_PHASE = 2.0 ** 53
 
 
 class NoAsymptoticStateError(ValueError):
@@ -68,16 +72,16 @@ def gibbs_state(h: np.ndarray, beta: float) -> ChainState:
     h = require_hermitian(h, name="h")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    weights, u = _gibbs_weights(h, beta)
+    weights, _, u = _gibbs_weights(h, beta)
     rho = (u * weights) @ u.conj().T
     return ChainState(0.5 * (rho + rho.conj().T))
 
 
 def _gibbs_weights(h: np.ndarray, beta: float):
-    """(p, u): Gibbs weights, normalised to sum 1, in the eigenbasis u of h."""
+    """(p, w, u): Gibbs weights, normalised to sum 1, for eigh(h) = (w, u)."""
     w, u = np.linalg.eigh(h)
     weights = np.exp(-beta * (w - w.min()))
-    return weights / weights.sum(), u
+    return weights / weights.sum(), w, u
 
 
 @dataclass(frozen=True)
@@ -144,15 +148,17 @@ class RISModel:
 
     @cached_property
     def _system_bohr(self):
-        """(w_k - w_l in row-major (k, l) order, q) for eigh(h_S) = (w, q): the Bohr frame."""
+        """(w_k - w_l in row-major (k, l) order, q, w) for eigh(h_S) = (w, q): the Bohr frame."""
         w, q = np.linalg.eigh(self.h_s)
-        return (w[:, None] - w[None, :]).reshape(-1), q
+        return (w[:, None] - w[None, :]).reshape(-1), q, w
 
     @cached_property
     def _chain_frame(self):
-        """(sqrt(p_a), q (x) W): Gibbs weights of the chain state in the eigenbasis W of h_E."""
-        weights, w = _gibbs_weights(self.h_e, self.beta)
-        return np.sqrt(weights), kron(self._system_bohr[1], w)
+        """(sqrt(p_a), q (x) W, E): Gibbs weights of the chain state in the eigenbasis W of h_E,
+        and the levels E_(k,a) = w_k + e_a of H_0, diagonal in q (x) W, for eigh(h_E) = (e, W)."""
+        weights, e, w = _gibbs_weights(self.h_e, self.beta)
+        levels = (self._system_bohr[2][:, None] + e).reshape(-1)
+        return np.sqrt(weights), kron(self._system_bohr[1], w), levels
 
 
 def _computational(model: RISModel, x: np.ndarray) -> np.ndarray:
@@ -353,6 +359,18 @@ def check_series_exponent(x: float) -> None:
                          "the bound of the series overflows")
 
 
+def check_phases(model: RISModel, t: float) -> None:
+    """Refuse t max(max|E|, ||v||_inf) past MAX_PHASE = 2^53, or nan, E the levels w_k + e_a
+    of H_0 and ||v||_inf the largest row sum of |v|."""
+    top = float(np.abs(model._chain_frame[2]).max())
+    coupling = float(np.abs(model.v).sum(axis=1).max())
+    if not t * max(top, coupling) <= MAX_PHASE:
+        raise ValueError(f"tau = {t:.6g} with max|E| = {top:.6g} over the levels E of H_0 and "
+                         f"||v||_inf = {coupling:.6g}: tau max(max|E|, ||v||_inf) = "
+                         f"{t * max(top, coupling):.6g} exceeds 2^53, past which the phases "
+                         "tau E keep no correct digit")
+
+
 def _dyson_sum(ws, k: int) -> np.ndarray:
     """Dyson term k, (-i)^k sum_j kron(W_j, conj W_{k-j}), from the terms W_j of U e^{-itH_0}."""
     return (-1j) ** k * sum(kron(ws[j], ws[k - j].conj()) for j in range(k + 1))
@@ -405,7 +423,7 @@ def _quadrature_terms(model: RISModel, k: int, t: float, nodes: int) -> list:
     on [0, t], W_1(t) = i M(t), W_2(t) = i^2 sum_j c_j M(r_j) v~(r_j) and, split at its middle
     time, W_3(t) = i^3 sum_j c_j M(r_j) v~(r_j) (M(t) - M(r_j)): the times below r give M(r)
     and those above it M(t) - M(r).  One (N + 1) N n stack of phases gives M at the r_j and at
-    t, and its last row, the phases at the r_j, gives v~(r_j).
+    t, and its last row, the phases at the r_j, gives v~(r_j); k = 1 forms that row alone.
     """
     if not 1 <= k <= 3:
         raise ValueError(f"k = {k}: the quadrature gives the Dyson terms 1 to 3")
@@ -413,12 +431,17 @@ def _quadrature_terms(model: RISModel, k: int, t: float, nodes: int) -> list:
     w, q = np.linalg.eigh(model.free_hamiltonian)
     vt = q.conj().T @ model.v @ q
     x, wq = _gauss_legendre(nodes)
-    upper = np.append(0.5 * t * (x + 1.0), t)[:, None]  # the r_j, then t
+    upper = np.append(0.5 * t * (x + 1.0) if k > 1 else [], t)[:, None]  # the r_j, then t
     s, c = 0.5 * upper * (x + 1.0), 0.5 * upper * wq
     phi = np.exp(1j * s[..., None] * w)
     m = vt * (np.swapaxes(phi * c[..., None], -1, -2) @ phi.conj())
-    mv = m[:-1] @ (c[-1][:, None, None] * vt * (phi[-1][:, :, None] * phi[-1][:, None, :].conj()))
-    ws = [1j * m[-1], -mv.sum(axis=0), -1j * (mv @ (m[-1] - m[:-1])).sum(axis=0)][:k]
+    ws = [1j * m[-1]]
+    if k > 1:
+        mv = m[:-1] @ (c[-1][:, None, None] * vt
+                       * (phi[-1][:, :, None] * phi[-1][:, None, :].conj()))
+        ws.append(-mv.sum(axis=0))
+    if k > 2:
+        ws.append(-1j * (mv @ (m[-1] - m[:-1])).sum(axis=0))
     return [np.eye(len(w)), *(q @ wj @ q.conj().T for wj in ws)]
 
 

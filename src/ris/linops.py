@@ -220,9 +220,12 @@ def _ell(abs_a: np.ndarray, norm_a: float, m: int) -> int:
 
     ``abs_a`` is |A| elementwise and ``norm_a`` its 1-norm.  |A|^{2m+1} is
     nonnegative, so its 1-norm is the largest entry of 1^T |A|^{2m+1}, here
-    by binary powering: the squares of |A| commute with each other.
+    by binary powering: the squares of |A| commute with each other.  The
+    powers are those of |A| / ||A||_1, whose column sums stay at most 1, so
+    none overflows; the 2m + 1 factors of ||A||_1 return as 2m log2 ||A||_1
+    in log2 alpha, alpha = || |A|^{2m+1} ||_1 / (||A||_1 c_m u).
     """
-    row, square, p = np.ones(abs_a.shape[0]), abs_a, 2 * m + 1
+    row, square, p = np.ones(abs_a.shape[0]), abs_a / norm_a, 2 * m + 1
     while True:
         if p & 1:
             row = row @ square
@@ -233,8 +236,8 @@ def _ell(abs_a: np.ndarray, norm_a: float, m: int) -> int:
     power = float(row.max())
     if not power:
         return 0
-    alpha = power / (norm_a * _ELL_SCALE[m] * _UNIT_ROUNDOFF)
-    return max(ceil(log2(alpha) / (2 * m)), 0)
+    log_alpha = log2(power) + 2 * m * log2(norm_a) - log2(_ELL_SCALE[m] * _UNIT_ROUNDOFF)
+    return max(ceil(log_alpha / (2 * m)), 0)
 
 
 def _pade_expm(a: np.ndarray) -> np.ndarray:
@@ -247,12 +250,14 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
     failing those, degree 13 on 2^-s A, s from min(eta, max(d_8, d_10))
     plus ell, squared s times.
 
-    Raises ValueError, naming ||A||_1 and a squaring count, in two cases.
+    Raises ValueError, naming ||A||_1 and a squaring count, in three cases.
     Past ||A||_1 = _MAX_ONENORM (max float^(1/10), about 6.7e30) A^2 ... A^10
     may overflow: refused before those products, with the count
-    ceil(log2(||A||_1 / theta_13)) that the 1-norm asks for.  And s >= 53,
+    ceil(log2(||A||_1 / theta_13)) that the 1-norm asks for.  s >= 53,
     refused before the Pade solve: each squaring doubles the relative
-    rounding, so 2^s 2^-53 >= 1 leaves no correct digit.
+    rounding, so 2^s 2^-53 >= 1 leaves no correct digit.  And a result
+    that is not finite: the squarings of a far non-normal A, such as
+    1e15 [[1, 1], [-1, -1]], amplify the rounding of r_m until it overflows.
     """
     n = a.shape[0]
     diag = np.diagonal(a)
@@ -304,8 +309,11 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
         u = a @ (powers[3] @ u_in + u_out)
         v = powers[3] @ v_in + v_out
     x = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        x = x @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            x = x @ x
+    if not np.isfinite(x).all():
+        raise ValueError(f"matrix_exp: ||A||_1 = {norm_a:.6g}: its {s} squarings overflow")
     return x
 
 

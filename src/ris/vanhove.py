@@ -18,7 +18,12 @@ angles tau (w_k - w_l) mod 2 pi (:func:`_alpha_classes`, which Kato's P(0)
 reads too), the Bohr sectors the frequencies w_k - w_l.  The average is an
 entrywise mask, the secular approximation of Davies, "Markovian master
 equations" (CMP 1974).  Its defining time-average
-(Cesaro) limit is an independent oracle in the tests.
+(Cesaro) limit is an independent oracle in the tests.  The mask reads the
+second-order term only inside the sectors, so the weak-coupling generator
+takes those entries of R alone, in closed form (:func:`_sector_reduction`):
+divided differences of e^{i tau u} at the levels of H_0 in the chain frame,
+and no expm.  Every entry of R, from one 3n-sided Taylor stack, is the
+public :func:`second_order_term` and the oracle of that route.
 
 The convergence experiments measure ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||
 on a grid of s (finite-type chain elements: Attal and Joye, J. Stat. Phys.
@@ -45,6 +50,7 @@ from .dynamics import (
     _steps,
     _taylor_stack,
     check_grid,
+    check_phases,
 )
 from .linops import Superoperator, largest_gap_bisector, matrix_exp, superop_norm
 
@@ -113,6 +119,8 @@ def _second_order_reduction(model: RISModel, tau: float) -> np.ndarray:
     e^{i tau (H0 + lambda v)} = U0 + lambda U1 + lambda^2 U2 + O(lambda^3), the U_k read off
     one 3n-sided exponential (:func:`_taylor_stack`), and
     R(x) = Tr_E[(I (x) rho_E)(U2 (x (x) I) U0^† + U1 (x (x) I) U1^† + U0 (x (x) I) U2^†)].
+    Every entry of R: the public full coefficient (:func:`second_order_term`) and the oracle
+    of :func:`_sector_reduction`, which the weak-coupling generator and Kato's check read.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -120,22 +128,99 @@ def _second_order_reduction(model: RISModel, tau: float) -> np.ndarray:
     return _pair_reduction(model, _chain(model, [u2, u1, u0]), _chain(model, [u0, u1, u2]))
 
 
+def _divided_difference(tau: float, x, y):
+    """g[x, y] = (g(x) - g(y)) / (x - y) of g(u) = e^{i tau u}, g'(x) at x = y, entrywise:
+    i tau e^{i tau (x + y) / 2} sinc(tau (x - y) / 2)."""
+    return 1j * tau * np.exp(0.5j * tau * (x + y)) * np.sinc(tau * (x - y) / (2 * np.pi))
+
+
+#: 1/(k+2)! for k = 17 ... 0: the Taylor series of phi_2 to w^17; at |w| < 1 the first term
+#: left out, w^18 / 20!, is below 5e-19
+_PHI2_SERIES = [1.0 / math.factorial(k + 2) for k in range(17, -1, -1)]
+
+
+def _phi2(w: np.ndarray) -> np.ndarray:
+    """phi_2(w) = (e^w - 1 - w) / w^2, entrywise; its Taylor series sum_k w^k / (k+2)! where
+    |w| < 1, which the quotient would lose to cancellation."""
+    out = np.empty_like(w)
+    small = np.abs(w) < 1.0
+    big, w = w[~small], w[small]
+    out[~small] = (np.exp(big) - 1.0 - big) / big ** 2
+    series = np.zeros_like(w)
+    for coefficient in _PHI2_SERIES:  # Horner
+        series = series * w + coefficient
+    out[small] = series
+    return out
+
+
+def _sector_reduction(model: RISModel, tau: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(R, labels, cut): R, the lambda^2 coefficient of T(lambda, tau) in the Bohr frame, on
+    its in-sector entries and 0 elsewhere, with the classes ``labels`` and ``cut`` of alpha_S^tau
+    (:func:`_alpha_classes`).  An entry ((k, l), (k', l')) is in-sector when both indices
+    share a class.  No expm: its oracle is the Taylor stack (:func:`_second_order_reduction`).
+
+    In the chain frame q (x) W, H_0 is the diagonal of the levels E_(k,a) = w_k + e_a and
+    v~ = (q (x) W)^† v (q (x) W); the terms of e^{i tau (H_0 + lambda v)} are divided
+    differences of g(u) = e^{i tau u} (Daleckii-Krein): U0 = diag(g(E)), U1 = v~ ∘ g[E_i, E_j]
+    (:func:`_divided_difference`) and U2_ij = sum_c v~_ic v~_cj g[E_i, E_c, E_j].  U0 is
+    diagonal, so the U2 (x) conj U0 and U0 (x) conj U2 terms of an in-sector entry read U2
+    at ((k, a), (k', a)) only, with (k, l), (k', l) in one class for some l, or (l, k), (l, k'):
+    tau (w_k - w_k') = 0 mod 2 pi up to the class tolerance, so k = k' but for degenerate or
+    resonant levels.  Only those entries of U2 are formed, n_E n_S n of g for distinct levels.
+
+    Refuses tau max|E| > 2^53 first (:func:`check_phases`).  With x = E_i, y = E_j, z = E_c:
+    a pair resonant at tau |x - y| >= pi, that is near a nonzero multiple of 2 pi, takes the
+    quotient (g[x, z] - g[z, y]) / (x - y); the others, within the class tolerance of x = y,
+    the confluent form at m = (x + y) / 2, g[m, z, m] = e^{i tau m} (i tau)^2 phi_2(i tau (z - m))
+    (:func:`_phi2`), exact at x = y and off by O((tau (x - y))^2) relative otherwise.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    check_phases(model, tau)
+    labels, cut = _alpha_classes(model, tau)
+    ns, ne = model.n_s, model.n_e
+    sqrt_p, frame, levels = model._chain_frame
+    same = labels[:, None] == labels[None, :]
+    blocks, diag = same.reshape(ns, ns, ns, ns), np.arange(ns)
+    k, k2 = np.nonzero((blocks[:, diag, :, diag] | blocks[diag, :, diag, :]).any(axis=0))
+    i = (k[:, None] * ne + np.arange(ne)).reshape(-1)
+    j = (k2[:, None] * ne + np.arange(ne)).reshape(-1)
+    vt = frame.conj().T @ model.v @ frame
+    x, y = levels[i][:, None], levels[j][:, None]
+    m = 0.5 * (x + y)
+    g2 = np.exp(1j * tau * m) * (1j * tau) ** 2 * _phi2(1j * tau * (levels - m))
+    resonant = np.abs(tau * (x - y))[:, 0] >= np.pi
+    x, y = x[resonant], y[resonant]
+    g2[resonant] = (_divided_difference(tau, x, levels)
+                    - _divided_difference(tau, levels, y)) / (x - y)
+    u2 = np.zeros((ne, ns, ns), dtype=complex)  # U2 at ((k, a), (k', a)) as [a, k, k']
+    u2[:, k, k2] = np.einsum("pc,pc,pc->p", vt[i], vt[:, j].T, g2).reshape(-1, ne).T
+    # U1 (x) conj U1 in full, then U2 (x) conj U0 at l = l' and U0 (x) conj U2 at k = k'
+    u1 = vt * _divided_difference(tau, levels[:, None], levels)
+    r = _pair_reduction(model, u1[None]).reshape(ns, ns, ns, ns)
+    pu0 = sqrt_p ** 2 * np.exp(1j * tau * levels).reshape(ns, ne)  # p_a U0_(k,a)
+    r[:, diag, :, diag] += np.einsum("akm,la->lkm", u2, pu0.conj())
+    r[diag, :, diag, :] += np.einsum("ka,alm->klm", pu0, u2.conj())
+    return np.where(same, r.reshape(ns * ns, ns * ns), 0.0), labels, cut
+
+
 def second_order_term(model: RISModel, tau: float) -> Superoperator:
     """E_S phi_{SE,2}^tau restricted to M_S: -R ∘ alpha_S^{-tau}, R the lambda^2 coefficient of
-    T(lambda, tau) (:func:`_second_order_reduction`), as phi_SE^tau = sum_k (i lambda)^k
-    phi_{SE,k}^tau alpha_SE^tau.  In the Bohr frame: -R, columns times e^{-i tau (w_k - w_l)}."""
+    T(lambda, tau) (:func:`_second_order_reduction`, every entry from the Taylor stack), as
+    phi_SE^tau = sum_k (i lambda)^k phi_{SE,k}^tau alpha_SE^tau.  In the Bohr frame: -R,
+    columns times e^{-i tau (w_k - w_l)}."""
     term = -_second_order_reduction(model, tau) * _free_evolution(model, -tau)
     return Superoperator(_computational(model, term))
 
 
 def effective_generator_weak_coupling(model: RISModel, tau: float) -> EffectiveGenerator:
     """Weak-coupling generator: minus the A0-spectral-average of the second-order term, whose
-    sectors are the eigenvalue classes of alpha_S^tau (:func:`_alpha_classes`)."""
-    labels, cut = _alpha_classes(model, tau)
+    sectors are the eigenvalue classes of alpha_S^tau (:func:`_alpha_classes`).  The average
+    reads R on its in-sector entries only (:func:`_sector_reduction`): no expm.  Raises
+    ValueError when tau max|E| exceeds 2^53, E the levels of H_0 (:func:`check_phases`)."""
+    r, labels, cut = _sector_reduction(model, tau)
     # R ∘ alpha_S^{-tau}: minus the second-order term
-    return _sector_average(model, WEAK_COUPLING,
-                           _second_order_reduction(model, tau) * _free_evolution(model, -tau),
-                           labels, cut)
+    return _sector_average(model, WEAK_COUPLING, r * _free_evolution(model, -tau), labels, cut)
 
 
 def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:

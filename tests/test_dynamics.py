@@ -442,6 +442,17 @@ class TestDysonTerms:
                                                  "terms 1 to 3$"):
                 quadrature(model, k, 1.0, 7)
 
+    @pytest.mark.parametrize("which", list(QUADRATURE_MODELS))
+    def test_lower_orders_are_the_terms_of_the_third(self, which):
+        # k = 1 forms the phases at t alone and k = 2 no W_3: the terms they return are
+        # bit for bit those of the k = 3 call
+        model = QUADRATURE_MODELS[which]()
+        third = _quadrature_terms(model, 3, 1.3, 32)
+        for k in (1, 2):
+            terms = _quadrature_terms(model, k, 1.3, 32)
+            assert len(terms) == k + 1
+            assert all(np.array_equal(a, b) for a, b in zip(terms, third))
+
     def test_block_exponential_matches_quadrature(self):
         model = build_spin_model(spin_base())
         for k, t in [(1, 2.0), (2, 2.0), (3, 1.0)]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -105,6 +107,17 @@ class TestMatrixExp:
     def test_refused_past_double_precision(self, scale, text):
         with pytest.raises(ValueError, match=r"matrix_exp: \|\|A\|\|_1 = .*" + text):
             matrix_exp(scale * 1j * np.array([[0.0, 1.0], [1.0, 2.0]]))
+
+    def test_far_non_normal_refused_without_overflow(self):
+        # nilpotent, e^A = I + A, ||A||_1 = 2e15: the backward-error count ell comes from the
+        # powers of |A| / ||A||_1, and its 49 squarings amplify the rounding of r_13 past
+        # double range; refused with no numpy warning on the way
+        a = 1e15 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^matrix_exp: \|\|A\|\|_1 = 2e\+15: its 49 "
+                                                 "squarings overflow$"):
+                matrix_exp(a)
 
     def test_largest_scaling_still_accepted(self):
         # i t sigma_x at t = 1e16 needs 52 squarings

@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 import ris.linops
 import ris.vanhove
+from ris.asymptotic import kato_structure_check
 from ris.dynamics import (
+    MAX_PHASE,
     RISModel,
+    check_phases,
     reduced_map_T,
     restricted_dynamics,
     system_free_evolution,
@@ -21,6 +24,9 @@ from ris.linops import (
 )
 from ris.spin import build_spin_model, fast_repetition_deltas
 from ris.vanhove import (
+    _phi2,
+    _second_order_reduction,
+    _sector_reduction,
     converge_lambda,
     converge_lambda_interpolated,
     converge_tau,
@@ -184,6 +190,93 @@ class TestWeakCouplingGenerator:
                 assert superop_norm(Superoperator(p @ gen.matrix - gen.matrix @ p)) <= 1e-9
             for s in (0.1, 1.0, 10.0):
                 assert superop_norm(matrix_exp(s * gen)) <= np.sqrt(2) + 1e-9
+
+
+def diagonal_model(levels, seed: int = 3, n_e: int = 3) -> RISModel:
+    """h_S = diag(levels) exactly; random h_E and v."""
+    rng = np.random.default_rng(seed)
+    return RISModel(h_s=np.diag(levels), h_e=random_hermitian(rng, n_e),
+                    v=random_hermitian(rng, len(levels) * n_e), beta=1.0)
+
+
+class TestSectorReduction:
+    """R on its in-sector entries, from divided differences, against the Taylor stack's R."""
+
+    @staticmethod
+    def gap(model, tau):
+        r, labels, cut = _sector_reduction(model, tau)
+        classes = ris.vanhove._alpha_classes(model, tau)
+        assert np.array_equal(labels, classes[0]) and cut == classes[1]
+        same = labels[:, None] == labels[None, :]
+        assert not r[~same].any()
+        ref = np.where(same, _second_order_reduction(model, tau), 0.0)
+        return np.abs(r - ref).max() / np.abs(ref).max()
+
+    @pytest.mark.parametrize("tau", [1.0, 0.37, 5.0])
+    @pytest.mark.parametrize("dims", [(2, 4), (4, 4)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_models(self, seed, dims, tau):
+        assert self.gap(random_model(np.random.default_rng(seed), *dims), tau) <= 1e-13
+
+    def test_spin_model(self):
+        assert self.gap(build_spin_model(spin_base()), 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("levels", [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 1e-10]],
+                             ids=["degenerate", "split-1e-10"])
+    @pytest.mark.parametrize("tau", [1.0, 5.0])
+    def test_degenerate_and_nearly_degenerate_levels(self, levels, tau):
+        # U2 is formed between the two levels, by the confluent form at their midpoint
+        assert self.gap(diagonal_model(levels), tau) <= 1e-13
+
+    @pytest.mark.parametrize("gap_pair", [(0, 1), (1, 2)])
+    def test_resonant_tau(self, gap_pair):
+        # tau (w_l - w_k) = 2 pi: the quotient of first divided differences
+        levels = [0.0, 0.7, 1.6]
+        tau = 2 * np.pi / (levels[gap_pair[1]] - levels[gap_pair[0]])
+        assert self.gap(diagonal_model(levels), tau) <= 1e-13
+
+    def test_no_expm(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError(f"expm of side {a.shape[0]}")
+
+        monkeypatch.setattr(ris.linops, "_pade_expm", refuse)
+        model = random_model(np.random.default_rng(2), 4, 4)
+        effective_generator_weak_coupling(model, 1.0)
+        kato_structure_check(model, 1.0, [0.02, 0.01])
+
+    @pytest.mark.parametrize("call", [
+        lambda model, tau: effective_generator_weak_coupling(model, tau),
+        lambda model, tau: kato_structure_check(model, tau, [0.02, 0.01]),
+    ], ids=["weak", "kato"])
+    def test_phases_past_double_precision_refused_before_any_work(self, monkeypatch, call):
+        def refuse(*args):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(ris.vanhove, "_alpha_classes", refuse)
+        with pytest.raises(ValueError, match=r"^tau = 1e\+300 with max\|E\| = 3 over the "
+                                             r"levels E of H_0 and \|\|v\|\|_inf = 0.5: .* "
+                                             r"exceeds 2\^53"):
+            call(RISModel(h_s=np.diag([0.0, 1.0, 2.0]), h_e=np.diag([0.0, 1.0]),
+                          v=0.5 * np.eye(6), beta=1.0), 1e300)
+
+    @pytest.mark.parametrize("levels, v", [([0.0, 1.0, 3.0], 0.5), ([0.0, 0.0, 0.0], 2.0)],
+                             ids=["levels", "coupling"])
+    def test_phase_threshold(self, levels, v):
+        # the larger of max|E| and ||v||_inf, powers of 2 here, sets it: with E = 0, (tau v)^2
+        # in R would overflow
+        model = RISModel(h_s=np.diag(levels), h_e=np.diag([0.0, 1.0]), v=v * np.eye(6),
+                         beta=1.0)
+        top = max(levels[-1] + 1.0, v)
+        check_phases(model, MAX_PHASE / top)
+        with pytest.raises(ValueError, match="exceeds 2\\^53"):
+            check_phases(model, np.nextafter(MAX_PHASE / top, np.inf))
+
+    def test_phi2_series_meets_the_quotient(self):
+        # either side of |w| = 1 the series and the quotient agree to rounding
+        w = 1j * np.array([0.9, 0.99, 1.01, 1.1]) * np.exp(0.3j)
+        quotient = (np.exp(w) - 1.0 - w) / w ** 2
+        assert np.abs(_phi2(w) - quotient).max() <= 1e-15
+        assert _phi2(np.zeros(1, dtype=complex))[0] == 0.5
 
 
 class TestFastRepetitionGenerator:
