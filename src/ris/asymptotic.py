@@ -12,9 +12,12 @@ at index 0, is the left null vector of M^T - point.  The solution must
 leave a residual below 1e-9 and be PSD; otherwise NoAsymptoticStateError
 names the dynamics.  :func:`limit_projection`, the eigenprojection of 1
 with the convergence of T^(2^j), is the oracle of this solve and is not
-on the state path.  The exact maps are in the Bohr frame of h_S
-(:mod:`ris.dynamics`), which leaves verdicts, spectra and norms as they
-are: only the densities returned are converted, to q rho q^†.  The CLI
+on the state path.  Both states are solved in the Bohr frame of h_S: the
+exact maps come in it (:mod:`ris.dynamics`), and an effective generator
+is read as its ``bohr`` matrix (:class:`ris.vanhove.EffectiveGenerator`).
+The frame is unitary, so verdicts, spectra and norms are as they are in
+the computational basis: only the densities returned are converted, to
+q rho q^†.  The CLI
 ``asymptotic`` experiment compares the exact periodic states with the
 effective limit of either regime (:func:`trace_distance`).  The ``kato``
 experiment (:func:`kato_structure_check`) reads P(0), the eigenprojection
@@ -192,15 +195,15 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
     return AsymptoticReport(_computational(model, rho0), tuple(samples))
 
 
-def effective_asymptotic_state(gen: EffectiveGenerator | Superoperator) -> np.ndarray:
+def effective_asymptotic_state(eff: EffectiveGenerator) -> np.ndarray:
     """The density that exp(s*gen) relaxes to as s -> infinity.
 
-    The fixed point of the trace dual of the generator at eigenvalue 0;
-    raises NoAsymptoticStateError when the generator has no unique
-    asymptotic state.
+    The fixed point of the trace dual of ``eff.bohr`` at eigenvalue 0, as
+    q rho q^† with q = ``eff.frame``; raises NoAsymptoticStateError when the
+    generator has no unique asymptotic state.
     """
-    g = gen.generator if isinstance(gen, EffectiveGenerator) else gen
-    return _asymptotic_state(g.matrix, 0.0, "the effective generator")
+    q = eff.frame
+    return q @ _asymptotic_state(eff.bohr, 0.0, "the effective generator") @ q.conj().T
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -203,6 +203,7 @@ _ELL_SCALE = {m: float(factorial(2 * m) * factorial(2 * m + 1) // factorial(m) *
               for m in _PADE}
 _UNIT_ROUNDOFF = 2.0 ** -53
 _MAX_SQUARINGS = 53
+_MAX_AMPLIFICATION = 2.0 ** 53
 # ||A^j||_1 <= ||A||_1^j, so up to this 1-norm A^2 ... A^10 cannot overflow
 _MAX_ONENORM = float(np.finfo(float).max) ** 0.1
 # degree 13 on 2^-s A: the coefficient of A^j scales by 2^-js, and the rows
@@ -250,14 +251,22 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
     failing those, degree 13 on 2^-s A, s from min(eta, max(d_8, d_10))
     plus ell, squared s times.
 
-    Raises ValueError, naming ||A||_1 and a squaring count, in three cases.
+    Raises ValueError, naming ||A||_1 and a squaring count, in four cases.
     Past ||A||_1 = _MAX_ONENORM (max float^(1/10), about 6.7e30) A^2 ... A^10
     may overflow: refused before those products, with the count
     ceil(log2(||A||_1 / theta_13)) that the 1-norm asks for.  s >= 53,
     refused before the Pade solve: each squaring doubles the relative
-    rounding, so 2^s 2^-53 >= 1 leaves no correct digit.  And a result
-    that is not finite: the squarings of a far non-normal A, such as
+    rounding, so 2^s 2^-53 >= 1 leaves no correct digit.  A result that is
+    not finite: the squarings of a far non-normal A, such as
     1e15 [[1, 1], [-1, -1]], amplify the rounding of r_m until it overflows.
+    And an estimated amplification of the rounding past _MAX_AMPLIFICATION =
+    2^53 = 1/u: x_{j+1} = x_j^2 carries at most 2 ||x_j||_1^2 / ||x_{j+1}||_1
+    times the relative rounding of x_j, so u prod_j 2 ||x_j||_1^2 / ||x_{j+1}||_1
+    over the squarings from x_0 = r_m bounds that of the result to first
+    order: u with no squaring, about 2^s u for a normal A.  It overshoots
+    where the rounding cancels, hence the room: 1e3 [[1, 1], [-1, -1]] reads
+    3.3 and is 6e-10 off I + A; 1e6 [[1, 1], [-1, -1]] reads 4e47 and would
+    be 84% off.
     """
     n = a.shape[0]
     diag = np.diagonal(a)
@@ -309,11 +318,18 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
         u = a @ (powers[3] @ u_in + u_out)
         v = powers[3] @ v_in + v_out
     x = np.linalg.solve(v - u, v + u)
+    amplification, norm = _UNIT_ROUNDOFF, _onenorm(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             x = x @ x
+            new = _onenorm(x)
+            amplification *= 2.0 * norm * (norm / new)
+            norm = new
     if not np.isfinite(x).all():
         raise ValueError(f"matrix_exp: ||A||_1 = {norm_a:.6g}: its {s} squarings overflow")
+    if amplification > _MAX_AMPLIFICATION:
+        raise ValueError(f"matrix_exp: ||A||_1 = {norm_a:.6g}: its {s} squarings amplify the "
+                         f"rounding by an estimated {amplification:.3g}, past 2^53")
     return x
 
 

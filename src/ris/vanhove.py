@@ -1,14 +1,15 @@
 """Effective (van Hove) generators and the convergence experiments.
 
-Two perturbative regimes, both on the rescaled time s that advances by
-lambda^2*tau per interaction:
+Two perturbative regimes, each on a rescaled time s:
 
-* weak coupling (lambda -> 0, tau fixed): the effective generator is
-  minus the spectral average of the second-order term E_S phi_{SE,2}^tau
-  over the spectral projections of A0, a logarithm of alpha_S^tau; every
-  branch of it has the eigenprojections of alpha_S^tau, so no cut enters;
-* fast repetition (tau -> 0, lambda^2 tau -> 0): minus one half of the
-  spectral average of E_S [v,.]^2, averaged over the Bohr sectors of h_S.
+* weak coupling (lambda -> 0, tau fixed), s advancing by lambda^2 per
+  interaction: the effective generator is minus the spectral average of the
+  second-order term E_S phi_{SE,2}^tau over the spectral projections of A0,
+  a logarithm of alpha_S^tau; every branch of it has the eigenprojections
+  of alpha_S^tau, so no cut enters;
+* fast repetition (tau -> 0, lambda^2 tau -> 0), s advancing by
+  lambda^2 tau^2 per interaction: minus one half of the spectral average of
+  E_S [v,.]^2, averaged over the Bohr sectors of h_S.
 
 The spectral average "B-natural" of B is sum_k P_k B P_k.  Everything here
 is computed in the Bohr frame |q_k><q_l| of the cached eigh(h_S) = (w, q),
@@ -23,7 +24,9 @@ second-order term only inside the sectors, so the weak-coupling generator
 takes those entries of R alone, in closed form (:func:`_sector_reduction`):
 divided differences of e^{i tau u} at the levels of H_0 in the chain frame,
 and no expm.  Every entry of R, from one 3n-sided Taylor stack, is the
-public :func:`second_order_term` and the oracle of that route.
+public :func:`second_order_term` and the oracle of that route.  A generator
+stays in the Bohr frame: flows, verdicts and states read it there, and it is
+converted to the computational basis only when its ``generator`` is read.
 
 The convergence experiments measure ||phi_res^t ∘ alpha_S^{-t} - e^{s gen}||
 on a grid of s (finite-type chain elements: Attal and Joye, J. Stat. Phys.
@@ -52,7 +55,7 @@ from .dynamics import (
     check_grid,
     check_phases,
 )
-from .linops import Superoperator, largest_gap_bisector, matrix_exp, superop_norm
+from .linops import Superoperator, change_frame, largest_gap_bisector, matrix_exp, superop_norm
 
 WEAK_COUPLING = "weak-coupling"
 FAST_REPETITION = "fast-repetition"
@@ -60,14 +63,20 @@ FAST_REPETITION = "fast-repetition"
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """``generator`` in the computational basis and ``bohr`` in the Bohr frame of h_S, whose
+    """The generator ``bohr`` of s, which advances by lambda^2 per interaction in weak coupling
+    and by lambda^2 tau^2 in fast repetition, in the Bohr frame ``frame`` = q of h_S, whose
     indices (k, l) ``sectors`` labels by the spectral sector they were averaged over.  In the
     weak-coupling regime ``branch_cut_angle`` records the cut the sectors were read from."""
     regime: str
-    generator: Superoperator
     bohr: np.ndarray
     sectors: np.ndarray
+    frame: np.ndarray
     branch_cut_angle: float | None = None
+
+    @property
+    def generator(self) -> Superoperator:
+        """``bohr`` in the computational basis, converted on each read (:func:`change_frame`)."""
+        return Superoperator(change_frame(self.frame, self.bohr))
 
 
 @dataclass(frozen=True)
@@ -102,15 +111,6 @@ def _alpha_classes(model: RISModel, tau: float) -> tuple[np.ndarray, float]:
     angles = np.angle(_free_evolution(model, tau))
     cut = largest_gap_bisector(angles)
     return _sector_labels(np.mod(angles - cut, 2 * np.pi)), cut
-
-
-def _sector_average(model: RISModel, regime: str, b: np.ndarray, labels: np.ndarray,
-                    cut: float | None = None) -> EffectiveGenerator:
-    """The generator M ∘ b: b, a matrix in the Bohr frame, averaged over the sectors ``labels``
-    of its indices (k, l).  M_ij = [label_i = label_j]: the sum of P b P over the sector
-    projections P, which are diagonal in the Bohr frame."""
-    bohr = np.where(labels[:, None] == labels[None, :], b, 0.0)
-    return EffectiveGenerator(regime, Superoperator(_computational(model, bohr)), bohr, labels, cut)
 
 
 def _second_order_reduction(model: RISModel, tau: float) -> np.ndarray:
@@ -219,8 +219,9 @@ def effective_generator_weak_coupling(model: RISModel, tau: float) -> EffectiveG
     reads R on its in-sector entries only (:func:`_sector_reduction`): no expm.  Raises
     ValueError when tau max|E| exceeds 2^53, E the levels of H_0 (:func:`check_phases`)."""
     r, labels, cut = _sector_reduction(model, tau)
-    # R ∘ alpha_S^{-tau}: minus the second-order term
-    return _sector_average(model, WEAK_COUPLING, r * _free_evolution(model, -tau), labels, cut)
+    # R ∘ alpha_S^{-tau}, minus the second-order term, on the in-sector entries R holds
+    return EffectiveGenerator(WEAK_COUPLING, r * _free_evolution(model, -tau), labels,
+                              model._system_bohr[1], cut)
 
 
 def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
@@ -234,8 +235,9 @@ def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
     v2, eye = v @ v, np.eye(model.dim)
     double_comm = _pair_reduction(model, _chain(model, [v2, -2.0 * v, eye]),
                                   _chain(model, [eye, v.conj().T, v2.conj().T]))
-    return _sector_average(model, FAST_REPETITION, -0.5 * double_comm,
-                           _sector_labels(model._system_bohr[0]))
+    labels = _sector_labels(model._system_bohr[0])
+    bohr = np.where(labels[:, None] == labels[None, :], -0.5 * double_comm, 0.0)
+    return EffectiveGenerator(FAST_REPETITION, bohr, labels, model._system_bohr[1])
 
 
 def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps: int,
@@ -248,9 +250,9 @@ def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps
     :func:`restricted_dynamics`; the regimes differ only in the generator
     and in the times t = time_of(s grid, lambda, tau):
 
-    * weak coupling on the lattice: t = tau * floor(s / (lambda^2 tau));
-    * weak coupling interpolated: t = s / lambda^2;
-    * fast repetition: t = s / (lambda^2 tau).
+    * weak coupling on the lattice: t = tau * floor(s / lambda^2), or s = lambda^2 n;
+    * weak coupling interpolated: t = tau * s / lambda^2;
+    * fast repetition: t = s / (lambda^2 tau), or s = lambda^2 tau^2 n at t = n tau.
 
     Its cost guard, :func:`check_grid`, refuses s_steps * n_S^4 > MAX_GRID_ENTRIES before any
     work: the call holds a few stacks of that many entries.  First :func:`_steps` splits the
@@ -303,23 +305,24 @@ def converge_lambda(model: RISModel, tau: float, lambdas, s_max: float,
     """Weak-coupling convergence on the interaction lattice.
 
     For each lambda and each s on the grid, measures
-    ||T(lambda,tau)^n alpha_S^{-tau n} - e^{s gen}|| with n = floor(s/(lambda^2 tau)).
-    The call builds the generator and its flows once for all of ``lambdas``.
+    ||T(lambda,tau)^n alpha_S^{-tau n} - e^{s gen}|| with n = floor(s/lambda^2): the
+    generator is a rate per interaction.  The call builds the generator and its flows once
+    for all of ``lambdas``.
     """
     return _converge_weak(model, tau, lambdas, s_max, s_steps,
-                          lambda s, lam, tau: tau * np.floor(s / (lam * lam * tau)))
+                          lambda s, lam, tau: tau * np.floor(s / (lam * lam)))
 
 
 def converge_lambda_interpolated(model: RISModel, tau: float, lambdas, s_max: float,
                                  s_steps: int) -> ConvergenceReport:
-    """Weak-coupling convergence at arbitrary times t = s/lambda^2.
+    """Weak-coupling convergence at arbitrary times t = tau s/lambda^2.
 
     Uses the repeated-interaction dynamics (with its partial last
     interval) instead of pure powers of T.  The call builds the generator
     and its flows once for all of ``lambdas``.
     """
     return _converge_weak(model, tau, lambdas, s_max, s_steps,
-                          lambda s, lam, tau: s / (lam * lam))
+                          lambda s, lam, tau: tau * s / (lam * lam))
 
 
 def converge_tau(model: RISModel, pairs, s_max: float, s_steps: int) -> ConvergenceReport:

@@ -85,3 +85,14 @@ def random_model(rng, n_s, n_e, beta=1.0):
     v = random_hermitian(rng, n_s * n_e)
     return RISModel(h_s=np.diag(levels).astype(complex), h_e=h_e / np.linalg.norm(h_e, 2),
                     v=v / np.linalg.norm(v, 2), beta=beta)
+
+
+def centred_model(rng, n_s, n_e, beta=1.0):
+    """:func:`random_model` with v <- v - (v_bar - Tr(v_bar)/n_S) (x) I, rescaled to spectral
+    norm 1, for v_bar = Tr_E[(I (x) rho_E) v]: then v_bar is a multiple of I, so the lambda^1
+    term of T(lambda, tau) vanishes and the van Hove limits exist."""
+    model = random_model(rng, n_s, n_e, beta)
+    v = model.v.reshape(n_s, n_e, n_s, n_e)
+    v_bar = np.einsum("icja,ac->ij", v, model.chain_state.rho)
+    v = model.v - np.kron(v_bar - np.trace(v_bar) / n_s * np.eye(n_s), np.eye(n_e))
+    return RISModel(h_s=model.h_s, h_e=model.h_e, v=v / np.linalg.norm(v, 2), beta=beta)

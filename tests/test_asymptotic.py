@@ -19,6 +19,7 @@ from ris.dynamics import NoAsymptoticStateError, RISModel, reduced_map_T, system
 from ris.linops import Superoperator, kron, matrix_exp, spectral_decompose, superop_norm
 from ris.spin import build_spin_model, spin_asymptotic_state
 from ris.vanhove import (
+    EffectiveGenerator,
     _alpha_classes,
     _second_order_reduction,
     effective_generator_fast_repetition,
@@ -33,7 +34,7 @@ from conftest import (
     random_unitary,
     spin_base,
 )
-from oracles import kato_dense_route, left_right, peripheral_spectrum, zero_superop
+from oracles import kato_dense_route, left_right, peripheral_spectrum
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import random_inline_model  # noqa: E402  (only reads perfbench/)
@@ -191,6 +192,12 @@ def state_of_projection(p: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def bohr_generator(matrix: np.ndarray) -> EffectiveGenerator:
+    """``matrix`` as an effective generator whose Bohr frame is the computational one."""
+    n = math.isqrt(matrix.shape[0])
+    return EffectiveGenerator("test", matrix, np.zeros(n * n, dtype=int), np.eye(n))
+
+
 def dual_residual(s: Superoperator, rho: np.ndarray, point: float) -> float:
     """Largest entry of S*(rho) - point rho: how far rho is from the fixed point of the trace dual."""
     return float(np.abs(s.trace_dual().apply(rho) - point * rho).max())
@@ -219,9 +226,12 @@ class TestBorderedSolve:
     def test_effective_state_matches_limit_projection(self, seed, n_s, n_e, regime):
         # the flow e^G at s = 1 has the eigenprojection of 1 that G has of 0
         model = random_model(np.random.default_rng(seed), n_s, n_e)
-        gen = (effective_generator_weak_coupling(model, 1.0) if regime == "weak-coupling"
-               else effective_generator_fast_repetition(model)).generator
-        rho = effective_asymptotic_state(gen)
+        eff = (effective_generator_weak_coupling(model, 1.0) if regime == "weak-coupling"
+               else effective_generator_fast_repetition(model))
+        # a diagonal h_S: the Bohr frame is the computational one, so the solve reads the
+        # matrix the oracle does
+        assert np.array_equal(eff.frame, np.eye(n_s))
+        rho, gen = effective_asymptotic_state(eff), eff.generator
         lp = limit_projection(Superoperator(matrix_exp(gen.matrix)))
         assert lp.converged
         assert np.abs(rho - state_of_projection(lp.projection.matrix)).max() <= 1e-11
@@ -233,7 +243,7 @@ class TestBorderedSolve:
         frame = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         jordan = np.diag([0.0, 0.0, -1.0, -2.0]).astype(complex)
         jordan[0, 1] = 1.0
-        g = Superoperator(frame @ jordan @ np.linalg.inv(frame))
+        g = bohr_generator(frame @ jordan @ np.linalg.inv(frame))
         with pytest.raises(NoAsymptoticStateError, match="the effective generator"):
             effective_asymptotic_state(g)
 
@@ -266,12 +276,12 @@ class TestBorderedSolve:
 class TestEffectiveAsymptoticState:
     def test_zero_generator_not_rank_one(self):
         with pytest.raises(NoAsymptoticStateError):
-            effective_asymptotic_state(zero_superop(2))
+            effective_asymptotic_state(bohr_generator(np.zeros((4, 4))))
 
     def test_generator_without_zero_eigenvalue(self):
         # the eigenprojection of an absent eigenvalue is zero, of trace 0
         with pytest.raises(NoAsymptoticStateError, match="trace 0"):
-            effective_asymptotic_state(Superoperator(-np.eye(4)))
+            effective_asymptotic_state(bohr_generator(-np.eye(4)))
 
     def test_error_names_the_dynamics(self):
         model = build_spin_model(spin_base(b=0.0, c=0.0))  # v = 0: eigenvalue 1 is double

@@ -119,6 +119,18 @@ class TestMatrixExp:
                                                  "squarings overflow$"):
                 matrix_exp(a)
 
+    def test_far_non_normal_refused_short_of_overflow(self):
+        # nilpotent, e^A = I + A, ||A||_1 = 2e6: its 19 squarings stay finite, but they amplify
+        # the rounding of r_13 by an estimated 4e47, and the result would be 84% off I + A
+        a = 1e6 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+        with pytest.raises(ValueError, match=r"^matrix_exp: \|\|A\|\|_1 = 2e\+06: its 19 squarings "
+                                             r"amplify the rounding by an estimated 4\.\d+e\+47, "
+                                             r"past 2\^53$"):
+            matrix_exp(a)
+        # at 1e3 the estimate reads 3.3, and the result is 6e-10 off
+        a = 1e3 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+        assert np.abs(matrix_exp(a) - np.eye(2) - a).max() <= 1e-9 * 1e3
+
     def test_largest_scaling_still_accepted(self):
         # i t sigma_x at t = 1e16 needs 52 squarings
         a = 1e16j * np.array([[0.0, 1.0], [1.0, 0.0]])

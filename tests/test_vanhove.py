@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,12 @@ from hypothesis import strategies as st
 
 import ris.linops
 import ris.vanhove
-from ris.asymptotic import kato_structure_check
+from ris.asymptotic import (
+    _asymptotic_state,
+    asymptotic_periodic_state,
+    effective_asymptotic_state,
+    kato_structure_check,
+)
 from ris.dynamics import (
     MAX_PHASE,
     RISModel,
@@ -17,6 +24,7 @@ from ris.dynamics import (
 )
 from ris.linops import (
     Superoperator,
+    change_frame,
     kron,
     matrix_exp,
     spectral_decompose,
@@ -36,6 +44,7 @@ from ris.vanhove import (
 )
 
 from conftest import (
+    centred_model,
     random_hermitian,
     random_model,
     random_two_level_model,
@@ -328,10 +337,10 @@ class TestConvergenceExperiments:
             converge_lambda(model, 1.0, [0.1, 0.2], 1.0, 5)
 
     def test_interpolated_matches_lattice_on_lattice_points(self):
-        # s values hitting n*lambda^2*tau exactly produce identical rows
+        # s values hitting n*lambda^2 exactly produce identical rows
         model = build_spin_model(spin_base())
         lam, tau = 0.5, 1.0
-        s_max = 8 * lam * lam * tau  # grid of exact multiples
+        s_max = 8 * lam * lam  # grid of exact multiples
         lattice = converge_lambda(model, tau, [lam], s_max, 9)
         interp = converge_lambda_interpolated(model, tau, [lam], s_max, 9)
         for (p1, s1, e1), (p2, s2, e2) in zip(lattice.rows, interp.rows):
@@ -379,6 +388,117 @@ class TestConvergenceExperiments:
         assert sups[1] < sups[0]
 
 
+class TestWeakCouplingTimeScale:
+    """The weak generator is a rate per interaction: s = lambda^2 n, at any tau."""
+
+    @pytest.mark.parametrize("tau", [0.37, 0.5, 2.0])
+    @pytest.mark.parametrize("converge", [converge_lambda, converge_lambda_interpolated])
+    def test_errors_fall_off_unit_tau(self, converge, tau):
+        # read at s = lambda^2 tau n the sups stall near 0.25-0.35 (ratio 0.85-0.99)
+        report = converge(build_spin_model(spin_base()), tau, [0.2, 0.1, 0.05], 5.0, 50)
+        assert report.sup_error(0.05) <= 0.25 * report.sup_error(0.2)
+
+
+def bohr_separated_model(rng, n_s: int, n_e: int) -> RISModel:
+    """A centred model (:func:`centred_model`) whose distinct Bohr frequencies lie at least
+    0.1 apart: closer ones make the limit non-uniform at these lambda and tau."""
+    while True:
+        model = centred_model(rng, n_s, n_e)
+        bohr = np.unique(model._system_bohr[0])
+        if np.diff(bohr).min() >= 0.1:
+            return model
+
+
+CENTRED_DRAWS = [(seed, *[(2, 2), (2, 3), (3, 2), (2, 4)][seed % 4]) for seed in range(40)]
+
+
+class TestCentredModels:
+    """On centred random models both van Hove limits show: the sup error at the smallest
+    parameter is at most 0.6 of the one at the largest (s_max 5, 26 steps)."""
+
+    @pytest.mark.parametrize("seed, n_s, n_e", CENTRED_DRAWS)
+    def test_weak_coupling(self, seed, n_s, n_e):
+        # tau in [0.3, 3], every Bohr angle tau omega at least 0.5 from a multiple of 2 pi
+        rng = np.random.default_rng(seed)
+        model = bohr_separated_model(rng, n_s, n_e)
+        omegas = np.abs(model._system_bohr[0])
+        while True:
+            tau = rng.uniform(0.3, 3.0)
+            angles = np.mod(tau * omegas[omegas > 0], 2 * np.pi)
+            if np.minimum(angles, 2 * np.pi - angles).min() >= 0.5:
+                break
+        for converge in (converge_lambda, converge_lambda_interpolated):
+            report = converge(model, tau, [0.2, 0.1, 0.05], 5.0, 26)
+            assert report.sup_error(0.05) <= 0.6 * report.sup_error(0.2), (converge, tau)
+
+    @pytest.mark.parametrize("seed, n_s, n_e", CENTRED_DRAWS)
+    def test_fast_repetition(self, seed, n_s, n_e):
+        rng = np.random.default_rng(seed)
+        model = bohr_separated_model(rng, n_s, n_e)
+        lam = rng.uniform(0.5, 2.0)
+        report = converge_tau(model, [(lam, tau) for tau in (0.2, 0.1, 0.05)], 5.0, 26)
+        assert report.sup_error(0.05) <= 0.6 * report.sup_error(0.2), lam
+
+
+class TestGeneratorFrame:
+    """Generators stay in the Bohr frame of h_S: only a read of ``generator`` converts."""
+
+    @staticmethod
+    def model(index: int) -> RISModel:
+        """A non-diagonal h_S: three rotated 3 x 2 models and a rotated two-level one."""
+        if index < 3:
+            return rotated_model(index, [0.0, 0.7, 1.9])
+        return random_two_level_model(np.random.default_rng(8))
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if (name == "ris" or name.startswith("ris.")) and hasattr(module, "change_frame"):
+                def counting(*args, _original=getattr(module, "change_frame")):
+                    calls.append(args)
+                    return _original(*args)
+                monkeypatch.setattr(module, "change_frame", counting)
+        return calls
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_no_conversion_off_the_generator_read(self, monkeypatch, index):
+        model = self.model(index)
+        assert not np.allclose(model.h_s, np.diag(np.diag(model.h_s)))
+        calls = self.counted(monkeypatch)
+        converge_lambda(model, 1.0, [0.3, 0.2], 1.0, 5)
+        converge_lambda_interpolated(model, 1.0, [0.3, 0.2], 1.0, 5)
+        converge_tau(model, [(1.0, 0.3), (1.0, 0.2)], 1.0, 5)
+        weak = effective_generator_weak_coupling(model, 1.0)
+        fast = effective_generator_fast_repetition(model)
+        effective_asymptotic_state(weak)
+        effective_asymptotic_state(fast)
+        asymptotic_periodic_state(model, 0.3, 1.0, t_samples=(0.0, 0.5))
+        kato_structure_check(model, 1.0, [0.02, 0.01])
+        assert calls == []
+        for k, eff in enumerate([weak, fast, weak], start=1):
+            eff.generator
+            assert len(calls) == k
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_generator_is_the_converted_bohr_matrix(self, index):
+        model = self.model(index)
+        q = np.linalg.eigh(model.h_s)[1]
+        for eff in (effective_generator_weak_coupling(model, 1.0),
+                    effective_generator_fast_repetition(model)):
+            assert np.array_equal(eff.frame, q)
+            assert np.array_equal(eff.generator.matrix, change_frame(q, eff.bohr))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_state_matches_the_computational_solve(self, index):
+        # the oracle: the bordered solve on the generator in the computational basis
+        model = self.model(index)
+        for eff in (effective_generator_weak_coupling(model, 1.0),
+                    effective_generator_fast_repetition(model)):
+            oracle = _asymptotic_state(eff.generator.matrix, 0.0, "the effective generator")
+            assert np.abs(effective_asymptotic_state(eff) - oracle).max() <= 1e-13
+
+
 class TestGridEvaluator:
     """Each row of the three reports against restricted_dynamics and the expm form of alpha_S."""
 
@@ -391,18 +511,21 @@ class TestGridEvaluator:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_rows_match_independent_form(self, name):
         model = self.MODELS[name]()
-        tau, lambdas, pairs = 1.0, [0.4, 0.25], [(1.0, 0.3), (2.0, 0.1)]
+        lambdas, pairs = [0.4, 0.25], [(1.0, 0.3), (2.0, 0.1)]
         lam_of_tau = {t: l for l, t in pairs}
-        weak = effective_generator_weak_coupling(model, tau).generator.matrix
         fast = effective_generator_fast_repetition(model).generator.matrix
         cases = [  # (report, generator, parameter -> (lambda, tau), (s, lambda, tau) -> t)
-            (converge_lambda(model, tau, lambdas, 2.0, 7), weak, lambda p: (p, tau),
-             lambda s, lam, tau: tau * np.floor(s / (lam * lam * tau))),
-            (converge_lambda_interpolated(model, tau, lambdas, 2.0, 7), weak, lambda p: (p, tau),
-             lambda s, lam, tau: s / (lam * lam)),
             (converge_tau(model, pairs, 2.0, 7), fast, lambda p: (lam_of_tau[p], p),
              lambda s, lam, tau: s / (lam * lam * tau)),
         ]
+        for tau in (1.0, 0.37):  # the weak generator is a rate per interaction at any tau
+            weak = effective_generator_weak_coupling(model, tau).generator.matrix
+            cases += [
+                (converge_lambda(model, tau, lambdas, 2.0, 7), weak, lambda p, tau=tau: (p, tau),
+                 lambda s, lam, tau: tau * np.floor(s / (lam * lam))),
+                (converge_lambda_interpolated(model, tau, lambdas, 2.0, 7), weak,
+                 lambda p, tau=tau: (p, tau), lambda s, lam, tau: tau * s / (lam * lam)),
+            ]
         off_lattice = 0
         for report, gen, params, time_of in cases:
             assert len(report.rows) == 14
