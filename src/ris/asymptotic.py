@@ -2,11 +2,20 @@
 
 One verdict decides whether a dynamics has a unique asymptotic state, the
 exact map T(lambda, tau) and an effective generator alike, and it reads
-the spectrum from one ``numpy.linalg.eigvals``: exactly one eigenvalue lies
-within 1e-9 of 1 (of 0 for a generator), and every other one has modulus
-< 1 - 1e-7 (real part < -1e-9).  The state then comes from one bordered
-solve: P(x) = Tr(rho x) I has w = vec(rho^T) as the fixed vector of M^T,
-and (M^T - point) w = 0 with row 0 replaced by vec(I)^T w = Tr rho = 1 is
+the spectrum from one ``numpy.linalg.eigvals`` on the scale of the
+perturbation.  In either regime one interaction moves T by (lambda tau)^2 R^
+(:mod:`ris.vanhove`), so the eigenvalues of T near the unit circle sit
+O(eps) inside it, eps = (lambda tau ||[v,.]||)^2 (``commutator_norm``: v
+enters only through [v,.]); a generator's sit O(||gen||_1) from the
+imaginary axis.  With r = 1e-3 times that scale: exactly one
+eigenvalue lies within r of 1 (of 0 for a generator), and every other one
+has modulus < 1 - r (real part < -r).  An eigenvalue of T near 1 rounds by
+about n_S^2 u, u the unit roundoff, so a map with 0 < r < 2^8 n_S^2 u is
+refused as PrecisionExhaustedError: past that floor the rounding error of
+the state, about n_S^2 u / gap, could pass 2^-8.  At eps = 0 (lambda = 0 or
+v = 0) T is the free evolution, judged at r = 2^8 n_S^2 u.  The state then
+comes from one bordered solve: P(x) = Tr(rho x) I has w = vec(rho^T) as
+the fixed vector of M^T, and (M^T - point) w = 0 with row 0 replaced by vec(I)^T w = Tr rho = 1 is
 nonsingular, because both dynamics are unital and so vec(I), with entry 1
 at index 0, is the left null vector of M^T - point.  The solution must
 leave a residual below 1e-9 and be PSD; otherwise NoAsymptoticStateError
@@ -24,8 +33,10 @@ experiment (:func:`kato_structure_check`) reads P(0), the eigenprojection
 of 1 of alpha_S^tau, as the mask of the fixed class F of the Bohr indices,
 so P(0) T'(0) P(0) is the F x F block of R and is zero elsewhere: its Q is
 Q_F + 1 off F, from one f-sided eig, and [Q, P(0)] = 0 by construction.
-That block lies inside one class, so it comes from the in-sector entries
-of R in closed form, with no expm (:func:`ris.vanhove._sector_reduction`).
+That block lies inside one class, so it is tau^2 times the in-sector
+entries of R^ = R / tau^2 on the classes of alpha_S^tau
+(:func:`ris.vanhove._alpha_classes`), in closed form with no expm
+(:func:`ris.vanhove._sector_reduction`).
 """
 from __future__ import annotations
 
@@ -41,11 +52,15 @@ from .dynamics import (
     _reduced_map,
 )
 from .linops import Superoperator, superop_norm
-from .vanhove import EffectiveGenerator, _sector_reduction
+from .vanhove import EffectiveGenerator, _alpha_classes, _sector_reduction
 
 
 class JordanDefectError(ValueError):
     """The relevant eigenvalue is not semisimple within tolerance."""
+
+
+class PrecisionExhaustedError(ValueError):
+    """The perturbation of T is too small for its rounding to resolve the verdict."""
 
 
 def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None):
@@ -72,21 +87,29 @@ def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None
     return p
 
 
-def _asymptotic_state(m: np.ndarray, point: float, dynamics: str) -> np.ndarray:
+def _asymptotic_state(m: np.ndarray, point: float, scale: float, dynamics: str) -> np.ndarray:
     """The unique asymptotic state of the map (``point`` 1) or generator (``point`` 0) ``m``.
 
-    The verdict reads ``numpy.linalg.eigvals`` only; the state, Hermitian
-    with trace one, is the solution of the bordered system of the module
-    docstring.  Raises NoAsymptoticStateError naming ``dynamics`` unless
-    exactly one eigenvalue lies within 1e-9 of ``point``, the rest of the
-    spectrum is isolated, the residual ||M^T w - point w|| is at most 1e-9
-    and the state is PSD.
+    The verdict reads ``numpy.linalg.eigvals`` only, at r = 1e-3 ``scale`` (the module
+    docstring); the state, Hermitian with trace one, is the solution of the bordered system.
+    Raises PrecisionExhaustedError for a map with 0 < r < 2^8 n_S^2 u, and
+    NoAsymptoticStateError naming ``dynamics`` unless exactly one eigenvalue lies within r of
+    ``point``, the rest of the spectrum is isolated by r, the residual ||M^T w - point w|| is at
+    most 1e-9 and the state is PSD.
     """
     eigs = np.linalg.eigvals(m)
-    near = np.abs(eigs - point) <= 1e-9
+    radius = 1e-3 * scale
+    # a map's eigenvalues near 1 round absolutely, a generator's with the generator
+    rounding = 2.0 ** 8 * m.shape[0] * np.finfo(float).eps if point else 0.0
+    if 0 < radius < rounding:
+        raise PrecisionExhaustedError(
+            f"{dynamics}: the verdict radius 1e-3 * {scale:.3e} is below the rounding floor "
+            f"{rounding:.3e} of its eigenvalues; precision exhausted")
+    radius = max(radius, rounding)
+    near = np.abs(eigs - point) <= radius
     others = eigs[~near]
     # a map's other eigenvalues decay inside the unit disc, a generator's in the left half-plane
-    isolated = bool(np.all(np.abs(others) < 1.0 - 1e-7 if point else others.real < -1e-9))
+    isolated = bool(np.all(np.abs(others) < 1.0 - radius if point else others.real < -radius))
     rank = int(near.sum())
     if not isolated or rank != 1:
         raise NoAsymptoticStateError(
@@ -175,13 +198,15 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
     of T(lambda, tau); the sample at t in [0, tau) is it propagated through
     the partial-interval map.  T and the partial maps share one eigh of
     H_0 + lambda v.  Raises NoAsymptoticStateError when T has no unique
-    asymptotic state.
+    asymptotic state, and PrecisionExhaustedError when (lambda tau ||[v,.]||)^2 is too small
+    for the rounding of T to tell (:func:`_asymptotic_state`).
     """
     for t in t_samples:
         if not 0 <= t < tau:
             raise ValueError(f"sample time {t} outside [0, tau)")
     t_map, *partials = _reduced_map(model, lam, [tau, *t_samples])
-    rho0 = _asymptotic_state(t_map, 1.0, f"T at (lambda, tau) = ({lam:g}, {tau:g})")
+    scale = (lam * tau * model.commutator_norm) ** 2
+    rho0 = _asymptotic_state(t_map, 1.0, scale, f"T at (lambda, tau) = ({lam:g}, {tau:g})")
     # the trace dual of a map M sends vec(rho^T) to M^T vec(rho^T), as in the solve
     n, w0 = model.n_s, rho0.T.reshape(-1)
     samples = []
@@ -199,11 +224,11 @@ def effective_asymptotic_state(eff: EffectiveGenerator) -> np.ndarray:
     """The density that exp(s*gen) relaxes to as s -> infinity.
 
     The fixed point of the trace dual of ``eff.bohr`` at eigenvalue 0, as
-    q rho q^† with q = ``eff.frame``; raises NoAsymptoticStateError when the
-    generator has no unique asymptotic state.
+    q rho q^† with q = ``eff.frame``, judged on the scale ||bohr||_1; raises
+    NoAsymptoticStateError when the generator has no unique asymptotic state.
     """
-    q = eff.frame
-    return q @ _asymptotic_state(eff.bohr, 0.0, "the effective generator") @ q.conj().T
+    q, scale = eff.frame, float(np.abs(eff.bohr).sum(axis=0).max())
+    return q @ _asymptotic_state(eff.bohr, 0.0, scale, "the effective generator") @ q.conj().T
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -247,11 +272,12 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     eps_desc = eps_list[::-1]
 
     # P(0), in the Bohr frame the mask of F, the eigenvalue class of index (0, 0): angles 0
-    # mod 2 pi; T(eps) = alpha_S^tau + eps R + O(eps^2) at lambda = sqrt(eps): T'(0) is R
-    r, labels, _ = _sector_reduction(model, tau)
+    # mod 2 pi; T(eps) = alpha_S^tau + eps R + O(eps^2) at lambda = sqrt(eps): T'(0) is
+    # R = tau^2 R^
+    labels, _ = _alpha_classes(model, tau)
     fixed = np.flatnonzero(labels == labels[0])
     block = np.ix_(fixed, fixed)
-    r = r[block]
+    r = tau * tau * _sector_reduction(model, tau, labels)[block]
     eig = np.linalg.eig(r)
     scale = max(float(np.abs(eig[0]).max()), 1e-30)
     q_f = _eigenprojection_near(r, 0.0 + 0.0j, 1e-9 * scale, eig)

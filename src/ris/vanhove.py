@@ -1,15 +1,18 @@
 """Effective (van Hove) generators and the convergence experiments.
 
-Two perturbative regimes, each on a rescaled time s:
+Two perturbative regimes, each on a rescaled time s, read one coefficient:
+T(lambda, tau) = alpha_S^tau + (lambda tau)^2 R^(tau) + ..., R^ = R / tau^2 for R the
+lambda^2 coefficient, averaged over a family of spectral projections
+(:func:`_sector_reduction`):
 
 * weak coupling (lambda -> 0, tau fixed), s advancing by lambda^2 per
   interaction: the effective generator is minus the spectral average of the
-  second-order term E_S phi_{SE,2}^tau over the spectral projections of A0,
-  a logarithm of alpha_S^tau; every branch of it has the eigenprojections
-  of alpha_S^tau, so no cut enters;
+  second-order term E_S phi_{SE,2}^tau = -R ∘ alpha_S^{-tau} over the spectral
+  projections of A0, a logarithm of alpha_S^tau; every branch of it has the
+  eigenprojections of alpha_S^tau, so no cut enters;
 * fast repetition (tau -> 0, lambda^2 tau -> 0), s advancing by
-  lambda^2 tau^2 per interaction: minus one half of the spectral average of
-  E_S [v,.]^2, averaged over the Bohr sectors of h_S.
+  lambda^2 tau^2 per interaction: R^ at tau = 0, which is
+  -(1/2) E_S [v,[v,.]], averaged over the Bohr sectors of h_S.
 
 The spectral average "B-natural" of B is sum_k P_k B P_k.  Everything here
 is computed in the Bohr frame |q_k><q_l| of the cached eigh(h_S) = (w, q),
@@ -20,9 +23,9 @@ reads too), the Bohr sectors the frequencies w_k - w_l.  The average is an
 entrywise mask, the secular approximation of Davies, "Markovian master
 equations" (CMP 1974).  Its defining time-average
 (Cesaro) limit is an independent oracle in the tests.  The mask reads the
-second-order term only inside the sectors, so the weak-coupling generator
-takes those entries of R alone, in closed form (:func:`_sector_reduction`):
-divided differences of e^{i tau u} at the levels of H_0 in the chain frame,
+second-order term only inside the sectors, so both generators take those
+entries of R^ alone, in closed form (:func:`_sector_reduction`): divided
+differences of e^{i tau u} at the levels of H_0 in the chain frame, over tau,
 and no expm.  Every entry of R, from one 3n-sided Taylor stack, is the
 public :func:`second_order_term` and the oracle of that route.  A generator
 stays in the Bohr frame: flows, verdicts and states read it there, and it is
@@ -65,8 +68,11 @@ FAST_REPETITION = "fast-repetition"
 class EffectiveGenerator:
     """The generator ``bohr`` of s, which advances by lambda^2 per interaction in weak coupling
     and by lambda^2 tau^2 in fast repetition, in the Bohr frame ``frame`` = q of h_S, whose
-    indices (k, l) ``sectors`` labels by the spectral sector they were averaged over.  In the
-    weak-coupling regime ``branch_cut_angle`` records the cut the sectors were read from."""
+    indices (k, l) ``sectors`` labels by the spectral sector they were averaged over.  Both are
+    R^ = R / tau^2 on its in-sector entries (:func:`_sector_reduction`): tau^2 R^(tau)
+    alpha_S^{-tau} in weak coupling, R^(0) in fast repetition; so lambda^2 tau^2 R^ is the step
+    of one interaction in either.  In the weak-coupling regime ``branch_cut_angle`` records the
+    cut the sectors were read from."""
     regime: str
     bohr: np.ndarray
     sectors: np.ndarray
@@ -107,7 +113,11 @@ def _sector_labels(freqs: np.ndarray) -> np.ndarray:
 def _alpha_classes(model: RISModel, tau: float) -> tuple[np.ndarray, float]:
     """(labels, cut): the eigenvalue classes of alpha_S^tau over the Bohr indices (k, l), from
     the angles tau (w_k - w_l) read counterclockwise from ``cut``, the bisector of their
-    largest gap (:func:`_sector_labels`).  Index 0, (k, l) = (0, 0), has the eigenvalue 1."""
+    largest gap (:func:`_sector_labels`).  Index 0, (k, l) = (0, 0), has the eigenvalue 1.
+    Refuses tau <= 0, and tau max|E| > 2^53 (:func:`check_phases`), before any work."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    check_phases(model, tau)
     angles = np.angle(_free_evolution(model, tau))
     cut = largest_gap_bisector(angles)
     return _sector_labels(np.mod(angles - cut, 2 * np.pi)), cut
@@ -120,18 +130,12 @@ def _second_order_reduction(model: RISModel, tau: float) -> np.ndarray:
     one 3n-sided exponential (:func:`_taylor_stack`), and
     R(x) = Tr_E[(I (x) rho_E)(U2 (x (x) I) U0^† + U1 (x (x) I) U1^† + U0 (x (x) I) U2^†)].
     Every entry of R: the public full coefficient (:func:`second_order_term`) and the oracle
-    of :func:`_sector_reduction`, which the weak-coupling generator and Kato's check read.
+    of :func:`_sector_reduction`, which both generators and Kato's check read.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     u0, u1, u2 = _taylor_stack(model, 2, tau)
     return _pair_reduction(model, _chain(model, [u2, u1, u0]), _chain(model, [u0, u1, u2]))
-
-
-def _divided_difference(tau: float, x, y):
-    """g[x, y] = (g(x) - g(y)) / (x - y) of g(u) = e^{i tau u}, g'(x) at x = y, entrywise:
-    i tau e^{i tau (x + y) / 2} sinc(tau (x - y) / 2)."""
-    return 1j * tau * np.exp(0.5j * tau * (x + y)) * np.sinc(tau * (x - y) / (2 * np.pi))
 
 
 #: 1/(k+2)! for k = 17 ... 0: the Taylor series of phi_2 to w^17; at |w| < 1 the first term
@@ -147,37 +151,37 @@ def _phi2(w: np.ndarray) -> np.ndarray:
     big, w = w[~small], w[small]
     out[~small] = (np.exp(big) - 1.0 - big) / big ** 2
     series = np.zeros_like(w)
-    for coefficient in _PHI2_SERIES:  # Horner
-        series = series * w + coefficient
+    for coefficient in _PHI2_SERIES:  # Horner, in place
+        series *= w
+        series += coefficient
     out[small] = series
     return out
 
 
-def _sector_reduction(model: RISModel, tau: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(R, labels, cut): R, the lambda^2 coefficient of T(lambda, tau) in the Bohr frame, on
-    its in-sector entries and 0 elsewhere, with the classes ``labels`` and ``cut`` of alpha_S^tau
-    (:func:`_alpha_classes`).  An entry ((k, l), (k', l')) is in-sector when both indices
-    share a class.  No expm: its oracle is the Taylor stack (:func:`_second_order_reduction`).
+def _sector_reduction(model: RISModel, tau: float, labels: np.ndarray) -> np.ndarray:
+    """R^ = R / tau^2, R the lambda^2 coefficient of T(lambda, tau) in the Bohr frame, on its
+    in-sector entries and 0 elsewhere.  An entry ((k, l), (k', l')) is in-sector when ``labels``
+    puts both indices in one class: the classes of alpha_S^tau for the weak-coupling generator
+    and Kato's check (:func:`_alpha_classes`), the Bohr sectors for fast repetition.  No expm:
+    its oracle is the Taylor stack (:func:`_second_order_reduction`).  tau = 0 is regular:
+    there U0 = I, U1 = i v~ and U2 = -v~^2 / 2, so R^(0) = -(1/2) E_S [v,[v,.]].
 
     In the chain frame q (x) W, H_0 is the diagonal of the levels E_(k,a) = w_k + e_a and
     v~ = (q (x) W)^† v (q (x) W); the terms of e^{i tau (H_0 + lambda v)} are divided
     differences of g(u) = e^{i tau u} (Daleckii-Krein): U0 = diag(g(E)), U1 = v~ ∘ g[E_i, E_j]
-    (:func:`_divided_difference`) and U2_ij = sum_c v~_ic v~_cj g[E_i, E_c, E_j].  U0 is
-    diagonal, so the U2 (x) conj U0 and U0 (x) conj U2 terms of an in-sector entry read U2
-    at ((k, a), (k', a)) only, with (k, l), (k', l) in one class for some l, or (l, k), (l, k'):
-    tau (w_k - w_k') = 0 mod 2 pi up to the class tolerance, so k = k' but for degenerate or
-    resonant levels.  Only those entries of U2 are formed, n_E n_S n of g for distinct levels.
+    and U2_ij = sum_c v~_ic v~_cj g[E_i, E_c, E_j], here over tau and tau^2, with
+    g[x, y] / tau = i e^{i tau (x + y) / 2} sinc(tau (x - y) / 2).  U0 is diagonal, so the
+    U2 (x) conj U0 and U0 (x) conj U2 terms of an in-sector entry read U2 at ((k, a), (k', a))
+    only, with (k, l), (k', l) in one class for some l, or (l, k), (l, k'): k = k' but for
+    degenerate or resonant levels.  Only those entries of U2 are formed, n_E n_S n kernels for
+    distinct levels.
 
-    Refuses tau max|E| > 2^53 first (:func:`check_phases`).  With x = E_i, y = E_j, z = E_c:
-    a pair resonant at tau |x - y| >= pi, that is near a nonzero multiple of 2 pi, takes the
-    quotient (g[x, z] - g[z, y]) / (x - y); the others, within the class tolerance of x = y,
-    the confluent form at m = (x + y) / 2, g[m, z, m] = e^{i tau m} (i tau)^2 phi_2(i tau (z - m))
-    (:func:`_phi2`), exact at x = y and off by O((tau (x - y))^2) relative otherwise.
+    With x = E_i, y = E_j, z = E_c: a pair resonant at tau |x - y| >= pi, that is near a
+    nonzero multiple of 2 pi, takes the quotient (g[x, z] - g[z, y]) / (tau^2 (x - y)); the
+    others, within the class tolerance of x = y, the confluent form at m = (x + y) / 2,
+    g[m, z, m] / tau^2 = -e^{i tau m} phi_2(i tau (z - m)) (:func:`_phi2`), exact at x = y and
+    off by O((tau (x - y))^2) relative otherwise.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    check_phases(model, tau)
-    labels, cut = _alpha_classes(model, tau)
     ns, ne = model.n_s, model.n_e
     sqrt_p, frame, levels = model._chain_frame
     same = labels[:, None] == labels[None, :]
@@ -186,22 +190,22 @@ def _sector_reduction(model: RISModel, tau: float) -> tuple[np.ndarray, np.ndarr
     i = (k[:, None] * ne + np.arange(ne)).reshape(-1)
     j = (k2[:, None] * ne + np.arange(ne)).reshape(-1)
     vt = frame.conj().T @ model.v @ frame
+    e, f = levels[:, None], levels
+    g1 = 1j * np.exp(0.5j * tau * (e + f)) * np.sinc(tau * (e - f) / (2 * np.pi))  # g[E, E]/tau
     x, y = levels[i][:, None], levels[j][:, None]
     m = 0.5 * (x + y)
-    g2 = np.exp(1j * tau * m) * (1j * tau) ** 2 * _phi2(1j * tau * (levels - m))
+    g2 = -np.exp(1j * tau * m) * _phi2(1j * tau * (levels - m))
     resonant = np.abs(tau * (x - y))[:, 0] >= np.pi
-    x, y = x[resonant], y[resonant]
-    g2[resonant] = (_divided_difference(tau, x, levels)
-                    - _divided_difference(tau, levels, y)) / (x - y)
+    g2[resonant] = ((g1[i[resonant]] - g1[:, j[resonant]].T)
+                    / (tau * (x[resonant] - y[resonant])))
     u2 = np.zeros((ne, ns, ns), dtype=complex)  # U2 at ((k, a), (k', a)) as [a, k, k']
     u2[:, k, k2] = np.einsum("pc,pc,pc->p", vt[i], vt[:, j].T, g2).reshape(-1, ne).T
     # U1 (x) conj U1 in full, then U2 (x) conj U0 at l = l' and U0 (x) conj U2 at k = k'
-    u1 = vt * _divided_difference(tau, levels[:, None], levels)
-    r = _pair_reduction(model, u1[None]).reshape(ns, ns, ns, ns)
+    r = _pair_reduction(model, (vt * g1)[None]).reshape(ns, ns, ns, ns)
     pu0 = sqrt_p ** 2 * np.exp(1j * tau * levels).reshape(ns, ne)  # p_a U0_(k,a)
     r[:, diag, :, diag] += np.einsum("akm,la->lkm", u2, pu0.conj())
     r[diag, :, diag, :] += np.einsum("ka,alm->klm", pu0, u2.conj())
-    return np.where(same, r.reshape(ns * ns, ns * ns), 0.0), labels, cut
+    return np.where(same, r.reshape(ns * ns, ns * ns), 0.0)
 
 
 def second_order_term(model: RISModel, tau: float) -> Superoperator:
@@ -215,29 +219,21 @@ def second_order_term(model: RISModel, tau: float) -> Superoperator:
 
 def effective_generator_weak_coupling(model: RISModel, tau: float) -> EffectiveGenerator:
     """Weak-coupling generator: minus the A0-spectral-average of the second-order term, whose
-    sectors are the eigenvalue classes of alpha_S^tau (:func:`_alpha_classes`).  The average
-    reads R on its in-sector entries only (:func:`_sector_reduction`): no expm.  Raises
+    sectors are the eigenvalue classes of alpha_S^tau (:func:`_alpha_classes`): tau^2 R^(tau)
+    alpha_S^{-tau} on the in-sector entries of R^ (:func:`_sector_reduction`), no expm.  Raises
     ValueError when tau max|E| exceeds 2^53, E the levels of H_0 (:func:`check_phases`)."""
-    r, labels, cut = _sector_reduction(model, tau)
-    # R ∘ alpha_S^{-tau}, minus the second-order term, on the in-sector entries R holds
-    return EffectiveGenerator(WEAK_COUPLING, r * _free_evolution(model, -tau), labels,
-                              model._system_bohr[1], cut)
+    labels, cut = _alpha_classes(model, tau)
+    # R ∘ alpha_S^{-tau}, minus the second-order term, with tau^2 folded into alpha_S^{-tau}
+    bohr = _sector_reduction(model, tau, labels) * (tau * tau * _free_evolution(model, -tau))
+    return EffectiveGenerator(WEAK_COUPLING, bohr, labels, model._system_bohr[1], cut)
 
 
 def effective_generator_fast_repetition(model: RISModel) -> EffectiveGenerator:
-    """Fast-repetition generator: -(1/2) * Bohr-average of E_S [v,[v,.]] on M_S.
-
-    E_S [v,[v, x (x) I]] = R(v^2, I) - 2 R(v, v) + R(I, v^2), with
-    R(A, B)(x) = Tr_E[(I (x) rho_E) A (x (x) I) B^†] contracted in the same
-    Hilbert-space form as the reduced map.
-    """
-    v = model.v
-    v2, eye = v @ v, np.eye(model.dim)
-    double_comm = _pair_reduction(model, _chain(model, [v2, -2.0 * v, eye]),
-                                  _chain(model, [eye, v.conj().T, v2.conj().T]))
+    """Fast-repetition generator: -(1/2) * Bohr-average of E_S [v,[v,.]] on M_S, which is R^ at
+    tau = 0 on the Bohr sectors of h_S (:func:`_sector_reduction`, :func:`_sector_labels`)."""
     labels = _sector_labels(model._system_bohr[0])
-    bohr = np.where(labels[:, None] == labels[None, :], -0.5 * double_comm, 0.0)
-    return EffectiveGenerator(FAST_REPETITION, bohr, labels, model._system_bohr[1])
+    return EffectiveGenerator(FAST_REPETITION, _sector_reduction(model, 0.0, labels), labels,
+                              model._system_bohr[1])
 
 
 def _grid_report(model: RISModel, eff: EffectiveGenerator, s_max: float, s_steps: int,

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import ris.asymptotic
 from ris.asymptotic import (
     JordanDefectError,
+    PrecisionExhaustedError,
     _eigenprojection_near,
     asymptotic_periodic_state,
     effective_asymptotic_state,
@@ -15,6 +17,7 @@ from ris.asymptotic import (
     limit_projection,
     trace_distance,
 )
+from ris.cli import main
 from ris.dynamics import NoAsymptoticStateError, RISModel, reduced_map_T, system_free_evolution
 from ris.linops import Superoperator, kron, matrix_exp, spectral_decompose, superop_norm
 from ris.spin import build_spin_model, spin_asymptotic_state
@@ -300,14 +303,16 @@ class TestEffectiveAsymptoticState:
         limit = projection_onto_identity(rho)
         assert superop_norm(matrix_exp(1e3 * eff.generator.matrix) - limit.matrix) <= 1e-9
 
-    def test_system_only_coupling_never_mixes(self):
+    @pytest.mark.parametrize("lam", [0.3, 0.2, 1e-3])
+    def test_system_only_coupling_never_mixes(self, lam):
         # b = c = 0 with a = d makes v a pure system operator (x) I: the
         # reduced map stays a unitary conjugation at every coupling, so
-        # there is no asymptotic state (the whole spectrum is peripheral)
+        # there is no asymptotic state (the whole spectrum is peripheral),
+        # also on the scale (lambda tau ||v||)^2 of the verdict
         model = build_spin_model(spin_base(b=0.0, c=0.0, a=0.7, d=0.7))
-        assert len(peripheral_spectrum(reduced_map_T(model, 0.3, 1.0))) == 4
+        assert len(peripheral_spectrum(reduced_map_T(model, lam, 1.0))) == 4
         with pytest.raises(NoAsymptoticStateError, match="of trace 2,"):
-            asymptotic_periodic_state(model, 0.3, 1.0)
+            asymptotic_periodic_state(model, lam, 1.0)
 
     def test_diagonal_couplings_still_relax(self):
         # b = c = 0 but a != d: second-order processes through a and d
@@ -318,6 +323,40 @@ class TestEffectiveAsymptoticState:
         assert len(peripheral_spectrum(reduced_map_T(model, 0.3, 1.0))) == 1
         report = asymptotic_periodic_state(model, 0.3, 1.0)
         assert np.abs(report.asymptotic_density - np.eye(2) / 2).max() <= 0.05
+
+
+class TestVerdictScale:
+    """The verdict is judged at 1e-3 of the perturbation's scale: (lambda tau ||[v,.]||)^2 for
+    T, ||gen||_1 for a generator.  On the spin model (||[v,.]|| = 2, tau = 1) 1 - |mu_2| =
+    0.681 lambda^2, and the floor 2^8 n_S^2 u = 2.3e-13 of T sits at lambda = 7.5e-6."""
+
+    @pytest.mark.parametrize("lam", [1e-4, 3e-5])
+    def test_spin_state_at_small_coupling(self, lam):
+        # the absolute bounds, 1e-9 about 1 and 1 - 1e-7 for the rest, refused both
+        model = build_spin_model(spin_base())
+        rho_eff = effective_asymptotic_state(effective_generator_weak_coupling(model, 1.0))
+        rho = asymptotic_periodic_state(model, lam, 1.0).asymptotic_density
+        assert np.abs(rho - rho_eff).max() <= 1e-6
+
+    def test_below_the_floor_precision_is_exhausted(self, tmp_path, capsys):
+        model = build_spin_model(spin_base())
+        with pytest.raises(PrecisionExhaustedError, match="precision exhausted"):
+            asymptotic_periodic_state(model, 5e-6, 1.0)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "experiment": "asymptotic", "lambdas": [5e-6],
+            "model": {"spin": {"S": 1, "E": 2, "beta": 1, "b": [1, 0], "c": [1, 0], "tau": 1}}}))
+        out = tmp_path / "asym.csv"
+        assert main(["asymptotic", "--config", str(config), "--out", str(out)]) == 1
+        assert "precision exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor", [1e-12, 1e6])
+    def test_generator_verdict_scales_with_the_generator(self, factor):
+        # the absolute -1e-9 refused a generator scaled by 1e-12
+        eff = effective_generator_weak_coupling(build_spin_model(spin_base()), 1.0)
+        rho = effective_asymptotic_state(eff)
+        scaled = EffectiveGenerator(eff.regime, factor * eff.bohr, eff.sectors, eff.frame)
+        assert np.abs(effective_asymptotic_state(scaled) - rho).max() <= 1e-12
 
 
 class TestCompareOrders:

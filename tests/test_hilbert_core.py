@@ -107,8 +107,23 @@ def test_interaction_dynamics_matches_superoperator_exponential(model, lam, t):
     assert max_abs(interaction_dynamics(model, lam, t).matrix - oracle.matrix) <= 1e-12
 
 
+def leveled_model(seed, levels, n_e, beta):
+    """:func:`random_model` with h_S = U diag(levels) U^†, U a random unitary: with repeated
+    or equally spaced levels a Bohr sector holds more than one index, and U2 is formed off
+    k = k'."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, len(levels), n_e, beta)
+    u = random_unitary(rng, len(levels))
+    h_s = u @ np.diag(levels) @ u.conj().T
+    return RISModel(h_s=0.5 * (h_s + h_s.conj().T), h_e=model.h_e, v=model.v, beta=beta)
+
+
+spectra = st.lists(st.sampled_from([-1.3, 0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=4)
+leveled_models = st.builds(leveled_model, st.integers(0, 2 ** 32 - 1), spectra, sizes, betas)
+
+
 @PROPERTY
-@given(models)
+@given(models | leveled_models)
 def test_fast_repetition_double_commutator_matches_oracle(model):
     cv = commutator_superop(model.v)
     basis = spectral_decompose(derivation_superop(model.h_s))

@@ -209,13 +209,13 @@ def diagonal_model(levels, seed: int = 3, n_e: int = 3) -> RISModel:
 
 
 class TestSectorReduction:
-    """R on its in-sector entries, from divided differences, against the Taylor stack's R."""
+    """R = tau^2 R^ on its in-sector entries, from divided differences over tau, against the
+    Taylor stack's R; at tau = 0, R^ against the double commutator."""
 
     @staticmethod
     def gap(model, tau):
-        r, labels, cut = _sector_reduction(model, tau)
-        classes = ris.vanhove._alpha_classes(model, tau)
-        assert np.array_equal(labels, classes[0]) and cut == classes[1]
+        labels, _ = ris.vanhove._alpha_classes(model, tau)
+        r = tau * tau * _sector_reduction(model, tau, labels)
         same = labels[:, None] == labels[None, :]
         assert not r[~same].any()
         ref = np.where(same, _second_order_reduction(model, tau), 0.0)
@@ -244,6 +244,21 @@ class TestSectorReduction:
         tau = 2 * np.pi / (levels[gap_pair[1]] - levels[gap_pair[0]])
         assert self.gap(diagonal_model(levels), tau) <= 1e-13
 
+    @pytest.mark.parametrize("levels", [[0.0, 0.7, 1.9], [0.0, 1.0, 1.0], [0.0, 1.0, 2.0]],
+                             ids=["distinct", "degenerate", "equally-spaced"])
+    def test_tau_zero_is_the_double_commutator(self, levels):
+        # R^(0) = -(1/2) E_S [v,[v,.]] on the Bohr sectors, which hold more than one entry
+        # for degenerate or equally spaced levels
+        model = diagonal_model(levels)
+        labels = ris.vanhove._sector_labels(model._system_bohr[0])
+        same = labels[:, None] == labels[None, :]
+        cv = commutator_superop(model.v)
+        q = model._system_bohr[1]
+        ref = change_frame(q.conj().T, -0.5 * restrict_to_system(model, cv @ cv).matrix)
+        ref = np.where(same, ref, 0.0)
+        got = _sector_reduction(model, 0.0, labels)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_no_expm(self, monkeypatch):
         def refuse(a):
             raise AssertionError(f"expm of side {a.shape[0]}")
@@ -261,7 +276,7 @@ class TestSectorReduction:
         def refuse(*args):
             raise AssertionError("the work started")
 
-        monkeypatch.setattr(ris.vanhove, "_alpha_classes", refuse)
+        monkeypatch.setattr(ris.vanhove, "_free_evolution", refuse)
         with pytest.raises(ValueError, match=r"^tau = 1e\+300 with max\|E\| = 3 over the "
                                              r"levels E of H_0 and \|\|v\|\|_inf = 0.5: .* "
                                              r"exceeds 2\^53"):
@@ -313,6 +328,16 @@ class TestFastRepetitionGenerator:
             weak = effective_generator_weak_coupling(model, tau).generator
             gaps.append(superop_norm((1.0 / tau ** 2) * weak - fast))
         assert gaps[1] <= 0.6 * gaps[0]
+
+    @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (4, 4)])
+    def test_weak_coupling_tends_to_it_at_first_order(self, dims):
+        # weak / tau^2 = R^(tau) alpha_S^{-tau} on the classes of alpha_S^tau, the Bohr sectors
+        # at these tau, and R^(tau) = R^(0) + O(tau): each halving of tau halves the gap
+        model = random_model(np.random.default_rng(0), *dims)
+        fast = effective_generator_fast_repetition(model).bohr
+        gaps = [superop_norm(effective_generator_weak_coupling(model, tau).bohr / tau ** 2 - fast)
+                for tau in (0.1, 0.05, 0.025, 0.0125)]
+        assert all(fine <= 0.55 * coarse for coarse, fine in zip(gaps, gaps[1:]))
 
 
 class TestConvergenceExperiments:
@@ -495,8 +520,34 @@ class TestGeneratorFrame:
         model = self.model(index)
         for eff in (effective_generator_weak_coupling(model, 1.0),
                     effective_generator_fast_repetition(model)):
-            oracle = _asymptotic_state(eff.generator.matrix, 0.0, "the effective generator")
+            scale = np.abs(eff.bohr).sum(axis=0).max()
+            oracle = _asymptotic_state(eff.generator.matrix, 0.0, scale, "the effective generator")
             assert np.abs(effective_asymptotic_state(eff) - oracle).max() <= 1e-13
+
+
+class TestOneReductionPath:
+    """Each generator is one in-sector reduction: one :func:`_sector_reduction`, whose one
+    ``_pair_reduction`` forms the U1 (x) conj U1 term, and no ``matrix_exp``."""
+
+    @pytest.mark.parametrize("build", [
+        lambda model: effective_generator_weak_coupling(model, 1.0),
+        effective_generator_fast_repetition,
+    ], ids=["weak", "fast"])
+    @pytest.mark.parametrize("levels", [[0.0, 0.7, 1.9], [0.0, 1.0, 1.0]],
+                             ids=["distinct", "degenerate"])
+    def test_calls(self, monkeypatch, build, levels):
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name != "ris" and not name.startswith("ris."):
+                continue
+            for function in ("_sector_reduction", "_pair_reduction", "matrix_exp"):
+                if hasattr(module, function):
+                    def counting(*args, _original=getattr(module, function), _name=function):
+                        calls.append(_name)
+                        return _original(*args)
+                    monkeypatch.setattr(module, function, counting)
+        build(rotated_model(0, levels))
+        assert sorted(calls) == ["_pair_reduction", "_sector_reduction"]
 
 
 class TestGridEvaluator:
