@@ -6,14 +6,19 @@ the spectrum from one ``numpy.linalg.eigvals`` on the scale of the
 perturbation.  In either regime one interaction moves T by (lambda tau)^2 R^
 (:mod:`ris.vanhove`), so the eigenvalues of T near the unit circle sit
 O(eps) inside it, eps = (lambda tau ||[v,.]||)^2 (``commutator_norm``: v
-enters only through [v,.]); a generator's sit O(||gen||_1) from the
-imaginary axis.  With r = 1e-3 times that scale: exactly one
-eigenvalue lies within r of 1 (of 0 for a generator), and every other one
-has modulus < 1 - r (real part < -r).  An eigenvalue of T near 1 rounds by
-about n_S^2 u, u the unit roundoff, so a map with 0 < r < 2^8 n_S^2 u is
-refused as PrecisionExhaustedError: past that floor the rounding error of
-the state, about n_S^2 u / gap, could pass 2^-8.  At eps = 0 (lambda = 0 or
-v = 0) T is the free evolution, judged at r = 2^8 n_S^2 u.  The state then
+enters only through [v,.]).  With r = 1e-3 eps, capped at the absolute
+bounds that serve a perturbation of order one: exactly one eigenvalue lies
+within min(r, 1e-9) of 1, and every other one has modulus
+< 1 - min(r, 1e-7).  So the rule is an absolute one where eps >= 1e-4 and
+relaxes it only below; at eps = 0 (lambda = 0 or v = 0) T is the free
+evolution, judged at the caps.  An eigenvalue of T near 1 rounds by about
+n_S^2 eps_mach (eps_mach = ``np.finfo(float).eps`` = 2^-52), so a map with
+0 < r < 2^8 n_S^2 eps_mach is refused as PrecisionExhaustedError: past
+that floor the rounding error of the state, about n_S^2 eps_mach / gap,
+could pass 2^-8.  A generator's eigenvalues round with the generator, and
+it has no a priori scale of its decay rates, so it is judged at that
+floor times ||gen||_1: exactly one eigenvalue within it of 0 and every
+other one with real part below minus it.  The state then
 comes from one bordered solve: P(x) = Tr(rho x) I has w = vec(rho^T) as
 the fixed vector of M^T, and (M^T - point) w = 0 with row 0 replaced by vec(I)^T w = Tr rho = 1 is
 nonsingular, because both dynamics are unital and so vec(I), with entry 1
@@ -90,26 +95,32 @@ def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None
 def _asymptotic_state(m: np.ndarray, point: float, scale: float, dynamics: str) -> np.ndarray:
     """The unique asymptotic state of the map (``point`` 1) or generator (``point`` 0) ``m``.
 
-    The verdict reads ``numpy.linalg.eigvals`` only, at r = 1e-3 ``scale`` (the module
-    docstring); the state, Hermitian with trace one, is the solution of the bordered system.
-    Raises PrecisionExhaustedError for a map with 0 < r < 2^8 n_S^2 u, and
-    NoAsymptoticStateError naming ``dynamics`` unless exactly one eigenvalue lies within r of
-    ``point``, the rest of the spectrum is isolated by r, the residual ||M^T w - point w|| is at
-    most 1e-9 and the state is PSD.
+    The verdict reads ``numpy.linalg.eigvals`` only, on the perturbation's ``scale`` (the module
+    docstring): eps for a map, ||gen||_1 for a generator; the state, Hermitian with trace one,
+    is the solution of the bordered system.  With the floor f = 2^8 n_S^2 eps_mach, raises
+    PrecisionExhaustedError for a map with 0 < 1e-3 eps < f, and NoAsymptoticStateError
+    naming ``dynamics`` unless exactly one eigenvalue lies within the cluster radius of
+    ``point`` (min(1e-3 eps, 1e-9) for a map, f ||gen||_1 for a generator), the rest of the
+    spectrum is isolated (modulus < 1 - min(1e-3 eps, 1e-7), real part < -f ||gen||_1), the
+    residual ||M^T w - point w|| is at most 1e-9 and the state is PSD.
     """
     eigs = np.linalg.eigvals(m)
-    radius = 1e-3 * scale
-    # a map's eigenvalues near 1 round absolutely, a generator's with the generator
-    rounding = 2.0 ** 8 * m.shape[0] * np.finfo(float).eps if point else 0.0
-    if 0 < radius < rounding:
-        raise PrecisionExhaustedError(
-            f"{dynamics}: the verdict radius 1e-3 * {scale:.3e} is below the rounding floor "
-            f"{rounding:.3e} of its eigenvalues; precision exhausted")
-    radius = max(radius, rounding)
-    near = np.abs(eigs - point) <= radius
+    floor = 2.0 ** 8 * m.shape[0] * np.finfo(float).eps
+    if point:
+        # T's eigenvalues near 1 round absolutely; the absolute caps serve eps of order one
+        radius = 1e-3 * scale if scale else math.inf
+        if radius < floor:
+            raise PrecisionExhaustedError(
+                f"{dynamics}: the verdict radius 1e-3 * {scale:.3e} is below the rounding floor "
+                f"{floor:.3e} of its eigenvalues; precision exhausted")
+        near_radius, gap = min(radius, 1e-9), min(radius, 1e-7)
+    else:
+        # a generator's eigenvalues round with the generator
+        near_radius = gap = floor * scale
+    near = np.abs(eigs - point) <= near_radius
     others = eigs[~near]
     # a map's other eigenvalues decay inside the unit disc, a generator's in the left half-plane
-    isolated = bool(np.all(np.abs(others) < 1.0 - radius if point else others.real < -radius))
+    isolated = bool(np.all(np.abs(others) < 1.0 - gap if point else others.real < -gap))
     rank = int(near.sum())
     if not isolated or rank != 1:
         raise NoAsymptoticStateError(

@@ -33,11 +33,17 @@ from ris.vanhove import (
 from conftest import (
     cli_trace_distances,
     random_density,
+    random_hermitian,
     random_model,
     random_unitary,
     spin_base,
 )
-from oracles import kato_dense_route, left_right, peripheral_spectrum
+from oracles import (
+    density_from_dual_fixed_point,
+    kato_dense_route,
+    left_right,
+    peripheral_spectrum,
+)
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import random_inline_model  # noqa: E402  (only reads perfbench/)
@@ -326,9 +332,23 @@ class TestEffectiveAsymptoticState:
 
 
 class TestVerdictScale:
-    """The verdict is judged at 1e-3 of the perturbation's scale: (lambda tau ||[v,.]||)^2 for
-    T, ||gen||_1 for a generator.  On the spin model (||[v,.]|| = 2, tau = 1) 1 - |mu_2| =
-    0.681 lambda^2, and the floor 2^8 n_S^2 u = 2.3e-13 of T sits at lambda = 7.5e-6."""
+    """T is judged on the perturbation's scale eps = (lambda tau ||[v,.]||)^2: one eigenvalue
+    within min(1e-3 eps, 1e-9) of 1, the rest of modulus < 1 - min(1e-3 eps, 1e-7).  A generator
+    is judged at the rounding floor 2^8 n_S^2 eps_mach times ||gen||_1.  On the spin model
+    (||[v,.]|| = 2, tau = 1) 1 - |mu_2| = 0.681 lambda^2, and the floor 2.3e-13 of T sits at
+    lambda = 7.5e-6."""
+
+    @staticmethod
+    def stiff_model(delta):
+        """3 x 2 model whose level 2 of h_S meets levels 0 and 1 only through the entries of v
+        scaled by ``delta``: a weak transition, so the slowest rate goes as delta^2."""
+        v = random_hermitian(np.random.default_rng(1), 6).reshape(3, 2, 3, 2)
+        v[2, :, :2] *= delta
+        v[:2, :, 2] *= delta
+        v = v.reshape(6, 6)
+        return RISModel(h_s=np.diag([0.0, 0.8, 1.9]).astype(complex),
+                        h_e=np.diag([0.0, 1.1]).astype(complex), v=v / np.linalg.norm(v, 2),
+                        beta=1.0)
 
     @pytest.mark.parametrize("lam", [1e-4, 3e-5])
     def test_spin_state_at_small_coupling(self, lam):
@@ -357,6 +377,27 @@ class TestVerdictScale:
         rho = effective_asymptotic_state(eff)
         scaled = EffectiveGenerator(eff.regime, factor * eff.bohr, eff.sectors, eff.frame)
         assert np.abs(effective_asymptotic_state(scaled) - rho).max() <= 1e-12
+
+    @pytest.mark.parametrize("lam", [5.0, 30.0])
+    def test_strong_coupling_keeps_the_absolute_bounds(self, lam):
+        # 1 - |mu_2| is 0.035 at lambda = 5 and 1.1e-3 at 30, far below 1e-3 eps = 0.1 and
+        # 3.6: strong coupling slows relaxation, so the radii must stay capped
+        model = build_spin_model(spin_base())
+        rho = asymptotic_periodic_state(model, lam, 1.0).asymptotic_density
+        oracle = density_from_dual_fixed_point(reduced_map_T(model, lam, 1.0))
+        assert np.abs(rho - oracle).max() <= 1e-10
+
+    def test_weak_transition(self):
+        # at delta = 1e-2 and lambda = 0.3, 1 - |mu_2| of T is 6.1e-6 = 1.9e-5 eps, and the
+        # generators' gaps are 3e-4 of ||gen||_1: all below a verdict at 1e-3 of the scale
+        model = self.stiff_model(1e-2)
+        rho = asymptotic_periodic_state(model, 0.3, 1.0).asymptotic_density
+        oracle = density_from_dual_fixed_point(reduced_map_T(model, 0.3, 1.0))
+        assert np.abs(rho - oracle).max() <= 1e-9
+        for eff in (effective_generator_weak_coupling(model, 1.0),
+                    effective_generator_fast_repetition(model)):
+            oracle = density_from_dual_fixed_point(eff.generator, point=0.0)
+            assert np.abs(effective_asymptotic_state(eff) - oracle).max() <= 1e-10
 
 
 class TestCompareOrders:
