@@ -1,47 +1,42 @@
 """Asymptotic states, and the limit projection as their oracle.
 
-One verdict decides whether a dynamics has a unique asymptotic state, the
-exact map T(lambda, tau) and an effective generator alike, and it reads
-the spectrum from one ``numpy.linalg.eigvals`` on the scale of the
-perturbation.  In either regime one interaction moves T by (lambda tau)^2 R^
-(:mod:`ris.vanhove`), so the eigenvalues of T near the unit circle sit
-O(eps) inside it, eps = (lambda tau ||[v,.]||)^2 (``commutator_norm``: v
-enters only through [v,.]).  With r = 1e-3 eps, capped at the absolute
-bounds that serve a perturbation of order one: exactly one eigenvalue lies
-within min(r, 1e-9) of 1, and every other one has modulus
-< 1 - min(r, 1e-7).  So the rule is an absolute one where eps >= 1e-4 and
-relaxes it only below; at eps = 0 (lambda = 0 or v = 0) T is the free
-evolution, judged at the caps.  An eigenvalue of T near 1 rounds by about
-n_S^2 eps_mach (eps_mach = ``np.finfo(float).eps`` = 2^-52), so a map with
-0 < r < 2^8 n_S^2 eps_mach is refused as PrecisionExhaustedError: past
-that floor the rounding error of the state, about n_S^2 eps_mach / gap,
-could pass 2^-8.  A generator's eigenvalues round with the generator, and
-it has no a priori scale of its decay rates, so it is judged at that
-floor times ||gen||_1: exactly one eigenvalue within it of 0 and every
-other one with real part below minus it.  The state then
-comes from one bordered solve: P(x) = Tr(rho x) I has w = vec(rho^T) as
-the fixed vector of M^T, and (M^T - point) w = 0 with row 0 replaced by vec(I)^T w = Tr rho = 1 is
-nonsingular, because both dynamics are unital and so vec(I), with entry 1
-at index 0, is the left null vector of M^T - point.  The solution must
-leave a residual below 1e-9 and be PSD; otherwise NoAsymptoticStateError
-names the dynamics.  :func:`limit_projection`, the eigenprojection of 1
-with the convergence of T^(2^j), is the oracle of this solve and is not
-on the state path.  Both states are solved in the Bohr frame of h_S: the
-exact maps come in it (:mod:`ris.dynamics`), and an effective generator
-is read as its ``bohr`` matrix (:class:`ris.vanhove.EffectiveGenerator`).
-The frame is unitary, so verdicts, spectra and norms are as they are in
-the computational basis: only the densities returned are converted, to
-q rho q^†.  The CLI
-``asymptotic`` experiment compares the exact periodic states with the
-effective limit of either regime (:func:`trace_distance`).  The ``kato``
+Every eigenvalue cluster this module reads, of the unique-state verdict
+and of Kato's projections alike, has its radii from one rule,
+:func:`_cluster_radii`, on the scale of its perturbation.  In either regime
+one interaction moves T by (lambda tau)^2 R^ (:mod:`ris.vanhove`), so the
+eigenvalues of T near the unit circle sit O(eps) inside it,
+eps = (lambda tau ||[v,.]||)^2 (:func:`_perturbation_scale`; v enters only
+through [v,.]).  A map's cluster at 1 has radius min(r, 1e-9), r = 1e-3 eps,
+and the rest of its spectrum is isolated at modulus < 1 - min(r, 1e-7): the
+absolute rule where eps >= 1e-4, relaxed only below; at eps = 0 T is the
+free evolution, judged at the caps.  T's eigenvalues near 1 round by about
+n_S^2 eps_mach (eps_mach = ``np.finfo(float).eps`` = 2^-52), so
+0 < r < 2^8 n_S^2 eps_mach raises PrecisionExhaustedError: past that floor
+the state's rounding error, about n_S^2 eps_mach / gap, could pass 2^-8.  A
+generator's eigenvalues round with it, and nothing fixes its rates a
+priori: both its radii about 0 are that floor (its side for n_S^2) times
+||gen||_1.  The verdict, from one ``numpy.linalg.eigvals``, asks for one
+eigenvalue in the cluster and an isolated rest; the state then comes from
+one bordered solve: P(x) = Tr(rho x) I has w = vec(rho^T) as the fixed
+vector of M^T, and (M^T - point) w = 0 with row 0 replaced by
+vec(I)^T w = Tr rho = 1 is nonsingular, as both dynamics are unital and so
+vec(I), with entry 1 at index 0, is the left null vector of M^T - point.
+A residual above 1e-9 or a state that is not PSD raises
+NoAsymptoticStateError naming the dynamics.  :func:`limit_projection`, the
+eigenprojection of 1 with the convergence of T^(2^j), at its own absolute
+bounds, is the oracle of this solve.  Both states are solved in the Bohr
+frame of h_S, where the exact maps come (:mod:`ris.dynamics`) and an
+effective generator is its ``bohr`` matrix; the frame is unitary, so only
+the densities returned are converted, to q rho q^†.  The ``kato``
 experiment (:func:`kato_structure_check`) reads P(0), the eigenprojection
-of 1 of alpha_S^tau, as the mask of the fixed class F of the Bohr indices,
-so P(0) T'(0) P(0) is the F x F block of R and is zero elsewhere: its Q is
-Q_F + 1 off F, from one f-sided eig, and [Q, P(0)] = 0 by construction.
-That block lies inside one class, so it is tau^2 times the in-sector
-entries of R^ = R / tau^2 on the classes of alpha_S^tau
-(:func:`ris.vanhove._alpha_classes`), in closed form with no expm
-(:func:`ris.vanhove._sector_reduction`).
+of 1 of alpha_S^tau, as the mask of the fixed class F of the Bohr indices:
+P(0) T'(0) P(0) is the F x F block of R, zero elsewhere, so Q = Q_F + 1
+off F commutes with P(0).  Q_F is that f-sided block's cluster at 0, judged
+as a generator's; the block lies in one class of alpha_S^tau
+(:func:`ris.vanhove._alpha_classes`), so it is tau^2 times in-sector
+entries of R^, in closed form (:func:`ris.vanhove._sector_reduction`).
+Each P(eps) is the cluster at 1 of T(sqrt(eps), tau) on its scale
+eps (tau ||[v,.]||)^2: an eps below the floor raises PrecisionExhaustedError.
 """
 from __future__ import annotations
 
@@ -65,7 +60,7 @@ class JordanDefectError(ValueError):
 
 
 class PrecisionExhaustedError(ValueError):
-    """The perturbation of T is too small for its rounding to resolve the verdict."""
+    """The perturbation of T is too small for its rounding to resolve a cluster at 1."""
 
 
 def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None):
@@ -92,31 +87,36 @@ def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None
     return p
 
 
+def _perturbation_scale(model: RISModel, lam: float, tau: float) -> float:
+    """eps = (lambda tau ||[v,.]||)^2: one interaction moves T(lambda, tau) by O(eps)."""
+    return (lam * tau * model.commutator_norm) ** 2
+
+
+def _cluster_radii(point: float, scale: float, side: int, dynamics: str) -> tuple:
+    """(cluster, isolation) radii about ``point`` of a ``side``-sided map (1) or generator (0) on
+    its ``scale``, eps or ||gen||_1: the rule of the module docstring, whose refusal names
+    ``dynamics``."""
+    floor = 2.0 ** 8 * side * np.finfo(float).eps
+    if not point:  # a generator's eigenvalues round with the generator
+        return floor * scale, floor * scale
+    # T's eigenvalues near 1 round absolutely; the absolute caps serve eps of order one
+    radius = 1e-3 * scale if scale else math.inf
+    if radius < floor:
+        raise PrecisionExhaustedError(
+            f"{dynamics}: the cluster radius 1e-3 * {scale:.3e} is below the rounding floor "
+            f"{floor:.3e} of its eigenvalues; precision exhausted")
+    return min(radius, 1e-9), min(radius, 1e-7)
+
+
 def _asymptotic_state(m: np.ndarray, point: float, scale: float, dynamics: str) -> np.ndarray:
     """The unique asymptotic state of the map (``point`` 1) or generator (``point`` 0) ``m``.
 
-    The verdict reads ``numpy.linalg.eigvals`` only, on the perturbation's ``scale`` (the module
-    docstring): eps for a map, ||gen||_1 for a generator; the state, Hermitian with trace one,
-    is the solution of the bordered system.  With the floor f = 2^8 n_S^2 eps_mach, raises
-    PrecisionExhaustedError for a map with 0 < 1e-3 eps < f, and NoAsymptoticStateError
-    naming ``dynamics`` unless exactly one eigenvalue lies within the cluster radius of
-    ``point`` (min(1e-3 eps, 1e-9) for a map, f ||gen||_1 for a generator), the rest of the
-    spectrum is isolated (modulus < 1 - min(1e-3 eps, 1e-7), real part < -f ||gen||_1), the
-    residual ||M^T w - point w|| is at most 1e-9 and the state is PSD.
+    The verdict reads ``numpy.linalg.eigvals`` at the radii of :func:`_cluster_radii` on
+    ``scale``, and the state, Hermitian with trace one, solves the bordered system (the module
+    docstring); raises what the rule raises, or NoAsymptoticStateError naming ``dynamics``.
     """
+    near_radius, gap = _cluster_radii(point, scale, m.shape[0], dynamics)
     eigs = np.linalg.eigvals(m)
-    floor = 2.0 ** 8 * m.shape[0] * np.finfo(float).eps
-    if point:
-        # T's eigenvalues near 1 round absolutely; the absolute caps serve eps of order one
-        radius = 1e-3 * scale if scale else math.inf
-        if radius < floor:
-            raise PrecisionExhaustedError(
-                f"{dynamics}: the verdict radius 1e-3 * {scale:.3e} is below the rounding floor "
-                f"{floor:.3e} of its eigenvalues; precision exhausted")
-        near_radius, gap = min(radius, 1e-9), min(radius, 1e-7)
-    else:
-        # a generator's eigenvalues round with the generator
-        near_radius = gap = floor * scale
     near = np.abs(eigs - point) <= near_radius
     others = eigs[~near]
     # a map's other eigenvalues decay inside the unit disc, a generator's in the left half-plane
@@ -161,13 +161,13 @@ class LimitProjection:
 def limit_projection(t_map: Superoperator) -> LimitProjection:
     """Eigenprojection P of the eigenvalues within 1e-9 of 1, with a power-convergence flag.
 
-    The oracle of the bordered solve of :func:`asymptotic_periodic_state`:
-    no production path calls it.  It stays in this module because the
-    benchmark tracer binds ``asymptotic.limit_projection`` by name.  The
-    flag is true iff every other eigenvalue has modulus < 1 - 1e-7 and
-    ||T^(2^j) - P|| decreases monotonically (once below one) for j < 30, or
-    until it reaches the rounding floor of the squarings.  On failure the
-    projection is still returned with the flag false.
+    The oracle of the bordered solve of :func:`asymptotic_periodic_state`: no production path
+    calls it, and its absolute bounds 1e-9 and 1 - 1e-7 are its own, not :func:`_cluster_radii`.
+    It stays in this module because the benchmark tracer binds ``asymptotic.limit_projection``
+    by name.  The flag is true iff every other eigenvalue has modulus < 1 - 1e-7 and
+    ||T^(2^j) - P|| decreases monotonically (once below one) for j < 30, or until it reaches the
+    rounding floor of the squarings.  On failure the projection is still returned with the flag
+    false.
     """
     m, radius = t_map.matrix, 1e-9
     eig = np.linalg.eig(m)
@@ -208,16 +208,15 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
     The density at the period start is the fixed point of the trace dual
     of T(lambda, tau); the sample at t in [0, tau) is it propagated through
     the partial-interval map.  T and the partial maps share one eigh of
-    H_0 + lambda v.  Raises NoAsymptoticStateError when T has no unique
-    asymptotic state, and PrecisionExhaustedError when (lambda tau ||[v,.]||)^2 is too small
-    for the rounding of T to tell (:func:`_asymptotic_state`).
+    H_0 + lambda v.  Raises NoAsymptoticStateError when T has no unique asymptotic state,
+    and PrecisionExhaustedError below the floor of :func:`_cluster_radii`.
     """
     for t in t_samples:
         if not 0 <= t < tau:
             raise ValueError(f"sample time {t} outside [0, tau)")
     t_map, *partials = _reduced_map(model, lam, [tau, *t_samples])
-    scale = (lam * tau * model.commutator_norm) ** 2
-    rho0 = _asymptotic_state(t_map, 1.0, scale, f"T at (lambda, tau) = ({lam:g}, {tau:g})")
+    rho0 = _asymptotic_state(t_map, 1.0, _perturbation_scale(model, lam, tau),
+                             f"T at (lambda, tau) = ({lam:g}, {tau:g})")
     # the trace dual of a map M sends vec(rho^T) to M^T vec(rho^T), as in the solve
     n, w0 = model.n_s, rho0.T.reshape(-1)
     samples = []
@@ -238,7 +237,7 @@ def effective_asymptotic_state(eff: EffectiveGenerator) -> np.ndarray:
     q rho q^† with q = ``eff.frame``, judged on the scale ||bohr||_1; raises
     NoAsymptoticStateError when the generator has no unique asymptotic state.
     """
-    q, scale = eff.frame, float(np.abs(eff.bohr).sum(axis=0).max())
+    q, scale = eff.frame, np.linalg.norm(eff.bohr, 1)
     return q @ _asymptotic_state(eff.bohr, 0.0, scale, "the effective generator") @ q.conj().T
 
 
@@ -255,11 +254,9 @@ class KatoReport:
     eigenprojection of 0 of P(0) T'(0) P(0), and P(0+) the Richardson
     extrapolation of the eigenprojections P(eps) of 1 of T(eps):
     [Q, P(0)] = 0, P(0)Q idempotent, P(0+) a sub-projection of P(0)Q,
-    and ||P(eps) - P(0+)|| = O(eps).  In the Bohr frame P(0) is the mask of
-    the fixed class F, and P(0) T'(0) P(0) is zero off F x F, so Q = Q_F + 1
-    off F, with Q_F the projection of the F x F block: the commutator is 0 by
-    construction, and ``commutator_norm`` reads 0.0.  ``distance_ratios`` are
-    those of consecutive ``distance_rows``, largest eps first.  The two-point extrapolation from the two smallest,
+    and ||P(eps) - P(0+)|| = O(eps).  Q commutes with P(0) by construction (the module
+    docstring), so ``commutator_norm`` reads 0.0.  ``distance_ratios`` are those of consecutive
+    ``distance_rows``, largest eps first.  The two-point extrapolation from the two smallest,
     eps_1 > eps_2, makes P(eps_1) - P(0+) and P(eps_2) - P(0+) parallel, so the last ratio is
     eps_1/eps_2 by construction, to rounding; only the earlier ratios depend on the model.
     """
@@ -275,7 +272,10 @@ class KatoReport:
 def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     """Verify the analytic-perturbation structure of the reduced map at small coupling.
 
-    Raises ValueError when tau max|E| exceeds 2^53, E the levels of H_0, before any work
+    Q_F and each P(eps) are clusters of :func:`_cluster_radii`: Q_F at 0 of R[F, F] on the scale
+    ||R[F, F]||_1, P(eps) at 1 of T(sqrt(eps), tau) on eps (tau ||[v,.]||)^2.  Raises
+    PrecisionExhaustedError when an eps lies below the rule's floor, before any map is formed,
+    and ValueError when tau max|E| exceeds 2^53, E the levels of H_0, before any work
     (:func:`ris.dynamics.check_phases`)."""
     eps_list = sorted(float(e) for e in eps_list)
     if len(set(eps_list)) < max(2, len(eps_list)) or eps_list[0] <= 0:
@@ -289,15 +289,17 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     fixed = np.flatnonzero(labels == labels[0])
     block = np.ix_(fixed, fixed)
     r = tau * tau * _sector_reduction(model, tau, labels)[block]
-    eig = np.linalg.eig(r)
-    scale = max(float(np.abs(eig[0]).max()), 1e-30)
-    q_f = _eigenprojection_near(r, 0.0 + 0.0j, 1e-9 * scale, eig)
+    radius, _ = _cluster_radii(0.0, np.linalg.norm(r, 1), fixed.size, "P(0) T'(0) P(0)")
+    q_f = _eigenprojection_near(r, 0.0 + 0.0j, radius)
     p0q = np.zeros((labels.size,) * 2, dtype=complex)
     p0q[block] = q_f
 
-    # P(eps), largest eps first; P(0+) by two-point Richardson on the two smallest
-    p = np.stack([_eigenprojection_near(_reduced_map(model, math.sqrt(eps), tau), 1.0 + 0.0j, 1e-9)
-                  for eps in eps_desc])
+    # P(eps), largest eps first, each at its radius on the scale of T(sqrt(eps), tau), all
+    # judged before the first map; P(0+) by two-point Richardson on the two smallest
+    radii = [_cluster_radii(1.0, _perturbation_scale(model, math.sqrt(eps), tau), labels.size,
+                            f"T at (eps, tau) = ({eps:g}, {tau:g})")[0] for eps in eps_desc]
+    p = np.stack([_eigenprojection_near(_reduced_map(model, math.sqrt(eps), tau), 1.0 + 0.0j, rad)
+                  for eps, rad in zip(eps_desc, radii)])
     e1, e2 = eps_list[1], eps_list[0]
     p_plus = p[-1] + (p[-1] - p[-2]) * (e2 / (e1 - e2))
 

@@ -498,14 +498,8 @@ def _run_experiment(config: ExperimentConfig, jobs: int):
 
     if config.experiment == "kato":
         report = kato_structure_check(model, tau, config.eps)
-        extras.update({
-            "commutator_norm": report.commutator_norm,
-            "idempotency_defect": report.idempotency_defect,
-            "subprojection_defect": report.subprojection_defect,
-            "trace_p_plus": report.trace_p_plus,
-            "extrapolation_stable": report.extrapolation_stable,
-            "distance_ratios": list(report.distance_ratios),
-        })
+        # every diagnostic but the rows, which are the table
+        extras.update({k: v for k, v in vars(report).items() if k != "distance_rows"})
         return ["eps", "distance_to_p0plus"], np.array(report.distance_rows), (), extras, 0
 
     if config.experiment == "dyson-check":

@@ -416,8 +416,8 @@ def _quadrature_terms(model: RISModel, k: int, t: float, nodes: int) -> list:
     """[I, W_1(t), ..., W_k(t)], k <= 3, on C^n by Gauss-Legendre on ``nodes`` nodes.
 
     W(t) = U(t) e^{-itH_0} solves dW/dt = i lambda W v~(t), v~(u) = e^{iuH_0} v e^{-iuH_0}, so
-    its terms in lambda are W_j(t) = i int_0^t W_{j-1}(u) v~(u) du, W_0 = I.  In the eigenframe
-    (w, q) = eigh(H_0), where W_j is q^† W_j q, v~(u) = v~ ∘ (phi phi^H) with v~ = q^† v q and
+    its terms in lambda are W_j(t) = i int_0^t W_{j-1}(u) v~(u) du, W_0 = I.  In the chain frame
+    q of H_0, levels w, where W_j is q^† W_j q, v~(u) = v~ ∘ (phi phi^H) with v~ = q^† v q and
     phi = e^{iuw}, and M(r) = v~ ∘ sum_l c_l phi_l phi_l^H over the nodes s_l and weights c_l on
     [0, r] is the innermost integral up to r.  Over the N = ``nodes`` nodes r_j and weights c_j
     on [0, t], W_1(t) = i M(t), W_2(t) = i^2 sum_j c_j M(r_j) v~(r_j) and, split at its middle
@@ -428,7 +428,7 @@ def _quadrature_terms(model: RISModel, k: int, t: float, nodes: int) -> list:
     if not 1 <= k <= 3:
         raise ValueError(f"k = {k}: the quadrature gives the Dyson terms 1 to 3")
     check_quadrature(nodes)
-    w, q = np.linalg.eigh(model.free_hamiltonian)
+    q, w = model._chain_frame[1:]
     vt = q.conj().T @ model.v @ q
     x, wq = _gauss_legendre(nodes)
     upper = np.append(0.5 * t * (x + 1.0) if k > 1 else [], t)[:, None]  # the r_j, then t
@@ -449,7 +449,7 @@ def dyson_check(model: RISModel, orders, times, nodes: int = 32) -> np.ndarray:
     """Rows (order, lambda, t, truncation_error, bound, blockexp_vs_quadrature) of the series
     phi_SE^t = sum_k (i lambda)^k D_k ∘ alpha_SE^t at lambda = 1: per t, one per order.
 
-    Per t, U = e^{it(H_0 + v)} and U_0 come from an eigh each, and U_1 ... U_top from one
+    U = e^{it(H_0 + v)} and U_0 come for all t from one eigh each, U_1 ... U_top per t from one
     Taylor stack, top = max(orders) - 1.  As i^k D_k ∘ alpha_SE^t = sum_j kron(U_j, conj U_{k-j}),
     an order's error is ||kron(U, conj U) - sum_{j+l<order} kron(U_j, conj U_l)||, 0 at v = 0.
     Term k <= min(3, top) has the gap ||D_k - D^q_k||, both of :func:`_dyson_sum`, from
@@ -460,13 +460,14 @@ def dyson_check(model: RISModel, orders, times, nodes: int = 32) -> np.ndarray:
     top, a1 = max(orders) - 1, model.commutator_norm
     if min(orders) < 1:
         raise ValueError("orders must be >= 1")
+    if top > MAX_DYSON_ORDER:  # the guard of _taylor_stack, before the eighs of all t
+        raise ValueError(f"Dyson order {top} exceeds the cost guard ({MAX_DYSON_ORDER})")
     if top:
         check_quadrature(nodes)
     check_series_exponent(max(times) * a1)
     rows = []
-    for t in times:
+    for t, u, u0 in zip(times, *(_unitary(model, lam, times) for lam in (1.0, 0.0))):
         us = _taylor_stack(model, top, t)
-        u, u0 = (_unitary(model, lam, t) for lam in (1.0, 0.0))
         rest, errors, terms = kron(u, u.conj()), {}, [u0, *us[1:]]
         for k in range(top + 1):
             rest -= 1j ** k * _dyson_sum(terms, k)

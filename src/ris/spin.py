@@ -15,9 +15,11 @@ effective generator then have the closed forms
 
 with w = e^{-beta E} and K(x) = (1 - cos(tau x))/x^2, extended by its
 limit tau^2/2 at the resonance x = 0.  Both are <= 0; when S != 0 and
-|delta_0 + delta_1| > 1e-9 the effective dynamics relaxes to the state
-diag(delta_1, delta_0)/(delta_0 + delta_1).  The fast-repetition
-generator has the small-tau limits delta_i/tau^2 on its diagonal and
+|delta_0 + delta_1| lies above 2^8 n_S^2 eps_mach times its peak
+(|b|^2 + |c|^2) tau^2, both kernels resonant (the floor of the pipeline's
+generator verdict), the dynamics relaxes to the state diag(delta_1,
+delta_0)/(delta_0 + delta_1).  The fast-repetition generator has the
+small-tau limits delta_i/tau^2 (peak |b|^2 + |c|^2) on its diagonal, and
 relaxes to the same form of state built from them.
 
 These formulas are evaluated directly, independently of the simulation
@@ -25,7 +27,7 @@ pipeline, and serve as its oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,9 +111,10 @@ def spin_asymptotic_state(p: SpinParams, deltas=closed_form_deltas) -> np.ndarra
         raise NoAsymptoticStateError("S = 0: free system dynamics never mixes "
                                      "the populations")
     d0, d1 = deltas(p)
-    # the tolerance of the pipeline's verdict on a unique state
-    if abs(d0 + d1) <= 1e-9:
+    # the floor 2^8 n_S^2 eps_mach of the peak rate, both kernels resonant at S = E = 0
+    floor = 2.0 ** 8 * 4 * np.finfo(float).eps * abs(sum(deltas(replace(p, S=0.0, E=0.0))))
+    if abs(d0 + d1) <= floor:
         raise NoAsymptoticStateError(
-            f"|delta_0 + delta_1| = {abs(d0 + d1):.1e} <= 1e-9: both relaxation rates "
+            f"|delta_0 + delta_1| = {abs(d0 + d1):.1e} <= {floor:.1e}: both relaxation rates "
             "vanish (b = c = 0, or a resonant tau kills both kernels)")
     return np.diag([d1, d0]).astype(complex) / (d0 + d1)

@@ -10,6 +10,7 @@ import ris.asymptotic
 from ris.asymptotic import (
     JordanDefectError,
     PrecisionExhaustedError,
+    _cluster_radii,
     _eigenprojection_near,
     asymptotic_periodic_state,
     effective_asymptotic_state,
@@ -443,6 +444,24 @@ class TestKatoStructure:
         # the last ratio is eps_1/eps_2 = 0.01/0.005 of the extrapolation, whatever the model
         assert report.distance_ratios[-1] == pytest.approx(2.0, rel=1e-9)
 
+    def test_spin_model_at_small_eps(self):
+        # 1 - 0.681 eps, T's next eigenvalue, lay inside an absolute radius of 1e-9 at
+        # eps = 1e-9: trace_p_plus read 3.0 and subprojection_defect 2.07
+        report = kato_structure_check(build_spin_model(spin_base()), 1.0, [1e-9, 5e-10])
+        assert report.trace_p_plus == pytest.approx(1.0, abs=1e-6)
+        assert report.subprojection_defect <= 1e-6
+
+    def test_below_the_floor_precision_is_exhausted(self, tmp_path, capsys):
+        # eps (tau ||[v,.]||)^2 = 4e-12 puts the radius 1e-3 of it below the floor 2.3e-13
+        with pytest.raises(PrecisionExhaustedError, match="precision exhausted"):
+            kato_structure_check(build_spin_model(spin_base()), 1.0, [1e-12, 5e-13])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "experiment": "kato", "eps": [1e-12, 5e-13], "tau": 1,
+            "model": {"spin": {"S": 1, "E": 2, "beta": 1, "b": [1, 0], "c": [1, 0], "tau": 1}}}))
+        assert main(["kato", "--config", str(config), "--out", str(tmp_path / "k.csv")]) == 1
+        assert "precision exhausted" in capsys.readouterr().err
+
     def test_t_prime_is_the_first_order_coefficient(self):
         # under H1, T(sqrt(eps)) = T(0) + eps T'(0) + O(eps^2): the difference
         # quotient approaches T'(0) = -(second_order_term ∘ alpha_S^tau), the
@@ -591,6 +610,63 @@ class TestParametrizedTauExperiment:
         direct = asymptotic_periodic_state(model, eps ** -1.0, eps ** 3)
         dist = trace_distance(direct.asymptotic_density, rho_eff)
         assert abs(self.distance(tmp_path, 3, eps) - dist) <= 1e-9
+
+
+class TestOneClusterRule:
+    """Every eigenvalue cluster of the module takes its radii from :func:`_cluster_radii`: once
+    per asymptotic state, and in kato once for Q_F and once per eps, each radius handed to
+    ``_eigenprojection_near`` the rule's own for that cluster's scale."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+
+        def rule(*args, _original=_cluster_radii):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(ris.asymptotic, "_cluster_radii", rule)
+        return calls
+
+    def test_asymptotic_periodic_state(self, monkeypatch):
+        model = build_spin_model(spin_base())
+        calls = self.counted(monkeypatch)
+        asymptotic_periodic_state(model, 0.2, 1.0, t_samples=(0.0, 0.5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda model: effective_generator_weak_coupling(model, 1.0),
+        effective_generator_fast_repetition,
+    ], ids=["weak", "fast"])
+    def test_effective_asymptotic_state(self, monkeypatch, build):
+        eff = build(build_spin_model(spin_base()))
+        calls = self.counted(monkeypatch)
+        effective_asymptotic_state(eff)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("eps", [[0.04, 0.02, 0.01], [1e-9, 5e-10]],
+                             ids=["capped", "scaled"])
+    @pytest.mark.parametrize("which", ["spin", "random-3x2"])
+    def test_kato_structure_check(self, monkeypatch, which, eps):
+        model, tau = ((build_spin_model(spin_base()), 1.0) if which == "spin"
+                      else (random_model(np.random.default_rng(5), 3, 2), 0.7))
+        calls = self.counted(monkeypatch)
+        handed = []
+
+        def recorded(m, point, radius, eig=None):
+            handed.append((m, radius))
+            return _eigenprojection_near(m, point, radius, eig)
+
+        monkeypatch.setattr(ris.asymptotic, "_eigenprojection_near", recorded)
+        kato_structure_check(model, tau, eps)
+        assert len(calls) == 1 + len(eps)
+        # Q_F: the cluster at 0 of R[F, F] on its 1-norm; P(eps): the cluster at 1 of
+        # T(sqrt(eps), tau) on eps (tau ||[v,.]||)^2
+        block = handed[0][0]
+        expected = [_cluster_radii(0.0, np.abs(block).sum(axis=0).max(), len(block), "")[0]]
+        expected += [_cluster_radii(1.0, e * (tau * model.commutator_norm) ** 2, model.n_s ** 2,
+                                    "")[0] for e in sorted(eps, reverse=True)]
+        assert [radius for _, radius in handed] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestOneDecompositionPerMap:

@@ -1223,6 +1223,20 @@ def test_spin_oracle_at_resonant_tau_writes_the_delta_rows_only(tmp_path):
     assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["delta0", "delta1"]
 
 
+@pytest.mark.parametrize("regime", ["weak-coupling", "fast-repetition"])
+@pytest.mark.parametrize("coupling", [1e-5, 1e-8])
+def test_spin_oracle_at_weak_couplings_writes_the_state_rows(tmp_path, coupling, regime):
+    # |delta_0 + delta_1| is 1.4e-10 at b = c = 1e-5: above the rounding floor of its peak,
+    # so the closed form gives the state the pipeline gives
+    model = spin(b=[coupling, 0], c=[coupling, 0])
+    config = write_config(tmp_path, {"experiment": "spin-oracle", "model": model,
+                                     "regime": regime})
+    out = tmp_path / "so.csv"
+    assert main(["spin-oracle", "--config", str(config), "--out", str(out)]) == 0
+    labels = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+    assert labels == ["delta0", "delta1", "rho_00", "rho_11"]
+
+
 @pytest.mark.parametrize("fields, path", [
     ({"a": 0.7, "d": 0.7, "b": 0, "c": 0}, "$.model.spin.a"),
     ({"d": 0.5}, "$.model.spin.d"),

@@ -562,6 +562,20 @@ class TestDysonCheck:
         rows = dyson_check(model, [1, 2, 4], [0.5, 10.0, 1e3], nodes=4)
         assert (rows[:, 3:] == 0.0).all()
 
+    def test_one_eigh_per_unitary_for_all_times(self, monkeypatch, rng):
+        # U and U_0 of every t from one eigh each; the quadrature reads H_0's cached chain frame
+        model = random_model(rng, 2, 3)
+        model._chain_frame  # its eighs of h_S and h_E, cached before the count
+        shapes = []
+
+        def counted(a, *args, _original=np.linalg.eigh, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        dyson_check(model, [2, 3, 4], [0.5, 1.0, 2.0], nodes=8)
+        assert shapes == [(6, 6)] * 2
+
     def test_guards_come_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the check started")

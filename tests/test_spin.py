@@ -14,7 +14,7 @@ from ris.spin import (
     fast_repetition_deltas,
     spin_asymptotic_state,
 )
-from ris.vanhove import effective_generator_weak_coupling
+from ris.vanhove import effective_generator_fast_repetition, effective_generator_weak_coupling
 
 from conftest import spin_base
 
@@ -216,8 +216,22 @@ class TestAsymptoticState:
     def test_error_cases(self):
         with pytest.raises(NoAsymptoticStateError, match="S = 0"):
             spin_asymptotic_state(spin_base(S=0.0))
-        with pytest.raises(NoAsymptoticStateError, match="vanish"):
-            spin_asymptotic_state(spin_base(b=0.0, c=0.0))
+        for deltas in (closed_form_deltas, fast_repetition_deltas):
+            with pytest.raises(NoAsymptoticStateError, match="vanish"):
+                spin_asymptotic_state(spin_base(b=0.0, c=0.0), deltas)
+
+    @pytest.mark.parametrize("regime", ["weak", "fast"])
+    @pytest.mark.parametrize("coupling", [1e-5, 1e-8])
+    def test_weak_couplings_keep_their_state(self, coupling, regime):
+        # at b = c = 1e-5, tau = 1, delta = (-5.0e-11, -8.6e-11): an absolute 1e-9 refused the
+        # state that the pipeline's scale-free generator verdict gives
+        params = spin_base(b=coupling, c=coupling)
+        model = build_spin_model(params)
+        eff, deltas = ((effective_generator_weak_coupling(model, 1.0), closed_form_deltas)
+                       if regime == "weak" else
+                       (effective_generator_fast_repetition(model), fast_repetition_deltas))
+        rho = spin_asymptotic_state(params, deltas)
+        assert np.abs(rho - effective_asymptotic_state(eff)).max() <= 1e-9
 
     def test_resonant_tau_has_no_state_in_either_path(self):
         # at tau = 2 pi with S = 1, E = 2 both kernels vanish; the deltas are
