@@ -1,42 +1,35 @@
 """Asymptotic states, and the limit projection as their oracle.
 
-Every eigenvalue cluster this module reads, of the unique-state verdict
-and of Kato's projections alike, has its radii from one rule,
-:func:`_cluster_radii`, on the scale of its perturbation.  In either regime
-one interaction moves T by (lambda tau)^2 R^ (:mod:`ris.vanhove`), so the
-eigenvalues of T near the unit circle sit O(eps) inside it,
-eps = (lambda tau ||[v,.]||)^2 (:func:`_perturbation_scale`; v enters only
-through [v,.]).  A map's cluster at 1 has radius min(r, 1e-9), r = 1e-3 eps,
-and the rest of its spectrum is isolated at modulus < 1 - min(r, 1e-7): the
-absolute rule where eps >= 1e-4, relaxed only below; at eps = 0 T is the
-free evolution, judged at the caps.  T's eigenvalues near 1 round by about
-n_S^2 eps_mach (eps_mach = ``np.finfo(float).eps`` = 2^-52), so
-0 < r < 2^8 n_S^2 eps_mach raises PrecisionExhaustedError: past that floor
-the state's rounding error, about n_S^2 eps_mach / gap, could pass 2^-8.  A
-generator's eigenvalues round with it, and nothing fixes its rates a
-priori: both its radii about 0 are that floor (its side for n_S^2) times
-||gen||_1.  The verdict, from one ``numpy.linalg.eigvals``, asks for one
-eigenvalue in the cluster and an isolated rest; the state then comes from
-one bordered solve: P(x) = Tr(rho x) I has w = vec(rho^T) as the fixed
-vector of M^T, and (M^T - point) w = 0 with row 0 replaced by
-vec(I)^T w = Tr rho = 1 is nonsingular, as both dynamics are unital and so
-vec(I), with entry 1 at index 0, is the left null vector of M^T - point.
-A residual above 1e-9 or a state that is not PSD raises
-NoAsymptoticStateError naming the dynamics.  :func:`limit_projection`, the
-eigenprojection of 1 with the convergence of T^(2^j), at its own absolute
-bounds, is the oracle of this solve.  Both states are solved in the Bohr
-frame of h_S, where the exact maps come (:mod:`ris.dynamics`) and an
-effective generator is its ``bohr`` matrix; the frame is unitary, so only
-the densities returned are converted, to q rho q^†.  The ``kato``
-experiment (:func:`kato_structure_check`) reads P(0), the eigenprojection
+Every eigenvalue cluster this module reads, of the unique-state verdict and
+of Kato's projections alike, is judged by one rule, :func:`_cluster`.  The
+eigenvalues of a side-sided matrix on the scale s, 1 for T and ||gen||_1 for
+a generator, round by about r = side eps_mach s (eps_mach = 2^-52).  The
+cluster at 1 (a map) or 0 (a generator) holds those within 2^8 r of it, and
+the rest is isolated when its margin, the gap 1 - |mu| or -Re mu, passes
+that radius too.  One eigenvalue with an isolated rest gives a state whose
+error is about the estimate r / gap, the bordered solve below having
+condition about 1 / gap; above 2^-10 it raises PrecisionExhaustedError.  So
+does an unresolved cluster where the perturbation p that opens the gap,
+times 2^-10, lies within the radius; an exact p = 0, or a larger one, leaves
+no unique state.  A map's p is eps = (lambda tau ||[v,.]||)^2
+(:func:`_perturbation_scale`), as one interaction moves T off the free
+evolution by (lambda tau)^2 R^ (:mod:`ris.vanhove`); a generator's is its
+dissipation -Re Tr gen, 0 for a Hamiltonian flow.  The state comes from one
+bordered solve: P(x) = Tr(rho x) I has w = vec(rho^T) as the fixed vector of
+M^T, and (M^T - point) w = 0 with row 0 replaced by vec(I)^T w = Tr rho = 1
+is nonsingular, as both dynamics are unital and so vec(I), with entry 1 at
+index 0, is the left null vector of M^T - point.  A residual above 1e-9 or a
+state that is not PSD raises NoAsymptoticStateError naming the dynamics;
+:func:`limit_projection` is the oracle of this solve.  Both states are
+solved in the Bohr frame of h_S, where the exact maps come and an effective
+generator is its ``bohr`` matrix; only the densities returned are converted,
+to q rho q^†.  :func:`kato_structure_check` reads P(0), the eigenprojection
 of 1 of alpha_S^tau, as the mask of the fixed class F of the Bohr indices:
-P(0) T'(0) P(0) is the F x F block of R, zero elsewhere, so Q = Q_F + 1
-off F commutes with P(0).  Q_F is that f-sided block's cluster at 0, judged
-as a generator's; the block lies in one class of alpha_S^tau
-(:func:`ris.vanhove._alpha_classes`), so it is tau^2 times in-sector
-entries of R^, in closed form (:func:`ris.vanhove._sector_reduction`).
-Each P(eps) is the cluster at 1 of T(sqrt(eps), tau) on its scale
-eps (tau ||[v,.]||)^2: an eps below the floor raises PrecisionExhaustedError.
+P(0) T'(0) P(0) is the F x F block of R, zero elsewhere, so Q = Q_F + 1 off
+F commutes with P(0).  Q_F, that block's cluster at 0, is judged as a
+generator's; the block is tau^2 times in-sector entries of R^, in closed
+form (:func:`ris.vanhove._sector_reduction`).  Each P(eps) is the cluster at
+1 of T(sqrt(eps), tau) on its eps.
 """
 from __future__ import annotations
 
@@ -60,19 +53,15 @@ class JordanDefectError(ValueError):
 
 
 class PrecisionExhaustedError(ValueError):
-    """The perturbation of T is too small for its rounding to resolve a cluster at 1."""
+    """The rounding of a matrix cannot resolve the eigenvalue cluster that is asked for."""
 
 
 def _eigenprojection_near(m: np.ndarray, point: complex, radius: float, eig=None):
-    """Spectral projection of the eigenvalue cluster within ``radius`` of ``point``.
-
-    Right eigenvectors paired with the rows of their inverse; ``eig`` is the
-    ``numpy.linalg.eig(m)`` pair when the caller holds it already.  An empty
-    cluster gives the zero projection.  Raises JordanDefectError when the
-    cluster eigenvalue is not semisimple: the projection fails idempotency,
-    or the restriction of m to the range of the projection carries a
-    nilpotent part.
-    """
+    """Spectral projection of the eigenvalue cluster within ``radius`` of ``point``: right
+    eigenvectors paired with the rows of their inverse, ``eig`` the ``numpy.linalg.eig(m)`` pair
+    when the caller holds it already; an empty cluster gives zero.  Raises JordanDefectError
+    when the cluster is not semisimple: the projection fails idempotency, or the restriction of
+    m to its range carries a nilpotent part."""
     eigs, vr = np.linalg.eig(m) if eig is None else eig
     idx = np.nonzero(np.abs(eigs - point) <= radius)[0]
     vl = np.linalg.inv(vr)
@@ -92,40 +81,36 @@ def _perturbation_scale(model: RISModel, lam: float, tau: float) -> float:
     return (lam * tau * model.commutator_norm) ** 2
 
 
-def _cluster_radii(point: float, scale: float, side: int, dynamics: str) -> tuple:
-    """(cluster, isolation) radii about ``point`` of a ``side``-sided map (1) or generator (0) on
-    its ``scale``, eps or ||gen||_1: the rule of the module docstring, whose refusal names
-    ``dynamics``."""
-    floor = 2.0 ** 8 * side * np.finfo(float).eps
-    if not point:  # a generator's eigenvalues round with the generator
-        return floor * scale, floor * scale
-    # T's eigenvalues near 1 round absolutely; the absolute caps serve eps of order one
-    radius = 1e-3 * scale if scale else math.inf
-    if radius < floor:
-        raise PrecisionExhaustedError(
-            f"{dynamics}: the cluster radius 1e-3 * {scale:.3e} is below the rounding floor "
-            f"{floor:.3e} of its eigenvalues; precision exhausted")
-    return min(radius, 1e-9), min(radius, 1e-7)
+#: the largest error estimate of a state, and the share of a perturbation, that resolve a cluster
+_TOLERANCE = 2.0 ** -10
 
 
-def _asymptotic_state(m: np.ndarray, point: float, scale: float, dynamics: str) -> np.ndarray:
-    """The unique asymptotic state of the map (``point`` 1) or generator (``point`` 0) ``m``.
+def _cluster(eigs: np.ndarray, point: float, scale: float, perturbation: float,
+             dynamics: str) -> tuple:
+    """(mask, radius, estimate) of the cluster of ``eigs`` at ``point`` by the module docstring's
+    rule, the estimate inf unless it is one eigenvalue with an isolated rest."""
+    rounding = eigs.size * np.finfo(float).eps * scale
+    radius = 2.0 ** 8 * rounding
+    near = np.abs(eigs - point) <= radius
+    others = eigs[~near]  # decaying into the unit disc for a map, the left half-plane else
+    gap = float(np.min(1.0 - np.abs(others) if point else -others.real, initial=np.inf))
+    estimate = rounding / gap if near.sum() == 1 and gap > radius else math.inf
+    if estimate > _TOLERANCE and (estimate < math.inf or 0 < _TOLERANCE * perturbation <= radius):
+        raise PrecisionExhaustedError(f"{dynamics}: precision exhausted (error estimate "
+                                      f"{estimate:.3e} > 2^-10, perturbation {perturbation:.3e})")
+    return near, radius, estimate
 
-    The verdict reads ``numpy.linalg.eigvals`` at the radii of :func:`_cluster_radii` on
-    ``scale``, and the state, Hermitian with trace one, solves the bordered system (the module
-    docstring); raises what the rule raises, or NoAsymptoticStateError naming ``dynamics``.
-    """
-    near_radius, gap = _cluster_radii(point, scale, m.shape[0], dynamics)
-    eigs = np.linalg.eigvals(m)
-    near = np.abs(eigs - point) <= near_radius
-    others = eigs[~near]
-    # a map's other eigenvalues decay inside the unit disc, a generator's in the left half-plane
-    isolated = bool(np.all(np.abs(others) < 1.0 - gap if point else others.real < -gap))
-    rank = int(near.sum())
-    if not isolated or rank != 1:
+
+def _asymptotic_state(m: np.ndarray, point: float, scale: float, perturbation: float,
+                      dynamics: str) -> tuple:
+    """(rho, estimate) of the map (``point`` 1) or generator (``point`` 0) ``m``: :func:`_cluster`
+    on one ``numpy.linalg.eigvals``, then the bordered solve; raises what the rule raises, or
+    NoAsymptoticStateError, naming ``dynamics``."""
+    near, _, estimate = _cluster(np.linalg.eigvals(m), point, scale, perturbation, dynamics)
+    if estimate == math.inf:
         raise NoAsymptoticStateError(
-            f"{dynamics} has no unique asymptotic state (eigenprojection of trace "
-            f"{rank}, rest of the spectrum {'' if isolated else 'not '}isolated)")
+            f"{dynamics} has no unique asymptotic state (eigenprojection of trace {near.sum()}, "
+            f"{'rest of the spectrum not isolated' if near.sum() == 1 else 'not 1'})")
     n = math.isqrt(m.shape[0])
     a = m.T - point * np.eye(n * n)
     a[0] = np.eye(n).reshape(-1)
@@ -134,17 +119,15 @@ def _asymptotic_state(m: np.ndarray, point: float, scale: float, dynamics: str) 
     w = np.linalg.solve(a, e0)
     residual = float(np.linalg.norm(m.T @ w - point * w))
     if residual > 1e-9:
-        raise NoAsymptoticStateError(
-            f"{dynamics} has no unique asymptotic state (its fixed point solves "
-            f"to a residual of {residual:.3e})")
+        raise NoAsymptoticStateError(f"{dynamics} has no unique asymptotic state (its fixed "
+                                     f"point solves to a residual of {residual:.3e})")
     rho = w.reshape(n, n).T
     rho = 0.5 * (rho + rho.conj().T)
     low = float(np.linalg.eigvalsh(rho).min())
     if low < -1e-10:
-        raise NoAsymptoticStateError(
-            f"{dynamics} has no unique asymptotic state (its fixed point is no PSD "
-            f"state, min eigenvalue {low:.3e})")
-    return rho
+        raise NoAsymptoticStateError(f"{dynamics} has no unique asymptotic state (its fixed "
+                                     f"point is no PSD state, min eigenvalue {low:.3e})")
+    return rho, estimate
 
 
 @dataclass(frozen=True)
@@ -162,12 +145,12 @@ def limit_projection(t_map: Superoperator) -> LimitProjection:
     """Eigenprojection P of the eigenvalues within 1e-9 of 1, with a power-convergence flag.
 
     The oracle of the bordered solve of :func:`asymptotic_periodic_state`: no production path
-    calls it, and its absolute bounds 1e-9 and 1 - 1e-7 are its own, not :func:`_cluster_radii`.
-    It stays in this module because the benchmark tracer binds ``asymptotic.limit_projection``
-    by name.  The flag is true iff every other eigenvalue has modulus < 1 - 1e-7 and
-    ||T^(2^j) - P|| decreases monotonically (once below one) for j < 30, or until it reaches the
-    rounding floor of the squarings.  On failure the projection is still returned with the flag
-    false.
+    calls it, and as the oracle it keeps its own absolute bounds 1e-9 and 1 - 1e-7, not the rule
+    of :func:`_cluster`.  It stays in this module because the benchmark tracer binds
+    ``asymptotic.limit_projection`` by name.  The flag is true iff every other eigenvalue has
+    modulus < 1 - 1e-7 and ||T^(2^j) - P|| decreases monotonically (once below one) for j < 30,
+    or until it reaches the rounding floor of the squarings.  On failure the projection is
+    still returned with the flag false.
     """
     m, radius = t_map.matrix, 1e-9
     eig = np.linalg.eig(m)
@@ -209,14 +192,14 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
     of T(lambda, tau); the sample at t in [0, tau) is it propagated through
     the partial-interval map.  T and the partial maps share one eigh of
     H_0 + lambda v.  Raises NoAsymptoticStateError when T has no unique asymptotic state,
-    and PrecisionExhaustedError below the floor of :func:`_cluster_radii`.
+    and PrecisionExhaustedError where :func:`_cluster` cannot resolve it.
     """
     for t in t_samples:
         if not 0 <= t < tau:
             raise ValueError(f"sample time {t} outside [0, tau)")
     t_map, *partials = _reduced_map(model, lam, [tau, *t_samples])
-    rho0 = _asymptotic_state(t_map, 1.0, _perturbation_scale(model, lam, tau),
-                             f"T at (lambda, tau) = ({lam:g}, {tau:g})")
+    rho0, _ = _asymptotic_state(t_map, 1.0, 1.0, _perturbation_scale(model, lam, tau),
+                                f"T at (lambda, tau) = ({lam:g}, {tau:g})")
     # the trace dual of a map M sends vec(rho^T) to M^T vec(rho^T), as in the solve
     n, w0 = model.n_s, rho0.T.reshape(-1)
     samples = []
@@ -231,14 +214,17 @@ def asymptotic_periodic_state(model: RISModel, lam: float, tau: float,
 
 
 def effective_asymptotic_state(eff: EffectiveGenerator) -> np.ndarray:
-    """The density that exp(s*gen) relaxes to as s -> infinity.
+    """The density that exp(s*gen) relaxes to as s -> infinity: the fixed point of the trace dual
+    of ``eff.bohr`` at eigenvalue 0, as q rho q^† with q = ``eff.frame``.  Raises
+    NoAsymptoticStateError when the generator has no unique asymptotic state."""
+    return _effective_state(eff)[0]
 
-    The fixed point of the trace dual of ``eff.bohr`` at eigenvalue 0, as
-    q rho q^† with q = ``eff.frame``, judged on the scale ||bohr||_1; raises
-    NoAsymptoticStateError when the generator has no unique asymptotic state.
-    """
-    q, scale = eff.frame, np.linalg.norm(eff.bohr, 1)
-    return q @ _asymptotic_state(eff.bohr, 0.0, scale, "the effective generator") @ q.conj().T
+
+def _effective_state(eff: EffectiveGenerator) -> tuple:
+    """(density, estimate): ``eff.bohr`` on the scale ||bohr||_1, its perturbation -Re Tr bohr."""
+    rho, estimate = _asymptotic_state(eff.bohr, 0.0, np.linalg.norm(eff.bohr, 1),
+                                      -np.trace(eff.bohr).real, "the effective generator")
+    return eff.frame @ rho @ eff.frame.conj().T, estimate
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -269,14 +255,19 @@ class KatoReport:
     extrapolation_stable: bool
 
 
+def _projection(m: np.ndarray, point: float, scale: float, perturbation: float, dynamics: str):
+    """The eigenprojection of the cluster of :func:`_cluster` on the one ``eig`` of ``m``."""
+    eig = np.linalg.eig(m)
+    return _eigenprojection_near(m, point, _cluster(eig[0], point, scale, perturbation,
+                                                    dynamics)[1], eig)
+
+
 def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     """Verify the analytic-perturbation structure of the reduced map at small coupling.
 
-    Q_F and each P(eps) are clusters of :func:`_cluster_radii`: Q_F at 0 of R[F, F] on the scale
-    ||R[F, F]||_1, P(eps) at 1 of T(sqrt(eps), tau) on eps (tau ||[v,.]||)^2.  Raises
-    PrecisionExhaustedError when an eps lies below the rule's floor, before any map is formed,
-    and ValueError when tau max|E| exceeds 2^53, E the levels of H_0, before any work
-    (:func:`ris.dynamics.check_phases`)."""
+    Q_F and each P(eps) are clusters of :func:`_cluster`, so it raises PrecisionExhaustedError
+    where the rule cannot resolve one, and ValueError when tau max|E| exceeds 2^53, E the levels
+    of H_0, before any work (:func:`ris.dynamics.check_phases`)."""
     eps_list = sorted(float(e) for e in eps_list)
     if len(set(eps_list)) < max(2, len(eps_list)) or eps_list[0] <= 0:
         raise ValueError(f"eps_list needs at least two distinct positive values, got {eps_list}")
@@ -289,17 +280,14 @@ def kato_structure_check(model: RISModel, tau: float, eps_list) -> KatoReport:
     fixed = np.flatnonzero(labels == labels[0])
     block = np.ix_(fixed, fixed)
     r = tau * tau * _sector_reduction(model, tau, labels)[block]
-    radius, _ = _cluster_radii(0.0, np.linalg.norm(r, 1), fixed.size, "P(0) T'(0) P(0)")
-    q_f = _eigenprojection_near(r, 0.0 + 0.0j, radius)
+    q_f = _projection(r, 0.0, np.linalg.norm(r, 1), -np.trace(r).real, "P(0) T'(0) P(0)")
     p0q = np.zeros((labels.size,) * 2, dtype=complex)
     p0q[block] = q_f
 
-    # P(eps), largest eps first, each at its radius on the scale of T(sqrt(eps), tau), all
-    # judged before the first map; P(0+) by two-point Richardson on the two smallest
-    radii = [_cluster_radii(1.0, _perturbation_scale(model, math.sqrt(eps), tau), labels.size,
-                            f"T at (eps, tau) = ({eps:g}, {tau:g})")[0] for eps in eps_desc]
-    p = np.stack([_eigenprojection_near(_reduced_map(model, math.sqrt(eps), tau), 1.0 + 0.0j, rad)
-                  for eps, rad in zip(eps_desc, radii)])
+    # P(eps), largest eps first; P(0+) by two-point Richardson on the two smallest
+    p = np.stack([_projection(_reduced_map(model, math.sqrt(eps), tau), 1.0, 1.0,
+                              _perturbation_scale(model, math.sqrt(eps), tau),
+                              f"T at (eps, tau) = ({eps:g}, {tau:g})") for eps in eps_desc])
     e1, e2 = eps_list[1], eps_list[0]
     p_plus = p[-1] + (p[-1] - p[-2]) * (e2 / (e1 - e2))
 

@@ -14,13 +14,14 @@ effective generator then have the closed forms
     delta_1 = -2/(1+w) * { |b|^2 K(E-S) + w |c|^2 K(E+S) },
 
 with w = e^{-beta E} and K(x) = (1 - cos(tau x))/x^2, extended by its
-limit tau^2/2 at the resonance x = 0.  Both are <= 0; when S != 0 and
-|delta_0 + delta_1| lies above 2^8 n_S^2 eps_mach times its peak
-(|b|^2 + |c|^2) tau^2, both kernels resonant (the floor of the pipeline's
-generator verdict), the dynamics relaxes to the state diag(delta_1,
-delta_0)/(delta_0 + delta_1).  The fast-repetition generator has the
-small-tau limits delta_i/tau^2 (peak |b|^2 + |c|^2) on its diagonal, and
-relaxes to the same form of state built from them.
+limit tau^2/2 at the resonance x = 0.  Both are <= 0: their sum is 0 only
+where b = c = 0 or both kernels are.  The argument tau x / 2 of a kernel
+rounds by at most 2 eps_mach of itself, so K rounds by (2 eps_mach)^2 K(0).
+When S != 0 and |delta_0 + delta_1| lies above (2 eps_mach)^2 times its
+peak (|b|^2 + |c|^2) tau^2, both kernels resonant, the dynamics relaxes to
+diag(delta_1, delta_0)/(delta_0 + delta_1).  The fast-repetition generator
+has the small-tau limits delta_i/tau^2 (peak |b|^2 + |c|^2) on its
+diagonal, and relaxes to the same form of state built from them.
 
 These formulas are evaluated directly, independently of the simulation
 pipeline, and serve as its oracle.
@@ -111,8 +112,8 @@ def spin_asymptotic_state(p: SpinParams, deltas=closed_form_deltas) -> np.ndarra
         raise NoAsymptoticStateError("S = 0: free system dynamics never mixes "
                                      "the populations")
     d0, d1 = deltas(p)
-    # the floor 2^8 n_S^2 eps_mach of the peak rate, both kernels resonant at S = E = 0
-    floor = 2.0 ** 8 * 4 * np.finfo(float).eps * abs(sum(deltas(replace(p, S=0.0, E=0.0))))
+    # the rounding (2 eps_mach)^2 of the kernels, on the peak rate: both resonant at S = E = 0
+    floor = (2.0 * np.finfo(float).eps) ** 2 * abs(sum(deltas(replace(p, S=0.0, E=0.0))))
     if abs(d0 + d1) <= floor:
         raise NoAsymptoticStateError(
             f"|delta_0 + delta_1| = {abs(d0 + d1):.1e} <= {floor:.1e}: both relaxation rates "

@@ -145,13 +145,14 @@ _PHI2_SERIES = [1.0 / math.factorial(k + 2) for k in range(17, -1, -1)]
 
 def _phi2(w: np.ndarray) -> np.ndarray:
     """phi_2(w) = (e^w - 1 - w) / w^2, entrywise; its Taylor series sum_k w^k / (k+2)! where
-    |w| < 1, which the quotient would lose to cancellation."""
+    |w| < 1, which the quotient would lose to cancellation; its constant 1/2 alone where every
+    such argument is 0, as at tau = 0."""
     out = np.empty_like(w)
     small = np.abs(w) < 1.0
     big, w = w[~small], w[small]
     out[~small] = (np.exp(big) - 1.0 - big) / big ** 2
     series = np.zeros_like(w)
-    for coefficient in _PHI2_SERIES:  # Horner, in place
+    for coefficient in _PHI2_SERIES if w.any() else _PHI2_SERIES[-1:]:  # Horner, in place
         series *= w
         series += coefficient
     out[small] = series

@@ -28,9 +28,15 @@ top), the Choi matrix and the peripheral spectrum at the end are test
 helpers.
 Every exponential here is ``scipy.linalg.expm``, never the package's own
 ``matrix_exp``, so no oracle shares its kernel with the code it checks.
+The one exception is the extended-precision reference at the end: T and
+its asymptotic state at 50 digits from mpmath (``mp.expm`` of i tau H,
+the partial trace, and ``mp.lu_solve`` on the bordered system), the
+oracle for the rounding error of the double-precision state.
 """
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
 
@@ -384,3 +390,54 @@ def peripheral_spectrum(t_map: Superoperator, tol: float = 1e-9) -> list[complex
     periph = [complex(e) for e in np.linalg.eigvals(t_map.matrix) if abs(e) >= 1.0 - tol]
     periph.sort(key=lambda e: (-abs(e), np.angle(e)))
     return periph
+
+
+#: the digits of the extended-precision reference
+EXACT_DIGITS = 50
+
+
+def _mp_matrix(a: np.ndarray):
+    """``a`` as an mpmath matrix, every double entry exact."""
+    return mp.matrix([[mp.mpc(complex(x).real, complex(x).imag) for x in row]
+                      for row in np.asarray(a, dtype=complex)])
+
+
+def exact_reduced_map(model: RISModel, lam: float, tau: float):
+    """T(lambda, tau) in the computational basis at ``EXACT_DIGITS`` digits, for dim <= 8.
+
+    U = e^{i tau (H_0 + lambda v)} from ``mp.expm``, rho_E = e^{-beta h_E} / Tr from
+    ``mp.expm``, and T(x) = Tr_E[(I (x) rho_E) U (x (x) I) U^†]: the entry ((i, j), (k, l)) is
+    sum_{a, b, c} rho_E[a, b] U[(i, b), (k, c)] conj U[(j, a), (l, c)].  An mpmath matrix
+    whose entries carry those digits; arithmetic on it keeps them inside
+    ``mp.workdps(EXACT_DIGITS)``.
+    """
+    ns, ne = model.n_s, model.n_e
+    if model.dim > 8:
+        raise ValueError(f"the extended-precision reference takes dim <= 8, got {model.dim}")
+    with mp.workdps(EXACT_DIGITS):
+        # each kron with an identity is exact in doubles; H_0 + lambda v is summed in mpmath
+        h = _mp_matrix(kron(model.h_s, np.eye(ne))) + _mp_matrix(kron(np.eye(ns), model.h_e))
+        u = mp.expm(1j * mp.mpf(tau) * (h + mp.mpf(lam) * _mp_matrix(model.v)))
+        g = mp.expm(-mp.mpf(model.beta) * _mp_matrix(model.h_e))
+        rho_e = g / mp.fsum(g[a, a] for a in range(ne))
+        t = mp.matrix(ns * ns, ns * ns)
+        for i, j, k, l in itertools.product(range(ns), repeat=4):
+            t[i * ns + j, k * ns + l] = mp.fsum(
+                rho_e[a, b] * u[i * ne + b, k * ne + c] * mp.conj(u[j * ne + a, l * ne + c])
+                for a, b, c in itertools.product(range(ne), repeat=3))
+    return t
+
+
+def exact_state(model: RISModel, lam: float, tau: float) -> np.ndarray:
+    """The asymptotic state of T(lambda, tau), from the bordered system of
+    ``ris.asymptotic`` at ``EXACT_DIGITS`` digits (T^T - 1 with row 0 replaced by
+    vec(I)^T, right-hand side e_0), rounded to doubles at the end."""
+    ns = model.n_s
+    with mp.workdps(EXACT_DIGITS):
+        a = exact_reduced_map(model, lam, tau).T - mp.eye(ns * ns)
+        for col in range(ns * ns):
+            a[0, col] = 1 if col % (ns + 1) == 0 else 0
+        e0 = mp.matrix(ns * ns, 1)
+        e0[0] = 1
+        w = mp.lu_solve(a, e0)
+        return np.array([[complex(w[j * ns + i]) for j in range(ns)] for i in range(ns)])

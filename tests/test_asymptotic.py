@@ -10,8 +10,10 @@ import ris.asymptotic
 from ris.asymptotic import (
     JordanDefectError,
     PrecisionExhaustedError,
-    _cluster_radii,
+    _asymptotic_state,
+    _cluster,
     _eigenprojection_near,
+    _perturbation_scale,
     asymptotic_periodic_state,
     effective_asymptotic_state,
     kato_structure_check,
@@ -19,7 +21,14 @@ from ris.asymptotic import (
     trace_distance,
 )
 from ris.cli import main
-from ris.dynamics import NoAsymptoticStateError, RISModel, reduced_map_T, system_free_evolution
+from ris.dynamics import (
+    NoAsymptoticStateError,
+    RISModel,
+    _computational,
+    _reduced_map,
+    reduced_map_T,
+    system_free_evolution,
+)
 from ris.linops import Superoperator, kron, matrix_exp, spectral_decompose, superop_norm
 from ris.spin import build_spin_model, spin_asymptotic_state
 from ris.vanhove import (
@@ -41,6 +50,7 @@ from conftest import (
 )
 from oracles import (
     density_from_dual_fixed_point,
+    exact_state,
     kato_dense_route,
     left_right,
     peripheral_spectrum,
@@ -332,12 +342,20 @@ class TestEffectiveAsymptoticState:
         assert np.abs(report.asymptotic_density - np.eye(2) / 2).max() <= 0.05
 
 
+def state_and_estimate(model, lam, tau=1.0):
+    """(rho, estimate) of the asymptotic state of T(lambda, tau), rho in the computational basis."""
+    rho, estimate = _asymptotic_state(_reduced_map(model, lam, tau), 1.0, 1.0,
+                                      _perturbation_scale(model, lam, tau), "T")
+    return _computational(model, rho), estimate
+
+
 class TestVerdictScale:
-    """T is judged on the perturbation's scale eps = (lambda tau ||[v,.]||)^2: one eigenvalue
-    within min(1e-3 eps, 1e-9) of 1, the rest of modulus < 1 - min(1e-3 eps, 1e-7).  A generator
-    is judged at the rounding floor 2^8 n_S^2 eps_mach times ||gen||_1.  On the spin model
-    (||[v,.]|| = 2, tau = 1) 1 - |mu_2| = 0.681 lambda^2, and the floor 2.3e-13 of T sits at
-    lambda = 7.5e-6."""
+    """One rule for maps and generators: the cluster and isolation radius 2^8 side eps_mach
+    times the scale, 1 for T and ||gen||_1 for a generator, and a state refused where its error
+    estimate side eps_mach scale / gap passes 2^-10.  On the spin model (||[v,.]|| = 2, tau = 1, side
+    4) the gap of T is 1 - |mu_2| = 0.681 lambda^2, so the estimate 8.9e-16 / gap passes 2^-10
+    below lambda = 1.2e-6; at 3e-7 the second eigenvalue lies inside the radius 2.3e-13 and the
+    perturbation eps = 3.6e-13 of T, times 2^-10, lies within it too: precision exhausted."""
 
     @staticmethod
     def stiff_model(delta):
@@ -362,14 +380,19 @@ class TestVerdictScale:
     def test_below_the_floor_precision_is_exhausted(self, tmp_path, capsys):
         model = build_spin_model(spin_base())
         with pytest.raises(PrecisionExhaustedError, match="precision exhausted"):
-            asymptotic_periodic_state(model, 5e-6, 1.0)
+            asymptotic_periodic_state(model, 3e-7, 1.0)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
-            "experiment": "asymptotic", "lambdas": [5e-6],
+            "experiment": "asymptotic", "lambdas": [3e-7],
             "model": {"spin": {"S": 1, "E": 2, "beta": 1, "b": [1, 0], "c": [1, 0], "tau": 1}}}))
         out = tmp_path / "asym.csv"
         assert main(["asymptotic", "--config", str(config), "--out", str(out)]) == 1
         assert "precision exhausted" in capsys.readouterr().err
+        # at 5e-6, below the floor of the old verdict, the state comes within its estimate of
+        # the 50-digit reference: 1.1e-6 off, estimate 5.2e-5
+        rho, estimate = state_and_estimate(model, 5e-6)
+        assert np.array_equal(asymptotic_periodic_state(model, 5e-6, 1.0).asymptotic_density, rho)
+        assert np.abs(rho - exact_state(model, 5e-6, 1.0)).max() <= estimate <= 6e-5
 
     @pytest.mark.parametrize("factor", [1e-12, 1e6])
     def test_generator_verdict_scales_with_the_generator(self, factor):
@@ -382,7 +405,7 @@ class TestVerdictScale:
     @pytest.mark.parametrize("lam", [5.0, 30.0])
     def test_strong_coupling_keeps_the_absolute_bounds(self, lam):
         # 1 - |mu_2| is 0.035 at lambda = 5 and 1.1e-3 at 30, far below 1e-3 eps = 0.1 and
-        # 3.6: strong coupling slows relaxation, so the radii must stay capped
+        # 3.6: strong coupling slows relaxation, so no radius may grow with eps
         model = build_spin_model(spin_base())
         rho = asymptotic_periodic_state(model, lam, 1.0).asymptotic_density
         oracle = density_from_dual_fixed_point(reduced_map_T(model, lam, 1.0))
@@ -399,6 +422,39 @@ class TestVerdictScale:
                     effective_generator_fast_repetition(model)):
             oracle = density_from_dual_fixed_point(eff.generator, point=0.0)
             assert np.abs(effective_asymptotic_state(eff) - oracle).max() <= 1e-10
+
+
+class TestErrorEstimate:
+    """The verdict's estimate side eps_mach / gap of the state of T against its actual error, from
+    the 50-digit reference (:func:`oracles.exact_state`): at least the error, at most 10^3 times
+    it."""
+
+    @staticmethod
+    def ratio(model, lam) -> float:
+        rho, estimate = state_and_estimate(model, lam)
+        assert np.array_equal(asymptotic_periodic_state(model, lam, 1.0).asymptotic_density, rho)
+        return estimate / np.abs(rho - exact_state(model, lam, 1.0)).max()
+
+    # every row of the verdict table that gives a state: the spin model, and the stiff models
+    # that the absolute caps 1e-9 and 1e-7 refused (1e-4 as "trace 2", the others as "not
+    # isolated"), their errors 3.0e-9, 4.2e-8 and 3.9e-6
+    @pytest.mark.parametrize("delta, lam", [(None, 1e-4), (None, 1e-5), (None, 8e-6), (None, 5e-6),
+                                            (1e-2, 0.3), (3e-3, 0.1), (1e-3, 0.1), (1e-4, 0.1)])
+    def test_verdict_table(self, delta, lam):
+        model = (build_spin_model(spin_base()) if delta is None
+                 else TestVerdictScale.stiff_model(delta))
+        assert 1.0 <= self.ratio(model, lam) <= 1e3
+
+    def test_random_draws(self, rng):
+        # 40 draws of (model, lambda): dim <= 8 for the reference, lambda log-uniform in
+        # [1e-5, 1e-2], gaps from about 1e-11 to 1e-5, where 1/gap amplifies the rounding of T.
+        # Near lambda = 0.1 the gap is about 1e-3 and the error sits at the state's own
+        # rounding, a few 1e-16, which no estimate on the gap reads: one draw there read 1.5e3
+        ratios = []
+        for _ in range(40):
+            n_s, n_e = [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)][rng.integers(5)]
+            ratios.append(self.ratio(random_model(rng, n_s, n_e), 10.0 ** rng.uniform(-5, -2)))
+        assert 1.0 <= min(ratios) and max(ratios) <= 1e3
 
 
 class TestCompareOrders:
@@ -452,7 +508,7 @@ class TestKatoStructure:
         assert report.subprojection_defect <= 1e-6
 
     def test_below_the_floor_precision_is_exhausted(self, tmp_path, capsys):
-        # eps (tau ||[v,.]||)^2 = 4e-12 puts the radius 1e-3 of it below the floor 2.3e-13
+        # at eps = 1e-12 the gap of T is 6.8e-13, and the estimate 8.9e-16 / gap passes 2^-10
         with pytest.raises(PrecisionExhaustedError, match="precision exhausted"):
             kato_structure_check(build_spin_model(spin_base()), 1.0, [1e-12, 5e-13])
         config = tmp_path / "config.json"
@@ -613,19 +669,19 @@ class TestParametrizedTauExperiment:
 
 
 class TestOneClusterRule:
-    """Every eigenvalue cluster of the module takes its radii from :func:`_cluster_radii`: once
-    per asymptotic state, and in kato once for Q_F and once per eps, each radius handed to
-    ``_eigenprojection_near`` the rule's own for that cluster's scale."""
+    """Every eigenvalue cluster of the module is judged by :func:`_cluster`: once per asymptotic
+    state, and in kato once for Q_F and once per eps, each projection taken at the radius the
+    rule returned for it, 2^8 side eps_mach times the scale: ||R[F, F]||_1 for Q_F, 1 for T."""
 
     @staticmethod
     def counted(monkeypatch) -> list:
         calls = []
 
-        def rule(*args, _original=_cluster_radii):
-            calls.append(args)
-            return _original(*args)
+        def rule(*args, _original=_cluster):
+            calls.append(_original(*args))
+            return calls[-1]
 
-        monkeypatch.setattr(ris.asymptotic, "_cluster_radii", rule)
+        monkeypatch.setattr(ris.asymptotic, "_cluster", rule)
         return calls
 
     def test_asymptotic_periodic_state(self, monkeypatch):
@@ -660,12 +716,11 @@ class TestOneClusterRule:
         monkeypatch.setattr(ris.asymptotic, "_eigenprojection_near", recorded)
         kato_structure_check(model, tau, eps)
         assert len(calls) == 1 + len(eps)
-        # Q_F: the cluster at 0 of R[F, F] on its 1-norm; P(eps): the cluster at 1 of
-        # T(sqrt(eps), tau) on eps (tau ||[v,.]||)^2
+        assert [radius for _, radius in handed] == [radius for _, radius, _ in calls]
+        floor = 2.0 ** 8 * np.finfo(float).eps
         block = handed[0][0]
-        expected = [_cluster_radii(0.0, np.abs(block).sum(axis=0).max(), len(block), "")[0]]
-        expected += [_cluster_radii(1.0, e * (tau * model.commutator_norm) ** 2, model.n_s ** 2,
-                                    "")[0] for e in sorted(eps, reverse=True)]
+        expected = [floor * len(block) * np.abs(block).sum(axis=0).max()]
+        expected += [floor * model.n_s ** 2] * len(eps)
         assert [radius for _, radius in handed] == pytest.approx(expected, rel=1e-12, abs=0)
 
 

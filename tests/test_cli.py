@@ -1223,6 +1223,32 @@ def test_spin_oracle_at_resonant_tau_writes_the_delta_rows_only(tmp_path):
     assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["delta0", "delta1"]
 
 
+@pytest.mark.parametrize("d", [1e-6, 5e-7])
+def test_spin_oracle_near_resonance_passes_within_the_estimate(tmp_path, d):
+    # at tau = 2 pi (1 + d) the pipeline's state is 1.9e-8 and 1.3e-6 off the closed form:
+    # above the oracle tolerance 1e-9, within the pipeline's error estimate
+    config = write_config(tmp_path, {"experiment": "spin-oracle",
+                                     "model": spin(tau=2 * math.pi * (1 + d))})
+    out = tmp_path / "so.csv"
+    assert main(["spin-oracle", "--config", str(config), "--out", str(out)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["delta0", "delta1", "rho_00", "rho_11"]
+    assert float(rows[-1][3]) > 1e-9
+
+
+@pytest.mark.parametrize("d", [3e-7, 1e-7])
+def test_spin_oracle_leaves_out_a_state_the_pipeline_cannot_resolve(tmp_path, d):
+    # the closed form gives a state, the pipeline refuses it as precision exhausted: the delta
+    # rows, exit 0, and the refusal in the sidecar
+    config = write_config(tmp_path, {"experiment": "spin-oracle",
+                                     "model": spin(tau=2 * math.pi * (1 + d))})
+    out = tmp_path / "so.csv"
+    assert main(["spin-oracle", "--config", str(config), "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["delta0", "delta1"]
+    meta = json.loads((tmp_path / "so.meta.json").read_text())
+    assert "precision exhausted" in meta["state_rows"]
+
+
 @pytest.mark.parametrize("regime", ["weak-coupling", "fast-repetition"])
 @pytest.mark.parametrize("coupling", [1e-5, 1e-8])
 def test_spin_oracle_at_weak_couplings_writes_the_state_rows(tmp_path, coupling, regime):

@@ -1,9 +1,10 @@
 """Import hygiene: ``ris`` runs on numpy and the standard library only.
 
 scipy.linalg takes most of a cold ``import ris`` and about 26 MB of
-resident memory, so neither importing the package nor running any of its
-experiments may load scipy.  Each check starts a fresh interpreter, since
-this test process has long since loaded scipy.
+resident memory, and mpmath is the test suite's extended-precision
+reference, so neither importing the package nor running any of its
+experiments may load either.  Each check starts a fresh interpreter, since
+this test process has long since loaded both.
 """
 import json
 import os
@@ -15,11 +16,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+#: the packages the tests use and ``ris`` must not load
+TEST_ONLY = ("scipy", "mpmath")
+
+# prints {package: its modules loaded} for each package of TEST_ONLY
 _LOADED = ("import json, sys\n{statement}\n"
-           "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+           "print(json.dumps({{p: sorted(m for m in sys.modules if m.split('.')[0] == p) "
+           "for p in {packages!r}}}))")
 
 # every experiment through ris.cli.main on the paper's spin model, in one
-# interpreter; prints {experiment: [exit code, scipy modules loaded so far]}
+# interpreter; prints {experiment: [exit code, test-only modules loaded so far]}
 _RUN_ALL = """
 import json, sys
 from pathlib import Path
@@ -31,9 +37,9 @@ for name in EXPERIMENTS:
     config = out / f"{name}.json"
     config.write_text(json.dumps({"model": {"spin": spin}, "experiment": name}))
     code = main([name, "--config", str(config), "--out", str(out / f"{name}.csv")])
-    report[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+    report[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] in %r)]
 print(json.dumps(report))
-"""
+""" % (TEST_ONLY,)
 
 
 def _fresh_python(args: list) -> str:
@@ -43,17 +49,24 @@ def _fresh_python(args: list) -> str:
     return proc.stdout
 
 
-def scipy_modules_after(statement: str) -> list:
-    """The scipy modules in sys.modules of a fresh interpreter after ``statement``."""
-    return json.loads(_fresh_python(["-c", _LOADED.format(statement=statement)]))
+def modules_after(statement: str) -> dict:
+    """{package: its modules in sys.modules} of a fresh interpreter after ``statement``, for
+    each package of TEST_ONLY."""
+    return json.loads(_fresh_python(["-c", _LOADED.format(statement=statement,
+                                                          packages=TEST_ONLY)]))
 
 
 @pytest.mark.parametrize("statement", ["import ris", "import ris.cli"])
 def test_import_loads_no_scipy(statement):
-    assert scipy_modules_after(statement) == []
+    assert modules_after(statement) == {package: [] for package in TEST_ONLY}
 
 
 def test_every_experiment_runs_without_scipy(tmp_path):
     report = json.loads(_fresh_python(["-c", _RUN_ALL, str(tmp_path)]))
     assert len(report) == 7
     assert report == {name: [0, []] for name in report}
+
+
+def test_the_checks_see_a_test_only_package():
+    # the reference loads mpmath, so a check that reads it must see it
+    assert modules_after("import mpmath")["mpmath"]

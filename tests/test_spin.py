@@ -1,10 +1,11 @@
 import itertools
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from ris.asymptotic import effective_asymptotic_state
+from ris.asymptotic import PrecisionExhaustedError, _effective_state, effective_asymptotic_state
 from ris.dynamics import NoAsymptoticStateError, check_H1
 from ris.linops import hermitian_defect, matrix_exp
 from ris.spin import (
@@ -243,6 +244,38 @@ class TestAsymptoticState:
         eff = effective_generator_weak_coupling(build_spin_model(params), params.tau)
         with pytest.raises(NoAsymptoticStateError, match="effective generator"):
             effective_asymptotic_state(eff)
+
+    @pytest.mark.parametrize("d", [1e-7, 1e-9])
+    def test_near_resonance_the_state_reads_its_own_rounding(self, d):
+        # at tau = 2 pi (1 + d) |delta_0 + delta_1| is 7.9e-13 and 7.9e-17, below the floor
+        # 2^8 n_S^2 eps_mach times the peak rate, 1.8e-11, that the closed form once copied from
+        # the pipeline; the same formulas at 50 digits, at the same tau, agree to 3.6e-8
+        params = spin_base(tau=2 * np.pi * (1 + d))
+        with mp.workdps(50):
+            kernel = [2 * mp.sin(mp.mpf(params.tau) * x / 2) ** 2 / x ** 2 for x in (1, 3)]
+            w = mp.exp(-2)
+            d0, d1 = (-2 / (1 + w) * (a * kernel[0] + b * kernel[1]) for a, b in ((w, 1), (1, w)))
+            exact = [float(d1 / (d0 + d1)), float(d0 / (d0 + d1))]
+        assert np.abs(np.diag(spin_asymptotic_state(params)).real - exact).max() <= 1e-7
+
+    def test_pipeline_near_resonance_within_its_estimate(self):
+        # tau = 2 pi (1 + d): the generator's slowest margin is the coherences' -Re mu =
+        # |delta_0 + delta_1| / 2, under a norm ||gen||_1 = 4.19 of Lamb shifts.  Its state is
+        # off the closed form by 1.9e-8 and 1.3e-6 at d = 1e-6 and 5e-7, under estimates of
+        # 9.4e-5 and 3.7e-4; at 3e-7 the estimate 1.0e-3 passes 2^-10, and at 1e-7 the rate
+        # sum 7.9e-13 lies inside the cluster radius 9.5e-13
+        for d, error, estimate in ((1e-6, 1.9e-8, 9.4e-5), (5e-7, 1.3e-6, 3.7e-4)):
+            params = spin_base(tau=2 * np.pi * (1 + d))
+            rho, got = _effective_state(effective_generator_weak_coupling(
+                build_spin_model(params), params.tau))
+            off = np.abs(rho - spin_asymptotic_state(params)).max()
+            assert off == pytest.approx(error, rel=0.1)
+            assert got == pytest.approx(estimate, rel=0.1)
+        for d in (3e-7, 1e-7):
+            params = spin_base(tau=2 * np.pi * (1 + d))
+            eff = effective_generator_weak_coupling(build_spin_model(params), params.tau)
+            with pytest.raises(PrecisionExhaustedError, match="the effective generator"):
+                effective_asymptotic_state(eff)
 
     def test_fixed_by_effective_dynamics(self):
         params = spin_base()

@@ -520,8 +520,9 @@ class TestGeneratorFrame:
         model = self.model(index)
         for eff in (effective_generator_weak_coupling(model, 1.0),
                     effective_generator_fast_repetition(model)):
-            scale = np.abs(eff.bohr).sum(axis=0).max()
-            oracle = _asymptotic_state(eff.generator.matrix, 0.0, scale, "the effective generator")
+            scale, dissipation = np.abs(eff.bohr).sum(axis=0).max(), -np.trace(eff.bohr).real
+            oracle, _ = _asymptotic_state(eff.generator.matrix, 0.0, scale, dissipation,
+                                          "the effective generator")
             assert np.abs(effective_asymptotic_state(eff) - oracle).max() <= 1e-13
 
 
